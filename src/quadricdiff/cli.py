@@ -87,10 +87,7 @@ def _cmd_validate(args):
     out = report.to_json()
     out["space"] = mdl.space
     if mdl.space == "ball":
-        att = None
-        if report.admissible:
-            att = model_mod.boundary_attainment(mdl).to_json()
-        out["boundary"] = att
+        out["boundary"] = model_mod._attainment(mdl).to_json() if report.admissible else None
     return _json_out(out)
 
 
@@ -139,20 +136,25 @@ def _cmd_moments(args):
 
 
 def _write_csv(path, result):
+    """One row per path and time: path_id, t, x1..xd, floats written round-trip exact.
+
+    Rows go out in blocks of whole paths, about 65536 rows each, so the text
+    table never needs more memory than one block.
+    """
+    n, d = result.terminal.shape
+    if result.paths is not None:
+        times, states = result.times, result.paths
+    else:
+        times, states = result.times[-1:], result.terminal[:, None, :]
+    k = len(times)
+    per_block = max(1, 65536 // k)
     with open(path, "w") as fh:
-        d = result.terminal.shape[1]
-        header = "path_id,t," + ",".join(f"x{i + 1}" for i in range(d))
-        fh.write(header + "\n")
-        if result.paths is not None:
-            for pid in range(result.n_paths):
-                for ti, t in enumerate(result.times):
-                    row = ",".join(repr(v) for v in result.paths[pid, ti])
-                    fh.write(f"{pid},{t!r},{row}\n")
-        else:
-            t = result.times[-1]
-            for pid in range(result.n_paths):
-                row = ",".join(repr(v) for v in result.terminal[pid])
-                fh.write(f"{pid},{t!r},{row}\n")
+        fh.write("path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
+        for lo in range(0, n, per_block):
+            block = states[lo:lo + per_block]
+            rows = np.column_stack([np.repeat(np.arange(lo, lo + len(block)), k),
+                                    np.tile(times, len(block)), block.reshape(-1, d)])
+            np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (d + 1), delimiter=",")
 
 
 def _cmd_simulate(args):

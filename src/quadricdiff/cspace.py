@@ -12,7 +12,6 @@ Plucker-relation matrices returned by :func:`k_basis`.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -204,32 +203,59 @@ def k_basis(d):
     return [KBasisElement(quad, k_matrix(quad, d)) for quad in combinations(range(1, d + 1), 4)]
 
 
-@lru_cache(maxsize=None)
-def _h_design_matrix(d):
-    """Columns: vectorized coefficient tensors of c_E over an orthonormal basis E of S^m.
+class _PluckerKernel:
+    """The kernel of H -> c_H as index gathers over its C(d, 4) basis matrices.
 
-    The basis is e_p e_p^T on the diagonal and (e_p e_q^T + e_q e_p^T)/sqrt(2)
-    off it, so the coordinate 2-norm equals the Frobenius norm of H and the
-    minimum-norm least-squares solution is the Frobenius-minimal representative.
+    K_(ijkl) (see :func:`k_matrix`) is +1 at the symmetric position pairs
+    (ij, kl) and (il, jk) of the skew-pair index and -1 at (ik, jl).  Two
+    disjoint index pairs determine their 4-tuple, so distinct K's have
+    disjoint supports and each operation below is one gather or scatter.
     """
-    m = skew_dim(d)
-    cols = []
-    basis = []
-    for p in range(m):
-        for q in range(p, m):
-            E = np.zeros((m, m))
-            if p == q:
-                E[p, p] = 1.0
-            else:
-                E[p, q] = E[q, p] = 1.0 / np.sqrt(2.0)
-            basis.append(E)
-            cols.append(cmap_from_h(E, d).ravel())
-    A = np.array(cols).T if cols else np.zeros((d ** 4, 0))
-    return A, basis
+
+    SIGNS = np.array([1.0, 1.0, -1.0])
+
+    def __init__(self, d):
+        self.m = skew_dim(d)
+        pair = np.zeros((d, d), dtype=int)
+        pair[np.triu_indices(d, 1)] = np.arange(self.m)
+        i, j, k, l = np.array(list(combinations(range(d), 4)), dtype=int).reshape(-1, 4).T
+        self.rows = np.stack([pair[i, j], pair[i, l], pair[i, k]], axis=1)
+        self.cols = np.stack([pair[k, l], pair[j, k], pair[j, l]], axis=1)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def inner(self, X):
+        """<K_q, X> for every q."""
+        S = X[self.rows, self.cols] + X[self.cols, self.rows]
+        return S[:, 0] + S[:, 1] - S[:, 2]
+
+    def combine(self, t):
+        """sum_q t_q K_q."""
+        X = np.zeros((self.m, self.m))
+        vals = np.outer(t, self.SIGNS)
+        X[self.rows, self.cols] = vals
+        X[self.cols, self.rows] = vals
+        return X
+
+    def project(self, X):
+        """Orthogonal projection onto span(K); every K_q has squared norm 6."""
+        return self.combine(self.inner(X) / 6.0)
+
+    def quadratic(self, v):
+        """v^T K_q v for every q."""
+        S = v[self.rows] * v[self.cols]
+        return 2.0 * (S[:, 0] + S[:, 1] - S[:, 2])
 
 
 def h_from_c(C, tol=1e-10):
     """Recover the Frobenius-minimal H with c_H = C (coefficientwise).
+
+    The map A: H -> c_H satisfies A^T A = 3 (I - proj_K) on symmetric
+    matrices, so the least-squares preimage orthogonal to the kernel is
+    A^T C / 3 = (M + M^T) / 6, where, with C~ the tensor C symmetrized in
+    its last two indices,
+    ``M[(i,j), (k,l)] = C~[i,k,j,l] - C~[i,l,j,k] - C~[j,k,i,l] + C~[j,l,i,k]``.
 
     Raises
     ------
@@ -241,17 +267,18 @@ def h_from_c(C, tol=1e-10):
     d = C.shape[0]
     if C.shape != (d, d, d, d):
         raise ValueError(f"expected a (d, d, d, d) coefficient tensor, got shape {C.shape}")
-    A, basis = _h_design_matrix(d)
-    target = C.ravel()
-    coeffs, _, _, _ = np.linalg.lstsq(A, target, rcond=None)
-    H = sum(u * E for u, E in zip(coeffs, basis)) if basis else np.zeros((0, 0))
-    residual = np.linalg.norm(A @ coeffs - target)
-    scale = max(np.linalg.norm(target), 1.0)
+    i, j = np.triu_indices(d, 1)
+    Ct = _sym_last_two(C)
+    M = (Ct[i[:, None], i, j[:, None], j] - Ct[i[:, None], j, j[:, None], i]
+         - Ct[j[:, None], i, i[:, None], j] + Ct[j[:, None], j, i[:, None], i])
+    H = (M + M.T) / 6.0
+    residual = np.linalg.norm(cmap_from_h(H, d) - C)
+    scale = max(np.linalg.norm(C), 1.0)
     if residual > tol * scale:
         raise TangencyError(
             f"map is not tangential: best-fit residual {residual:.3e}", residual
         )
-    return np.asarray(H)
+    return H
 
 
 def c_from_biquadratic(Q, tol=1e-12):

@@ -135,6 +135,21 @@ def _span_dim(vectors, tol):
     return int(np.sum(s > tol * s[0]))
 
 
+def _membership(a0, g, h, x0, tol):
+    """(A_0 x_0 in g x_0, its least-squares residual, dim g x_0, dim h x_0)."""
+    a0x0 = a0 @ x0
+    gx0, hx0 = g.basis @ x0, h.basis @ x0
+    if np.linalg.norm(a0x0) == 0.0:
+        member, resid = True, 0.0
+    elif g.dim == 0:
+        member, resid = False, float(np.linalg.norm(a0x0))
+    else:
+        coeffs, _, _, _ = np.linalg.lstsq(gx0.T, a0x0, rcond=None)
+        resid = float(np.linalg.norm(gx0.T @ coeffs - a0x0))
+        member = resid <= max(tol * np.linalg.norm(a0x0), 1e-12)
+    return member, resid, _span_dim(gx0, 1e-10), _span_dim(hx0, 1e-10)
+
+
 def density_check_sphere(drive, x0, tol=1e-9):
     """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
 
@@ -146,25 +161,15 @@ def density_check_sphere(drive, x0, tol=1e-9):
     if abs(np.linalg.norm(x0) - 1.0) > 1e-9:
         raise ValueError(f"|x0| = {np.linalg.norm(x0)} is not 1")
     g, h = g_ideal(drive, max(tol, 1e-12))
-    a0x0 = drive.a0 @ x0
-    gx0 = np.array([B @ x0 for B in g.basis]) if g.dim else np.zeros((0, drive.d))
-    hx0 = np.array([B @ x0 for B in h.basis]) if h.dim else np.zeros((0, drive.d))
-    if np.linalg.norm(a0x0) == 0.0:
-        member, resid = True, 0.0
-    elif g.dim == 0:
-        member, resid = False, float(np.linalg.norm(a0x0))
-    else:
-        coeffs, _, _, _ = np.linalg.lstsq(gx0.T, a0x0, rcond=None)
-        resid = float(np.linalg.norm(gx0.T @ coeffs - a0x0))
-        member = resid <= max(tol * np.linalg.norm(a0x0), 1e-12)
+    member, resid, dim_gx0, dim_hx0 = _membership(drive.a0, g, h, x0, tol)
     return DensityReport(
         has_smooth_density=member,
         dim_g=g.dim,
         dim_h=h.dim,
         a0x0_in_gx0=member,
         membership_residual=resid,
-        dim_gx0=_span_dim(gx0, 1e-10),
-        dim_hx0=_span_dim(hx0, 1e-10),
+        dim_gx0=dim_gx0,
+        dim_hx0=dim_hx0,
         full_rotation=g.dim == skew_dim(drive.d),
     )
 
@@ -213,15 +218,14 @@ def density_check_ball(drive, alpha, x0, tol=1e-9):
     z0 = z0 / nz if nz > 0 else z0
     g, h = g_ideal(lifted, max(tol, 1e-12))
     full = g.dim == skew_dim(drive.d + 1)
-    a0z0 = lifted.a0 @ z0
-    gz0 = np.array([B @ z0 for B in g.basis]) if g.dim else np.zeros((0, drive.d + 1))
+    member, resid, dim_gx0, dim_hx0 = _membership(lifted.a0, g, h, z0, tol)
     return DensityReport(
         has_smooth_density=full,
         dim_g=g.dim,
         dim_h=h.dim,
-        a0x0_in_gx0=bool(full or np.linalg.norm(a0z0) == 0.0),
-        membership_residual=0.0,
-        dim_gx0=_span_dim(gz0, 1e-10),
-        dim_hx0=_span_dim(gz0, 1e-10),
+        a0x0_in_gx0=member,
+        membership_residual=resid,
+        dim_gx0=dim_gx0,
+        dim_hx0=dim_hx0,
         full_rotation=full,
     )

@@ -315,6 +315,11 @@ def boundary_attainment(model, tol=1e-7):
     report = validate_ball(model, tol)
     if not report.admissible:
         raise ValueError("model is not admissible; run validate_ball for details")
+    return _attainment(model, tol)
+
+
+def _attainment(model, tol=1e-7):
+    """The sphere-maximum step of :func:`boundary_attainment`, for a validated model."""
     C = trace_form(model.H, model.d)
     Msym = 0.5 * (model.B + model.B.T) + model.alpha + 0.5 * C
     quad = sphere_max_quadratic(Msym, model.b)

@@ -143,34 +143,8 @@ _PADE = {
 }
 
 
-def _solve_gj(A, B):
-    """Batched linear solve by Gauss-Jordan with partial pivoting.
-
-    Vectorized over the leading axis with Python loops only over the matrix
-    size; much faster than the LAPACK gufunc for stacks of small matrices,
-    and each batch element is processed independently of its neighbors.
-    """
-    n = A.shape[-1]
-    N = A.shape[0]
-    aug = np.concatenate([A, B], axis=2).copy()
-    rows = np.arange(N)
-    for k in range(n):
-        piv = np.argmax(np.abs(aug[:, k:, k]), axis=1) + k
-        swap = piv != k
-        if np.any(swap):
-            r = rows[swap]
-            tmp = aug[r, k, :].copy()
-            aug[r, k, :] = aug[r, piv[swap], :]
-            aug[r, piv[swap], :] = tmp
-        aug[:, k, :] /= aug[:, k, k, None]
-        col = aug[:, :, k].copy()
-        col[:, k] = 0.0
-        aug -= col[:, :, None] * aug[:, k, None, :]
-    return aug[:, :, n:]
-
-
 def _solve_small(A, B):
-    """Batched solve specialized by size: cofactor inverse for n <= 3, else pivoting."""
+    """Batched solve specialized by size: cofactor inverse for n <= 3, else LAPACK."""
     n = A.shape[-1]
     if n == 1:
         return B / A[:, 0, 0, None, None]
@@ -201,7 +175,7 @@ def _solve_small(A, B):
         inv[:, 1, 0], inv[:, 1, 1], inv[:, 1, 2] = co10, co11, co12
         inv[:, 2, 0], inv[:, 2, 1], inv[:, 2, 2] = co20, co21, co22
         return (inv @ B) / det[:, None, None]
-    return _solve_gj(A, B)
+    return np.linalg.solve(A, B)
 
 
 def _pade_exp(M, degree, s):
@@ -217,10 +191,7 @@ def _pade_exp(M, degree, s):
         powers[k] = powers[k - 2] @ A2
     V = sum(b[k] * powers[k] for k in range(0, degree + 1, 2))
     U = M @ sum(b[k + 1] * powers[k] for k in range(0, degree, 2))
-    if n <= 8:
-        R = _solve_small(V - U, V + U)
-    else:
-        R = np.linalg.solve(V - U, V + U)
+    R = _solve_small(V - U, V + U)
     for _ in range(s):
         R = R @ R
     return R

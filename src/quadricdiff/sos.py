@@ -2,19 +2,23 @@
 
 Decides whether some kernel shift of H is positive semidefinite, which by the
 biquadratic correspondence is equivalent to y^T c_H(x) y being a sum of
-squares of bilinear forms.  The solver is first-order and dependency-free:
-Dykstra alternating projections between the affine set H + span(kernel) and
-the PSD cone for the feasible side, and projected gradient over the
-spectraplex orthogonal to the kernel for the infeasible side.  Witnesses are
-re-verified independently before being reported; an exhausted budget yields
-an Undecided verdict with residual diagnostics, never a silent guess.
+squares of bilinear forms.  The solver is first-order and dependency-free.
+On the feasible side it runs Dykstra alternating projections between the
+affine set H + span(kernel) and the PSD cone, then supergradient ascent of
+the concave slice function t -> min eig(H + sum_q t_q K_q).  On the
+infeasible side it runs Dykstra between the unit-trace PSD matrices and the
+kernel-orthogonal subspace, started from the normalized projector onto the
+bottom eigenspace at the best slice point.  The kernel basis acts through
+index gathers.  Witnesses are re-verified independently before being
+reported; an exhausted budget yields an Undecided verdict with residual
+diagnostics, never a silent guess.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import biquadratic_eval, c_H_eval, cmap_from_h, cmap_from_pair, k_basis
+from .cspace import _PluckerKernel, biquadratic_eval, c_H_eval, cmap_from_h, cmap_from_pair
 from .skew import skew_dim, vec_to_skew
 
 __all__ = [
@@ -108,29 +112,14 @@ def _proj_spectraplex(X):
     return (V * _proj_simplex(w)) @ V.T
 
 
-def _khat_stack(d):
-    """Orthonormal kernel basis: the Plucker matrices scaled by 1/sqrt(6)."""
-    els = k_basis(d)
-    if not els:
-        return np.zeros((0, skew_dim(d), skew_dim(d)))
-    return np.stack([el.matrix for el in els]) / np.sqrt(6.0)
-
-
-def _proj_span_k(X, Khat):
-    if Khat.shape[0] == 0:
-        return np.zeros_like(X)
-    coeffs = np.tensordot(Khat, X, axes=2)
-    return np.tensordot(coeffs, Khat, axes=1)
-
-
 def _eig_min(X):
     return float(np.linalg.eigvalsh(X)[0]) if X.size else 0.0
 
 
-def _verify_feasible(H, h_star, Khat, tol):
+def _verify_feasible(H, h_star, kernel, tol):
     scale = max(1.0, np.linalg.norm(H))
     shift = h_star - H
-    member = np.linalg.norm(shift - _proj_span_k(shift, Khat))
+    member = np.linalg.norm(shift - kernel.project(shift))
     return {
         "eig_min": _eig_min(h_star),
         "membership_residual": float(member),
@@ -145,8 +134,8 @@ def verify_certificate(H, B, tol=1e-9):
     """
     H = np.asarray(H, dtype=float)
     B = np.asarray(B, dtype=float)
-    d = _d_from_m(H.shape[0])
-    korth = max((abs(float(np.sum(el.matrix * B))) for el in k_basis(d)), default=0.0)
+    kernel = _PluckerKernel(_d_from_m(H.shape[0]))
+    korth = float(np.abs(kernel.inner(B)).max(initial=0.0))
     report = {
         "eig_min": _eig_min(B),
         "k_orth_max": korth,
@@ -156,8 +145,8 @@ def verify_certificate(H, B, tol=1e-9):
     return ok, report
 
 
-def _slice_ascent(H, Khat, t0, accept_tol, budget, used):
-    """Maximize min eig(H + sum_q t_q Khat_q) by adaptive Polyak supergradient steps.
+def _slice_ascent(H, kernel, t0, accept_tol, budget, used):
+    """Maximize min eig(H + sum_q t_q K_q) by adaptive Polyak supergradient steps.
 
     The function is concave in t; a supergradient at t is the vector of
     quadratic forms of the bottom eigenvector against the kernel basis.
@@ -168,17 +157,17 @@ def _slice_ascent(H, Khat, t0, accept_tol, budget, used):
     t = np.asarray(t0, dtype=float).copy()
 
     def eig_bottom(tv):
-        lam, V = np.linalg.eigh(H + np.tensordot(tv, Khat, axes=1))
+        lam, V = np.linalg.eigh(H + kernel.combine(tv))
         return lam[0], V[:, 0]
 
     f, v = eig_bottom(t)
-    t_best, f_best, v_best = t.copy(), f, v
+    t_best, f_best = t.copy(), f
     eps = max(0.05 * max(1.0, np.linalg.norm(H)), 10.0 * accept_tol)
     misses = 0
     it = 0
     while it < budget and f_best < target and eps > 1e-14:
         it += 1
-        g = np.einsum("qij,i,j->q", Khat, v, v)
+        g = kernel.quadratic(v)
         gg = float(g @ g)
         if gg < 1e-18:
             break
@@ -186,7 +175,7 @@ def _slice_ascent(H, Khat, t0, accept_tol, budget, used):
         t = t + step * g
         f, v = eig_bottom(t)
         if f > f_best:
-            t_best, f_best, v_best = t.copy(), f, v
+            t_best, f_best = t.copy(), f
             misses = 0
         else:
             misses += 1
@@ -195,7 +184,7 @@ def _slice_ascent(H, Khat, t0, accept_tol, budget, used):
                 misses = 0
                 t, f = t_best.copy(), f_best
                 _, v = eig_bottom(t)
-    return t_best, f_best, v_best, used + it
+    return t_best, f_best, used + it
 
 
 def sos_check(H, tol=1e-9, max_iter=50000):
@@ -205,7 +194,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     ----------
     H : (m, m) array, symmetric, m = C(d, 2)
     tol : acceptance tolerance for witness residuals
-    max_iter : total projection-iteration budget across both solver phases
+    max_iter : total projection-iteration budget across all solver phases
 
     Returns
     -------
@@ -223,11 +212,11 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     scale = max(1.0, float(np.linalg.norm(H)))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
-    Khat = _khat_stack(d)
+    kernel = _PluckerKernel(d)
     used = 0
 
     def feasible_verdict(h_star, used):
-        report, ok = _verify_feasible(H, h_star, Khat, tol)
+        report, ok = _verify_feasible(H, h_star, kernel, tol)
         if not ok:
             return None
         factors = sos_decompose(h_star, tol)
@@ -241,7 +230,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         return SosVerdict(INFEASIBLE, d, certificate=B, iterations=used, residuals=report)
 
     # No kernel: the affine set is the single point H.
-    if Khat.shape[0] == 0:
+    if len(kernel) == 0:
         lam, V = np.linalg.eigh(H)
         used = 1
         if lam[0] >= -tol:
@@ -281,8 +270,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         used += 1
         y = _proj_psd(x + p)
         p = x + p - y
-        shift = (y + q) - H
-        x = H + _proj_span_k(shift, Khat)
+        x = H + kernel.project((y + q) - H)
         q = (y + q) - x
         gap = float(np.linalg.norm(y - x))
         gap_hist.append(gap)
@@ -298,89 +286,49 @@ def sos_check(H, tol=1e-9, max_iter=50000):
                     break
 
     # Primal phase two: supergradient ascent of the concave slice function
-    # t -> min eig(H + sum_q t_q Khat_q).  Any t with nonnegative value is an
+    # t -> min eig(H + sum_q t_q K_q).  Any t with nonnegative value is an
     # exact-membership witness; the Dykstra iterate supplies the warm start.
-    t0 = np.tensordot(Khat, x - H, axes=2)
-    t_best, f_best, v_bottom, used = _slice_ascent(
-        H, Khat, t0, accept_tol, min(max_iter - used, 4000), used)
+    t_best, f_best, used = _slice_ascent(
+        H, kernel, kernel.inner(x - H) / 6.0, accept_tol, min(max_iter - used, 4000), used)
+    h_slice = H + kernel.combine(t_best)
     if f_best >= -accept_tol:
-        h_star = H + np.tensordot(t_best, Khat, axes=1)
-        verdict = feasible_verdict(h_star, used)
+        verdict = feasible_verdict(h_slice, used)
         if verdict is not None:
             return verdict
 
-    # Dual phase: drive <H, B> down over the kernel-orthogonal spectraplex.
-    w = x - _proj_psd(x)
-    candidates = [np.eye(m) / m, np.outer(v_bottom, v_bottom)]
-    if np.linalg.norm(w) > 0:
-        candidates.append(w / np.linalg.norm(w))
-        candidates.append(-w / np.linalg.norm(w))
-    _, VH = np.linalg.eigh(H)
-    candidates.append(np.outer(VH[:, 0], VH[:, 0]))
-
-    def dual_feasibilize(B, iters):
-        # Dykstra between the spectraplex and the kernel-orthogonal subspace;
-        # both preserve the trace after the first simplex projection.
-        r1 = np.zeros_like(B)
-        r2 = np.zeros_like(B)
-        for _ in range(iters):
-            Y = _proj_spectraplex(B + r1)
-            r1 = B + r1 - Y
-            B = Y + r2 - _proj_span_k(Y + r2, Khat)
-            r2 = Y + r2 - B
-        return B
-
-    def prep(B):
-        B = B - _proj_span_k(B, Khat)
-        t = np.trace(B)
-        return B / t if abs(t) > 1e-12 else np.eye(m) / m
-
-    best = None
-    best_val = np.inf
-    for B0 in candidates:
-        B0 = _proj_spectraplex(prep(B0))
-        val = float(np.sum(H * B0))
-        if val < best_val:
-            best, best_val = B0, val
-    B = best
-    eta = 1.0 / scale
+    # Dual phase.  At a maximizer of the slice function zero is a
+    # supergradient, so a unit-trace PSD matrix on the bottom eigenspace there
+    # is kernel-orthogonal, with <H, B> equal to the negative slice value.
+    # Dykstra between the spectraplex and the kernel-orthogonal subspace, both
+    # trace-preserving, starts from the normalized projector onto the bottom
+    # eigen-cluster of the slice point.
+    lam, V = np.linalg.eigh(h_slice)
+    U = V[:, lam <= lam[0] + 1e-8 * scale]
+    B = U @ U.T / U.shape[1]
+    r1 = np.zeros_like(B)
+    r2 = np.zeros_like(B)
     while used < max_iter:
         used += 1
-        B = B - eta * H
-        B = B - _proj_span_k(B, Khat)
-        B = _proj_spectraplex(B)
-        if used % 25 == 0:
-            val = float(np.sum(H * B))
-            if val <= -2.0 * margin:
-                Bp = dual_feasibilize(B.copy(), 200)
-                used += 200
-                verdict = infeasible_verdict(Bp, used)
-                if verdict is not None:
-                    return verdict
-            if val > best_val - 1e-14 * scale:
+        Y = _proj_spectraplex(B + r1)
+        r1 = B + r1 - Y
+        B = Y + r2 - kernel.project(Y + r2)
+        r2 = Y + r2 - B
+        if used % 25 == 0 or used == max_iter:
+            verdict = infeasible_verdict(B, used)
+            if verdict is not None:
+                return verdict
+            if np.linalg.norm(Y - B) <= tol:
                 break
-            best_val = min(best_val, val)
-
-    # Last chance on both sides at the final iterates.
-    Bp = dual_feasibilize(B.copy(), 400)
-    verdict = infeasible_verdict(Bp, used)
-    if verdict is not None:
-        return verdict
-    eig = _eig_min(x)
-    if eig >= -accept_tol:
-        verdict = feasible_verdict(x.copy(), used)
-        if verdict is not None:
-            return verdict
     return SosVerdict(
         UNDECIDED,
         d,
         iterations=used,
         residuals={
             "primal_gap": float(np.linalg.norm(x - _proj_psd(x))),
-            "primal_eig_min": eig,
+            "primal_eig_min": _eig_min(x),
             "slice_eig_max": f_best,
-            "dual_value": float(np.sum(H * Bp)),
-            "dual_eig_min": _eig_min(Bp),
+            "dual_value": float(np.sum(H * B)),
+            "dual_eig_min": _eig_min(B),
             "margin": margin,
             "stagnated_primal": float(stagnated),
         },

@@ -116,6 +116,74 @@ def test_simulate_full_paths_csv(model_files):
     assert len(lines) == 1 + 3 * 11  # header + paths x (steps + 1)
 
 
+def _read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def test_simulate_csv_values_round_trip(model_files):
+    from quadricdiff.simulate import SkewDrive, scalar_ball_ensemble
+
+    x0, T, h, seed, n = [0.1, -0.2, 0.3], 0.05, 0.01, 7, 4
+    ens = scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), x0, T, h, seed, n,
+                               keep_paths=True)
+    argv = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
+            "--x0", json.dumps(x0), "--T", str(T), "--h", str(h), "--paths", str(n),
+            "--seed", str(seed)]
+    full = model_files["tmp"] / "round_trip_full.csv"
+    run_json(argv + ["--keep-paths", "--out", str(full)])
+    header, rows = _read_csv(full)
+    k = len(ens.times)
+    assert header == "path_id,t,x1,x2,x3"
+    assert np.array_equal(rows[:, 0], np.repeat(np.arange(n), k))
+    assert rows[:, 1].tobytes() == np.tile(ens.times, n).tobytes()
+    assert rows[:, 2:].tobytes() == ens.paths.reshape(n * k, 3).tobytes()
+    terminal = model_files["tmp"] / "round_trip_terminal.csv"
+    run_json(argv + ["--out", str(terminal)])
+    _, rows = _read_csv(terminal)
+    assert np.array_equal(rows[:, 0], np.arange(n))
+    assert rows[:, 1].tobytes() == np.full(n, ens.times[-1]).tobytes()
+    assert rows[:, 2:].tobytes() == ens.terminal.tobytes()
+
+
+def test_csv_writer_blocks_are_exact(model_files):
+    # 30001 rows per path: the writer's blocks of whole paths hold two, then one
+    from quadricdiff.cli import _write_csv
+    from quadricdiff.simulate import EnsembleResult
+
+    r = np.random.default_rng(5)
+    n, k, d = 3, 30001, 2
+    paths = r.standard_normal((n, k, d)) * 10.0 ** r.integers(-300, 300, (n, k, d))
+    times = np.linspace(0.0, 0.3, k)
+    ens = EnsembleResult(times, paths[:, -1], 0, "sphere", n, 0.0, np.zeros(n), 0.0, paths)
+    out = model_files["tmp"] / "blocks.csv"
+    _write_csv(out, ens)
+    header, rows = _read_csv(out)
+    assert header == "path_id,t,x1,x2"
+    assert np.array_equal(rows[:, 0], np.repeat(np.arange(n), k))
+    assert rows[:, 1].tobytes() == np.tile(times, n).tobytes()
+    assert rows[:, 2:].tobytes() == paths.reshape(n * k, d).tobytes()
+
+
+def test_validate_ball_runs_one_sos_check(model_files, monkeypatch):
+    from quadricdiff import sos
+
+    calls = []
+    original = sos.sos_check
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sos, "sos_check", counting)
+    ball = BallModel(alpha=0.5 * np.eye(3), H=np.eye(3), b=np.zeros(3), B=-2 * np.eye(3))
+    path = model_files["tmp"] / "ball3.json"
+    path.write_text(json.dumps(model_to_json(ball)))
+    j = run_json(["validate", "--model", str(path)])
+    assert j["admissible"] and j["boundary"]["status"] == "InteriorInvariant"
+    assert len(calls) == 1
+
+
 def test_simulate_deterministic_output(model_files):
     argv = ["simulate", "--model", str(model_files["sphere"]), "--scheme", "sphere",
             "--x0", "[1,0,0]", "--T", "0.5", "--h", "0.01", "--paths", "100",

@@ -184,6 +184,34 @@ def test_h_from_c_rejects_non_tangential():
     assert exc.value.residual > 0.1
 
 
+def _h_from_c_lstsq(C):
+    """Reference: minimum-norm least squares over an orthonormal basis of S^m."""
+    d = C.shape[0]
+    m = skew_dim(d)
+    basis = []
+    for p in range(m):
+        for q in range(p, m):
+            E = np.zeros((m, m))
+            E[p, q] = E[q, p] = 1.0 if p == q else 1.0 / np.sqrt(2.0)
+            basis.append(E)
+    A = np.array([cmap_from_h(E, d).ravel() for E in basis]).T
+    coeffs = np.linalg.lstsq(A, C.ravel(), rcond=None)[0]
+    return sum(u * E for u, E in zip(coeffs, basis)), np.linalg.norm(A @ coeffs - C.ravel())
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_h_from_c_matches_lstsq_reference(d):
+    m = skew_dim(d)
+    H0 = random_sym(m) + sum(rng.uniform(-2, 2) * el.matrix for el in k_basis(d))
+    H_ref, _ = _h_from_c_lstsq(cmap_from_h(H0, d))
+    assert np.abs(h_from_c(cmap_from_h(H0, d)) - H_ref).max() <= 1e-12
+    bad = rng.standard_normal((d, d, d, d))
+    _, resid_ref = _h_from_c_lstsq(bad)
+    with pytest.raises(TangencyError) as exc:
+        h_from_c(bad)
+    assert exc.value.residual == pytest.approx(resid_ref, rel=1e-12)
+
+
 def _bilinear_tensor(W1, W2):
     return np.einsum("ij,kl->ijkl", W1, W2)
 

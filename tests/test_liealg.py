@@ -142,3 +142,16 @@ def test_density_ball_block_example_embedded():
     rep = density_check_ball(SkewDrive(A0, A1[None]), np.zeros((4, 4)),
                              np.array([0.0, 0.0, 1.0, 0.0]))
     assert not rep.has_smooth_density
+
+
+def test_density_ball_reports_lifted_h_and_residual():
+    # rotation drift in the (1,2) plane, radial noise only along e3: the lifted
+    # closure is span{E34}, and A_0 adds the commuting E12 to h alone
+    drive = SkewDrive(elementary_skew(1, 3), np.zeros((0, 3, 3)))
+    x0 = np.array([0.3, 0.4, 0.5])
+    rep = density_check_ball(drive, np.diag([0.0, 0.0, 1.0]), x0)
+    assert (rep.dim_g, rep.dim_h) == (1, 2)
+    assert (rep.dim_gx0, rep.dim_hx0) == (1, 2)
+    z0 = np.append(x0, np.sqrt(1.0 - x0 @ x0))
+    assert rep.membership_residual == pytest.approx(np.hypot(z0[0], z0[1]), rel=1e-12)
+    assert not rep.a0x0_in_gx0 and not rep.has_smooth_density

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quadricdiff.cspace import cmap_from_h, k_basis, k_matrix
-from quadricdiff.skew import skew_dim
+from quadricdiff.cspace import _PluckerKernel, cmap_from_h, k_basis, k_matrix
+from quadricdiff.skew import skew_dim, skew_to_vec
 from quadricdiff.sos import (
     charpoly_reference,
     counterexample_d6,
@@ -113,6 +113,53 @@ def test_counterexample_sos_infeasible():
     ok, rep = verify_certificate(ce.h, v.certificate)
     assert ok
     assert rep["inner"] < -1e-3
+
+
+def test_counterexample_sos_certificate_margin():
+    ce = counterexample_d6()
+    v = sos_check(ce.h)
+    assert v.status == "Infeasible"
+    assert float(np.sum(ce.h * v.certificate)) <= -0.1
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9])
+def test_plucker_kernel_gathers_match_dense_reference(d):
+    m = skew_dim(d)
+    Ks = np.array([el.matrix for el in k_basis(d)])
+    kernel = _PluckerKernel(d)
+    X = rng.standard_normal((m, m))
+    X = X + X.T
+    v = rng.standard_normal(m)
+    t = rng.standard_normal(len(Ks))
+    inner = np.tensordot(Ks, X, axes=2)
+    assert np.abs(kernel.inner(X) - inner).max() <= 1e-14
+    assert np.abs(kernel.project(X) - np.tensordot(inner / 6.0, Ks, axes=1)).max() <= 1e-14
+    assert np.abs(kernel.combine(t) - np.tensordot(t, Ks, axes=1)).max() <= 1e-14
+    assert np.abs(kernel.quadratic(v) - np.einsum("qij,i,j->q", Ks, v, v)).max() <= 1e-14
+    _, rep = verify_certificate(X, X)
+    assert abs(rep["k_orth_max"] - np.abs(inner).max()) <= 1e-14
+
+
+def negative_form(seed, d):
+    """P + shift - s a a^T with a = vec(x y^T - y x^T): the form is negative at (x, y)."""
+    r = np.random.default_rng(seed)
+    m = skew_dim(d)
+    G = r.standard_normal((m, m))
+    P = G @ G.T / m
+    x, y = r.standard_normal(d), r.standard_normal(d)
+    a = skew_to_vec(np.outer(x, y) - np.outer(y, x))
+    a /= np.linalg.norm(a)
+    shift = sum(r.uniform(-1, 1) * el.matrix for el in k_basis(d))
+    return P + shift - 1.5 * float(a @ P @ a) * np.outer(a, a)
+
+
+@pytest.mark.parametrize("seed", [2, 10, 11])
+def test_negative_form_gets_verified_certificate(seed):
+    H = negative_form(seed, 6)
+    v = sos_check(H)
+    assert v.status == "Infeasible"
+    ok, _ = verify_certificate(H, v.certificate)
+    assert ok
 
 
 def test_verify_certificate_cases():

@@ -26,7 +26,7 @@ drive = SkewDrive.elementary(d)
 x0 = np.array([1.0, 0.0, 0.0])
 
 gk = build_Gk(model, 1)
-print("generator on degree-one monomials:\n", gk.G)
+print("generator on degree-one monomials:\n", gk.G.toarray())
 
 print("\nE[X_t1 | X_0 = e1] = exp(-t):")
 for t in (0.25, 0.5, 1.0, 2.0):

@@ -2,18 +2,24 @@
 
 A polynomial diffusion's generator ``G f = tr(a grad^2 f)/2 + b . grad f``
 maps polynomials of degree at most k to themselves, so on a fixed monomial
-basis it is a finite matrix G_k, and conditional moments reduce to
-``H(x)^T expm(t G_k) q``.  All polynomial arithmetic here is exact
-multiply-and-collect over exponent-key dictionaries; coefficients are only
-ever combined at identical exponents, never nearest-matched.
+basis it is a finite sparse matrix G_k, and conditional moments reduce to
+``H(x)^T expm(t G_k) q``; ``moment`` applies the exponential's action to q
+(``expm_multiply``) instead of forming ``expm(t G_k)``.  G_k is built by
+exact exponent arithmetic: every term of the image of a monomial sits at an
+integer shift of its exponent, found by exact integer-key lookup, and
+coefficients are only ever combined at identical exponents, never
+nearest-matched.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm  # noqa: F401  (unused; bench/tracer.py wraps generator.expm)
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.linalg import expm_multiply
 
 from .cspace import cmap_from_h
 
@@ -44,23 +50,17 @@ class MonomialBasis:
     def index(self, exponent):
         return self._lookup[tuple(exponent)]
 
-    @property
+    @cached_property
     def _lookup(self):
-        if "_cache" not in self.__dict__:
-            object.__setattr__(self, "_cache", {e: i for i, e in enumerate(self.exponents)})
-        return self.__dict__["_cache"]
+        return {e: i for i, e in enumerate(self.exponents)}
+
+    @cached_property
+    def _array(self):
+        return np.array(self.exponents, dtype=np.int64).reshape(len(self), self.d)
 
     def eval_at(self, x):
         """Vector of all basis monomials at the point x."""
-        x = np.asarray(x, dtype=float)
-        out = np.empty(len(self.exponents))
-        for i, e in enumerate(self.exponents):
-            v = 1.0
-            for xi, ei in zip(x, e):
-                if ei:
-                    v *= xi ** ei
-            out[i] = v
-        return out
+        return np.prod(np.asarray(x, dtype=float) ** self._array, axis=1)
 
     def vector(self, poly):
         """Coefficient vector of an exponent-dict polynomial on this basis."""
@@ -72,10 +72,10 @@ class MonomialBasis:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Matrix of the generator restricted to polynomials of degree <= k."""
+    """Matrix of the generator restricted to polynomials of degree <= k (sparse CSR)."""
 
     basis: MonomialBasis
-    G: np.ndarray
+    G: csr_array
 
 
 def monomial_basis(d, k):
@@ -101,82 +101,80 @@ def monomial_basis(d, k):
     return basis
 
 
-def _poly_add(acc, poly, scale=1.0):
-    for e, c in poly.items():
-        acc[e] = acc.get(e, 0.0) + scale * c
-        if acc[e] == 0.0:
-            del acc[e]
-
-
-def _poly_mul(p, q):
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0.0}
-
-
 def poly_degree(poly):
     """Total degree of an exponent-dict polynomial (zero polynomial has degree 0)."""
     return max((sum(e) for e in poly), default=0)
 
 
-def _coefficient_polys(model):
-    """Quadratic a_ij and affine b_i of a model as exponent-dict polynomials."""
-    d = model.d
-    zero = tuple([0] * d)
-
-    def unit(i):
-        e = [0] * d
-        e[i] = 1
-        return tuple(e)
-
-    def quad(i, j):
-        e = [0] * d
-        e[i] += 1
-        e[j] += 1
-        return tuple(e)
-
-    C = cmap_from_h(model.H, d)
-    a_polys = [[dict() for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            p = {}
-            M = C[i, j]
-            for u in range(d):
-                if M[u, u] != 0.0:
-                    p[quad(u, u)] = M[u, u]
-                for v in range(u + 1, d):
-                    if M[u, v] != 0.0:
-                        p[quad(u, v)] = 2.0 * M[u, v]
-            if model.space == "ball":
-                alpha_ij = float(model.alpha[i, j])
-                if alpha_ij != 0.0:
-                    p[zero] = p.get(zero, 0.0) + alpha_ij
-                    for u in range(d):
-                        p[quad(u, u)] = p.get(quad(u, u), 0.0) - alpha_ij
-            a_polys[i][j] = {e: c for e, c in p.items() if c != 0.0}
-
-    b_polys = []
-    for i in range(d):
-        p = {}
-        if model.space == "ball" and model.b[i] != 0.0:
-            p[zero] = float(model.b[i])
-        for j in range(d):
-            if model.B[i, j] != 0.0:
-                p[unit(j)] = float(model.B[i, j])
-        b_polys.append(p)
-    return a_polys, b_polys
+def _exponent(e, d=None):
+    """Exponent as a tuple of ints; ValueError unless it is d nonnegative integers."""
+    try:
+        out = tuple(int(v) for v in e)
+        exact = all(v == w for v, w in zip(e, out))
+    except (TypeError, ValueError):
+        exact = False
+    if not exact or min(out, default=0) < 0 or (d is not None and len(out) != d):
+        size = "" if d is None else f"{d} "
+        raise ValueError(f"exponent {e!r} is not {size}nonnegative integers")
+    return out
 
 
-def _monomial_diff(exponent, i):
-    """(coefficient, exponent) of the i-th partial derivative of a monomial."""
-    if exponent[i] == 0:
-        return 0.0, exponent
-    e = list(exponent)
-    e[i] -= 1
-    return float(exponent[i]), tuple(e)
+def _images(model, basis, exps):
+    """Generator images of the monomials x^e, e in exps, as columns on basis.
+
+    Returns the len(basis) x len(exps) CSR matrix of exact image coefficients.
+    Every term of G x^e sits at an integer shift of e:
+
+    - ``e_i B_ij`` at ``-u_i + u_j``, and for a ball ``e_i b_i`` at ``-u_i``;
+    - ``e_i (e_j - delta_ij) / 2`` times each coefficient of a_ij(x) at
+      ``-u_i - u_j`` plus that monomial's exponent.
+
+    Exponents are encoded as mixed-radix integer keys, which are linear in the
+    exponent, so a shift is one integer addition and each target row is found
+    by exact lookup; terms landing on the same exponent are then summed.
+    """
+    d, k = basis.d, basis.k
+    if (k + 1) ** d > np.iinfo(np.int64).max:
+        raise ValueError(f"(k + 1)^d overflows the int64 exponent keys at d = {d}, k = {k}")
+    radix = (k + 1) ** np.arange(d, dtype=np.int64)
+    E = np.asarray(exps, dtype=np.int64).reshape(-1, d)
+
+    # a_ij(x) on the monomials x_u x_v (u <= v), plus 1 for a ball.
+    iu, iv = np.triu_indices(d)
+    sec = cmap_from_h(model.H, d)[:, :, iu, iv] * np.where(iu == iv, 1.0, 2.0)
+    sec_key = radix[iu] + radix[iv]
+    if model.space == "ball":
+        sec[:, :, iu == iv] -= model.alpha[:, :, None]
+        sec = np.concatenate([sec, model.alpha[:, :, None]], axis=2)
+        sec_key = np.append(sec_key, 0)
+
+    # One table row per factor: e_i (rows 0..d-1) and e_i (e_j - delta_ij) / 2
+    # (row d + i d + j); each row lists that factor's coefficients and shifts.
+    n_sec = sec.shape[2]
+    coef = np.zeros((d + d * d, max(d + 1, n_sec)))
+    shift = np.zeros(coef.shape, dtype=np.int64)
+    coef[:d, :d] = model.B
+    shift[:d, :d] = radix[None, :] - radix[:, None]
+    if model.space == "ball":
+        coef[:d, d] = model.b
+    shift[:d, d] = -radix
+    coef[d:, :n_sec] = sec.reshape(d * d, n_sec)
+    pair = radix[:, None] + radix[None, :]
+    shift[d:, :n_sec] = (sec_key - pair[:, :, None]).reshape(d * d, n_sec)
+    half_hess = 0.5 * E[:, :, None] * (E[:, None, :] - np.eye(d))
+    factors = np.hstack([E, half_hess.reshape(len(E), d * d)])
+
+    src, f = np.nonzero(factors)
+    vals = factors[src, f][:, None] * coef[f]
+    keep = vals != 0.0
+    target = ((E @ radix)[src][:, None] + shift[f])[keep]
+    keys = basis._array @ radix
+    order = np.argsort(keys)
+    rows = order[np.searchsorted(keys[order], target)]
+    cols = np.broadcast_to(src[:, None], keep.shape)[keep]
+    G = coo_array((vals[keep], (rows, cols)), shape=(len(basis), len(E))).tocsr()
+    G.eliminate_zeros()
+    return G
 
 
 def apply_generator(model, exponent, as_dict=False):
@@ -187,71 +185,36 @@ def apply_generator(model, exponent, as_dict=False):
     degree never exceeds the input degree because the quadratic part of a(x)
     is tangential and the drift is affine.
     """
-    exponent = tuple(int(e) for e in exponent)
-    d = model.d
-    if len(exponent) != d:
-        raise ValueError(f"exponent length {len(exponent)} does not match d = {d}")
-    a_polys, b_polys = _coefficient_polys(model)
-    out = {}
-    # 1/2 sum a_ij d_i d_j f
-    for i in range(d):
-        ci, ei = _monomial_diff(exponent, i)
-        if ci == 0.0:
-            continue
-        for j in range(d):
-            cj, eij = _monomial_diff(ei, j)
-            if cj == 0.0 or not a_polys[i][j]:
-                continue
-            _poly_add(out, _poly_mul({eij: 0.5 * ci * cj}, a_polys[i][j]))
-    # b . grad f
-    for i in range(d):
-        ci, ei = _monomial_diff(exponent, i)
-        if ci == 0.0 or not b_polys[i]:
-            continue
-        _poly_add(out, _poly_mul({ei: ci}, b_polys[i]))
+    exponent = _exponent(exponent, model.d)
+    basis = monomial_basis(model.d, sum(exponent))
+    col = _images(model, basis, [exponent]).toarray()[:, 0]
     if as_dict:
-        return out
-    return monomial_basis(d, sum(exponent)).vector(out)
+        return {basis.exponents[i]: float(col[i]) for i in np.flatnonzero(col)}
+    return col
 
 
 def build_Gk(model, k):
-    """Generator matrix on the degree <= k monomial basis; columns are exact images."""
+    """Sparse generator matrix on the degree <= k monomial basis; columns are exact images."""
     basis = monomial_basis(model.d, k)
-    n = len(basis)
-    G = np.zeros((n, n))
-    a_polys, b_polys = _coefficient_polys(model)
-    d = model.d
-    for col, exponent in enumerate(basis.exponents):
-        out = {}
-        for i in range(d):
-            ci, ei = _monomial_diff(exponent, i)
-            if ci == 0.0:
-                continue
-            for j in range(d):
-                cj, eij = _monomial_diff(ei, j)
-                if cj != 0.0 and a_polys[i][j]:
-                    _poly_add(out, _poly_mul({eij: 0.5 * ci * cj}, a_polys[i][j]))
-            if b_polys[i]:
-                _poly_add(out, _poly_mul({ei: ci}, b_polys[i]))
-        for e, c in out.items():
-            G[basis.index(e), col] = c
-    return GeneratorMatrix(basis, G)
+    return GeneratorMatrix(basis, _images(model, basis, basis._array))
 
 
 def _as_poly_dict(q, d):
     if isinstance(q, dict):
-        return {tuple(int(v) for v in e): float(c) for e, c in q.items()}
+        return {_exponent(e, d): float(c) for e, c in q.items()}
     raise TypeError("polynomials are exponent-dicts; use poly_from_json for the JSON form")
 
 
 def moment(model, q, x, t, k=None, gk=None):
-    """Conditional moment E[q(X_t) | X_0 = x] via the matrix exponential.
+    """Conditional moment E[q(X_t) | X_0 = x] via the action of the matrix exponential.
 
     ``q`` is an exponent-dict polynomial.  ``k`` defaults to deg q; passing a
     smaller k is an error rather than a silent truncation.  A prebuilt
     GeneratorMatrix can be supplied to amortize construction.
 
-    Raises ValueError for x outside the state space, t < 0, or deg q > k.
+    Raises ValueError for a malformed exponent in q, a non-finite x or t, x
+    outside the state space, t < 0, deg q > k, or a prebuilt G_k of another
+    dimension.
     """
     d = model.d
     q = _as_poly_dict(q, d)
@@ -260,9 +223,11 @@ def moment(model, q, x, t, k=None, gk=None):
         k = deg if gk is None else gk.basis.k
     if deg > k:
         raise ValueError(f"polynomial degree {deg} exceeds k = {k}")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not np.isfinite(t) or t < 0:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     x = np.asarray(x, dtype=float).reshape(d)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"x = {x.tolist()} is not finite")
     r = float(np.linalg.norm(x))
     if model.space == "ball" and r > 1.0 + 1e-9:
         raise ValueError(f"|x| = {r} lies outside the closed unit ball")
@@ -270,10 +235,11 @@ def moment(model, q, x, t, k=None, gk=None):
         raise ValueError(f"|x| = {r} does not lie on the unit sphere")
     if gk is None:
         gk = build_Gk(model, k)
+    elif gk.basis.d != d:
+        raise ValueError(f"prebuilt generator matrix has d = {gk.basis.d}, model has d = {d}")
     elif gk.basis.k < deg:
         raise ValueError("prebuilt generator matrix has too small a degree bound")
-    qvec = gk.basis.vector(q)
-    w = expm(t * gk.G) @ qvec
+    w = expm_multiply(t * gk.G, gk.basis.vector(q))
     return float(gk.basis.eval_at(x) @ w)
 
 
@@ -286,6 +252,6 @@ def poly_from_json(obj):
     """Inverse of :func:`poly_to_json`."""
     out = {}
     for term in obj["terms"]:
-        e = tuple(int(v) for v in term["exp"])
+        e = _exponent(term["exp"])
         out[e] = out.get(e, 0.0) + float(term["coef"])
     return out

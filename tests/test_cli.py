@@ -96,6 +96,13 @@ def test_moments_and_domain_error(model_files):
     assert "error" in j  # domain error still exits 0
 
 
+def test_moments_malformed_exponent_is_a_domain_error(model_files):
+    q = json.dumps({"terms": [{"exp": [1, 0], "coef": 1}]})
+    j = run_json(["moments", "--model", str(model_files["sphere"]), "--q", q,
+                  "--x0", "[1,0,0]", "--t", "1.0"])
+    assert "(1, 0)" in j["error"]
+
+
 def test_simulate_sphere_with_csv(model_files):
     out_csv = model_files["tmp"] / "paths.csv"
     j = run_json(["simulate", "--model", str(model_files["sphere"]), "--scheme", "sphere",

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse import csr_array
 
 from quadricdiff.generator import (
     apply_generator,
@@ -11,7 +14,7 @@ from quadricdiff.generator import (
     poly_from_json,
     poly_to_json,
 )
-from quadricdiff.model import BallModel, SphereModel
+from quadricdiff.model import BallModel, SphereModel, a_eval, drift_eval
 from quadricdiff.skew import skew_dim
 
 rng = np.random.default_rng(99)
@@ -78,7 +81,7 @@ def test_build_Gk_degree_zero():
 
 def test_build_Gk_sphere_bm_k1():
     gk = build_Gk(sphere_bm(3), 1)
-    assert np.allclose(gk.G, np.diag([0.0, -1.0, -1.0, -1.0]), atol=0)
+    assert np.allclose(gk.G.toarray(), np.diag([0.0, -1.0, -1.0, -1.0]), atol=0)
 
 
 def test_build_Gk_jacobi_k2_hand_matrix():
@@ -88,7 +91,7 @@ def test_build_Gk_jacobi_k2_hand_matrix():
         [0.0, BB, 2 * BJ],
         [0.0, 0.0, 2 * BB - SIG2],
     ])
-    assert np.allclose(gk.G, expected, atol=0)
+    assert np.allclose(gk.G.toarray(), expected, atol=0)
 
 
 def test_degree_filtration():
@@ -102,7 +105,7 @@ def test_degree_filtration():
 def test_constant_column_zero_and_moment_of_one():
     for mdl in (jacobi(), sphere_bm(3)):
         gk = build_Gk(mdl, 2)
-        assert np.abs(gk.G[:, 0]).max() == 0.0
+        assert np.abs(gk.G.toarray()[:, 0]).max() == 0.0
         x = np.zeros(mdl.d)
         if mdl.space == "sphere":
             x[0] = 1.0
@@ -113,7 +116,7 @@ def test_constant_column_zero_and_moment_of_one():
 
 def test_semigroup_property():
     for mdl in (jacobi(), sphere_bm(3)):
-        G = build_Gk(mdl, 2).G
+        G = build_Gk(mdl, 2).G.toarray()
         s, t = 0.4, 0.9
         err = np.linalg.norm(expm((s + t) * G) - expm(s * G) @ expm(t * G))
         assert err <= 1e-10
@@ -148,6 +151,12 @@ def test_moment_argument_errors():
         moment(mdl, q, np.array([1.0, 0, 0]), -0.5)           # negative time
     with pytest.raises(ValueError):
         moment(jacobi(), {(1,): 1.0}, np.array([1.5]), 1.0)   # outside the ball
+    with pytest.raises(ValueError):
+        moment(mdl, q, np.array([np.nan, 0, 0]), 1.0)         # non-finite x
+    with pytest.raises(ValueError):
+        moment(mdl, q, np.array([1.0, 0, 0]), np.nan)         # non-finite time
+    with pytest.raises(ValueError):
+        moment(mdl, q, np.array([1.0, 0, 0]), np.inf)         # infinite time
 
 
 def test_moment_prebuilt_generator_consistency():
@@ -164,3 +173,88 @@ def test_poly_json_roundtrip_and_degree():
     assert poly_from_json(poly_to_json(q)) == q
     assert poly_degree(q) == 2
     assert poly_degree({}) == 0
+
+
+def random_model(space, d):
+    G = rng.standard_normal((skew_dim(d), skew_dim(d)))
+    H, B = G @ G.T, rng.standard_normal((d, d))
+    if space == "sphere":
+        return SphereModel(H=H, B=B)
+    A = rng.standard_normal((d, d))
+    return BallModel(alpha=A @ A.T, H=H, b=rng.standard_normal(d), B=B)
+
+
+def generator_at(mdl, e, x):
+    """tr(a(x) grad^2 x^e)/2 + b(x) . grad x^e, differentiated by hand."""
+    e = np.array(e)
+    d = len(e)
+    grad, hess = np.zeros(d), np.zeros((d, d))
+    for i in range(d):
+        if e[i]:
+            f = e.copy()
+            f[i] -= 1
+            grad[i] = e[i] * np.prod(x ** f)
+            for j in range(d):
+                if f[j]:
+                    g = f.copy()
+                    g[j] -= 1
+                    hess[i, j] = e[i] * f[j] * np.prod(x ** g)
+    return 0.5 * np.sum(a_eval(mdl, x) * hess) + drift_eval(mdl, x) @ grad
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("space", ["sphere", "ball"])
+def test_columns_are_the_generator_at_points(space, d):
+    mdl = random_model(space, d)
+    gk = build_Gk(mdl, 4)
+    G = gk.G.toarray()
+    for x in rng.standard_normal((10, d)) / np.sqrt(d):
+        lhs = gk.basis.eval_at(x) @ G
+        rhs = np.array([generator_at(mdl, e, x) for e in gk.basis.exponents])
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
+
+
+def test_apply_generator_is_a_column_of_Gk():
+    mdl = random_model("ball", 3)
+    gk = build_Gk(mdl, 3)
+    for col, e in enumerate(gk.basis.exponents):
+        vec = apply_generator(mdl, e)
+        assert np.array_equal(vec, gk.G.toarray()[:len(vec), col])
+
+
+def test_Gk_is_sparse_without_explicit_zeros():
+    for mdl in (jacobi(), sphere_bm(4), ball_generic(3), random_model("sphere", 4)):
+        G = build_Gk(mdl, 4).G
+        assert isinstance(G, csr_array)
+        assert G.nnz == np.count_nonzero(G.toarray())
+
+
+def test_moment_d6_k6_matches_dense_expm():
+    mdl = random_model("sphere", 6)
+    gk = build_Gk(mdl, 6)
+    q = {(2, 2, 2, 0, 0, 0): 1.0, (1, 0, 0, 0, 0, 5): -0.5, (0, 1, 0, 1, 0, 0): 2.0}
+    x = rng.standard_normal(6)
+    x /= np.linalg.norm(x)
+    t = 0.3
+    dense = gk.basis.eval_at(x) @ expm(t * gk.G.toarray()) @ gk.basis.vector(q)
+    assert moment(mdl, q, x, t, gk=gk) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+def test_malformed_polynomials_raise_value_error():
+    mdl = sphere_bm(3)
+    x = np.array([1.0, 0.0, 0.0])
+    for bad in ((1, 0), (1, 0, 0, 0), (-1, 0, 0), (1.5, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            moment(mdl, {bad: 1.0}, x, 1.0)
+    with pytest.raises(ValueError, match="d = 2"):
+        moment(mdl, {(1, 0, 0): 1.0}, x, 1.0, gk=build_Gk(sphere_bm(2), 2))
+    with pytest.raises(ValueError):
+        poly_from_json({"terms": [{"exp": [0.5, 1], "coef": 1.0}]})
+    with pytest.raises(ValueError):
+        apply_generator(mdl, (1, 0))
+
+
+def test_exponent_keys_that_overflow_raise():
+    d = 40
+    with pytest.raises(ValueError, match="overflows"):
+        build_Gk(SphereModel(H=np.eye(skew_dim(d)), B=np.zeros((d, d))), 2)

@@ -148,13 +148,14 @@ def _write_csv(path, result):
         times, states = result.times[-1:], result.terminal[:, None, :]
     k = len(times)
     per_block = max(1, 65536 // k)
+    line = "%d," + ",".join(["%.17g"] * (d + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write("path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
         for lo in range(0, n, per_block):
             block = states[lo:lo + per_block]
             rows = np.column_stack([np.repeat(np.arange(lo, lo + len(block)), k),
                                     np.tile(times, len(block)), block.reshape(-1, d)])
-            np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (d + 1), delimiter=",")
+            fh.write("".join(line % r for r in map(tuple, rows.tolist())))
 
 
 def _cmd_simulate(args):

@@ -6,7 +6,12 @@ skew matrix are exactly orthogonal, so sphere paths keep unit norm to
 roundoff.  Ball schemes interleave that rotation with an Euler-Maruyama
 radial substep.  Noise is counter-based: each path owns a Philox stream keyed
 by (seed, path_id), mapped to Gaussians through the inverse normal CDF, so
-ensembles are reproducible and embarrassingly parallel.
+ensembles are reproducible and embarrassingly parallel.  A block of paths
+draws its noise in time chunks of about ``_NOISE_VALUES`` values, each path's
+stream carrying over from one chunk to the next, so the memory a block holds
+does not grow with the number of steps; the streams are those of
+:func:`path_normals` whatever the chunk length.  Seeds and path ids are
+integers in [0, 2**64).
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +42,8 @@ __all__ = [
 
 _BLOCK = 4096
 _CLAMP = 1.0 - 1e-15
+# Noise values (float64, 8 MiB) one block holds at a time, whatever n_steps is.
+_NOISE_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -289,19 +296,47 @@ def _rot3_apply(w, X, h_a0vec=None):
     return out
 
 
+def _check_key(value, name):
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 1 << 64:
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
+
+
+def _streams(seed, path_ids):
+    """One Philox stream per path, keyed by the uint64 pair (seed, path_id)."""
+    seed = _check_key(seed, "seed")
+    return [np.random.Philox(key=np.array([seed, _check_key(p, "path_id")], dtype=np.uint64))
+            for p in path_ids]
+
+
+def _normals_into(streams, raw, out):
+    """Fill out[row] with the next standard normals of streams[row].
+
+    The top 53 bits of each raw draw give a uniform on the midpoints of a
+    2**-53 grid, mapped through the inverse normal CDF; raw is uint64 scratch
+    of out's shape.
+    """
+    for row, bg in enumerate(streams):
+        raw[row] = bg.random_raw(raw.shape[1:])
+    np.right_shift(raw, 11, out=raw)
+    np.add(raw, 0.5, out=out)
+    out *= 2.0 ** -53
+    ndtri(out, out=out)
+
+
 def path_normals(seed, path_id, n_steps, n_cols):
-    """Standard normals for one path: Philox keyed by (seed, path), inverse-CDF mapped."""
-    if n_cols == 0:
-        return np.zeros((n_steps, 0))
-    bg = np.random.Philox(key=[int(seed) % (1 << 64), int(path_id) % (1 << 64)])
-    gen = np.random.Generator(bg)
-    u = (gen.integers(0, 1 << 53, size=(n_steps, n_cols), dtype=np.int64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    """Standard normals for one path: Philox keyed by (seed, path), inverse-CDF mapped.
+
+    Row i holds the normals of step i; ensembles draw exactly these, chunk by chunk.
+    """
+    out = np.empty((1, n_steps, n_cols))
+    _normals_into(_streams(seed, [path_id]), np.empty(out.shape, dtype=np.uint64), out)
+    return out[0]
 
 
 def _grid(T, h):
-    if not (T > 0 and h > 0):
-        raise ValueError("need T > 0 and h > 0")
+    if not (0 < T < np.inf and 0 < h < np.inf and T / h < np.inf):
+        raise ValueError(f"need finite T > 0 and h > 0, got T = {T}, h = {h}")
     n_steps = max(1, int(round(T / h)))
     return n_steps, T / n_steps
 
@@ -314,21 +349,24 @@ def _psd_sqrt(alpha):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _run_block(drive, x0s, n_steps, h, seed, path_ids, bhat, Bhat, sqrt_alpha,
-               keep_paths):
-    """Advance a block of paths; the radial substep runs iff bhat is not None."""
+def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
+    """Advance a block of paths; the radial substep runs iff bhat is not None.
+
+    ``streams`` holds one noise stream per path (see :func:`_streams`).  If
+    ``paths`` is an array of shape (B, n_steps + 1, d), every state is written
+    into it.
+    """
     d = drive.d
     m = drive.n_diffusion
     radial = bhat is not None
     n_cols = m + (d if radial else 0)
-    B = len(path_ids)
-    noise = np.empty((B, n_steps, n_cols))
-    for row, pid in enumerate(path_ids):
-        noise[row] = path_normals(seed, pid, n_steps, n_cols)
+    B = len(streams)
+    chunk = min(n_steps, max(1, _NOISE_VALUES // max(1, B * n_cols)))
+    raw = np.empty((B, chunk, n_cols), dtype=np.uint64)
+    noise = np.empty((B, chunk, n_cols))
 
     X = np.array(x0s, dtype=float)
-    paths = np.empty((B, n_steps + 1, d)) if keep_paths else None
-    if keep_paths:
+    if paths is not None:
         paths[:, 0] = X
     sqh = np.sqrt(h)
     As = drive.diffusion
@@ -348,13 +386,18 @@ def _run_block(drive, x0s, n_steps, h, seed, path_ids, bhat, Bhat, sqrt_alpha,
     clamps = 0
 
     for step in range(n_steps):
+        j = step % chunk
+        if j == 0 and n_cols:
+            # The last chunk may be shorter; slicing past chunk clamps to it.
+            left = n_steps - step
+            _normals_into(streams, raw[:, :left], noise[:, :left])
         if rotate:
             if m == 0:
                 X = X @ Q_const.T
             elif scalar3:
-                X = _rot3_apply((noise[:, step, :m] * sqh) @ Avec, X, h_a0vec)
+                X = _rot3_apply((noise[:, j, :m] * sqh) @ Avec, X, h_a0vec)
             else:
-                dW = noise[:, step, :m] * sqh
+                dW = noise[:, j, :m] * sqh
                 M = np.einsum("bp,pij->bij", dW, As)
                 if np.abs(drive.a0).max() > 0:
                     M += drive.a0 * h
@@ -363,7 +406,7 @@ def _run_block(drive, x0s, n_steps, h, seed, path_ids, bhat, Bhat, sqrt_alpha,
         if radial:
             r2 = np.einsum("bi,bi->b", X, X)
             fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-            dWr = noise[:, step, m:] * sqh
+            dWr = noise[:, j, m:] * sqh
             X = X + (bhat + X @ Bhat.T) * h + fac[:, None] * (dWr @ sqrt_alpha.T)
             nrm = np.linalg.norm(X, axis=1)
             over = nrm > 1.0
@@ -375,14 +418,16 @@ def _run_block(drive, x0s, n_steps, h, seed, path_ids, bhat, Bhat, sqrt_alpha,
             nrm = np.linalg.norm(X, axis=1)
             max_norm_dev = max(max_norm_dev, np.abs(nrm - 1.0).max())
             np.maximum(max_radius, nrm, out=max_radius)
-        if keep_paths:
+        if paths is not None:
             paths[:, step + 1] = X
-    return X, paths, max_radius, max_norm_dev, clamps
+    return X, max_radius, max_norm_dev, clamps
 
 
 def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
               sqrt_alpha=None, keep_paths=False, extra=None):
     n_steps, h_eff = _grid(T, h)
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     d = drive.d
     x0 = np.asarray(x0, dtype=float).reshape(d)
     terminal = np.empty((n_paths, d))
@@ -393,14 +438,13 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
     for start in range(0, n_paths, _BLOCK):
         ids = range(start, min(start + _BLOCK, n_paths))
         x0s = np.tile(x0, (len(ids), 1))
-        Xt, paths, mr, dev, cl = _run_block(
-            drive, x0s, n_steps, h_eff, seed, ids, bhat, Bhat, sqrt_alpha, keep_paths)
+        out = all_paths[ids.start:ids.stop] if keep_paths else None
+        Xt, mr, dev, cl = _run_block(drive, x0s, n_steps, h_eff, _streams(seed, ids),
+                                     bhat, Bhat, sqrt_alpha, out)
         terminal[ids.start:ids.stop] = Xt
         max_radius[ids.start:ids.stop] = mr
         max_norm_dev = max(max_norm_dev, dev)
         clamps += cl
-        if keep_paths:
-            all_paths[ids.start:ids.stop] = paths
     return EnsembleResult(
         times=np.linspace(0.0, T, n_steps + 1),
         terminal=terminal,
@@ -424,8 +468,9 @@ def simulate_sphere(drive, x0, T, h, seed, path_id=0):
     if abs(np.linalg.norm(x0) - 1.0) > 1e-12:
         raise ValueError(f"|x0| = {np.linalg.norm(x0)} is not 1")
     n_steps, h_eff = _grid(T, h)
-    Xt, paths, _, dev, _ = _run_block(
-        drive, x0[None], n_steps, h_eff, seed, [path_id], None, None, None, True)
+    paths = np.empty((1, n_steps + 1, drive.d))
+    _, _, dev, _ = _run_block(drive, x0[None], n_steps, h_eff, _streams(seed, [path_id]),
+                              None, None, None, paths)
     return PathSample(
         times=np.linspace(0.0, T, n_steps + 1),
         states=paths[0],
@@ -474,8 +519,9 @@ def simulate_ball(bhat, Bhat, alpha, drive, x0, T, h, seed, path_id=0):
     """
     bhat, Bhat, sqa, x0 = _ball_args(bhat, Bhat, alpha, drive, x0)
     n_steps, h_eff = _grid(T, h)
-    Xt, paths, _, _, clamps = _run_block(
-        drive, x0[None], n_steps, h_eff, seed, [path_id], bhat, Bhat, sqa, True)
+    paths = np.empty((1, n_steps + 1, drive.d))
+    _, _, _, clamps = _run_block(drive, x0[None], n_steps, h_eff, _streams(seed, [path_id]),
+                                 bhat, Bhat, sqa, paths)
     return PathSample(
         times=np.linspace(0.0, T, n_steps + 1),
         states=paths[0],
@@ -546,16 +592,18 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
         raise ValueError("the twin experiment starts on the boundary: |x0| must be 1")
     if not (kappa > 0 and nu > 0):
         raise ValueError("kappa and nu must be positive")
+    if n_seeds < 1:
+        raise ValueError(f"need n_seeds >= 1, got {n_seeds}")
     d = drive.d
     n_steps, h_eff = _grid(T, h)
     ids = range(n_seeds)
     args = (np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d))
     bhat, Bhat, sqa, _ = _ball_args(*args, drive, x0)
-    _, paths_a, _, _, _ = _run_block(
-        drive, np.tile(x0, (n_seeds, 1)), n_steps, h_eff, seed, ids, bhat, Bhat, sqa, True)
-    _, paths_b, _, _, _ = _run_block(
-        drive, np.tile((1.0 - eps) * x0, (n_seeds, 1)), n_steps, h_eff, seed, ids,
-        bhat, Bhat, sqa, True)
+    paths_a = np.empty((n_seeds, n_steps + 1, d))
+    paths_b = np.empty_like(paths_a)
+    for start, paths in ((x0, paths_a), ((1.0 - eps) * x0, paths_b)):
+        _run_block(drive, np.tile(start, (n_seeds, 1)), n_steps, h_eff, _streams(seed, ids),
+                   bhat, Bhat, sqa, paths)
     gap = np.linalg.norm(paths_a - paths_b, axis=2).max(axis=1)
     ratio = kappa / nu ** 2
     return TwinPathReport(

@@ -172,6 +172,39 @@ def test_csv_writer_blocks_are_exact(model_files):
     assert rows[:, 2:].tobytes() == paths.reshape(n * k, d).tobytes()
 
 
+def test_csv_writer_matches_savetxt(model_files):
+    # 15001 rows per path: blocks of four paths, then one
+    from quadricdiff.cli import _write_csv
+    from quadricdiff.simulate import EnsembleResult
+
+    r = np.random.default_rng(6)
+    n, k, d = 5, 15001, 3
+    paths = r.standard_normal((n, k, d)) * 10.0 ** r.integers(-320, 300, (n, k, d))
+    paths[0, 0] = [-0.0, 5e-324, -1.0]
+    times = np.linspace(0.0, 0.7, k)
+    ens = EnsembleResult(times, paths[:, -1], 0, "ball", n, 0.0, np.zeros(n), 0.0, paths)
+    out = model_files["tmp"] / "savetxt.csv"
+    _write_csv(out, ens)
+    rows = np.column_stack([np.repeat(np.arange(n), k), np.tile(times, n),
+                            paths.reshape(-1, d)])
+    ref = StringIO()
+    ref.write("path_id,t,x1,x2,x3\n")
+    np.savetxt(ref, rows, fmt=["%d"] + ["%.17g"] * (d + 1), delimiter=",")
+    assert out.read_text() == ref.getvalue()
+
+
+def test_simulate_rejects_bad_inputs(model_files):
+    base = ["simulate", "--model", str(model_files["sphere"]), "--scheme", "sphere",
+            "--x0", "[1,0,0]", "--T", "0.1", "--h", "0.01", "--paths", "4", "--seed", "0"]
+    for flag, value in (("--seed", "-1"), ("--seed", str(2 ** 64)), ("--paths", "0"),
+                        ("--T", "inf"), ("--h", "nan")):
+        argv = list(base)
+        argv[argv.index(flag) + 1] = value
+        code, out = run(argv)
+        assert code == 0, out
+        assert "error" in json.loads(out), (flag, value)
+
+
 def test_validate_ball_runs_one_sos_check(model_files, monkeypatch):
     from quadricdiff import sos
 

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
+from scipy.special import ndtri
 
+from quadricdiff import simulate
 from quadricdiff.generator import moment
 from quadricdiff.model import BallModel, SphereModel
 from quadricdiff.simulate import (
@@ -224,3 +228,90 @@ def test_ball_ensemble_matches_single():
     p = simulate_ball(*args, seed=9)
     ens = ball_ensemble(*args, seed=9, n_paths=3, keep_paths=True)
     assert np.array_equal(ens.paths[0], p.states)
+
+
+def _chunk_runs():
+    """Every _run_block branch, on a few paths and steps; returns all outputs."""
+    e3 = SkewDrive.elementary(3, a0=0.7 * skew_basis(3)[0])
+    e5 = SkewDrive.elementary(5)
+    turn = SkewDrive(np.array([[0.0, 1.5], [-1.5, 0.0]]), np.zeros((0, 2, 2)))
+    x3 = np.array([0.0, 0.6, 0.8])
+    ens = [
+        sphere_ensemble(e3, x3, 0.05, 1e-3, 3, 5),                      # _rot3_apply
+        sphere_ensemble(e5, np.eye(5)[0], 0.02, 1e-3, 4, 3),             # expm_skew
+        sphere_ensemble(turn, np.array([0.6, 0.8]), 0.02, 1e-3, 5, 2),  # constant
+        ball_ensemble(np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
+                      0.5 * x3, 0.03, 1e-3, 6, 4),                       # radial + drive
+        scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(1), [0.5], 0.05, 1e-3, 7, 3),
+        scalar_ball_ensemble(1.0, 0.5, SkewDrive.zero(2), [0.3, 0.1], 0.041, 1e-3, 8, 3,
+                             keep_paths=True),
+    ]
+    out = [np.concatenate([r.terminal.ravel(), r.max_radius,
+                           [r.max_norm_dev, r.clamp_fraction]]) for r in ens]
+    out.append(ens[-1].paths.ravel())
+    out.append(simulate_ball(np.zeros(2), -np.eye(2), np.eye(2), SkewDrive.elementary(2),
+                             np.array([0.2, 0.1]), 0.037, 1e-3, seed=9).states.ravel())
+    out.append(simulate_sphere(e3, x3, 0.031, 1e-3, seed=10, path_id=7).states.ravel())
+    out.append(twin_path_experiment(1.0, 1.0, SkewDrive.zero(2), np.array([0.6, 0.8]),
+                                    0.03, 1e-3, 3, seed=11, eps=1e-3).max_divergence)
+    return out
+
+
+def test_noise_chunk_length_does_not_change_outputs(monkeypatch):
+    ref = _chunk_runs()
+    for values in (1, 7, 100):
+        monkeypatch.setattr(simulate, "_NOISE_VALUES", values)
+        for a, b in zip(ref, _chunk_runs()):
+            assert a.tobytes() == b.tobytes(), values
+
+
+def test_path_normals_is_the_integers_stream():
+    for seed in (0, 42, 2 ** 63 - 1):
+        for pid in (0, 5):
+            gen = np.random.Generator(np.random.Philox(key=np.array([seed, pid], np.uint64)))
+            u = (gen.integers(0, 2 ** 53, size=(50, 3), dtype=np.int64) + 0.5) * 2.0 ** -53
+            assert path_normals(seed, pid, 50, 3).tobytes() == ndtri(u).tobytes()
+    assert path_normals(2 ** 64 - 1, 0, 4, 2).shape == (4, 2)
+    assert not np.array_equal(path_normals(2 ** 64 - 1, 0, 4, 2), path_normals(0, 0, 4, 2))
+    assert not np.array_equal(path_normals(2 ** 63, 0, 4, 2), path_normals(2 ** 63 + 1, 0, 4, 2))
+
+
+def test_ensemble_noise_is_the_path_normals_stream():
+    # radial-only Brownian motion from the centre: each increment reveals its normal
+    n, steps, h = 3, 40, 1e-6
+    ens = ball_ensemble(np.zeros(1), np.zeros((1, 1)), np.eye(1), SkewDrive.zero(1),
+                        [0.0], steps * h, h, 13, n, keep_paths=True)
+    x = ens.paths[:, :, 0]
+    z = np.diff(x, axis=1) / (np.sqrt(1.0 - x[:, :-1] ** 2) * np.sqrt(h))
+    for pid in range(n):
+        assert np.allclose(z[pid], path_normals(13, pid, steps, 1)[:, 0], rtol=1e-6, atol=1e-6)
+
+
+def test_simulation_rejects_bad_inputs():
+    drive = SkewDrive.elementary(3)
+    x0 = np.array([1.0, 0.0, 0.0])
+    for seed in (-1, 2 ** 64, 2.7, "3", None):
+        with pytest.raises(ValueError):
+            sphere_ensemble(drive, x0, 0.1, 1e-2, seed, 2)
+        with pytest.raises(ValueError):
+            path_normals(seed, 0, 3, 2)
+    with pytest.raises(ValueError):
+        simulate_sphere(drive, x0, 0.1, 1e-2, 0, path_id=-1)
+    with pytest.raises(ValueError):
+        sphere_ensemble(drive, x0, 0.1, 1e-2, 0, 0)
+    with pytest.raises(ValueError):
+        twin_path_experiment(1.0, 1.0, SkewDrive.zero(1), np.array([1.0]), 0.1, 1e-2, 0)
+    for T, h in ((np.inf, 1e-2), (1.0, np.inf), (np.nan, 1e-2), (1.0, np.nan), (1e300, 1e-300)):
+        with pytest.raises(ValueError):
+            sphere_ensemble(drive, x0, T, h, 0, 2)
+
+
+def test_block_noise_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), np.zeros(3), 2.0, 1e-3, 1, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all of the noise at once would be 1024 x 2000 x 3 x 8 B = 49 MB
+    assert peak < 24e6

@@ -269,7 +269,8 @@ def _build_parser():
         p.add_argument("--H", required=True, help="'id', 'zero', inline JSON, or @file")
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=50000)
+        p.add_argument("--max-iter", type=int, default=50000,
+                       help="iteration budget: L-BFGS iterations of the SOS solver")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("counterexample", help="dimension-six non-SOS construction report")

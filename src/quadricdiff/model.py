@@ -232,9 +232,9 @@ def sphere_max_quadratic(M, b, tol=1e-13):
     return SphereQuadReport(value(x), x, float(lam))
 
 
-def _positivity(H, d, sos_max_iter=20000):
+def _positivity(H, d):
     """Three-valued positivity of c_H: verified, refuted, or unverified."""
-    verdict = _sos.sos_check(H, max_iter=sos_max_iter)
+    verdict = _sos.sos_check(H, max_iter=20000)
     if verdict.status == _sos.FEASIBLE:
         return "verified", {"sos_status": verdict.status}
     screen = _sos.nonneg_check(H)

@@ -2,21 +2,24 @@
 
 Decides whether some kernel shift of H is positive semidefinite, which by the
 biquadratic correspondence is equivalent to y^T c_H(x) y being a sum of
-squares of bilinear forms.  The solver is first-order and dependency-free.
-On the feasible side it runs Dykstra alternating projections between the
-affine set H + span(kernel) and the PSD cone, then supergradient ascent of
-the concave slice function t -> min eig(H + sum_q t_q K_q).  On the
-infeasible side it runs Dykstra between the unit-trace PSD matrices and the
-kernel-orthogonal subspace, started from the normalized projector onto the
-bottom eigenspace at the best slice point.  The kernel basis acts through
-index gathers.  Witnesses are re-verified independently before being
-reported; an exhausted budget yields an Undecided verdict with residual
-diagnostics, never a silent guess.
+squares of bilinear forms.  After cheap pre-checks, L-BFGS minimizes the
+convex C^1 function phi(t) = 1/2 ||Pi_-(H + sum_q t_q K_q)||_F^2 (Pi_- the
+projection onto the negative semidefinite cone, K_q the Plucker kernel
+basis; Henrion-Malick 2011, Malick 2004).  Its gradient <K_q, Pi_-(Z)> costs
+one eigendecomposition and one index gather.  Any evaluated Z that is PSD up
+to tolerance is a witness.  Where phi stays positive, the certificate is read
+off the gradient: B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and
+kernel-orthogonal at a stationary point; projected off the kernel and shifted
+back to PSD it is checked as a certificate after every iteration.  Witnesses
+are re-verified independently; an exhausted budget yields an Undecided
+verdict with residual diagnostics, never a silent guess.
 """
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .cspace import _PluckerKernel, biquadratic_eval, c_H_eval, cmap_from_h, cmap_from_pair
 from .skew import skew_dim, vec_to_skew
@@ -45,6 +48,10 @@ class SosVerdict:
     are skew matrices with c_H(x) = sum_p A_p x x^T A_p^T.  On Infeasible,
     ``certificate`` is a PSD, unit-trace, kernel-orthogonal matrix B with
     <H, B> < 0.  ``residuals`` carries solver diagnostics in every case.
+    ``stats`` says what decided: ``phase`` ("precheck" or "smooth"),
+    ``iterations`` and ``seconds`` per phase run, ``stop``, the reason the
+    deciding phase stopped, and ``lbfgs_message`` once the smooth phase ran.
+    ``to_json`` leaves ``stats`` out.
     """
 
     status: str
@@ -54,6 +61,7 @@ class SosVerdict:
     certificate: np.ndarray = None
     iterations: int = 0
     residuals: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
 
     def to_json(self):
         out = {
@@ -98,20 +106,6 @@ def _proj_psd(X):
     return (V * np.clip(w, 0.0, None)) @ V.T
 
 
-def _proj_simplex(v):
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)
-
-
-def _proj_spectraplex(X):
-    w, V = np.linalg.eigh(X)
-    return (V * _proj_simplex(w)) @ V.T
-
-
 def _eig_min(X):
     return float(np.linalg.eigvalsh(X)[0]) if X.size else 0.0
 
@@ -119,11 +113,12 @@ def _eig_min(X):
 def _verify_feasible(H, h_star, kernel, tol):
     scale = max(1.0, np.linalg.norm(H))
     shift = h_star - H
-    member = np.linalg.norm(shift - kernel.project(shift))
+    member = float(np.linalg.norm(shift - kernel.project(shift)))
+    eig_min = _eig_min(h_star)
     return {
-        "eig_min": _eig_min(h_star),
-        "membership_residual": float(member),
-    }, _eig_min(h_star) >= -tol and member <= tol * scale
+        "eig_min": eig_min,
+        "membership_residual": member,
+    }, eig_min >= -tol and member <= tol * scale
 
 
 def verify_certificate(H, B, tol=1e-9):
@@ -145,46 +140,19 @@ def verify_certificate(H, B, tol=1e-9):
     return ok, report
 
 
-def _slice_ascent(H, kernel, t0, accept_tol, budget, used):
-    """Maximize min eig(H + sum_q t_q K_q) by adaptive Polyak supergradient steps.
+def _repaired(N, g, kernel):
+    """(B0 - P_K(B0) + eps I) / (1 + m eps) for B0 = N / tr(N), N = Pi_-(Z).
 
-    The function is concave in t; a supergradient at t is the vector of
-    quadratic forms of the bottom eigenvector against the kernel basis.
-    Stops as soon as the value clears -accept_tol/2, i.e. once a slice point
-    is safely inside the cone, or when the step control collapses.
+    ``g`` holds <K_q, N>.  Removing the kernel component lowers the smallest
+    eigenvalue of the PSD unit-trace B0 by at most eps = ||P_K(B0)||_F, and
+    every K_q has a zero diagonal, so the result is PSD, unit-trace and
+    kernel-orthogonal: a certificate whenever its inner product with H is < 0.
     """
-    target = -0.5 * accept_tol
-    t = np.asarray(t0, dtype=float).copy()
-
-    def eig_bottom(tv):
-        lam, V = np.linalg.eigh(H + kernel.combine(tv))
-        return lam[0], V[:, 0]
-
-    f, v = eig_bottom(t)
-    t_best, f_best = t.copy(), f
-    eps = max(0.05 * max(1.0, np.linalg.norm(H)), 10.0 * accept_tol)
-    misses = 0
-    it = 0
-    while it < budget and f_best < target and eps > 1e-14:
-        it += 1
-        g = kernel.quadratic(v)
-        gg = float(g @ g)
-        if gg < 1e-18:
-            break
-        step = (f_best + eps - f) / gg
-        t = t + step * g
-        f, v = eig_bottom(t)
-        if f > f_best:
-            t_best, f_best = t.copy(), f
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 15:
-                eps *= 0.5
-                misses = 0
-                t, f = t_best.copy(), f_best
-                _, v = eig_bottom(t)
-    return t_best, f_best, used + it
+    tr = np.trace(N)
+    eps = np.sqrt(g @ g / 6.0) / abs(tr)
+    B = N / tr - kernel.combine(g / (6.0 * tr))
+    B.flat[:: len(B) + 1] += eps
+    return B / (1.0 + len(B) * eps)
 
 
 def sos_check(H, tol=1e-9, max_iter=50000):
@@ -194,7 +162,10 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     ----------
     H : (m, m) array, symmetric, m = C(d, 2)
     tol : acceptance tolerance for witness residuals
-    max_iter : total projection-iteration budget across all solver phases
+    max_iter : iteration budget: L-BFGS iterations of the smooth phase.  The
+        verdict's ``iterations`` is that count and never exceeds ``max_iter``;
+        a verdict decided before iterating (the pre-checks, or no kernel at
+        d <= 3) reports at most 1.
 
     Returns
     -------
@@ -203,31 +174,48 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         Infeasible with a re-verified certificate, or Undecided with
         diagnostics when the budget runs out with neither witness in hand.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    stats = {"phase": "precheck", "iterations": {}, "seconds": {}}
+    clock, counted = perf_counter(), 0
+
+    def enter(phase, used):
+        # Charge the time and iterations since the last call to the current phase.
+        nonlocal clock, counted
+        now = perf_counter()
+        stats["seconds"][stats["phase"]] = now - clock
+        stats["iterations"][stats["phase"]] = used - counted
+        stats["phase"], clock, counted = phase, now, used
+
+    def verdict_of(status, stop, used, **kw):
+        enter(stats["phase"], used)
+        stats["stop"] = stop
+        return SosVerdict(status, d, iterations=used, stats=stats, **kw)
+
     H = np.asarray(H, dtype=float)
     m = H.shape[0]
     d = _d_from_m(m)
     if m == 0:
-        return SosVerdict(FEASIBLE, d, h_star=H.copy(), factors=[], residuals={"eig_min": 0.0})
+        return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H.copy(), factors=[],
+                          residuals={"eig_min": 0.0})
     H = 0.5 * (H + H.T)
     scale = max(1.0, float(np.linalg.norm(H)))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
     kernel = _PluckerKernel(d)
-    used = 0
 
     def feasible_verdict(h_star, used):
         report, ok = _verify_feasible(H, h_star, kernel, tol)
         if not ok:
             return None
-        factors = sos_decompose(h_star, tol)
-        return SosVerdict(FEASIBLE, d, h_star=h_star, factors=factors,
-                          iterations=used, residuals=report)
+        return verdict_of(FEASIBLE, "feasible point found", used, h_star=h_star,
+                          factors=sos_decompose(h_star, tol), residuals=report)
 
     def infeasible_verdict(B, used):
         ok, report = verify_certificate(H, B, tol)
         if not (ok and report["inner"] <= -margin):
             return None
-        return SosVerdict(INFEASIBLE, d, certificate=B, iterations=used, residuals=report)
+        return verdict_of(INFEASIBLE, "certificate verified", used, certificate=B, residuals=report)
 
     # No kernel: the affine set is the single point H.
     if len(kernel) == 0:
@@ -243,7 +231,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
             verdict = infeasible_verdict(np.outer(v, v), used)
             if verdict is not None:
                 return verdict
-        return SosVerdict(UNDECIDED, d, iterations=used,
+        return verdict_of(UNDECIDED, "no verified witness", used,
                           residuals={"eig_min": float(lam[0]), "margin": margin})
 
     # Cheap certificates before iterating.
@@ -257,82 +245,52 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         if verdict is not None:
             return verdict
 
-    # Primal phase one: Dykstra between the PSD cone and H + span(kernel).
-    # Converges quickly when the projection of H onto the intersection is
-    # well separated from the cone boundary; stagnates otherwise.
-    primal_budget = min(300, max_iter // 4)
-    x = H.copy()
-    p = np.zeros_like(H)
-    q = np.zeros_like(H)
-    gap_hist = []
-    stagnated = False
-    while used < primal_budget:
-        used += 1
-        y = _proj_psd(x + p)
-        p = x + p - y
-        x = H + kernel.project((y + q) - H)
-        q = (y + q) - x
-        gap = float(np.linalg.norm(y - x))
-        gap_hist.append(gap)
-        if used % 10 == 0 or gap <= accept_tol * scale:
-            if _eig_min(x) >= -accept_tol:
-                verdict = feasible_verdict(x.copy(), used)
-                if verdict is not None:
-                    return verdict
-            if len(gap_hist) > 200 and gap > 1e3 * accept_tol * scale:
-                old = gap_hist[-200]
-                if old > 0 and (old - gap) / old < 1e-2:
-                    stagnated = True
-                    break
+    # Smooth phase: L-BFGS on phi(t) = 1/2 ||Pi_-(Z)||_F^2, Z = H + sum_q t_q K_q.
+    # It stops after the iteration that evaluates a Z that is PSD up to
+    # accept_tol, or once the repaired candidate at the best point has
+    # <H, B> <= -margin and keeps 90% of <H, B0>, so that certificates are
+    # nearly as strong as the stationary one.
+    enter("smooth", 0)
+    best = {"phi": np.inf, "Z": None}
 
-    # Primal phase two: supergradient ascent of the concave slice function
-    # t -> min eig(H + sum_q t_q K_q).  Any t with nonnegative value is an
-    # exact-membership witness; the Dykstra iterate supplies the warm start.
-    t_best, f_best, used = _slice_ascent(
-        H, kernel, kernel.inner(x - H) / 6.0, accept_tol, min(max_iter - used, 4000), used)
-    h_slice = H + kernel.combine(t_best)
-    if f_best >= -accept_tol:
-        verdict = feasible_verdict(h_slice, used)
+    def phi(t):
+        Z = H + kernel.combine(t)
+        lam, V = np.linalg.eigh(Z)
+        k = int(np.searchsorted(lam, 0.0))
+        N = (V[:, :k] * lam[:k]) @ V[:, :k].T
+        f = 0.5 * float(lam[:k] @ lam[:k])
+        g = kernel.inner(N)
+        if lam[0] >= -accept_tol and best["Z"] is None:
+            best["Z"] = Z
+        if f < best["phi"] and k:
+            best.update(phi=f, eig_min=float(lam[0]), N=N, g=g)
+        return f, g
+
+    def halt(_):
+        if best["Z"] is not None:
+            raise StopIteration
+        N = best["N"]
+        target = min(-margin, 0.9 * np.vdot(H, N) / np.trace(N))
+        if np.vdot(H, _repaired(N, best["g"], kernel)) <= target:
+            raise StopIteration
+
+    res = minimize(phi, np.zeros(len(kernel)), jac=True, method="L-BFGS-B", callback=halt,
+                   options={"maxiter": max_iter, "maxfun": 20 * max_iter, "ftol": 0.0, "gtol": 0.0})
+    used = res.nit
+    stats["lbfgs_message"] = str(res.message)
+    if best["Z"] is not None:
+        verdict = feasible_verdict(best["Z"], used)
         if verdict is not None:
             return verdict
-
-    # Dual phase.  At a maximizer of the slice function zero is a
-    # supergradient, so a unit-trace PSD matrix on the bottom eigenspace there
-    # is kernel-orthogonal, with <H, B> equal to the negative slice value.
-    # Dykstra between the spectraplex and the kernel-orthogonal subspace, both
-    # trace-preserving, starts from the normalized projector onto the bottom
-    # eigen-cluster of the slice point.
-    lam, V = np.linalg.eigh(h_slice)
-    U = V[:, lam <= lam[0] + 1e-8 * scale]
-    B = U @ U.T / U.shape[1]
-    r1 = np.zeros_like(B)
-    r2 = np.zeros_like(B)
-    while used < max_iter:
-        used += 1
-        Y = _proj_spectraplex(B + r1)
-        r1 = B + r1 - Y
-        B = Y + r2 - kernel.project(Y + r2)
-        r2 = Y + r2 - B
-        if used % 25 == 0 or used == max_iter:
-            verdict = infeasible_verdict(B, used)
-            if verdict is not None:
-                return verdict
-            if np.linalg.norm(Y - B) <= tol:
-                break
-    return SosVerdict(
-        UNDECIDED,
-        d,
-        iterations=used,
-        residuals={
-            "primal_gap": float(np.linalg.norm(x - _proj_psd(x))),
-            "primal_eig_min": _eig_min(x),
-            "slice_eig_max": f_best,
-            "dual_value": float(np.sum(H * B)),
-            "dual_eig_min": _eig_min(B),
-            "margin": margin,
-            "stagnated_primal": float(stagnated),
-        },
-    )
+    B = _repaired(best["N"], best["g"], kernel)
+    verdict = infeasible_verdict(B, used)
+    if verdict is not None:
+        return verdict
+    residuals = {"phi": best["phi"], "eig_min": best["eig_min"],
+                 "grad_norm": float(np.linalg.norm(best["g"])),
+                 "dual_value": float(np.sum(H * B)), "dual_eig_min": _eig_min(B), "margin": margin}
+    stop = "budget spent" if used >= max_iter else stats["lbfgs_message"]
+    return verdict_of(UNDECIDED, stop, used, residuals=residuals)
 
 
 def sos_decompose(H_star, tol=1e-9):

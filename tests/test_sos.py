@@ -235,3 +235,128 @@ def test_undecided_never_lies():
             assert ok
         else:
             assert v.residuals  # diagnostics always present
+
+
+def _shift(r, d):
+    kernel = _PluckerKernel(d)
+    return kernel.combine(r.uniform(-1, 1, len(kernel)))
+
+
+def half_rank_form(seed, d):
+    """P + shift with P = G G^T, G of size m x m/2: feasible, P rank-deficient."""
+    r = np.random.default_rng(seed)
+    m = skew_dim(d)
+    G = r.standard_normal((m, m // 2))
+    return G @ G.T + _shift(r, d)
+
+
+def _assert_feasible_witness(H, v):
+    d = v.d
+    scale = max(1.0, np.linalg.norm(H))
+    assert v.status == "Feasible"
+    assert np.linalg.eigvalsh(v.h_star)[0] >= -1e-9
+    shift = v.h_star - H
+    member = shift - _PluckerKernel(d).project(shift)
+    assert np.linalg.norm(member) <= 1e-9 * scale
+
+
+def _assert_certificate(H, v):
+    assert v.status == "Infeasible"
+    ok, rep = verify_certificate(H, v.certificate)
+    assert ok
+    assert rep["inner"] <= -1e-6 * max(1.0, np.linalg.norm(H))
+
+
+@pytest.mark.parametrize("d,seed", [(6, 500), (6, 501), (6, 502), (8, 500), (8, 502), (8, 503)])
+def test_rank_deficient_feasible_family(d, seed):
+    H = half_rank_form(seed, d)
+    v = sos_check(H)
+    _assert_feasible_witness(H, v)
+    C = reconstruct_cmap(v.factors, d)
+    assert np.abs(C - cmap_from_h(H, d)).max() <= 1e-8 * np.linalg.norm(H)
+    # the witness is re-checked against the dense kernel basis too
+    shift = v.h_star - H
+    Ks = np.array([el.matrix for el in k_basis(d)])
+    coeffs = np.tensordot(Ks, shift, axes=2) / 6.0
+    assert np.linalg.norm(shift - np.tensordot(coeffs, Ks, axes=1)) <= 1e-9 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("d", [14, 20])
+def test_known_truth_large_d(d):
+    r = np.random.default_rng(d)
+    m = skew_dim(d)
+    G = r.standard_normal((m, m))
+    H = G @ G.T + _shift(r, d)
+    _assert_feasible_witness(H, sos_check(H))
+    # negative form: y^T c_H(x) y < 0 at a known pair, so H is infeasible
+    G = r.standard_normal((m, m))
+    P = G @ G.T / m
+    x, y = r.standard_normal(d), r.standard_normal(d)
+    a = skew_to_vec(np.outer(x, y) - np.outer(y, x))
+    a /= np.linalg.norm(a)
+    H = P + _shift(r, d) - 1.5 * float(a @ P @ a) * np.outer(a, a)
+    _assert_certificate(H, sos_check(H))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 10, 60])
+def test_iteration_budget_is_honest(max_iter):
+    for seed in (0, 1, 2, 3):
+        for H, truth in ((negative_form(seed, 8), "Infeasible"),
+                         (half_rank_form(500 + seed, 8), "Feasible")):
+            v = sos_check(H, max_iter=max_iter)
+            assert v.status in (truth, "Undecided")
+            assert v.iterations <= max_iter
+            assert sum(v.stats["iterations"].values()) == v.iterations
+            if v.status == "Infeasible":
+                _assert_certificate(H, v)
+            elif v.status == "Feasible":
+                _assert_feasible_witness(H, v)
+
+
+def test_max_iter_must_be_positive():
+    with pytest.raises(ValueError):
+        sos_check(np.eye(6), max_iter=0)
+
+
+def test_stats_name_the_deciding_phase():
+    v = sos_check(np.eye(6))
+    assert (v.stats["phase"], v.stats["stop"]) == ("precheck", "feasible point found")
+    assert v.iterations == 1 and v.stats["iterations"] == {"precheck": 1}
+    v = sos_check(-np.eye(6))
+    assert (v.stats["phase"], v.stats["stop"]) == ("precheck", "certificate verified")
+    v = sos_check(half_rank_form(500, 6))
+    assert (v.stats["phase"], v.stats["stop"]) == ("smooth", "feasible point found")
+    assert v.stats["iterations"]["smooth"] == v.iterations
+    ce = counterexample_d6()
+    v = sos_check(ce.h)
+    assert (v.stats["phase"], v.stats["stop"]) == ("smooth", "certificate verified")
+    assert set(v.stats["seconds"]) == {"precheck", "smooth"}
+    assert all(s >= 0.0 for s in v.stats["seconds"].values())
+    assert "stats" not in v.to_json()
+
+
+def test_undecided_residuals_at_best_point():
+    v = sos_check(half_rank_form(502, 8), max_iter=4)
+    assert v.status == "Undecided"
+    assert (v.stats["phase"], v.stats["stop"]) == ("smooth", "budget spent")
+    assert v.iterations == 4
+    assert set(v.residuals) == {"phi", "eig_min", "grad_norm", "dual_value", "dual_eig_min",
+                                "margin"}
+    assert v.residuals["phi"] > 0 and v.residuals["eig_min"] < 0
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_repaired_candidate_is_admissible(d):
+    # any negative semidefinite N: the repaired candidate is PSD, unit-trace
+    # and kernel-orthogonal, whatever the kernel component of N
+    from quadricdiff.sos import _repaired
+
+    kernel = _PluckerKernel(d)
+    m = skew_dim(d)
+    for _ in range(10):
+        G = rng.standard_normal((m, rng.integers(1, m + 1)))
+        N = -G @ G.T
+        B = _repaired(N, kernel.inner(N), kernel)
+        assert np.linalg.eigvalsh(B)[0] >= -1e-12
+        assert np.trace(B) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(kernel.inner(B)).max() <= 1e-12

@@ -138,24 +138,34 @@ def _cmd_moments(args):
 def _write_csv(path, result):
     """One row per path and time: path_id, t, x1..xd, floats written round-trip exact.
 
-    Rows go out in blocks of whole paths, about 65536 rows each, so the text
-    table never needs more memory than one block.
+    Without kept paths the rows are the terminal states at the final time.  The
+    text matches ``np.savetxt`` with formats ``%d`` and ``%.17g`` byte for byte.
     """
-    n, d = result.terminal.shape
-    if result.paths is not None:
-        times, states = result.times, result.paths
-    else:
-        times, states = result.times[-1:], result.terminal[:, None, :]
-    k = len(times)
-    per_block = max(1, 65536 // k)
-    line = "%d," + ",".join(["%.17g"] * (d + 1)) + "\n"
+    d = result.terminal.shape[1]
     with open(path, "w") as fh:
         fh.write("path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        for lo in range(0, n, per_block):
-            block = states[lo:lo + per_block]
-            rows = np.column_stack([np.repeat(np.arange(lo, lo + len(block)), k),
-                                    np.tile(times, len(block)), block.reshape(-1, d)])
-            fh.write("".join(line % r for r in map(tuple, rows.tolist())))
+        if result.paths is not None:
+            _write_paths(fh, 0, result.times, result.paths)
+        else:
+            _write_paths(fh, 0, result.times[-1:], result.terminal[:, None, :])
+
+
+def _write_paths(fh, first_id, times, states):
+    """Write the rows of states (n, k, d) at times (k,), path ids from first_id on.
+
+    Each time is formatted once.  Rows go out in blocks of whole paths, at most
+    about 4096 rows each (a longer path is split), and a block's states are
+    formatted by one ``%`` over a template that already holds its ids and times.
+    """
+    n, k, d = states.shape
+    xs = ",".join(["%.17g"] * d) + "\n"
+    tail = [",%.17g," % t + xs for t in times.tolist()]
+    flat = states.reshape(n * k, d)
+    rows = k * (4096 // k) if k <= 4096 else 4096
+    for lo in range(0, n * k, rows):
+        hi = min(lo + rows, n * k)
+        template = "".join([str(first_id + i // k) + tail[i % k] for i in range(lo, hi)])
+        fh.write(template % tuple(flat[lo:hi].ravel().tolist()))
 
 
 def _cmd_simulate(args):

@@ -242,11 +242,6 @@ class _PluckerKernel:
         """Orthogonal projection onto span(K); every K_q has squared norm 6."""
         return self.combine(self.inner(X) / 6.0)
 
-    def quadratic(self, v):
-        """v^T K_q v for every q."""
-        S = v[self.rows] * v[self.cols]
-        return 2.0 * (S[:, 0] + S[:, 1] - S[:, 2])
-
 
 def h_from_c(C, tol=1e-10):
     """Recover the Frobenius-minimal H with c_H = C (coefficientwise).

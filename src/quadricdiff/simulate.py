@@ -5,13 +5,16 @@ step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
 roundoff.  Ball schemes interleave that rotation with an Euler-Maruyama
 radial substep.  Noise is counter-based: each path owns a Philox stream keyed
-by (seed, path_id), mapped to Gaussians through the inverse normal CDF, so
-ensembles are reproducible and embarrassingly parallel.  A block of paths
-draws its noise in time chunks of about ``_NOISE_VALUES`` values, each path's
-stream carrying over from one chunk to the next, so the memory a block holds
-does not grow with the number of steps; the streams are those of
-:func:`path_normals` whatever the chunk length.  Seeds and path ids are
-integers in [0, 2**64).
+by (seed, path_id); the top 53 bits k of each draw give the midpoint
+(k + 1/2) * 2**-53 of a uniform grid, mapped to a Gaussian through the inverse
+normal CDF, so ensembles are reproducible and embarrassingly parallel.  A
+block of paths draws its noise in time chunks of about ``_NOISE_VALUES``
+values, straight into one float64 buffer of at most 8 MiB, each path's stream
+carrying over from one chunk to the next, so the memory a block holds does
+not grow with the number of steps; the streams are those of
+:func:`path_normals` whatever the chunk length.  Norm bookkeeping (largest
+radius, largest deviation from the sphere) is reduced once per chunk.  Seeds
+and path ids are integers in [0, 2**64).
 """
 
 from dataclasses import dataclass, field
@@ -303,24 +306,23 @@ def _check_key(value, name):
 
 
 def _streams(seed, path_ids):
-    """One Philox stream per path, keyed by the uint64 pair (seed, path_id)."""
+    """One Philox generator per path, keyed by the uint64 pair (seed, path_id)."""
     seed = _check_key(seed, "seed")
-    return [np.random.Philox(key=np.array([seed, _check_key(p, "path_id")], dtype=np.uint64))
-            for p in path_ids]
+    return [np.random.Generator(np.random.Philox(
+        key=np.array([seed, _check_key(p, "path_id")], dtype=np.uint64))) for p in path_ids]
 
 
-def _normals_into(streams, raw, out):
-    """Fill out[row] with the next standard normals of streams[row].
+def _normals_into(streams, out):
+    """Fill out[row] with the next standard normals of streams[row], in place.
 
-    The top 53 bits of each raw draw give a uniform on the midpoints of a
-    2**-53 grid, mapped through the inverse normal CDF; raw is uint64 scratch
-    of out's shape.
+    ``random`` turns the top 53 bits k of each raw draw into k * 2**-53; adding
+    2**-54 gives the grid midpoint (k + 1/2) * 2**-53 exactly as rounded, since
+    rounding commutes with scaling by a power of two.  The inverse normal CDF
+    maps the midpoint to a standard normal.  ``out`` is the only buffer.
     """
-    for row, bg in enumerate(streams):
-        raw[row] = bg.random_raw(raw.shape[1:])
-    np.right_shift(raw, 11, out=raw)
-    np.add(raw, 0.5, out=out)
-    out *= 2.0 ** -53
+    for row, gen in enumerate(streams):
+        gen.random(out=out[row])
+    out += 2.0 ** -54
     ndtri(out, out=out)
 
 
@@ -330,7 +332,7 @@ def path_normals(seed, path_id, n_steps, n_cols):
     Row i holds the normals of step i; ensembles draw exactly these, chunk by chunk.
     """
     out = np.empty((1, n_steps, n_cols))
-    _normals_into(_streams(seed, [path_id]), np.empty(out.shape, dtype=np.uint64), out)
+    _normals_into(_streams(seed, [path_id]), out)
     return out[0]
 
 
@@ -349,29 +351,41 @@ def _psd_sqrt(alpha):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
+def _row_norms(X, sq, out):
+    """np.linalg.norm(X, axis=1) into ``out``, with ``sq`` as X-shaped scratch."""
+    np.multiply(X, X, out=sq)
+    np.add.reduce(sq, axis=1, out=out)
+    np.sqrt(out, out=out)
+
+
 def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
     """Advance a block of paths; the radial substep runs iff bhat is not None.
 
     ``streams`` holds one noise stream per path (see :func:`_streams`).  If
     ``paths`` is an array of shape (B, n_steps + 1, d), every state is written
-    into it.
+    into it.  Noise arrives in chunks of steps, already scaled by sqrt(h); the
+    norms of a chunk's states are kept and reduced into the running maxima
+    once per chunk.
     """
     d = drive.d
     m = drive.n_diffusion
     radial = bhat is not None
     n_cols = m + (d if radial else 0)
     B = len(streams)
-    chunk = min(n_steps, max(1, _NOISE_VALUES // max(1, B * n_cols)))
-    raw = np.empty((B, chunk, n_cols), dtype=np.uint64)
+    chunk = min(n_steps, max(1, _NOISE_VALUES // (B * max(1, n_cols))))
     noise = np.empty((B, chunk, n_cols))
+    norms = np.empty((chunk, B))
+    sq = np.empty((B, d))
 
     X = np.array(x0s, dtype=float)
     if paths is not None:
         paths[:, 0] = X
     sqh = np.sqrt(h)
     As = drive.diffusion
-    rotate = m > 0 or np.abs(drive.a0).max() > 0
-    Q_const = expm_skew(drive.a0 * h) if (rotate and m == 0) else None
+    drift = np.abs(drive.a0).max() > 0
+    ha0 = drive.a0 * h
+    rotate = m > 0 or drift
+    Q_const = expm_skew(ha0) if (rotate and m == 0) else None
     scalar3 = rotate and m > 0 and d == 3
     if scalar3:
         from .skew import skew_to_vec
@@ -380,46 +394,48 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
         h_a0vec = h * skew_to_vec(drive.a0)
         if not h_a0vec.any():
             h_a0vec = None
-    norms = np.linalg.norm(X, axis=1)
-    max_radius = norms.copy()
-    max_norm_dev = np.abs(norms - 1.0).max() if not radial else 0.0
+    start_norms = np.linalg.norm(X, axis=1)
+    max_radius = start_norms.copy()
+    max_norm_dev = np.abs(start_norms - 1.0).max() if not radial else 0.0
     clamps = 0
 
-    for step in range(n_steps):
-        j = step % chunk
-        if j == 0 and n_cols:
-            # The last chunk may be shorter; slicing past chunk clamps to it.
-            left = n_steps - step
-            _normals_into(streams, raw[:, :left], noise[:, :left])
-        if rotate:
-            if m == 0:
-                X = X @ Q_const.T
-            elif scalar3:
-                X = _rot3_apply((noise[:, j, :m] * sqh) @ Avec, X, h_a0vec)
+    for lo in range(0, n_steps, chunk):
+        steps = min(chunk, n_steps - lo)
+        if n_cols:
+            _normals_into(streams, noise[:, :steps])
+            noise[:, :steps] *= sqh
+        for j in range(steps):
+            if rotate:
+                if m == 0:
+                    X = X @ Q_const.T
+                elif scalar3:
+                    X = _rot3_apply(noise[:, j, :m] @ Avec, X, h_a0vec)
+                else:
+                    M = np.einsum("bp,pij->bij", noise[:, j, :m], As)
+                    if drift:
+                        M += ha0
+                    X = np.einsum("bij,bj->bi", expm_skew(M), X)
+            nrm = norms[j]
+            if radial:
+                r2 = np.einsum("bi,bi->b", X, X)
+                fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
+                X += (bhat + X @ Bhat.T) * h
+                X += fac[:, None] * (noise[:, j, m:] @ sqrt_alpha.T)
+                _row_norms(X, sq, nrm)
+                over = nrm > 1.0
+                if np.any(over):
+                    clamps += int(over.sum())
+                    X[over] *= (_CLAMP / nrm[over])[:, None]
+                    nrm[over] = np.linalg.norm(X[over], axis=1)
             else:
-                dW = noise[:, j, :m] * sqh
-                M = np.einsum("bp,pij->bij", dW, As)
-                if np.abs(drive.a0).max() > 0:
-                    M += drive.a0 * h
-                Q = expm_skew(M)
-                X = np.einsum("bij,bj->bi", Q, X)
-        if radial:
-            r2 = np.einsum("bi,bi->b", X, X)
-            fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-            dWr = noise[:, j, m:] * sqh
-            X = X + (bhat + X @ Bhat.T) * h + fac[:, None] * (dWr @ sqrt_alpha.T)
-            nrm = np.linalg.norm(X, axis=1)
-            over = nrm > 1.0
-            if np.any(over):
-                clamps += int(over.sum())
-                X[over] *= (_CLAMP / nrm[over])[:, None]
-            np.maximum(max_radius, np.linalg.norm(X, axis=1), out=max_radius)
-        else:
-            nrm = np.linalg.norm(X, axis=1)
-            max_norm_dev = max(max_norm_dev, np.abs(nrm - 1.0).max())
-            np.maximum(max_radius, nrm, out=max_radius)
-        if paths is not None:
-            paths[:, step + 1] = X
+                _row_norms(X, sq, nrm)
+            if paths is not None:
+                paths[:, lo + j + 1] = X
+        done = norms[:steps]
+        np.maximum(max_radius, done.max(axis=0), out=max_radius)
+        if not radial:
+            done -= 1.0
+            max_norm_dev = max(max_norm_dev, np.abs(done, out=done).max())
     return X, max_radius, max_norm_dev, clamps
 
 

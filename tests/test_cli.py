@@ -193,6 +193,68 @@ def test_csv_writer_matches_savetxt(model_files):
     assert out.read_text() == ref.getvalue()
 
 
+def test_csv_writer_memory_is_bounded(model_files):
+    import tracemalloc
+
+    from quadricdiff.cli import _write_csv
+    from quadricdiff.simulate import EnsembleResult
+
+    n, k, d = 100, 1001, 3
+    paths = np.random.default_rng(7).standard_normal((n, k, d))
+    ens = EnsembleResult(np.linspace(0.0, 1.0, k), paths[:, -1], 0, "scalar", n, 0.0,
+                         np.zeros(n), 0.0, paths)
+    tracemalloc.start()
+    try:
+        _write_csv(model_files["tmp"] / "memory.csv", ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text of all 100,100 rows is about 8 MB
+    assert peak < 4e6
+
+
+def test_csv_terminal_export_is_savetxt_in_blocks(model_files, monkeypatch):
+    import builtins
+
+    from quadricdiff import cli
+    from quadricdiff.simulate import EnsembleResult
+
+    writes = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return self.fh.write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *a, **kw: Counting(builtins.open(*a, **kw)),
+                        raising=False)
+    r = np.random.default_rng(8)
+    n, d = 70_000, 2
+    terminal = r.standard_normal((n, d)) * 10.0 ** r.integers(-320, 300, (n, d))
+    terminal[0] = [-0.0, 5e-324]
+    times = np.linspace(0.0, 0.9, 301)
+    ens = EnsembleResult(times, terminal, 0, "ball", n, 0.0, np.zeros(n), 0.0, None)
+    out = model_files["tmp"] / "terminal.csv"
+    cli._write_csv(out, ens)
+    rows = np.column_stack([np.arange(n), np.full(n, times[-1]), terminal])
+    ref = StringIO()
+    ref.write("path_id,t,x1,x2\n")
+    np.savetxt(ref, rows, fmt=["%d"] + ["%.17g"] * (d + 1), delimiter=",")
+    assert out.read_text() == ref.getvalue()
+    # the header, then blocks of many rows each
+    assert writes[0] == 1 and sum(writes[1:]) == n
+    assert len(writes) <= 1 + n // 1000 and min(writes[1:-1]) > 1000
+
+
 def test_simulate_rejects_bad_inputs(model_files):
     base = ["simulate", "--model", str(model_files["sphere"]), "--scheme", "sphere",
             "--x0", "[1,0,0]", "--T", "0.1", "--h", "0.01", "--paths", "4", "--seed", "0"]

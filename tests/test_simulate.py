@@ -315,3 +315,148 @@ def test_block_noise_memory_is_bounded():
         tracemalloc.stop()
     # all of the noise at once would be 1024 x 2000 x 3 x 8 B = 49 MB
     assert peak < 24e6
+
+
+def _reference_streams(seed, path_ids):
+    """Bare Philox streams and the uint64 fill below: the noise before Generator.random."""
+    return [np.random.Philox(key=np.array([seed, p], dtype=np.uint64)) for p in path_ids]
+
+
+def _reference_normals_into(streams, raw, out):
+    for row, bg in enumerate(streams):
+        raw[row] = bg.random_raw(raw.shape[1:])
+    np.right_shift(raw, 11, out=raw)
+    np.add(raw, 0.5, out=out)
+    out *= 2.0 ** -53
+    ndtri(out, out=out)
+
+
+def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths,
+                         noise_values):
+    """The step loop of _run_block as it was before per-chunk bookkeeping, verbatim."""
+    expm_skew, _rot3_apply = simulate.expm_skew, simulate._rot3_apply
+    _CLAMP, _normals_into = simulate._CLAMP, _reference_normals_into
+    d = drive.d
+    m = drive.n_diffusion
+    radial = bhat is not None
+    n_cols = m + (d if radial else 0)
+    B = len(streams)
+    chunk = min(n_steps, max(1, noise_values // max(1, B * n_cols)))
+    raw = np.empty((B, chunk, n_cols), dtype=np.uint64)
+    noise = np.empty((B, chunk, n_cols))
+
+    X = np.array(x0s, dtype=float)
+    if paths is not None:
+        paths[:, 0] = X
+    sqh = np.sqrt(h)
+    As = drive.diffusion
+    rotate = m > 0 or np.abs(drive.a0).max() > 0
+    Q_const = expm_skew(drive.a0 * h) if (rotate and m == 0) else None
+    scalar3 = rotate and m > 0 and d == 3
+    if scalar3:
+        from quadricdiff.skew import skew_to_vec
+
+        Avec = np.array([skew_to_vec(A) for A in As])
+        h_a0vec = h * skew_to_vec(drive.a0)
+        if not h_a0vec.any():
+            h_a0vec = None
+    norms = np.linalg.norm(X, axis=1)
+    max_radius = norms.copy()
+    max_norm_dev = np.abs(norms - 1.0).max() if not radial else 0.0
+    clamps = 0
+
+    for step in range(n_steps):
+        j = step % chunk
+        if j == 0 and n_cols:
+            # The last chunk may be shorter; slicing past chunk clamps to it.
+            left = n_steps - step
+            _normals_into(streams, raw[:, :left], noise[:, :left])
+        if rotate:
+            if m == 0:
+                X = X @ Q_const.T
+            elif scalar3:
+                X = _rot3_apply((noise[:, j, :m] * sqh) @ Avec, X, h_a0vec)
+            else:
+                dW = noise[:, j, :m] * sqh
+                M = np.einsum("bp,pij->bij", dW, As)
+                if np.abs(drive.a0).max() > 0:
+                    M += drive.a0 * h
+                Q = expm_skew(M)
+                X = np.einsum("bij,bj->bi", Q, X)
+        if radial:
+            r2 = np.einsum("bi,bi->b", X, X)
+            fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
+            dWr = noise[:, j, m:] * sqh
+            X = X + (bhat + X @ Bhat.T) * h + fac[:, None] * (dWr @ sqrt_alpha.T)
+            nrm = np.linalg.norm(X, axis=1)
+            over = nrm > 1.0
+            if np.any(over):
+                clamps += int(over.sum())
+                X[over] *= (_CLAMP / nrm[over])[:, None]
+            np.maximum(max_radius, np.linalg.norm(X, axis=1), out=max_radius)
+        else:
+            nrm = np.linalg.norm(X, axis=1)
+            max_norm_dev = max(max_norm_dev, np.abs(nrm - 1.0).max())
+            np.maximum(max_radius, nrm, out=max_radius)
+        if paths is not None:
+            paths[:, step + 1] = X
+    return X, max_radius, max_norm_dev, clamps
+
+
+def _reference_cases():
+    """(name, drive, x0, ball arguments or None, n_paths, n_steps, h) for each branch."""
+    a3 = 0.7 * skew_basis(3)[0] - 0.4 * skew_basis(3)[2]
+    a4 = sum(c * A for c, A in zip((0.9, -0.3, 0.5, 0.2, -1.1, 0.4), skew_basis(4)))
+    e3 = np.array([0.0, 0.6, 0.8])
+    e4 = np.array([0.5, -0.5, 0.5, 0.5])
+    scalar = lambda d, kappa, nu: (np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d))
+    return [
+        ("sphere d3", SkewDrive.elementary(3), e3, None, 5, 37, 1e-3),
+        ("sphere d3 A0", SkewDrive.elementary(3, a0=a3), e3, None, 5, 37, 1e-3),
+        ("sphere d4 A0", SkewDrive.elementary(4, a0=a4), e4, None, 4, 23, 2e-3),
+        ("ball d3 drive, clamps", SkewDrive.elementary(3, a0=a3), 0.999 * e3,
+         scalar(3, 0.2, 1.0), 6, 60, 1e-2),
+        ("jacobi d1", SkewDrive.zero(1), np.array([0.5]), scalar(1, 2.0, 1.0), 7, 41, 1e-3),
+        ("constant-rotation ball", SkewDrive(np.array([[0.0, 1.5], [-1.5, 0.0]]),
+                                             np.zeros((0, 2, 2))),
+         np.array([0.3, 0.4]), (np.array([0.1, -0.2]), -np.eye(2), 0.5 * np.eye(2)),
+         3, 29, 1e-3),
+    ]
+
+
+@pytest.mark.parametrize("noise_values", [1, 7, simulate._NOISE_VALUES])
+def test_run_block_matches_reference_loop(monkeypatch, noise_values):
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
+    for name, drive, x0, ball, n, steps, h in _reference_cases():
+        if ball is None:
+            radial = (None, None, None)
+        else:
+            bhat, Bhat, sqa, x0 = simulate._ball_args(*ball, drive, x0)
+            radial = (bhat, Bhat, sqa)
+        x0s = np.tile(x0, (n, 1))
+        got_paths = np.empty((n, steps + 1, drive.d))
+        ref_paths = np.empty_like(got_paths)
+        got = simulate._run_block(drive, x0s, steps, h, simulate._streams(11, range(n)),
+                                  *radial, got_paths)
+        ref = _reference_run_block(drive, x0s, steps, h, _reference_streams(11, range(n)),
+                                   *radial, ref_paths, noise_values)
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.asarray(g).tobytes() == np.asarray(r).tobytes(), name
+        assert got[3] == ref[3], name
+        assert got_paths.tobytes() == ref_paths.tobytes(), name
+        # without kept paths the loop takes the same steps
+        bare = simulate._run_block(drive, x0s, steps, h, simulate._streams(11, range(n)),
+                                   *radial, None)
+        assert bare[0].tobytes() == ref[0].tobytes(), name
+        if name.startswith("ball"):
+            assert ref[3] > 0, "the clamp case must clamp"
+
+
+def test_midpoint_map_is_exact():
+    # fl(k 2**-53 + 2**-54) == fl(k + 1/2) 2**-53: rounding commutes with 2**-53
+    special = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 1], dtype=np.uint64)
+    draws = np.random.default_rng(53).integers(0, 2 ** 53, size=100_000, dtype=np.uint64)
+    for k in (special, draws):
+        new = k.astype(float) * 2.0 ** -53 + 2.0 ** -54
+        old = np.add(k, 0.5) * 2.0 ** -53
+        assert new.tobytes() == old.tobytes()

@@ -15,7 +15,6 @@ from quadricdiff import (
     build_Gk,
     mc_moment,
     moment,
-    simulate_sphere,
     sphere_ensemble,
 )
 
@@ -35,8 +34,8 @@ for t in (0.25, 0.5, 1.0, 2.0):
 
 # One path: the scheme multiplies by orthogonal matrices, so the norm never
 # drifts off the sphere.
-path = simulate_sphere(drive, x0, T=1.0, h=1e-3, seed=7)
-print("\none path, max | |X| - 1 | =", path.extra["max_norm_dev"])
+path = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=7, n_paths=1, keep_paths=True)
+print("\none path of", len(path.paths[0]), "states, max | |X| - 1 | =", path.max_norm_dev)
 
 # An ensemble reproduces the moment within Monte Carlo error.
 ens = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=42, n_paths=50_000)

@@ -80,7 +80,6 @@ from .generator import (
 from .simulate import (
     EnsembleResult,
     MCMoment,
-    PathSample,
     SkewDrive,
     TwinPathReport,
     ball_ensemble,
@@ -89,9 +88,6 @@ from .simulate import (
     mc_moment,
     path_normals,
     scalar_ball_ensemble,
-    simulate_ball,
-    simulate_scalar_ball,
-    simulate_sphere,
     sphere_ensemble,
     twin_path_experiment,
 )

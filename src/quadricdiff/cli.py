@@ -169,38 +169,37 @@ def _write_paths(fh, first_id, times, states):
 
 
 def _cmd_simulate(args):
-    x0 = _parse_vector(args.x0)
-    tol = args.tol or 1e-9
+    if args.keep_paths and not (args.out or "").endswith(".csv"):
+        raise SystemExit("--keep-paths requires a .csv --out")
     if args.scheme == "scalar":
         if args.kappa is None or args.nu is None:
             raise SystemExit("scalar scheme requires --kappa and --nu")
-        d = len(x0)
-        drive = sim.SkewDrive.zero(d)
-        if args.model:
-            mdl = _load_model(args.model)
-            drive, verdict = _drive_from_model(mdl, tol)
-            if drive is None:
-                return _json_out({"error": "no sum-of-squares representation found",
-                                  "sos_status": verdict.status})
-        result = sim.scalar_ball_ensemble(args.kappa, args.nu, drive, x0, args.T,
-                                          args.h, args.seed, args.paths,
-                                          keep_paths=args.keep_paths)
-    else:
+    elif not args.model:
+        raise SystemExit(f"{args.scheme} scheme requires --model")
+    x0 = _parse_vector(args.x0)
+    drive = sim.SkewDrive.zero(len(x0))
+    if args.model:
         mdl = _load_model(args.model)
-        drive, verdict = _drive_from_model(mdl, tol)
+        if args.scheme not in ("scalar", mdl.space):
+            raise ValueError(f"--scheme {args.scheme} needs a {args.scheme} model, "
+                             f"got a {mdl.space} model")
+        drive, verdict = _drive_from_model(mdl, args.tol or 1e-9)
         if drive is None:
             return _json_out({"error": "no sum-of-squares representation found",
                               "sos_status": verdict.status})
-        if args.scheme == "sphere":
-            result = sim.sphere_ensemble(drive, x0, args.T, args.h, args.seed,
-                                         args.paths, keep_paths=args.keep_paths)
-        else:
-            corr = sum(A.T @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
-            bhat = mdl.b
-            Bhat = 0.5 * (mdl.B + mdl.B.T) + 0.5 * corr
-            result = sim.ball_ensemble(bhat, Bhat, mdl.alpha, drive, x0, args.T,
-                                       args.h, args.seed, args.paths,
-                                       keep_paths=args.keep_paths)
+    run = (x0, args.T, args.h, args.seed, args.paths)
+    if args.scheme == "scalar":
+        result = sim.scalar_ball_ensemble(args.kappa, args.nu, drive, *run,
+                                          keep_paths=args.keep_paths)
+    elif args.scheme == "sphere":
+        result = sim.sphere_ensemble(drive, *run, keep_paths=args.keep_paths)
+    else:
+        # The rotation substep contributes the Ito drift (A_0 + 1/2 sum A_p^2) x,
+        # with A_0 the skew part of B; the radial substep supplies the rest of b + Bx.
+        corr = sum(A.T @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
+        Bhat = 0.5 * (mdl.B + mdl.B.T) + 0.5 * corr
+        result = sim.ball_ensemble(mdl.b, Bhat, mdl.alpha, drive, *run,
+                                   keep_paths=args.keep_paths)
     out = {
         "scheme": result.scheme,
         "n_paths": result.n_paths,
@@ -296,7 +295,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("simulate", help="ensemble simulation")
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", default=None,
+                   help="model file; required by sphere and ball, whose space it must "
+                        "match; the scalar scheme takes only its tangential drive")
     p.add_argument("--scheme", choices=["sphere", "ball", "scalar"], required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--T", type=float, required=True)
@@ -306,7 +307,8 @@ def _build_parser():
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--keep-paths", action="store_true")
+    p.add_argument("--keep-paths", action="store_true",
+                   help="write every state, not only the terminal ones; needs a .csv --out")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

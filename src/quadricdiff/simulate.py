@@ -1,5 +1,11 @@
 """Structure-preserving simulation on the ball and sphere, and Monte Carlo moments.
 
+Each state space has one entry, an ensemble: :func:`sphere_ensemble`,
+:func:`ball_ensemble` and :func:`scalar_ball_ensemble`.  Path k of an ensemble
+is driven by the noise stream of path id k alone, so it is bit-identical to
+row k of any larger ensemble with the same arguments, whatever the block it
+runs in; one path is ``n_paths=1, keep_paths=True`` and ``.paths[0]``.
+
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
@@ -17,24 +23,21 @@ radius, largest deviation from the sphere) is reduced once per chunk.  Seeds
 and path ids are integers in [0, 2**64).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
+from .generator import _exponent
 from .skew import skew_basis
 
 __all__ = [
     "SkewDrive",
-    "PathSample",
     "EnsembleResult",
     "MCMoment",
     "TwinPathReport",
     "expm_skew",
     "path_normals",
-    "simulate_sphere",
-    "simulate_ball",
-    "simulate_scalar_ball",
     "sphere_ensemble",
     "ball_ensemble",
     "scalar_ball_ensemble",
@@ -90,17 +93,6 @@ class SkewDrive:
         """Drive whose diffusion directions are all elementary skew matrices."""
         a0 = np.zeros((d, d)) if a0 is None else a0
         return cls(a0, np.array(skew_basis(d)))
-
-
-@dataclass
-class PathSample:
-    """One simulated trajectory on a uniform grid."""
-
-    times: np.ndarray
-    states: np.ndarray
-    seed: int
-    scheme: str
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -440,7 +432,7 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
 
 
 def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
-              sqrt_alpha=None, keep_paths=False, extra=None):
+              sqrt_alpha=None, keep_paths=False):
     n_steps, h_eff = _grid(T, h)
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
@@ -474,30 +466,13 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
     )
 
 
-def simulate_sphere(drive, x0, T, h, seed, path_id=0):
-    """One sphere path of ``dX = (o dY) X`` by geometric exponential steps.
-
-    Requires a unit initial state.  Every stored state keeps unit norm to
-    about 1e-12 because each step multiplies by an orthogonal matrix.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > 1e-12:
-        raise ValueError(f"|x0| = {np.linalg.norm(x0)} is not 1")
-    n_steps, h_eff = _grid(T, h)
-    paths = np.empty((1, n_steps + 1, drive.d))
-    _, _, dev, _ = _run_block(drive, x0[None], n_steps, h_eff, _streams(seed, [path_id]),
-                              None, None, None, paths)
-    return PathSample(
-        times=np.linspace(0.0, T, n_steps + 1),
-        states=paths[0],
-        seed=seed,
-        scheme="sphere",
-        extra={"max_norm_dev": float(dev)},
-    )
-
-
 def sphere_ensemble(drive, x0, T, h, seed, n_paths, keep_paths=False):
-    """Ensemble version of :func:`simulate_sphere`."""
+    """Sphere paths of ``dX = (o dY) X`` by geometric exponential steps.
+
+    Requires a unit initial state.  Every state keeps unit norm to about
+    1e-12 because each step multiplies by an orthogonal matrix; the largest
+    deviation is ``max_norm_dev``.  With ``keep_paths`` every state is kept.
+    """
     x0 = np.asarray(x0, dtype=float)
     if abs(np.linalg.norm(x0) - 1.0) > 1e-12:
         raise ValueError(f"|x0| = {np.linalg.norm(x0)} is not 1")
@@ -520,77 +495,35 @@ def _ball_args(bhat, Bhat, alpha, drive, x0):
     return bhat, Bsym, _psd_sqrt(alpha), x0
 
 
-def _ito_drift_matrix(drive, Bhat):
-    """The linear Ito drift B with (B - B^T)/2 = A_0, (B + B^T)/2 = Bhat + (1/2) sum A_p^2."""
-    corr = sum(A @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
-    return Bhat + drive.a0 + 0.5 * corr
-
-
-def simulate_ball(bhat, Bhat, alpha, drive, x0, T, h, seed, path_id=0):
-    """One ball path: rotation substep, then Euler-Maruyama radial substep.
-
-    The radial factor is sqrt(max(0, 1 - |X|^2)) and overshooting states are
-    pulled back just inside the sphere; the clamp frequency is reported in
-    ``extra`` along with the Ito drift matrix equivalent to (Bhat, drive).
-    """
-    bhat, Bhat, sqa, x0 = _ball_args(bhat, Bhat, alpha, drive, x0)
-    n_steps, h_eff = _grid(T, h)
-    paths = np.empty((1, n_steps + 1, drive.d))
-    _, _, _, clamps = _run_block(drive, x0[None], n_steps, h_eff, _streams(seed, [path_id]),
-                                 bhat, Bhat, sqa, paths)
-    return PathSample(
-        times=np.linspace(0.0, T, n_steps + 1),
-        states=paths[0],
-        seed=seed,
-        scheme="ball",
-        extra={
-            "ito_B": _ito_drift_matrix(drive, Bhat),
-            "ito_b": bhat,
-            "clamp_fraction": clamps / n_steps,
-        },
-    )
-
-
 def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=False):
-    """Ensemble version of :func:`simulate_ball`."""
+    """Ball paths: rotation substep by ``drive``, then an Euler-Maruyama radial substep.
+
+    The radial substep adds ``(bhat + Bhat x) h`` and
+    ``sqrt(max(0, 1 - |x|^2)) alpha^(1/2) dW``; ``Bhat`` is symmetric negative
+    semidefinite and the skew part of the drift is the drive's A_0
+    (``quadricdiff simulate --scheme ball`` maps a model to these arguments).
+    States that overshoot the sphere are pulled back just inside it, and
+    ``clamp_fraction`` reports how often.
+    """
     bhat, Bhat, sqa, x0 = _ball_args(bhat, Bhat, alpha, drive, x0)
     return _ensemble("ball", drive, x0, T, h, seed, n_paths, bhat=bhat, Bhat=Bhat,
                      sqrt_alpha=sqa, keep_paths=keep_paths)
 
 
-def simulate_scalar_ball(kappa, nu, drive, x0, T, h, seed, path_id=0):
-    """Scalar mean-reverting ball path with tangential rotation.
-
-    Runs :func:`simulate_ball` with Bhat = -kappa Id and alpha = nu^2 Id, and
-    additionally returns the path of Y = 1 - |X|^2 together with the
-    in-sample residual of its closed drift ``2 kappa |X|^2 - d nu^2 Y``.
-    """
+def _scalar_args(kappa, nu, d):
+    """(bhat, Bhat, alpha) = (0, -kappa Id, nu^2 Id) of the scalar mean-reverting ball."""
     if not (kappa > 0 and nu > 0):
         raise ValueError("kappa and nu must be positive")
-    d = drive.d
-    sample = simulate_ball(np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d),
-                           drive, x0, T, h, seed, path_id)
-    sample.scheme = "scalar"
-    r2 = np.einsum("ni,ni->n", sample.states, sample.states)
-    y = 1.0 - r2
-    h_eff = sample.times[1] - sample.times[0]
-    drift = 2.0 * kappa * r2[:-1] - d * nu ** 2 * y[:-1]
-    resid = float(np.mean(np.diff(y) - drift * h_eff))
-    sample.extra.update({
-        "y": y,
-        "y_drift_residual": resid,
-        "kappa_nu_ratio": kappa / nu ** 2,
-    })
-    return sample
+    return np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d)
 
 
 def scalar_ball_ensemble(kappa, nu, drive, x0, T, h, seed, n_paths, keep_paths=False):
-    """Ensemble version of :func:`simulate_scalar_ball` (terminal states and radii)."""
-    if not (kappa > 0 and nu > 0):
-        raise ValueError("kappa and nu must be positive")
-    d = drive.d
-    result = ball_ensemble(np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d),
-                           drive, x0, T, h, seed, n_paths, keep_paths)
+    """:func:`ball_ensemble` with Bhat = -kappa Id and alpha = nu^2 Id, and bhat = 0.
+
+    Y = 1 - |X|^2 then has the closed drift ``2 kappa |X|^2 - d nu^2 Y``.
+    """
+    result = ball_ensemble(*_scalar_args(kappa, nu, drive.d), drive, x0, T, h, seed,
+                           n_paths, keep_paths)
     result.scheme = "scalar"
     return result
 
@@ -606,15 +539,12 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
     x0 = np.asarray(x0, dtype=float)
     if abs(np.linalg.norm(x0) - 1.0) > 1e-12:
         raise ValueError("the twin experiment starts on the boundary: |x0| must be 1")
-    if not (kappa > 0 and nu > 0):
-        raise ValueError("kappa and nu must be positive")
+    d = drive.d
+    bhat, Bhat, sqa, _ = _ball_args(*_scalar_args(kappa, nu, d), drive, x0)
     if n_seeds < 1:
         raise ValueError(f"need n_seeds >= 1, got {n_seeds}")
-    d = drive.d
     n_steps, h_eff = _grid(T, h)
     ids = range(n_seeds)
-    args = (np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d))
-    bhat, Bhat, sqa, _ = _ball_args(*args, drive, x0)
     paths_a = np.empty((n_seeds, n_steps + 1, d))
     paths_b = np.empty_like(paths_a)
     for start, paths in ((x0, paths_a), ((1.0 - eps) * x0, paths_b)):
@@ -633,10 +563,15 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
 
 
 def eval_poly(q, states):
-    """Evaluate an exponent-dict polynomial at each row of ``states``."""
+    """Evaluate an exponent-dict polynomial at each row of ``states``.
+
+    Raises ValueError unless every exponent is d nonnegative integers, d the
+    number of columns of ``states``.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
     vals = np.zeros(states.shape[0])
     for e, c in q.items():
+        e = _exponent(e, states.shape[1])
         term = np.full(states.shape[0], float(c))
         for i, ei in enumerate(e):
             if ei:

@@ -25,6 +25,7 @@ from .cspace import _PluckerKernel, biquadratic_eval, c_H_eval, cmap_from_h, cma
 from .skew import skew_dim, vec_to_skew
 
 __all__ = [
+    "Counterexample",
     "SosVerdict",
     "NonnegReport",
     "sos_check",

@@ -1,8 +1,9 @@
-"""The benchmark's tracer still finds every name it wraps in the package.
+"""The benchmark still finds every name it calls or wraps in the package.
 
 ``bench/tracer.py`` resolves the layers' public functions and
-``generator.expm`` by name when a traced benchmark run installs its spans; a
-renamed or removed name fails here instead of in that run.
+``generator.expm`` by name when a traced benchmark run installs its spans,
+and ``bench/workloads.py`` calls the simulator, SOS, model and CLI entries
+directly; a renamed or removed name fails here instead of in a benchmark run.
 """
 
 import json
@@ -11,6 +12,7 @@ import sys
 
 import numpy as np
 
+import quadricdiff
 # Every layer module the tracer patches must be imported first.
 from quadricdiff import cli, cspace, generator, liealg, model, simulate, sos  # noqa: F401
 from quadricdiff.model import SphereModel
@@ -18,6 +20,7 @@ from quadricdiff.model import SphereModel
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 # Per-layer metrics that the benchmark adds outside tracer.layer_metrics.
 NOT_FROM_SPANS = {"cli.csv_rows", "setup.import_s", "trace.overhead_s"}
@@ -58,3 +61,12 @@ def test_layer_metrics_of_a_traced_ensemble():
     assert metrics["simulate.ensemble_self_s"] > 0
     assert metrics["simulate.path_normals_calls"] == 1
     assert metrics["simulate.path_steps"] == 5
+
+
+def test_every_workload_builds_and_warms_up(tmp_path):
+    for name, cls in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        wl = cls(quadricdiff, 1, str(workdir))
+        assert wl.ops(), name
+        wl.warm_up()

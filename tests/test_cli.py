@@ -286,6 +286,94 @@ def test_validate_ball_runs_one_sos_check(model_files, monkeypatch):
     assert len(calls) == 1
 
 
+def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch):
+    from quadricdiff import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no ensemble may run on a usage error")
+
+    for name in ("sphere_ensemble", "ball_ensemble", "scalar_ball_ensemble"):
+        monkeypatch.setattr(cli.sim, name, refuse)
+    common = ["--x0", "[0.5,0,0]", "--T", "0.1", "--h", "0.01", "--paths", "4", "--seed", "0"]
+    scalar = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + common
+    cases = [
+        (["simulate", "--scheme", "sphere"] + common, "requires --model"),
+        (["simulate", "--scheme", "ball"] + common, "requires --model"),
+        (scalar + ["--keep-paths"], "--keep-paths"),
+        (scalar + ["--keep-paths", "--out", str(model_files["tmp"] / "kept.json")],
+         "--keep-paths"),
+        (["simulate", "--scheme", "scalar"] + common, "--kappa and --nu"),
+    ]
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert message in str(exc.value.code), argv
+    assert not (model_files["tmp"] / "kept.json").exists()
+
+
+def test_simulate_scheme_must_match_the_model_space(model_files):
+    j = run_json(["simulate", "--model", str(model_files["sphere"]), "--scheme", "ball",
+                  "--x0", "[0.5,0,0]", "--T", "0.1", "--h", "0.01", "--seed", "0"])
+    assert j == {"error": "--scheme ball needs a ball model, got a sphere model"}
+    j = run_json(["simulate", "--model", str(model_files["ball"]), "--scheme", "sphere",
+                  "--x0", "[1,0]", "--T", "0.1", "--h", "0.01", "--seed", "0"])
+    assert j == {"error": "--scheme sphere needs a sphere model, got a ball model"}
+    # the scalar scheme takes only the tangential drive, from either space
+    for name, x0 in (("sphere", "[0.5,0,0]"), ("ball", "[0.5,0]")):
+        j = run_json(["simulate", "--model", str(model_files[name]), "--scheme", "scalar",
+                      "--kappa", "2", "--nu", "1", "--x0", x0, "--T", "0.1", "--h", "0.01",
+                      "--seed", "0"])
+        assert j["scheme"] == "scalar"
+
+
+@pytest.mark.parametrize("scheme,name,x0", [("sphere", "sphere", "[1,0,0]"),
+                                            ("ball", "ball", "[0.5,0]"),
+                                            ("scalar", "ball", "[0.5,0]")])
+def test_simulate_with_model_runs_one_sos_check(model_files, monkeypatch, scheme, name, x0):
+    from quadricdiff import sos
+
+    calls = []
+    original = sos.sos_check
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sos, "sos_check", counting)
+    j = run_json(["simulate", "--model", str(model_files[name]), "--scheme", scheme,
+                  "--kappa", "2", "--nu", "1", "--x0", x0, "--T", "0.1", "--h", "0.01",
+                  "--paths", "3", "--seed", "0"])
+    assert j["scheme"] == scheme
+    assert len(calls) == 1
+
+
+def test_simulate_ball_model_mean_matches_exact_moment(model_files):
+    # The CLI maps the model's Ito drift b + Bx to the simulator's drive and
+    # (bhat, Bhat); a wrong correction or a dropped skew part moves the mean by
+    # about 10 standard errors at this size.
+    from quadricdiff.cspace import trace_form
+    from quadricdiff.generator import moment
+    from quadricdiff.model import validate_ball
+
+    r = np.random.default_rng(3)
+    G = r.standard_normal((3, 3))
+    H = G @ G.T / 6 + 0.5 * np.eye(3)
+    A = r.standard_normal((3, 3))
+    b = np.array([0.3, -0.2, 0.1])
+    skew = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 0.8], [0.5, -0.8, 0.0]])
+    B = -0.5 * trace_form(H, 3) - (np.linalg.norm(b) + 0.1) * np.eye(3) + skew
+    mdl = BallModel(alpha=A @ A.T / 6, H=H, b=b, B=B)
+    assert validate_ball(mdl).admissible
+    path = model_files["tmp"] / "ball_drift.json"
+    path.write_text(json.dumps(model_to_json(mdl)))
+    x0, T = np.array([0.6, 0.0, 0.0]), 0.5
+    j = run_json(["simulate", "--model", str(path), "--scheme", "ball", "--x0", "[0.6,0,0]",
+                  "--T", str(T), "--h", "5e-3", "--paths", "2000", "--seed", "1"])
+    exact = [moment(mdl, {tuple(e): 1.0}, x0, T) for e in np.eye(3, dtype=int)]
+    z = (np.array(j["terminal_mean"]) - exact) / np.array(j["terminal_stderr"])
+    assert np.abs(z).max() < 4.0, z
+
+
 def test_simulate_deterministic_output(model_files):
     argv = ["simulate", "--model", str(model_files["sphere"]), "--scheme", "sphere",
             "--x0", "[1,0,0]", "--T", "0.5", "--h", "0.01", "--paths", "100",

@@ -16,9 +16,6 @@ from quadricdiff.simulate import (
     mc_moment,
     path_normals,
     scalar_ball_ensemble,
-    simulate_ball,
-    simulate_scalar_ball,
-    simulate_sphere,
     sphere_ensemble,
     twin_path_experiment,
 )
@@ -66,30 +63,66 @@ def test_sphere_deterministic_rotation():
     A0 = np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 0]])
     drive = SkewDrive(A0, np.zeros((0, 3, 3)))
     x0 = np.array([1.0, 0.0, 0.0])
-    s = simulate_sphere(drive, x0, T=1.0, h=1e-3, seed=1)
-    assert np.linalg.norm(s.states[-1] - scipy_expm(A0) @ x0) < 1e-12
-    assert s.extra["max_norm_dev"] < 1e-12
+    s = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=1, n_paths=1, keep_paths=True)
+    assert np.linalg.norm(s.paths[0, -1] - scipy_expm(A0) @ x0) < 1e-12
+    assert s.max_norm_dev < 1e-12
 
 
 def test_sphere_norm_preservation_and_determinism():
     drive = SkewDrive.elementary(3)
     x0 = np.array([0.0, 0.0, 1.0])
-    s1 = simulate_sphere(drive, x0, T=1.0, h=1e-3, seed=7)
-    s2 = simulate_sphere(drive, x0, T=1.0, h=1e-3, seed=7)
-    assert np.array_equal(s1.states, s2.states)
-    assert np.abs(np.linalg.norm(s1.states, axis=1) - 1.0).max() <= 1e-12
-    s3 = simulate_sphere(drive, x0, T=1.0, h=1e-3, seed=8)
-    assert not np.array_equal(s1.states, s3.states)
+    s1, s2, s3 = (sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=seed, n_paths=1,
+                                  keep_paths=True).paths[0] for seed in (7, 7, 8))
+    assert np.array_equal(s1, s2)
+    assert np.abs(np.linalg.norm(s1, axis=1) - 1.0).max() <= 1e-12
+    assert not np.array_equal(s1, s3)
     with pytest.raises(ValueError):
-        simulate_sphere(drive, np.array([0.5, 0, 0]), 1.0, 1e-3, 1)
+        sphere_ensemble(drive, np.array([0.5, 0, 0]), 1.0, 1e-3, 1, 1)
 
 
 def test_ensemble_path_zero_matches_single_path():
     drive = SkewDrive.elementary(3)
     x0 = np.array([1.0, 0.0, 0.0])
-    s = simulate_sphere(drive, x0, T=0.3, h=1e-3, seed=5)
+    s = sphere_ensemble(drive, x0, T=0.3, h=1e-3, seed=5, n_paths=1, keep_paths=True)
     ens = sphere_ensemble(drive, x0, T=0.3, h=1e-3, seed=5, n_paths=4, keep_paths=True)
-    assert np.array_equal(ens.paths[0], s.states)
+    assert np.array_equal(ens.paths[0], s.paths[0])
+
+
+def test_ball_ensemble_matches_single():
+    drive = SkewDrive.elementary(2)
+    args = (np.array([0.05, 0.0]), -np.eye(2), 0.2 * np.eye(2), drive,
+            np.zeros(2), 0.3, 1e-3)
+    p = ball_ensemble(*args, seed=9, n_paths=1, keep_paths=True)
+    ens = ball_ensemble(*args, seed=9, n_paths=3, keep_paths=True)
+    assert np.array_equal(ens.paths[0], p.paths[0])
+
+
+def _block_runs(n_paths):
+    """Sphere, ball with a drive, and scalar ensembles of n_paths kept paths."""
+    e3 = SkewDrive.elementary(3, a0=0.7 * skew_basis(3)[0])
+    x3 = np.array([0.0, 0.6, 0.8])
+    return [
+        sphere_ensemble(e3, x3, 0.03, 1e-3, 5, n_paths, keep_paths=True),
+        ball_ensemble(np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
+                      0.5 * x3, 0.03, 1e-3, 6, n_paths, keep_paths=True),
+        scalar_ball_ensemble(0.2, 1.0, SkewDrive.zero(2), [0.6, 0.79], 0.05, 1e-2, 7,
+                             n_paths, keep_paths=True),
+    ]
+
+
+def test_path_does_not_depend_on_its_neighbours(monkeypatch):
+    # In blocks of 3, row 6 runs alone among 7 paths and beside row 7 among 8;
+    # in one block of 8, rows 3-6 also sit at other positions of their block.
+    single_block = _block_runs(8)
+    monkeypatch.setattr(simulate, "_BLOCK", 3)
+    sevens = _block_runs(7)
+    for seven, one, eight, whole in zip(sevens, _block_runs(1), _block_runs(8), single_block):
+        for k in range(7):
+            for other in ((one, eight, whole) if k == 0 else (eight, whole)):
+                assert seven.paths[k].tobytes() == other.paths[k].tobytes(), (seven.scheme, k)
+                assert seven.terminal[k].tobytes() == other.terminal[k].tobytes()
+                assert seven.max_radius[k] == other.max_radius[k]
+    assert sevens[2].clamp_fraction > 0, "the scalar case must clamp"
 
 
 def test_sphere_mc_matches_generator_moment():
@@ -106,37 +139,26 @@ def test_sphere_mc_matches_generator_moment():
 
 def test_ball_pure_rotation_keeps_radius():
     drive = SkewDrive.elementary(2)
-    p = simulate_ball(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)), drive,
-                      np.array([0.5, 0.0]), 1.0, 1e-3, seed=3)
-    assert np.abs(np.linalg.norm(p.states, axis=1) - 0.5).max() <= 1e-12
+    p = ball_ensemble(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)), drive,
+                      np.array([0.5, 0.0]), 1.0, 1e-3, seed=3, n_paths=1, keep_paths=True)
+    assert np.abs(np.linalg.norm(p.paths[0], axis=1) - 0.5).max() <= 1e-12
 
 
 def test_ball_states_stay_inside():
     drive = SkewDrive.zero(2)
-    p = simulate_ball(np.array([0.3, 0.0]), -0.5 * np.eye(2), np.eye(2), drive,
-                      np.zeros(2), 2.0, 1e-3, seed=11)
-    assert np.linalg.norm(p.states, axis=1).max() <= 1.0
-    assert 0.0 <= p.extra["clamp_fraction"] <= 1.0
-
-
-def test_ball_ito_drift_matrix_relation():
-    A0 = np.array([[0.0, 2.0], [-2.0, 0.0]])
-    drive = SkewDrive(A0, np.array(skew_basis(2)))
-    p = simulate_ball(np.zeros(2), -1.5 * np.eye(2), 0.3 * np.eye(2), drive,
-                      np.zeros(2), 0.1, 1e-3, seed=3)
-    B = p.extra["ito_B"]
-    assert np.allclose(0.5 * (B - B.T), A0, atol=1e-14)
-    corr = sum(A @ A for A in drive.diffusion)
-    assert np.allclose(0.5 * (B + B.T), -1.5 * np.eye(2) + 0.5 * corr, atol=1e-14)
+    p = ball_ensemble(np.array([0.3, 0.0]), -0.5 * np.eye(2), np.eye(2), drive,
+                      np.zeros(2), 2.0, 1e-3, seed=11, n_paths=1, keep_paths=True)
+    assert np.linalg.norm(p.paths[0], axis=1).max() <= 1.0
+    assert 0.0 <= p.clamp_fraction <= 1.0
 
 
 def test_ball_rejects_bad_arguments():
     drive = SkewDrive.zero(2)
     with pytest.raises(ValueError):
-        simulate_ball(np.zeros(2), np.eye(2), np.eye(2), drive, np.zeros(2), 1.0, 1e-3, 0)
+        ball_ensemble(np.zeros(2), np.eye(2), np.eye(2), drive, np.zeros(2), 1.0, 1e-3, 0, 1)
     with pytest.raises(ValueError):
-        simulate_ball(np.zeros(2), -np.eye(2), np.eye(2), drive,
-                      np.array([1.2, 0.0]), 1.0, 1e-3, 0)
+        ball_ensemble(np.zeros(2), -np.eye(2), np.eye(2), drive,
+                      np.array([1.2, 0.0]), 1.0, 1e-3, 0, 1)
 
 
 def test_clamp_rarely_fires_when_interior_invariant():
@@ -158,15 +180,19 @@ def test_scalar_ball_reduces_to_jacobi():
 
 
 def test_scalar_ball_y_diagnostics():
-    drive = SkewDrive.zero(2)
-    s = simulate_scalar_ball(2.0, 1.0, drive, np.array([0.5, 0.0]), T=1.0, h=1e-3, seed=5)
-    y = s.extra["y"]
-    assert np.allclose(y, 1.0 - np.einsum("ni,ni->n", s.states, s.states), atol=1e-14)
+    kappa, nu, d = 2.0, 1.0, 2
+    drive = SkewDrive.zero(d)
+    s = scalar_ball_ensemble(kappa, nu, drive, np.array([0.5, 0.0]), T=1.0, h=1e-3, seed=5,
+                             n_paths=1, keep_paths=True)
+    r2 = np.einsum("ni,ni->n", s.paths[0], s.paths[0])
+    y = 1.0 - r2
+    h = s.times[1] - s.times[0]
     # in-sample drift residual of the closed Y dynamics is noise-level
-    assert abs(s.extra["y_drift_residual"]) < 5e-3
-    assert s.extra["kappa_nu_ratio"] == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        simulate_scalar_ball(-1.0, 1.0, drive, np.array([0.5, 0.0]), 1.0, 1e-3, 0)
+    resid = np.mean(np.diff(y) - (2.0 * kappa * r2[:-1] - d * nu ** 2 * y[:-1]) * h)
+    assert abs(resid) < 5e-3
+    for bad in ((-1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            scalar_ball_ensemble(*bad, drive, np.array([0.5, 0.0]), 1.0, 1e-3, 0, 1)
 
 
 def test_weak_consistency_richardson():
@@ -211,6 +237,7 @@ def test_twin_condition_flag():
 def test_mc_moment_and_eval_poly():
     states = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(eval_poly({(1, 1): 1.0}, states), [2.0, 12.0])
+    assert np.array_equal(eval_poly({(np.int64(2), 1.0): 1.0}, states), [2.0, 36.0])
     est = mc_moment(np.ones((10, 2)), {(0, 0): 1.0})
     assert est.estimate == 1.0 and est.stderr == 0.0 and est.n == 10
     ens = sphere_ensemble(SkewDrive.elementary(3), np.array([1.0, 0, 0]),
@@ -221,13 +248,13 @@ def test_mc_moment_and_eval_poly():
     assert est.stderr <= 1e-12
 
 
-def test_ball_ensemble_matches_single():
-    drive = SkewDrive.elementary(2)
-    args = (np.array([0.05, 0.0]), -np.eye(2), 0.2 * np.eye(2), drive,
-            np.zeros(2), 0.3, 1e-3)
-    p = simulate_ball(*args, seed=9)
-    ens = ball_ensemble(*args, seed=9, n_paths=3, keep_paths=True)
-    assert np.array_equal(ens.paths[0], p.states)
+def test_eval_poly_rejects_malformed_exponents():
+    states = np.array([[0.5, 0.2, 0.1], [0.3, 0.4, 0.9]])
+    for e in ((1,), (1, 0), (1, 0, 0, 0), (-1, 0, 0), (0.5, 0, 0), ("a", 0, 0)):
+        with pytest.raises(ValueError, match="exponent"):
+            eval_poly({e: 1.0}, states)
+        with pytest.raises(ValueError, match="exponent"):
+            mc_moment(states, {e: 1.0})
 
 
 def _chunk_runs():
@@ -249,9 +276,10 @@ def _chunk_runs():
     out = [np.concatenate([r.terminal.ravel(), r.max_radius,
                            [r.max_norm_dev, r.clamp_fraction]]) for r in ens]
     out.append(ens[-1].paths.ravel())
-    out.append(simulate_ball(np.zeros(2), -np.eye(2), np.eye(2), SkewDrive.elementary(2),
-                             np.array([0.2, 0.1]), 0.037, 1e-3, seed=9).states.ravel())
-    out.append(simulate_sphere(e3, x3, 0.031, 1e-3, seed=10, path_id=7).states.ravel())
+    out.append(ball_ensemble(np.zeros(2), -np.eye(2), np.eye(2), SkewDrive.elementary(2),
+                             np.array([0.2, 0.1]), 0.037, 1e-3, 9, 1,
+                             keep_paths=True).paths[0].ravel())
+    out.append(sphere_ensemble(e3, x3, 0.031, 1e-3, 10, 8, keep_paths=True).paths[7].ravel())
     out.append(twin_path_experiment(1.0, 1.0, SkewDrive.zero(2), np.array([0.6, 0.8]),
                                     0.03, 1e-3, 3, seed=11, eps=1e-3).max_divergence)
     return out
@@ -296,7 +324,7 @@ def test_simulation_rejects_bad_inputs():
         with pytest.raises(ValueError):
             path_normals(seed, 0, 3, 2)
     with pytest.raises(ValueError):
-        simulate_sphere(drive, x0, 0.1, 1e-2, 0, path_id=-1)
+        path_normals(0, -1, 3, 2)
     with pytest.raises(ValueError):
         sphere_ensemble(drive, x0, 0.1, 1e-2, 0, 0)
     with pytest.raises(ValueError):

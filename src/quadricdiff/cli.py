@@ -176,6 +176,9 @@ def _cmd_simulate(args):
             raise SystemExit("scalar scheme requires --kappa and --nu")
     elif not args.model:
         raise SystemExit(f"{args.scheme} scheme requires --model")
+    elif args.kappa is not None or args.nu is not None:
+        raise SystemExit(f"{args.scheme} scheme takes no --kappa or --nu; its drift "
+                         "comes from --model")
     x0 = _parse_vector(args.x0)
     drive = sim.SkewDrive.zero(len(x0))
     if args.model:

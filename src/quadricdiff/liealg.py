@@ -150,6 +150,18 @@ def _membership(a0, g, h, x0, tol):
     return member, resid, _span_dim(gx0, 1e-10), _span_dim(hx0, 1e-10)
 
 
+def _checked_x0(x0, d, sphere):
+    """x0 as d finite floats on the unit sphere (``sphere``) or in the closed unit ball."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be {d} finite numbers, got {x0.tolist()}")
+    r = float(np.linalg.norm(x0))
+    if r > 1.0 + 1e-9 or (sphere and r < 1.0 - 1e-9):
+        raise ValueError(f"|x0| = {r} is not 1" if sphere
+                         else f"|x0| = {r} lies outside the closed unit ball")
+    return x0
+
+
 def density_check_sphere(drive, x0, tol=1e-9):
     """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
 
@@ -157,9 +169,7 @@ def density_check_sphere(drive, x0, tol=1e-9):
     span{B x_0} over the closure basis, with tolerance ``tol`` relative to
     |A_0 x_0| and an absolute floor of 1e-12.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > 1e-9:
-        raise ValueError(f"|x0| = {np.linalg.norm(x0)} is not 1")
+    x0 = _checked_x0(x0, drive.d, sphere=True)
     g, h = g_ideal(drive, max(tol, 1e-12))
     member, resid, dim_gx0, dim_hx0 = _membership(drive.a0, g, h, x0, tol)
     return DensityReport(
@@ -211,7 +221,7 @@ def density_check_ball(drive, alpha, x0, tol=1e-9):
     Lifts the drive to the sphere in dimension d + 1 and reports a smooth
     interior density iff the lifted closure is all of Skew(d + 1).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _checked_x0(x0, drive.d, sphere=False)
     lifted = lift_drive(drive, alpha)
     z0 = np.concatenate([x0, [np.sqrt(max(0.0, 1.0 - float(x0 @ x0)))]])
     nz = np.linalg.norm(z0)

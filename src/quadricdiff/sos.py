@@ -2,17 +2,19 @@
 
 Decides whether some kernel shift of H is positive semidefinite, which by the
 biquadratic correspondence is equivalent to y^T c_H(x) y being a sum of
-squares of bilinear forms.  After cheap pre-checks, L-BFGS minimizes the
-convex C^1 function phi(t) = 1/2 ||Pi_-(H + sum_q t_q K_q)||_F^2 (Pi_- the
+squares of bilinear forms.  One function carries the decision: the convex
+C^1 function phi(t) = 1/2 ||Pi_-(H + sum_q t_q K_q)||_F^2 (Pi_- the
 projection onto the negative semidefinite cone, K_q the Plucker kernel
 basis; Henrion-Malick 2011, Malick 2004).  Its gradient <K_q, Pi_-(Z)> costs
-one eigendecomposition and one index gather.  Any evaluated Z that is PSD up
-to tolerance is a witness.  Where phi stays positive, the certificate is read
-off the gradient: B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and
-kernel-orthogonal at a stationary point; projected off the kernel and shifted
-back to PSD it is checked as a certificate after every iteration.  Witnesses
-are re-verified independently; an exhausted budget yields an Undecided
-verdict with residual diagnostics, never a silent guess.
+one eigendecomposition and one index gather.  Its first evaluation, at t = 0,
+decides a PSD H and, with no kernel at d <= 3, every H; otherwise L-BFGS
+minimizes it.  Any evaluated Z that is PSD up to tolerance is a witness.
+Where phi stays positive, the certificate is read off the gradient:
+B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and kernel-orthogonal at a
+stationary point; projected off the kernel and shifted back to PSD it is
+checked as a certificate after every iteration.  Witnesses are re-verified
+independently; an exhausted budget yields an Undecided verdict with residual
+diagnostics, never a silent guess.
 """
 
 from dataclasses import dataclass, field
@@ -102,11 +104,6 @@ def _d_from_m(m):
     return d
 
 
-def _proj_psd(X):
-    w, V = np.linalg.eigh(X)
-    return (V * np.clip(w, 0.0, None)) @ V.T
-
-
 def _eig_min(X):
     return float(np.linalg.eigvalsh(X)[0]) if X.size else 0.0
 
@@ -159,14 +156,20 @@ def _repaired(N, g, kernel):
 def sos_check(H, tol=1e-9, max_iter=50000):
     """Decide whether H + (kernel shift) meets the PSD cone.
 
+    One decision path: after the trace pre-check, phi is evaluated at t = 0,
+    where Z = H.  If H is PSD up to tolerance it is the witness; otherwise
+    L-BFGS minimizes phi when there is a kernel (d >= 4), and at d <= 3, where
+    the affine set is the single point H, that first evaluation is the whole
+    problem.  Every verdict is re-verified on the way out.
+
     Parameters
     ----------
     H : (m, m) array, symmetric, m = C(d, 2)
     tol : acceptance tolerance for witness residuals
     max_iter : iteration budget: L-BFGS iterations of the smooth phase.  The
         verdict's ``iterations`` is that count and never exceeds ``max_iter``;
-        a verdict decided before iterating (the pre-checks, or no kernel at
-        d <= 3) reports at most 1.
+        a verdict decided before iterating (the trace pre-check, PSD H, or
+        any H at d <= 3) reports at most 1.
 
     Returns
     -------
@@ -218,40 +221,14 @@ def sos_check(H, tol=1e-9, max_iter=50000):
             return None
         return verdict_of(INFEASIBLE, "certificate verified", used, certificate=B, residuals=report)
 
-    # No kernel: the affine set is the single point H.
-    if len(kernel) == 0:
-        lam, V = np.linalg.eigh(H)
-        used = 1
-        if lam[0] >= -tol:
-            h_star = H if lam[0] >= 0 else (V * np.clip(lam, 0.0, None)) @ V.T
-            verdict = feasible_verdict(h_star, used)
-            if verdict is not None:
-                return verdict
-        else:
-            v = V[:, 0]
-            verdict = infeasible_verdict(np.outer(v, v), used)
-            if verdict is not None:
-                return verdict
-        return verdict_of(UNDECIDED, "no verified witness", used,
-                          residuals={"eig_min": float(lam[0]), "margin": margin})
-
-    # Cheap certificates before iterating.
+    # A negative trace makes I/m a certificate without any eigendecomposition.
     if np.trace(H) / m <= -margin:
         verdict = infeasible_verdict(np.eye(m) / m, 1)
         if verdict is not None:
             return verdict
-    lam0 = _eig_min(H)
-    if lam0 >= -accept_tol:
-        verdict = feasible_verdict(_proj_psd(H) if lam0 < 0 else H.copy(), 1)
-        if verdict is not None:
-            return verdict
 
-    # Smooth phase: L-BFGS on phi(t) = 1/2 ||Pi_-(Z)||_F^2, Z = H + sum_q t_q K_q.
-    # It stops after the iteration that evaluates a Z that is PSD up to
-    # accept_tol, or once the repaired candidate at the best point has
-    # <H, B> <= -margin and keeps 90% of <H, B0>, so that certificates are
-    # nearly as strong as the stationary one.
-    enter("smooth", 0)
+    # phi(t) = 1/2 ||Pi_-(Z)||_F^2, Z = H + sum_q t_q K_q.  ``best`` keeps the
+    # first evaluated Z that is PSD up to accept_tol, and the point of least phi.
     best = {"phi": np.inf, "Z": None}
 
     def phi(t):
@@ -267,18 +244,30 @@ def sos_check(H, tol=1e-9, max_iter=50000):
             best.update(phi=f, eig_min=float(lam[0]), N=N, g=g)
         return f, g
 
-    def halt(_):
-        if best["Z"] is not None:
-            raise StopIteration
-        N = best["N"]
-        target = min(-margin, 0.9 * np.vdot(H, N) / np.trace(N))
-        if np.vdot(H, _repaired(N, best["g"], kernel)) <= target:
-            raise StopIteration
+    # phi(0) decides a PSD H (Z = H is the witness) and, with no kernel, every H.
+    phi(np.zeros(len(kernel)))
+    used, stop = 1, "no verified witness"
+    if best["Z"] is None and len(kernel):
+        # Smooth phase: L-BFGS on phi.  It stops after the iteration that
+        # evaluates a Z that is PSD up to accept_tol, or once the repaired
+        # candidate at the best point has <H, B> <= -margin and keeps 90% of
+        # <H, B0>, so that certificates are nearly as strong as the stationary one.
+        enter("smooth", 0)
 
-    res = minimize(phi, np.zeros(len(kernel)), jac=True, method="L-BFGS-B", callback=halt,
-                   options={"maxiter": max_iter, "maxfun": 20 * max_iter, "ftol": 0.0, "gtol": 0.0})
-    used = res.nit
-    stats["lbfgs_message"] = str(res.message)
+        def halt(_):
+            if best["Z"] is not None:
+                raise StopIteration
+            N = best["N"]
+            target = min(-margin, 0.9 * np.vdot(H, N) / np.trace(N))
+            if np.vdot(H, _repaired(N, best["g"], kernel)) <= target:
+                raise StopIteration
+
+        res = minimize(phi, np.zeros(len(kernel)), jac=True, method="L-BFGS-B", callback=halt,
+                       options={"maxiter": max_iter, "maxfun": 20 * max_iter, "ftol": 0.0,
+                                "gtol": 0.0})
+        used = res.nit
+        stats["lbfgs_message"] = str(res.message)
+        stop = "budget spent" if used >= max_iter else stats["lbfgs_message"]
     if best["Z"] is not None:
         verdict = feasible_verdict(best["Z"], used)
         if verdict is not None:
@@ -290,7 +279,6 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     residuals = {"phi": best["phi"], "eig_min": best["eig_min"],
                  "grad_norm": float(np.linalg.norm(best["g"])),
                  "dual_value": float(np.sum(H * B)), "dual_eig_min": _eig_min(B), "margin": margin}
-    stop = "budget spent" if used >= max_iter else stats["lbfgs_message"]
     return verdict_of(UNDECIDED, stop, used, residuals=residuals)
 
 

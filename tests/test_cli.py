@@ -304,6 +304,11 @@ def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch):
          "--keep-paths"),
         (["simulate", "--scheme", "scalar"] + common, "--kappa and --nu"),
     ]
+    # sphere and ball take their drift from the model, so the scalar rates are refused
+    for scheme in ("sphere", "ball"):
+        for rate in (["--kappa", "2"], ["--nu", "1"]):
+            cases.append((["simulate", "--model", str(model_files[scheme]), "--scheme", scheme]
+                          + rate + common, "takes no --kappa or --nu"))
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -340,9 +345,9 @@ def test_simulate_with_model_runs_one_sos_check(model_files, monkeypatch, scheme
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sos, "sos_check", counting)
-    j = run_json(["simulate", "--model", str(model_files[name]), "--scheme", scheme,
-                  "--kappa", "2", "--nu", "1", "--x0", x0, "--T", "0.1", "--h", "0.01",
-                  "--paths", "3", "--seed", "0"])
+    rates = ["--kappa", "2", "--nu", "1"] if scheme == "scalar" else []
+    j = run_json(["simulate", "--model", str(model_files[name]), "--scheme", scheme, *rates,
+                  "--x0", x0, "--T", "0.1", "--h", "0.01", "--paths", "3", "--seed", "0"])
     assert j["scheme"] == scheme
     assert len(calls) == 1
 
@@ -407,6 +412,11 @@ def test_density_command(model_files):
     assert j["has_smooth_density"] and j["dim_g"] == 3
     j = run_json(["density", "--model", str(model_files["ball"]), "--x0", "[1,0]"])
     assert j["has_smooth_density"] and j["space"] == "ball"
+    # an x0 outside the state space, not finite or of the wrong length is refused
+    for name, x0 in (("ball", "[5,0]"), ("ball", "[NaN,0]"), ("ball", "[0.5,0,0]"),
+                     ("sphere", "[0.5,0,0]"), ("sphere", "[1,0]")):
+        j = run_json(["density", "--model", str(model_files[name]), "--x0", x0])
+        assert set(j) == {"error"}, (name, x0)
 
 
 def test_exit_codes():

@@ -96,6 +96,22 @@ def test_density_sphere_rejects_off_sphere():
         density_check_sphere(SkewDrive.elementary(3), np.array([0.5, 0, 0]))
 
 
+def test_density_checks_reject_a_bad_x0():
+    drive = SkewDrive.elementary(3)
+    bad = ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+           [[1.0, 0.0, 0.0]])
+    for x0 in bad + ([5.0, 0.0, 0.0], [1.0 + 1e-6, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            density_check_ball(drive, np.eye(3), x0)
+        with pytest.raises(ValueError):
+            density_check_sphere(drive, x0)
+    with pytest.raises(ValueError):
+        density_check_sphere(drive, [1.0 - 1e-6, 0.0, 0.0])
+    # the closed ball is the ball's state space, the boundary included
+    for x0 in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]):
+        assert density_check_ball(drive, np.eye(3), x0).has_smooth_density
+
+
 def test_density_invariant_under_orthogonal_conjugation():
     for _ in range(15):
         d = 4

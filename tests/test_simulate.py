@@ -232,6 +232,10 @@ def test_twin_condition_flag():
     assert not rep.uniqueness_condition  # 0.3 < sqrt(2) - 1 = 0.41421...
     with pytest.raises(ValueError):
         twin_path_experiment(1.0, 1.0, drive, np.array([0.5]), 0.1, 1e-3, 2)
+    # the second start (1 - eps) x0 must lie in the closed ball too
+    for eps in (-0.5, 2.5):
+        with pytest.raises(ValueError):
+            twin_path_experiment(1.0, 1.0, drive, np.array([1.0]), 0.1, 1e-3, 2, eps=eps)
 
 
 def test_mc_moment_and_eval_poly():

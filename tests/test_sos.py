@@ -192,7 +192,7 @@ def test_nonneg_check_cases():
 
 
 def test_d3_infeasible_certificates():
-    # no kernel at d = 3: indefinite matrices get rank-one certificates
+    # no kernel at d = 3: indefinite matrices get certificates from Pi_-(H)
     for _ in range(20):
         H = rng.standard_normal((3, 3))
         H = H + H.T
@@ -342,6 +342,64 @@ def test_undecided_residuals_at_best_point():
     assert set(v.residuals) == {"phi", "eig_min", "grad_norm", "dual_value", "dual_eig_min",
                                 "margin"}
     assert v.residuals["phi"] > 0 and v.residuals["eig_min"] < 0
+
+
+def test_phi_at_zero_decides_psd_and_kernel_free_forms(monkeypatch):
+    # A PSD H at any d, and every H at d <= 3, where there is no kernel, is
+    # decided by the first evaluation of phi: L-BFGS never runs.
+    import quadricdiff.sos as sos_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimize must not run")
+
+    monkeypatch.setattr(sos_module, "minimize", refuse)
+    r = np.random.default_rng(7)
+    for d in (4, 6):
+        m = skew_dim(d)
+        G = r.standard_normal((m, m // 2))
+        for H in (np.eye(m), G @ G.T):
+            v = sos_check(H)
+            assert v.status == "Feasible" and v.stats["iterations"] == {"precheck": 1}
+            assert np.array_equal(v.h_star, 0.5 * (H + H.T))
+    assert sos_check(np.zeros((0, 0))).status == "Feasible"
+    for d in (2, 3):
+        m = skew_dim(d)
+        for _ in range(40):
+            H = r.standard_normal((m, m))
+            H = H + H.T
+            v = sos_check(H)
+            assert v.iterations == 1 and v.stats["phase"] == "precheck"
+            w, V = np.linalg.eigh(H)
+            if w[0] >= 0:
+                assert v.status == "Feasible" and np.array_equal(v.h_star, H)
+                continue
+            assert v.status == "Infeasible"
+            if np.trace(H) / m <= -1e-6 * max(1.0, np.linalg.norm(H)):
+                expected = np.eye(m) / m
+            else:
+                N = (V[:, w < 0] * w[w < 0]) @ V[:, w < 0].T
+                expected = N / np.trace(N)
+            assert np.allclose(v.certificate, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("depth,status", [(5e-10, "Undecided"), (0.5e-10, "Feasible")])
+def test_kernel_free_acceptance_is_accept_tol(depth, status):
+    # d = 3: H is its own witness iff eig_min >= -min(tol, 1e-10 ||H||).  At
+    # -5e-10 ||H|| (above -tol = -1e-9) it is neither accepted nor refutable.
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    top = np.array([0.8, 1.0])
+    lam = np.concatenate([[-depth * np.linalg.norm(top)], top])
+    H = (Q * lam) @ Q.T
+    assert -1e-9 < np.linalg.eigvalsh(H)[0] < 0.0
+    v = sos_check(H)
+    assert v.status == status and v.iterations == 1
+    if status == "Feasible":
+        assert np.array_equal(v.h_star, 0.5 * (H + H.T))
+    else:
+        assert v.stats["stop"] == "no verified witness"
+        assert set(v.residuals) == {"phi", "eig_min", "grad_norm", "dual_value",
+                                    "dual_eig_min", "margin"}
+        assert v.residuals["eig_min"] == pytest.approx(lam[0], rel=1e-3)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])

@@ -13,7 +13,7 @@ import numpy as np
 from quadricdiff import (
     cmap_from_h,
     counterexample_d6,
-    k_basis,
+    k_matrix,
     nonneg_check,
     reconstruct_cmap,
     sos_check,
@@ -25,7 +25,7 @@ rng = np.random.default_rng(1)
 # Feasible side: a PSD matrix plus a kernel shift looks indefinite, but the
 # solver recovers a PSD representative and factors it into skew rotations.
 d = 4
-K = k_basis(d)[0].matrix
+K = k_matrix((1, 2, 3, 4), d)
 G = rng.standard_normal((6, 6))
 H = G @ G.T + 2.0 * np.linalg.norm(G) * K
 print("min eigenvalue of H as given :", np.linalg.eigvalsh(H)[0])

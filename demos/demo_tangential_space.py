@@ -6,6 +6,8 @@ the sphere.  This script walks the dimension count, the Plucker kernel, and
 the biquadratic-form correspondence.
 """
 
+from math import comb
+
 import numpy as np
 
 from quadricdiff import (
@@ -15,7 +17,7 @@ from quadricdiff import (
     cmap_from_h,
     h_action,
     h_from_c,
-    k_basis,
+    k_matrix,
     plucker_eval,
     skew_dim,
     vec_to_skew,
@@ -27,11 +29,12 @@ rng = np.random.default_rng(0)
 # than the C(m+1, 2) free parameters of H: the kernel has dimension C(d, 4).
 print("d   m   dim C(span)   d^2(d^2-1)/12   dim K   C(d,4)")
 for d in range(2, 7):
+    m = skew_dim(d)
     basis = c_space_basis(d)
     rank = np.linalg.matrix_rank(np.array([b.ravel() for b in basis]))
-    kdim = len(k_basis(d))
-    print(f"{d}  {skew_dim(d):2d}   {rank:8d}   {d * d * (d * d - 1) // 12:10d}"
-          f"   {kdim:5d}   {kdim:5d}")
+    kdim = m * (m + 1) // 2 - rank
+    print(f"{d}  {m:2d}   {rank:8d}   {d * d * (d * d - 1) // 12:10d}"
+          f"   {kdim:5d}   {comb(d, 4):5d}")
 
 # The identity H gives the tangent projector scaled by |x|^2.
 d = 3
@@ -53,12 +56,13 @@ print("matrix evaluation        =", float(y @ c_H_eval(H, x) @ y))
 # Kernel elements encode the Plucker relations: c_K vanishes identically,
 # and the quadratic form of K/4 recovers the Plucker polynomial.
 d = 6
-el = k_basis(d)[0]
-print("\nkernel element for quad", el.quad)
-print("|c_K| =", np.abs(cmap_from_h(el.matrix, d)).max())
+quad = (1, 2, 3, 4)
+K = k_matrix(quad, d)
+print("\nkernel element for quad", quad)
+print("|c_K| =", np.abs(cmap_from_h(K, d)).max())
 A = vec_to_skew(rng.standard_normal(skew_dim(d)), d)
-print("quarter pairing :", 0.25 * np.sum(A * h_action(el.matrix, A)))
-print("plucker value   :", plucker_eval(A, el.quad))
+print("quarter pairing :", 0.25 * np.sum(A * h_action(K, A)))
+print("plucker value   :", plucker_eval(A, quad))
 
 # Round trip: a tangential coefficient tensor determines its minimal-norm H.
 C = cmap_from_h(np.eye(3), 3)

@@ -21,7 +21,6 @@ from .skew import (
     vec_to_skew,
 )
 from .cspace import (
-    KBasisElement,
     TangencyError,
     biquadratic_eval,
     c_H_eval,
@@ -36,7 +35,6 @@ from .cspace import (
     h_from_c,
     h_from_json,
     h_to_json,
-    k_basis,
     k_matrix,
     trace_form,
 )

@@ -81,9 +81,9 @@ def _cmd_dims(args):
 def _cmd_validate(args):
     mdl = _load_model(args.model)
     if mdl.space == "ball":
-        report = model_mod.validate_ball(mdl, tol=args.tol or 1e-7)
+        report = model_mod.validate_ball(mdl, tol=1e-7 if args.tol is None else args.tol)
     else:
-        report = model_mod.validate_sphere(mdl, tol=args.tol or 1e-9)
+        report = model_mod.validate_sphere(mdl, tol=1e-9 if args.tol is None else args.tol)
     out = report.to_json()
     out["space"] = mdl.space
     if mdl.space == "ball":
@@ -93,13 +93,13 @@ def _cmd_validate(args):
 
 def _cmd_sos_check(args):
     H = _parse_matrix(args.H, args.d)
-    verdict = sos.sos_check(H, tol=args.tol or 1e-9, max_iter=args.max_iter)
+    verdict = sos.sos_check(H, tol=args.tol, max_iter=args.max_iter)
     return _json_out(verdict.to_json())
 
 
 def _cmd_decompose(args):
     H = _parse_matrix(args.H, args.d)
-    verdict = sos.sos_check(H, tol=args.tol or 1e-9, max_iter=args.max_iter)
+    verdict = sos.sos_check(H, tol=args.tol, max_iter=args.max_iter)
     out = {"status": verdict.status}
     if verdict.status == sos.FEASIBLE:
         out["factors"] = [A.tolist() for A in verdict.factors]
@@ -111,7 +111,7 @@ def _cmd_decompose(args):
 
 def _cmd_counterexample(args):
     ce = sos.counterexample_d6()
-    verdict = sos.sos_check(ce.h, tol=args.tol or 1e-9)
+    verdict = sos.sos_check(ce.h, tol=args.tol)
     out = dict(ce.report)
     out["H"] = ce.h.tolist()
     out["certificate"] = ce.certificate.tolist()
@@ -186,7 +186,7 @@ def _cmd_simulate(args):
         if args.scheme not in ("scalar", mdl.space):
             raise ValueError(f"--scheme {args.scheme} needs a {args.scheme} model, "
                              f"got a {mdl.space} model")
-        drive, verdict = _drive_from_model(mdl, args.tol or 1e-9)
+        drive, verdict = _drive_from_model(mdl, args.tol)
         if drive is None:
             return _json_out({"error": "no sum-of-squares representation found",
                               "sos_status": verdict.status})
@@ -246,18 +246,25 @@ def _cmd_twin(args):
 def _cmd_density(args):
     mdl = _load_model(args.model)
     x0 = _parse_vector(args.x0)
-    tol = args.tol or 1e-9
-    drive, verdict = _drive_from_model(mdl, tol)
+    drive, verdict = _drive_from_model(mdl, args.tol)
     if drive is None:
         return _json_out({"error": "no sum-of-squares representation found",
                           "sos_status": verdict.status})
     if mdl.space == "sphere":
-        report = liealg.density_check_sphere(drive, x0, tol)
+        report = liealg.density_check_sphere(drive, x0, args.tol)
     else:
-        report = liealg.density_check_ball(drive, mdl.alpha, x0, tol)
+        report = liealg.density_check_ball(drive, mdl.alpha, x0, args.tol)
     out = report.to_json()
     out["space"] = mdl.space
     return _json_out(out)
+
+
+def _tolerance(text):
+    """argparse type of --tol: a positive finite float, or a usage error."""
+    value = float(text)
+    if not 0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _build_parser():
@@ -273,20 +280,21 @@ def _build_parser():
 
     p = sub.add_parser("validate", help="admissibility checks for a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None,
+                   help="default 1e-7 for a ball model, 1e-9 for a sphere model")
     p.set_defaults(func=_cmd_validate)
 
     for name, fn in (("sos-check", _cmd_sos_check), ("decompose", _cmd_decompose)):
         p = sub.add_parser(name, help=f"{name} for an m x m coefficient matrix")
         p.add_argument("--H", required=True, help="'id', 'zero', inline JSON, or @file")
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--max-iter", type=int, default=50000,
                        help="iteration budget: L-BFGS iterations of the SOS solver")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("counterexample", help="dimension-six non-SOS construction report")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("moments", help="exact conditional moment of a polynomial")
@@ -309,7 +317,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--keep-paths", action="store_true",
                    help="write every state, not only the terminal ones; needs a .csv --out")
     p.add_argument("--out", default=None)
@@ -329,7 +337,7 @@ def _build_parser():
     p = sub.add_parser("density", help="smooth-density criterion for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_density)
     return parser
 

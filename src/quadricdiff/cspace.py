@@ -8,10 +8,9 @@ C[i,j,k,l] = C[i,j,l,k].  All identities are checked on coefficients,
 never by sampling alone.
 
 The kernel of H -> c_H has dimension C(d, 4) and is spanned by the
-Plucker-relation matrices returned by :func:`k_basis`.
+Plucker-relation matrices :func:`k_matrix`, one per increasing 4-tuple.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -20,7 +19,6 @@ from .skew import pi_index, skew_basis, skew_dim, skew_to_vec, vec_to_skew
 
 __all__ = [
     "TangencyError",
-    "KBasisElement",
     "c_H_eval",
     "biquadratic_eval",
     "h_action",
@@ -29,7 +27,6 @@ __all__ = [
     "cmap_eval",
     "trace_form",
     "c_space_basis",
-    "k_basis",
     "k_matrix",
     "h_from_c",
     "c_from_biquadratic",
@@ -50,14 +47,6 @@ class TangencyError(ValueError):
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = float(residual)
-
-
-@dataclass(frozen=True)
-class KBasisElement:
-    """One Plucker kernel basis matrix, tied to its increasing 4-tuple of indices."""
-
-    quad: tuple
-    matrix: np.ndarray
 
 
 def _check_h(H):
@@ -196,11 +185,6 @@ def k_matrix(quad, d):
         K[p, q] = sign
         K[q, p] = sign
     return K
-
-
-def k_basis(d):
-    """Basis of the kernel of H -> c_H, one element per increasing 4-tuple."""
-    return [KBasisElement(quad, k_matrix(quad, d)) for quad in combinations(range(1, d + 1), 4)]
 
 
 class _PluckerKernel:

@@ -119,6 +119,23 @@ def _exponent(e, d=None):
     return out
 
 
+def _start_point(x0, d, space, tol):
+    """x0 as d finite floats in the state space: |x0| = 1 on the sphere, <= 1 on the ball.
+
+    The norm may miss by ``tol``; anything else, a NaN or a (1, d) array
+    included, raises ValueError.  Every entry that takes a start point checks
+    it here.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be {d} finite numbers, got {x0.tolist()}")
+    r = float(np.linalg.norm(x0))
+    if r > 1.0 + tol or (space == "sphere" and r < 1.0 - tol):
+        raise ValueError(f"|x0| = {r} does not lie on the unit sphere" if space == "sphere"
+                         else f"|x0| = {r} lies outside the closed unit ball")
+    return x0
+
+
 def _images(model, basis, exps):
     """Generator images of the monomials x^e, e in exps, as columns on basis.
 
@@ -212,9 +229,9 @@ def moment(model, q, x, t, k=None, gk=None):
     smaller k is an error rather than a silent truncation.  A prebuilt
     GeneratorMatrix can be supplied to amortize construction.
 
-    Raises ValueError for a malformed exponent in q, a non-finite x or t, x
-    outside the state space, t < 0, deg q > k, or a prebuilt G_k of another
-    dimension.
+    Raises ValueError for a malformed exponent in q, an x that is not d finite
+    numbers within 1e-9 of the state space, a non-finite t or t < 0, deg q > k,
+    or a prebuilt G_k of another dimension.
     """
     d = model.d
     q = _as_poly_dict(q, d)
@@ -225,14 +242,7 @@ def moment(model, q, x, t, k=None, gk=None):
         raise ValueError(f"polynomial degree {deg} exceeds k = {k}")
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    x = np.asarray(x, dtype=float).reshape(d)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"x = {x.tolist()} is not finite")
-    r = float(np.linalg.norm(x))
-    if model.space == "ball" and r > 1.0 + 1e-9:
-        raise ValueError(f"|x| = {r} lies outside the closed unit ball")
-    if model.space == "sphere" and abs(r - 1.0) > 1e-9:
-        raise ValueError(f"|x| = {r} does not lie on the unit sphere")
+    x = _start_point(x, d, model.space, 1e-9)
     if gk is None:
         gk = build_Gk(model, k)
     elif gk.basis.d != d:

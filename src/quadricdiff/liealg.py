@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulate import SkewDrive
+from .generator import _start_point
+from .simulate import SkewDrive, _alpha_eigh
 from .skew import skew_dim
 
 __all__ = [
@@ -150,26 +151,15 @@ def _membership(a0, g, h, x0, tol):
     return member, resid, _span_dim(gx0, 1e-10), _span_dim(hx0, 1e-10)
 
 
-def _checked_x0(x0, d, sphere):
-    """x0 as d finite floats on the unit sphere (``sphere``) or in the closed unit ball."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be {d} finite numbers, got {x0.tolist()}")
-    r = float(np.linalg.norm(x0))
-    if r > 1.0 + 1e-9 or (sphere and r < 1.0 - 1e-9):
-        raise ValueError(f"|x0| = {r} is not 1" if sphere
-                         else f"|x0| = {r} lies outside the closed unit ball")
-    return x0
-
-
 def density_check_sphere(drive, x0, tol=1e-9):
     """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
 
     Membership is tested by least-squares projection of A_0 x_0 onto
     span{B x_0} over the closure basis, with tolerance ``tol`` relative to
-    |A_0 x_0| and an absolute floor of 1e-12.
+    |A_0 x_0| and an absolute floor of 1e-12.  x0 must be d finite numbers with
+    |x0| = 1 to 1e-9.
     """
-    x0 = _checked_x0(x0, drive.d, sphere=True)
+    x0 = _start_point(x0, drive.d, "sphere", 1e-9)
     g, h = g_ideal(drive, max(tol, 1e-12))
     member, resid, dim_gx0, dim_hx0 = _membership(drive.a0, g, h, x0, tol)
     return DensityReport(
@@ -190,13 +180,10 @@ def lift_drive(drive, alpha, tol=1e-12):
     Each drive matrix becomes its block-diagonal extension, and every factor
     a_i of alpha = sum a_i a_i^T (eigenvectors scaled by root eigenvalues,
     small eigenvalues dropped) contributes a generator rotating into the
-    extra coordinate.
+    extra coordinate.  alpha must be a finite positive semidefinite d x d matrix.
     """
     d = drive.d
-    alpha = np.asarray(alpha, dtype=float)
-    w, V = np.linalg.eigh(0.5 * (alpha + alpha.T))
-    if w[0] < -1e-10 * max(1.0, abs(w[-1])):
-        raise ValueError(f"alpha is not positive semidefinite (min eig {w[0]:.2e})")
+    w, V = _alpha_eigh(alpha, d)
     factors = [np.sqrt(wi) * V[:, i] for i, wi in enumerate(w) if wi > tol]
 
     def embed(A):
@@ -219,9 +206,10 @@ def density_check_ball(drive, alpha, x0, tol=1e-9):
     """Smooth-density criterion for the mean-reverting ball dynamics.
 
     Lifts the drive to the sphere in dimension d + 1 and reports a smooth
-    interior density iff the lifted closure is all of Skew(d + 1).
+    interior density iff the lifted closure is all of Skew(d + 1).  x0 must be
+    d finite numbers with |x0| <= 1 + 1e-9.
     """
-    x0 = _checked_x0(x0, drive.d, sphere=False)
+    x0 = _start_point(x0, drive.d, "ball", 1e-9)
     lifted = lift_drive(drive, alpha)
     z0 = np.concatenate([x0, [np.sqrt(max(0.0, 1.0 - float(x0 @ x0)))]])
     nz = np.linalg.norm(z0)

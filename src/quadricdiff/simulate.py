@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .generator import _exponent
+from .generator import _exponent, _start_point
 from .skew import skew_basis
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
 
 _BLOCK = 4096
 _CLAMP = 1.0 - 1e-15
+# How far |x0| may miss the state space: the paths keep unit norm to about 1e-12.
+_X0_TOL = 1e-12
 # Noise values (float64, 8 MiB) one block holds at a time, whatever n_steps is.
 _NOISE_VALUES = 1 << 20
 
@@ -67,6 +69,8 @@ class SkewDrive:
             diff = np.zeros((0, d, d))
         if diff.ndim != 3 or diff.shape[1:] != (d, d):
             raise ValueError(f"diffusion must be a (m, {d}, {d}) stack, got {diff.shape}")
+        if not (np.all(np.isfinite(a0)) and np.all(np.isfinite(diff))):
+            raise ValueError("a0 and diffusion must be finite")
         for name, A in (("a0", a0[None]), ("diffusion", diff)):
             if A.size == 0:
                 continue
@@ -332,11 +336,19 @@ def _grid(T, h):
     return n_steps, T / n_steps
 
 
-def _psd_sqrt(alpha):
+def _alpha_eigh(alpha, d):
+    """Eigenpairs of alpha's symmetric part; ValueError unless alpha is a finite PSD (d, d)."""
     alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (d, d) or not np.all(np.isfinite(alpha)):
+        raise ValueError(f"alpha must be a finite {d} x {d} matrix")
     w, V = np.linalg.eigh(0.5 * (alpha + alpha.T))
     if w[0] < -1e-10 * max(1.0, w[-1]):
         raise ValueError(f"alpha is not positive semidefinite (min eig {w[0]:.2e})")
+    return w, V
+
+
+def _psd_sqrt(alpha, d):
+    w, V = _alpha_eigh(alpha, d)
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
@@ -434,7 +446,6 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
     d = drive.d
-    x0 = np.asarray(x0, dtype=float).reshape(d)
     terminal = np.empty((n_paths, d))
     all_paths = np.empty((n_paths, n_steps + 1, d)) if keep_paths else None
     max_radius = np.empty(n_paths)
@@ -466,13 +477,12 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
 def sphere_ensemble(drive, x0, T, h, seed, n_paths, keep_paths=False):
     """Sphere paths of ``dX = (o dY) X`` by geometric exponential steps.
 
-    Requires a unit initial state.  Every state keeps unit norm to about
-    1e-12 because each step multiplies by an orthogonal matrix; the largest
-    deviation is ``max_norm_dev``.  With ``keep_paths`` every state is kept.
+    Requires d finite numbers x0 with |x0| = 1 to 1e-12.  Every state keeps
+    unit norm to about 1e-12 because each step multiplies by an orthogonal
+    matrix; the largest deviation is ``max_norm_dev``.  With ``keep_paths``
+    every state is kept.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > 1e-12:
-        raise ValueError(f"|x0| = {np.linalg.norm(x0)} is not 1")
+    x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
     return _ensemble("sphere", drive, x0, T, h, seed, n_paths, keep_paths=keep_paths)
 
 
@@ -480,16 +490,15 @@ def _ball_args(bhat, Bhat, alpha, drive, x0):
     d = drive.d
     bhat = np.asarray(bhat, dtype=float).reshape(d)
     Bhat = np.asarray(Bhat, dtype=float)
+    if not (np.all(np.isfinite(bhat)) and np.all(np.isfinite(Bhat))):
+        raise ValueError("bhat and Bhat must be finite")
     Bsym = 0.5 * (Bhat + Bhat.T)
     if np.abs(Bhat - Bsym).max() > 1e-10 * (1.0 + np.abs(Bhat).max()):
         raise ValueError("Bhat must be symmetric; put the skew part into the drive")
     top = float(np.linalg.eigvalsh(Bsym)[-1])
     if top > 1e-12 * max(1.0, np.abs(Bsym).max()):
         raise ValueError(f"Bhat must be negative semidefinite (max eig {top:.2e})")
-    x0 = np.asarray(x0, dtype=float).reshape(d)
-    if np.linalg.norm(x0) > 1.0 + 1e-12:
-        raise ValueError("x0 lies outside the closed unit ball")
-    return bhat, Bsym, _psd_sqrt(alpha), x0
+    return bhat, Bsym, _psd_sqrt(alpha, d), _start_point(x0, d, "ball", _X0_TOL)
 
 
 def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=False):
@@ -500,7 +509,8 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=
     semidefinite and the skew part of the drift is the drive's A_0
     (``quadricdiff simulate --scheme ball`` maps a model to these arguments).
     States that overshoot the sphere are pulled back just inside it, and
-    ``clamp_fraction`` reports how often.
+    ``clamp_fraction`` reports how often.  Requires finite coefficients, alpha
+    positive semidefinite, and d finite numbers x0 with |x0| <= 1 + 1e-12.
     """
     bhat, Bhat, sqa, x0 = _ball_args(bhat, Bhat, alpha, drive, x0)
     return _ensemble("ball", drive, x0, T, h, seed, n_paths, bhat=bhat, Bhat=Bhat,
@@ -509,8 +519,8 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=
 
 def _scalar_args(kappa, nu, d):
     """(bhat, Bhat, alpha) = (0, -kappa Id, nu^2 Id) of the scalar mean-reverting ball."""
-    if not (kappa > 0 and nu > 0):
-        raise ValueError("kappa and nu must be positive")
+    if not (0 < kappa < np.inf and 0 < nu < np.inf):
+        raise ValueError(f"kappa and nu must be positive and finite, got {kappa}, {nu}")
     return np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d)
 
 
@@ -533,9 +543,7 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
     gap sup_t |X_t - X~_t|.  With eps = 0 the pairs coincide bitwise.  The
     report carries the pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if abs(np.linalg.norm(x0) - 1.0) > 1e-12:
-        raise ValueError("the twin experiment starts on the boundary: |x0| must be 1")
+    x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
     run = (T, h, seed, n_seeds)
     paths_a = scalar_ball_ensemble(kappa, nu, drive, x0, *run, keep_paths=True).paths
     paths_b = scalar_ball_ensemble(kappa, nu, drive, (1.0 - eps) * x0, *run,

@@ -8,12 +8,7 @@ import time
 
 import numpy as np
 
-from quadricdiff.cspace import (
-    c_space_basis,
-    cmap_eval,
-    cmap_from_h,
-    k_basis,
-)
+from quadricdiff.cspace import c_space_basis, cmap_eval, cmap_from_h
 from quadricdiff.generator import build_Gk, moment
 from quadricdiff.liealg import density_check_sphere, g_ideal
 from quadricdiff.model import BallModel, SphereModel, boundary_attainment
@@ -32,6 +27,8 @@ from quadricdiff.sos import (
     sos_check,
     verify_certificate,
 )
+
+from kbasis import k_basis
 
 
 def _report(criterion, ok, detail=""):

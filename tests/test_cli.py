@@ -86,6 +86,30 @@ def test_validate_sphere_and_ball(model_files):
     assert j["boundary"]["status"] == "InteriorInvariant"
 
 
+def test_tol_is_a_positive_finite_number(model_files, monkeypatch):
+    sphere = str(model_files["sphere"])
+    commands = [["validate", "--model", sphere], ["sos-check", "--H", "id", "--d", "3"],
+                ["decompose", "--H", "id", "--d", "3"], ["counterexample"],
+                ["simulate", "--model", sphere, "--scheme", "sphere", "--x0", "[1,0,0]",
+                 "--T", "0.1", "--h", "0.01", "--seed", "0"],
+                ["density", "--model", sphere, "--x0", "[1,0,0]"]]
+    for argv in commands:
+        for tol in ("0", "-1e-9", "nan", "inf", "tiny"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tol", tol])
+            assert exc.value.code == 2, (argv, tol)
+    # validate's default depends on the space; a given --tol reaches the check as is
+    from quadricdiff import model
+
+    seen = []
+    for name in ("validate_ball", "validate_sphere"):
+        monkeypatch.setattr(model, name, lambda mdl, tol, f=getattr(model, name):
+                            seen.append(tol) or f(mdl, tol=tol))
+    for name, tol in (("jacobi", []), ("sphere", []), ("jacobi", ["--tol", "1e-5"])):
+        run_json(["validate", "--model", str(model_files[name])] + tol)
+    assert seen == [1e-7, 1e-9, 1e-5]
+
+
 def test_moments_and_domain_error(model_files):
     q = json.dumps({"terms": [{"exp": [1, 0, 0], "coef": 1.0}]})
     j = run_json(["moments", "--model", str(model_files["sphere"]), "--q", q,

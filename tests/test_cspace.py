@@ -17,10 +17,11 @@ from quadricdiff.cspace import (
     h_from_c,
     h_from_json,
     h_to_json,
-    k_basis,
     k_matrix,
 )
 from quadricdiff.skew import pi_index, plucker_eval, skew_dim, vec_to_skew
+
+from kbasis import k_basis
 
 rng = np.random.default_rng(77)
 

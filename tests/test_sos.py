@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quadricdiff.cspace import _PluckerKernel, cmap_from_h, k_basis, k_matrix
+from quadricdiff.cspace import _PluckerKernel, cmap_from_h, k_matrix
 from quadricdiff.skew import skew_dim, skew_to_vec
 from quadricdiff.sos import (
     charpoly_reference,
@@ -12,6 +12,8 @@ from quadricdiff.sos import (
     sos_decompose,
     verify_certificate,
 )
+
+from kbasis import k_basis
 
 rng = np.random.default_rng(2718)
 

@@ -1,0 +1,181 @@
+"""One state-space contract for every entry that takes a start point x0.
+
+Each entry refuses an x0 that is not d finite numbers, or whose norm misses
+its state space (1 on the sphere, at most 1 on the ball) by more than the
+entry's tolerance: 1e-12 for the simulators, 1e-9 for ``moment`` and the
+density checks.  It refuses non-finite coefficients too.  A library entry
+raises ValueError; a CLI command prints an ``"error"`` key as strict JSON and
+exits 0.  Points within half the tolerance are accepted.
+"""
+
+import json
+import re
+from contextlib import redirect_stdout
+from io import StringIO
+
+import numpy as np
+import pytest
+
+from quadricdiff.cli import main
+from quadricdiff.generator import moment
+from quadricdiff.liealg import density_check_ball, density_check_sphere
+from quadricdiff.model import BallModel, SphereModel, model_to_json
+from quadricdiff.simulate import (
+    SkewDrive,
+    ball_ensemble,
+    scalar_ball_ensemble,
+    sphere_ensemble,
+    twin_path_experiment,
+)
+
+NAN, INF = float("nan"), float("inf")
+# Not three finite numbers (the CLI flattens its --x0, so a (1, 3) x0 is library-only).
+MALFORMED = ([NAN, 0.0, 0.0], [INF, 0.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+ROW = [[1.0, 0.0, 0.0]]
+X0_ERROR = (r"x0 must be 3 finite numbers|"
+            r"\|x0\| = \S+ (does not lie on the unit sphere|lies outside the closed unit ball)")
+RUN = (0.01, 1e-3, 0, 2)
+DRIVE = SkewDrive.elementary(3)
+SPHERE = SphereModel(H=np.eye(3), B=-np.eye(3))
+BALL = BallModel(alpha=0.5 * np.eye(3), H=np.eye(3), b=np.zeros(3), B=-2 * np.eye(3))
+
+
+def nan_at(array, index=(0, 0)):
+    out = np.array(array, dtype=float)
+    out[index] = NAN
+    return out
+
+
+def nan_drive():
+    return SkewDrive(nan_at(np.zeros((3, 3))), np.zeros((0, 3, 3)))
+
+
+def ball_from_zero(bhat=np.zeros(3), Bhat=-np.eye(3), alpha=np.eye(3)):
+    return lambda: ball_ensemble(bhat, Bhat, alpha, DRIVE, np.zeros(3), *RUN)
+
+
+# name: (space, tolerance, run(x0), calls that must raise for a non-finite coefficient)
+LIBRARY = {
+    "sphere_ensemble": (
+        "sphere", 1e-12, lambda x0: sphere_ensemble(DRIVE, x0, *RUN),
+        [lambda: sphere_ensemble(nan_drive(), [1.0, 0.0, 0.0], *RUN),
+         lambda: SkewDrive(np.zeros((3, 3)), nan_at(np.zeros((1, 3, 3)), (0, 0, 1)))]),
+    "ball_ensemble": (
+        "ball", 1e-12, lambda x0: ball_ensemble(np.zeros(3), -np.eye(3), np.eye(3), DRIVE, x0,
+                                                *RUN),
+        [ball_from_zero(bhat=nan_at(np.zeros(3), 0)), ball_from_zero(Bhat=nan_at(-np.eye(3))),
+         ball_from_zero(alpha=nan_at(np.eye(3))), ball_from_zero(alpha=np.diag([INF, 1, 1]))]),
+    "scalar_ball_ensemble": (
+        "ball", 1e-12, lambda x0: scalar_ball_ensemble(2.0, 1.0, DRIVE, x0, *RUN),
+        [lambda: scalar_ball_ensemble(INF, 1.0, DRIVE, np.zeros(3), *RUN),
+         lambda: scalar_ball_ensemble(2.0, INF, DRIVE, np.zeros(3), *RUN),
+         lambda: scalar_ball_ensemble(NAN, 1.0, DRIVE, np.zeros(3), *RUN)]),
+    "twin_path_experiment": (
+        "sphere", 1e-12, lambda x0: twin_path_experiment(1.0, 1.0, DRIVE, x0, *RUN[:2], 2),
+        [lambda: twin_path_experiment(INF, 1.0, DRIVE, [1.0, 0.0, 0.0], *RUN[:2], 2)]),
+    "moment_sphere": ("sphere", 1e-9, lambda x0: moment(SPHERE, {(1, 0, 0): 1.0}, x0, 0.5), []),
+    "moment_ball": ("ball", 1e-9, lambda x0: moment(BALL, {(1, 0, 0): 1.0}, x0, 0.5), []),
+    "density_check_sphere": ("sphere", 1e-9, lambda x0: density_check_sphere(DRIVE, x0), []),
+    "density_check_ball": (
+        "ball", 1e-9, lambda x0: density_check_ball(DRIVE, np.eye(3), x0),
+        [lambda: density_check_ball(DRIVE, nan_at(np.eye(3)), [0.5, 0.0, 0.0])]),
+}
+
+
+def radii(space, tol):
+    """(accepted, refused) norms at the edges of the state space."""
+    accepted = [1.0 + 0.5 * tol, 1.0 - 0.5 * tol]
+    refused = [1.0 + 2.0 * tol]
+    if space == "sphere":
+        refused += [1.0 - 2.0 * tol, 0.5]
+    else:
+        accepted += [0.0, 0.5]
+        refused += [5.0]
+    return accepted, refused
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_library_entry_keeps_the_state_space_contract(name):
+    space, tol, run, bad_coefficients = LIBRARY[name]
+    accepted, refused = radii(space, tol)
+    for r in accepted:
+        run(np.array([r, 0.0, 0.0]))
+    for x0 in MALFORMED + (ROW,) + tuple([r, 0.0, 0.0] for r in refused):
+        with pytest.raises(ValueError, match=X0_ERROR):
+            run(x0)
+    for call in bad_coefficients:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def x0_flag(x):
+    return ["--x0", json.dumps(x)]
+
+
+def cli(argv):
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 0, argv
+    return strict_json(buf.getvalue())
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("contract")
+    bad_alpha = BallModel(alpha=nan_at(BALL.alpha), H=BALL.H, b=BALL.b, B=BALL.B)
+    files = {}
+    for name, mdl in (("sphere", SPHERE), ("ball", BALL), ("bad_alpha", bad_alpha)):
+        files[name] = str(tmp / f"{name}.json")
+        with open(files[name], "w") as fh:
+            json.dump(model_to_json(mdl), fh)
+    return files
+
+
+SIM = ["--T", "0.01", "--h", "1e-3", "--paths", "2", "--seed", "0"]
+SCALAR = ["simulate", "--scheme", "scalar"] + SIM
+TWIN = ["twin", "--T", "0.01", "--h", "1e-3", "--seeds", "2", "--seed", "0"]
+# name: (space, tolerance, argv without --x0, argv lists that carry a non-finite coefficient)
+COMMANDS = {
+    "simulate_sphere": ("sphere", 1e-12, lambda m: ["simulate", "--model", m["sphere"],
+                                                    "--scheme", "sphere"] + SIM, []),
+    "simulate_ball": (
+        "ball", 1e-12, lambda m: ["simulate", "--model", m["ball"], "--scheme", "ball"] + SIM,
+        [lambda m: ["simulate", "--model", m["bad_alpha"], "--scheme", "ball"] + SIM]),
+    "simulate_scalar": (
+        "ball", 1e-12, lambda m: SCALAR + ["--kappa", "2", "--nu", "1"],
+        [lambda m: SCALAR + ["--kappa", "inf", "--nu", "1"],
+         lambda m: SCALAR + ["--kappa", "2", "--nu", "inf"]]),
+    "moments": ("sphere", 1e-9, lambda m: ["moments", "--model", m["sphere"], "--t", "0.5",
+                                           "--q", '{"terms": [{"exp": [1, 0, 0], "coef": 1}]}'],
+                []),
+    "density_sphere": ("sphere", 1e-9, lambda m: ["density", "--model", m["sphere"]], []),
+    "density_ball": ("ball", 1e-9, lambda m: ["density", "--model", m["ball"]],
+                     [lambda m: ["density", "--model", m["bad_alpha"]]]),
+    "twin": ("sphere", 1e-12, lambda m: TWIN + ["--kappa", "1", "--nu", "1"],
+             [lambda m: TWIN + ["--kappa", "inf", "--nu", "1"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_command_keeps_the_state_space_contract(models, name):
+    space, tol, argv, bad_coefficients = COMMANDS[name]
+    # without a model, the length of --x0 is the dimension
+    malformed = MALFORMED if "--model" in argv(models) else MALFORMED[:2]
+    accepted, refused = radii(space, tol)
+    for r in accepted:
+        assert "error" not in cli(argv(models) + x0_flag([r, 0.0, 0.0])), r
+    for x in malformed + tuple([r, 0.0, 0.0] for r in refused):
+        out = cli(argv(models) + x0_flag(x))
+        assert set(out) == {"error"} and re.match(X0_ERROR, out["error"]), (x, out)
+    for bad in bad_coefficients:
+        out = cli(bad(models) + x0_flag([0.5, 0.0, 0.0] if space == "ball" else [1.0, 0.0, 0.0]))
+        assert set(out) == {"error"} and "finite" in out["error"], out
+

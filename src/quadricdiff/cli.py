@@ -290,7 +290,7 @@ def _build_parser():
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--max-iter", type=int, default=50000,
-                       help="iteration budget: L-BFGS iterations of the SOS solver")
+                       help="iteration budget: Newton steps of the SOS solver")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("counterexample", help="dimension-six non-SOS construction report")

@@ -203,24 +203,28 @@ class _PluckerKernel:
         pair = np.zeros((d, d), dtype=int)
         pair[np.triu_indices(d, 1)] = np.arange(self.m)
         i, j, k, l = np.array(list(combinations(range(d), 4)), dtype=int).reshape(-1, 4).T
-        self.rows = np.stack([pair[i, j], pair[i, l], pair[i, k]], axis=1)
-        self.cols = np.stack([pair[k, l], pair[j, k], pair[j, l]], axis=1)
+        rows = np.stack([pair[i, j], pair[i, l], pair[i, k]], axis=1)
+        cols = np.stack([pair[k, l], pair[j, k], pair[j, l]], axis=1)
+        # Flat positions of (row, col) and (col, row) in an m x m array.
+        self.upper = rows * self.m + cols
+        self.lower = cols * self.m + rows
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.upper)
 
     def inner(self, X):
         """<K_q, X> for every q."""
-        S = X[self.rows, self.cols] + X[self.cols, self.rows]
+        flat = X.ravel()
+        S = flat[self.upper] + flat[self.lower]
         return S[:, 0] + S[:, 1] - S[:, 2]
 
     def combine(self, t):
         """sum_q t_q K_q."""
-        X = np.zeros((self.m, self.m))
+        X = np.zeros(self.m * self.m)
         vals = np.outer(t, self.SIGNS)
-        X[self.rows, self.cols] = vals
-        X[self.cols, self.rows] = vals
-        return X
+        X[self.upper] = vals
+        X[self.lower] = vals
+        return X.reshape(self.m, self.m)
 
     def project(self, X):
         """Orthogonal projection onto span(K); every K_q has squared norm 6."""

@@ -10,7 +10,6 @@ a secular-equation maximizer, never by sampling.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .cspace import c_H_eval, h_from_json, h_to_json, trace_form
 from .skew import skew_dim
@@ -154,6 +153,42 @@ def drift_eval(model, x):
     return model.B @ x
 
 
+def _bracketed_root(f, lo, hi, xtol, rtol):
+    """A root of f in [lo, hi], where f(lo) >= 0 >= f(hi).
+
+    Illinois false position: the secant point of the bracket, with the
+    retained end's value halved when the same end is kept twice in a row.  A
+    secant point that is not finite, or any step after two steps that did not
+    halve the bracket, is replaced by the midpoint, and every point keeps
+    half the tolerance away from both ends, so a bracket end that has reached
+    the root is crossed at once.  Stops once the bracket is no wider than
+    xtol + rtol |x| (the tolerance of scipy's brentq) and returns its
+    midpoint, or the end where f is exactly 0.
+    """
+    flo, fhi = f(lo), f(hi)
+    kept, widths = 0, [np.inf, np.inf]
+    while flo != 0.0 and fhi != 0.0:
+        tol = xtol + rtol * max(abs(lo), abs(hi))
+        if hi - lo <= tol:
+            break
+        with np.errstate(invalid="ignore"):
+            x = lo + (hi - lo) * (flo / (flo - fhi))
+        if not np.isfinite(x) or hi - lo > 0.5 * widths[0]:
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        widths = [widths[1], hi - lo]
+        fx = f(x)
+        if fx >= 0.0:
+            lo, flo = x, fx
+            fhi = 0.5 * fhi if kept == 1 else fhi
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            flo = 0.5 * flo if kept == -1 else flo
+            kept = -1
+    return lo if flo == 0.0 else hi if fhi == 0.0 else 0.5 * (lo + hi)
+
+
 def sphere_max_quadratic(M, b, tol=1e-13):
     """Global maximum of x^T M x + b^T x over the unit sphere, by secular equation.
 
@@ -195,7 +230,18 @@ def sphere_max_quadratic(M, b, tol=1e-13):
             coeff[mask] = bt[mask] / denom[mask]
         return V @ coeff, coeff
 
-    if b_top <= 1e-13 * bnorm:
+    hard = b_top <= 1e-13 * bnorm
+
+    def secular(lam):
+        # 1 - 1/|x(lam)| has the sign of |x(lam)|^2 - 1 and is nearly linear
+        # in lam near its root, where false position converges fast.
+        _, coeff = x_of(lam, skip_top=hard)
+        if not np.all(np.isfinite(coeff)):
+            return 1.0
+        with np.errstate(divide="ignore"):
+            return float(1.0 - 1.0 / np.sqrt(coeff @ coeff))
+
+    if hard:
         # Hard case: b has no weight on the leading eigenspace.
         x_perp, coeff = x_of(lam_top, skip_top=True)
         nrm = np.linalg.norm(coeff)
@@ -206,19 +252,9 @@ def sphere_max_quadratic(M, b, tol=1e-13):
             return SphereQuadReport(value(x), x, float(lam_top))
         # |x(lam_top)| > 1: the secular root lies strictly above lam_top.
         lo = lam_top
-
-        def secular(lam):
-            _, coeff = x_of(lam, skip_top=True)
-            return float(coeff @ coeff) - 1.0
-
     else:
-        # The secular function blows up at lam_top and decreases to -1.
+        # |x(lam)| blows up at lam_top and decreases to 0.
         lo = max(lam_top + 0.5 * b_top * (1.0 - 1e-12), np.nextafter(lam_top, np.inf))
-
-        def secular(lam):
-            _, coeff = x_of(lam)
-            return float(coeff @ coeff) - 1.0 if np.all(np.isfinite(coeff)) else np.inf
-
         while secular(lo) < 0.0:
             lo = max(lam_top + 0.5 * (lo - lam_top), np.nextafter(lam_top, np.inf))
             if lo == np.nextafter(lam_top, np.inf):
@@ -226,8 +262,8 @@ def sphere_max_quadratic(M, b, tol=1e-13):
     hi = lam_top + 0.5 * bnorm * (1.0 + 1e-12) + 1e-30
     while secular(hi) > 0.0:
         hi = lam_top + 2.0 * (hi - lam_top)
-    lam = brentq(secular, lo, hi, xtol=1e-15 * max(1.0, abs(lam_top)), rtol=8.9e-16)
-    x, _ = x_of(lam, skip_top=b_top <= 1e-13 * bnorm)
+    lam = _bracketed_root(secular, lo, hi, xtol=1e-15 * max(1.0, abs(lam_top)), rtol=8.9e-16)
+    x, _ = x_of(lam, skip_top=hard)
     x = x / np.linalg.norm(x)
     return SphereQuadReport(value(x), x, float(lam))
 

@@ -518,10 +518,21 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=
 
 
 def _scalar_args(kappa, nu, d):
-    """(bhat, Bhat, alpha) = (0, -kappa Id, nu^2 Id) of the scalar mean-reverting ball."""
+    """(bhat, Bhat, alpha) = (0, -kappa Id, nu^2 Id) of the scalar mean-reverting ball.
+
+    ``nu * nu`` rounds differently from ``nu ** 2`` for some doubles, and
+    ``nu ** 2`` raises OverflowError on a Python float, so the overflow is
+    caught: an nu^2 that is not positive and finite is a ValueError.
+    """
     if not (0 < kappa < np.inf and 0 < nu < np.inf):
         raise ValueError(f"kappa and nu must be positive and finite, got {kappa}, {nu}")
-    return np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d)
+    try:
+        nu2 = nu ** 2
+    except OverflowError:
+        nu2 = np.inf
+    if not 0 < nu2 < np.inf:
+        raise ValueError(f"nu^2 must be positive and finite, got {nu2} for nu = {nu}")
+    return np.zeros(d), -kappa * np.eye(d), nu2 * np.eye(d)
 
 
 def scalar_ball_ensemble(kappa, nu, drive, x0, T, h, seed, n_paths, keep_paths=False):

@@ -7,21 +7,24 @@ C^1 function phi(t) = 1/2 ||Pi_-(H + sum_q t_q K_q)||_F^2 (Pi_- the
 projection onto the negative semidefinite cone, K_q the Plucker kernel
 basis; Henrion-Malick 2011, Malick 2004).  Its gradient <K_q, Pi_-(Z)> costs
 one eigendecomposition and one index gather.  Its first evaluation, at t = 0,
-decides a PSD H and, with no kernel at d <= 3, every H; otherwise L-BFGS
-minimizes it.  Any evaluated Z that is PSD up to tolerance is a witness.
-Where phi stays positive, the certificate is read off the gradient:
-B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and kernel-orthogonal at a
-stationary point; projected off the kernel and shifted back to PSD it is
-checked as a certificate after every iteration.  Witnesses are re-verified
-independently; an exhausted budget yields an Undecided verdict with residual
-diagnostics, never a silent guess.
+decides a PSD H and, with no kernel at d <= 3, every H; otherwise a
+semismooth Newton-CG minimizes it: phi's gradient is strongly semismooth,
+and its generalized Hessian is applied through the divided differences of
+lambda -> min(lambda, 0) at the eigendecomposition phi already made (Qi-Sun
+2006, Zhao-Sun-Toh 2010).  Any evaluated Z that is PSD up to tolerance is a
+witness.  Where phi stays positive, the certificate is read off the
+gradient: B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and
+kernel-orthogonal at a stationary point; projected off the kernel and
+shifted back to PSD it is checked as a certificate after every evaluation.
+Witnesses are re-verified independently; a spent budget or a stalled line
+search yields an Undecided verdict with residual diagnostics, never a silent
+guess.
 """
 
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .cspace import _PluckerKernel, biquadratic_eval, c_H_eval, cmap_from_h, cmap_from_pair
 from .skew import skew_dim, vec_to_skew
@@ -41,6 +44,9 @@ __all__ = [
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNDECIDED = "Undecided"
+# Armijo's sufficient-decrease fraction and the smallest Newton step tried.
+ARMIJO = 1e-4
+STEP_FLOOR = 1e-6
 
 
 @dataclass
@@ -52,9 +58,11 @@ class SosVerdict:
     ``certificate`` is a PSD, unit-trace, kernel-orthogonal matrix B with
     <H, B> < 0.  ``residuals`` carries solver diagnostics in every case.
     ``stats`` says what decided: ``phase`` ("precheck" or "smooth"),
-    ``iterations`` and ``seconds`` per phase run, ``stop``, the reason the
-    deciding phase stopped, and ``lbfgs_message`` once the smooth phase ran.
-    ``to_json`` leaves ``stats`` out.
+    ``iterations`` (Newton steps in the smooth phase) and ``seconds`` per
+    phase run, ``stop``, the reason the deciding phase stopped, and
+    ``cg_products``, the generalized-Hessian products of its conjugate
+    gradient solves, once the smooth phase ran.  ``to_json`` leaves ``stats``
+    out.
     """
 
     status: str
@@ -153,20 +161,91 @@ def _repaired(N, g, kernel):
     return B / (1.0 + len(B) * eps)
 
 
+def _hessian_product(kernel, lam, V, mu):
+    """v -> K*(Pi_-'(Z)[K v]) + mu v at Z = V diag(lam) V^T, lam ascending.
+
+    Pi_-'(Z)[W] = V (Omega o V^T W V) V^T, Omega the divided differences of
+    lambda -> min(lambda, 0) (Daleckii-Krein): 1 between two negative
+    eigenvalues, 0 between two nonnegative ones, and lam_i / (lam_i - lam_j)
+    across, so only the k negative eigenvectors enter and a product costs
+    O(m^2 k) besides one scatter and one gather.
+    """
+    k = int(np.searchsorted(lam, 0.0))
+    Vn = V[:, :k]
+    # Omega's first k columns, the across block doubled: that block enters Y
+    # and Y^T alike, and kernel.inner(X) = kernel.inner(X^T), so Y is never
+    # symmetrized.
+    omega = np.ones((len(lam), k))
+    omega[k:] = 2.0 * lam[:k] / (lam[:k] - lam[k:, None])
+
+    def product(v):
+        return kernel.inner(V @ (omega * (V.T @ (kernel.combine(v) @ Vn))) @ Vn.T) + mu * v
+
+    return product
+
+
+def _newton_cg(phi, kernel, t, state, max_iter, halt):
+    """Semismooth Newton-CG on phi from t, where phi(t) = state was evaluated.
+
+    Each step solves (Hessian + mu I) p = -g by CG to the relative residual
+    min(0.1, ||g||^(1/2)) with mu = min(1e-2, ||g||), then halves the step from 1
+    until phi meets the Armijo condition (Qi-Sun 2006; Zhao-Sun-Toh 2010).
+    ``halt()`` runs after every evaluation of phi.  Returns the steps taken
+    (at most ``max_iter``), the CG products and the stop reason: "budget
+    spent", "stalled" when no step of at least STEP_FLOOR lowers phi, or "no
+    verified witness" when ``halt()`` held.
+    """
+    f, g, lam, V = state
+    steps = products = 0
+    while steps < max_iter:
+        gnorm = float(np.sqrt(g @ g))
+        hess = _hessian_product(kernel, lam, V, min(1e-2, gnorm))
+        p, r = np.zeros_like(g), -g
+        d, rr = r, float(r @ r)
+        # n CG steps solve the n-dimensional system in exact arithmetic;
+        # rounding may need more, so 2n bounds the products of one step.
+        for _ in range(2 * len(g)):
+            if rr <= (min(0.1, np.sqrt(gnorm)) * gnorm) ** 2:
+                break
+            Hd = hess(d)
+            products += 1
+            a = rr / float(d @ Hd)
+            p, r = p + a * d, r - a * Hd
+            rr, rr_old = float(r @ r), rr
+            d = r + (rr / rr_old) * d
+        slope, step = float(g @ p), 1.0
+        steps += 1
+        while True:
+            trial = phi(t + step * p)
+            if halt():
+                return steps, products, "no verified witness"
+            if trial[0] < f and trial[0] <= f + ARMIJO * step * slope:
+                break
+            step *= 0.5
+            if step < STEP_FLOOR:
+                return steps, products, "stalled"
+        t = t + step * p
+        f, g, lam, V = trial
+    return steps, products, "budget spent"
+
+
 def sos_check(H, tol=1e-9, max_iter=50000):
     """Decide whether H + (kernel shift) meets the PSD cone.
 
     One decision path: after the trace pre-check, phi is evaluated at t = 0,
-    where Z = H.  If H is PSD up to tolerance it is the witness; otherwise
-    L-BFGS minimizes phi when there is a kernel (d >= 4), and at d <= 3, where
-    the affine set is the single point H, that first evaluation is the whole
-    problem.  Every verdict is re-verified on the way out.
+    where Z = H.  If H is PSD up to tolerance it is the witness; otherwise a
+    semismooth Newton-CG minimizes phi when there is a kernel (d >= 4), and
+    at d <= 3, where the affine set is the single point H, that first
+    evaluation is the whole problem.  The Newton-CG stops at the first Z
+    that is PSD up to tolerance, at the first verified certificate, when its
+    line search stalls, or when the budget is spent.  Every verdict is
+    re-verified on the way out.
 
     Parameters
     ----------
     H : (m, m) array, symmetric, m = C(d, 2)
     tol : acceptance tolerance for witness residuals
-    max_iter : iteration budget: L-BFGS iterations of the smooth phase.  The
+    max_iter : iteration budget: Newton steps of the smooth phase.  The
         verdict's ``iterations`` is that count and never exceeds ``max_iter``;
         a verdict decided before iterating (the trace pre-check, PSD H, or
         any H at d <= 3) reports at most 1.
@@ -176,7 +255,8 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     SosVerdict
         Status Feasible with a re-verified PSD witness and skew factors,
         Infeasible with a re-verified certificate, or Undecided with
-        diagnostics when the budget runs out with neither witness in hand.
+        diagnostics when the budget runs out or the line search stalls with
+        neither witness in hand.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -242,32 +322,26 @@ def sos_check(H, tol=1e-9, max_iter=50000):
             best["Z"] = Z
         if f < best["phi"] and k:
             best.update(phi=f, eig_min=float(lam[0]), N=N, g=g)
-        return f, g
+        return f, g, lam, V
+
+    def halt():
+        # The two stop tests: a Z that is PSD up to accept_tol, or a
+        # repaired candidate at the best point with <H, B> <= -margin that
+        # keeps 90% of <H, B0>, so that certificates are nearly as strong as
+        # the stationary one.
+        if best["Z"] is not None:
+            return True
+        N = best["N"]
+        target = min(-margin, 0.9 * np.vdot(H, N) / np.trace(N))
+        return np.vdot(H, _repaired(N, best["g"], kernel)) <= target
 
     # phi(0) decides a PSD H (Z = H is the witness) and, with no kernel, every H.
-    phi(np.zeros(len(kernel)))
+    t = np.zeros(len(kernel))
+    state = phi(t)
     used, stop = 1, "no verified witness"
     if best["Z"] is None and len(kernel):
-        # Smooth phase: L-BFGS on phi.  It stops after the iteration that
-        # evaluates a Z that is PSD up to accept_tol, or once the repaired
-        # candidate at the best point has <H, B> <= -margin and keeps 90% of
-        # <H, B0>, so that certificates are nearly as strong as the stationary one.
         enter("smooth", 0)
-
-        def halt(_):
-            if best["Z"] is not None:
-                raise StopIteration
-            N = best["N"]
-            target = min(-margin, 0.9 * np.vdot(H, N) / np.trace(N))
-            if np.vdot(H, _repaired(N, best["g"], kernel)) <= target:
-                raise StopIteration
-
-        res = minimize(phi, np.zeros(len(kernel)), jac=True, method="L-BFGS-B", callback=halt,
-                       options={"maxiter": max_iter, "maxfun": 20 * max_iter, "ftol": 0.0,
-                                "gtol": 0.0})
-        used = res.nit
-        stats["lbfgs_message"] = str(res.message)
-        stop = "budget spent" if used >= max_iter else stats["lbfgs_message"]
+        used, stats["cg_products"], stop = _newton_cg(phi, kernel, t, state, max_iter, halt)
     if best["Z"] is not None:
         verdict = feasible_verdict(best["Z"], used)
         if verdict is not None:

@@ -431,6 +431,16 @@ def test_twin_command():
     assert j["threshold"] == pytest.approx(np.sqrt(2.0) - 1.0)
 
 
+@pytest.mark.parametrize("nu", ["1e200", "1e-200"])
+def test_nu_squared_out_of_range_is_a_domain_error(nu):
+    # nu^2 overflows, or underflows to 0: an "error" key, not a traceback.
+    rates = ["--kappa", "2", "--nu", nu, "--T", "0.01", "--h", "1e-3", "--seed", "0"]
+    for argv in (["simulate", "--scheme", "scalar", "--x0", "[0.5,0]", "--paths", "2"],
+                 ["twin", "--x0", "[1,0]", "--seeds", "2"]):
+        j = run_json(argv + rates)
+        assert set(j) == {"error"} and "nu^2" in j["error"], argv
+
+
 def test_density_command(model_files):
     j = run_json(["density", "--model", str(model_files["sphere"]), "--x0", "[1,0,0]"])
     assert j["has_smooth_density"] and j["dim_g"] == 3

@@ -37,3 +37,11 @@ def test_demo_runs(demo):
                        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
                        timeout=120)
     assert r.returncode == 0, r.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, quadricdiff; print('scipy.optimize' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -325,15 +325,79 @@ def test_stats_name_the_deciding_phase():
     assert v.iterations == 1 and v.stats["iterations"] == {"precheck": 1}
     v = sos_check(-np.eye(6))
     assert (v.stats["phase"], v.stats["stop"]) == ("precheck", "certificate verified")
+    assert "cg_products" not in v.stats
     v = sos_check(half_rank_form(500, 6))
     assert (v.stats["phase"], v.stats["stop"]) == ("smooth", "feasible point found")
     assert v.stats["iterations"]["smooth"] == v.iterations
+    assert v.stats["cg_products"] >= v.iterations >= 1
     ce = counterexample_d6()
     v = sos_check(ce.h)
     assert (v.stats["phase"], v.stats["stop"]) == ("smooth", "certificate verified")
+    assert v.stats["cg_products"] >= v.iterations >= 1
     assert set(v.stats["seconds"]) == {"precheck", "smooth"}
     assert all(s >= 0.0 for s in v.stats["seconds"].values())
     assert "stats" not in v.to_json()
+
+
+def test_flat_rank_deficient_instance_within_newton_budget():
+    # phi is flat near its zero set here; the verdict must come within a
+    # fixed count of Newton steps, not a wall-clock bound.
+    H = half_rank_form(521, 8)
+    v = sos_check(H, max_iter=100)
+    _assert_feasible_witness(H, v)
+    assert v.iterations <= 100
+
+
+@pytest.mark.parametrize("gap,status", [(5.7e-5, "Infeasible"), (0.0, "Feasible"),
+                                        (1e-5, None), (1e-7, None)])
+def test_counterexample_boundary_scan(gap, status):
+    # counterexample + c I is a sum of squares from c = 1/7 on.  Just below,
+    # the certificate's <H, B> sits inside the margin: the verdict may be
+    # Undecided, never Feasible, and it must come from the stop tests or the
+    # stall stop, not from spending the budget.
+    H = counterexample_d6().h + (1.0 / 7.0 - gap) * np.eye(15)
+    v = sos_check(H)
+    if status is not None:
+        assert v.status == status
+    assert v.status != "Feasible" or gap == 0.0
+    assert v.stats["stop"] != "budget spent" and v.iterations <= 50
+    if v.status == "Feasible":
+        _assert_feasible_witness(H, v)
+    elif v.status == "Infeasible":
+        assert verify_certificate(H, v.certificate)[0]
+    else:
+        assert v.stats["stop"] == "stalled"
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_hessian_product_is_the_divided_difference_derivative(d):
+    # v -> K*(V (Omega o V^T (K v) V) V^T) + mu v, checked against the dense
+    # Daleckii-Krein formula and against central differences of the gradient.
+    from quadricdiff.sos import _hessian_product
+
+    r = np.random.default_rng(d)
+    kernel = _PluckerKernel(d)
+    m = skew_dim(d)
+    X = r.standard_normal((m, m))
+    Z = X + X.T
+    lam, V = np.linalg.eigh(Z)
+    f = np.minimum(lam, 0.0)
+    with np.errstate(invalid="ignore"):
+        omega = (f[:, None] - f[None, :]) / (lam[:, None] - lam[None, :])
+    np.fill_diagonal(omega, lam < 0.0)  # the eigenvalues of Z are distinct
+    v = r.standard_normal(len(kernel))
+    dense = kernel.inner(V @ (omega * (V.T @ kernel.combine(v) @ V)) @ V.T) + 0.3 * v
+    got = _hessian_product(kernel, lam, V, 0.3)(v)
+    assert np.abs(got - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+    def grad(t):
+        w, Q = np.linalg.eigh(Z + kernel.combine(t))
+        k = int(np.searchsorted(w, 0.0))
+        return kernel.inner((Q[:, :k] * w[:k]) @ Q[:, :k].T)
+
+    h = 1e-6
+    fd = (grad(h * v) - grad(-h * v)) / (2 * h) + 0.3 * v
+    assert np.abs(got - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
 def test_undecided_residuals_at_best_point():
@@ -348,13 +412,13 @@ def test_undecided_residuals_at_best_point():
 
 def test_phi_at_zero_decides_psd_and_kernel_free_forms(monkeypatch):
     # A PSD H at any d, and every H at d <= 3, where there is no kernel, is
-    # decided by the first evaluation of phi: L-BFGS never runs.
+    # decided by the first evaluation of phi: the Newton-CG never runs.
     import quadricdiff.sos as sos_module
 
     def refuse(*args, **kwargs):
-        raise AssertionError("minimize must not run")
+        raise AssertionError("the Newton-CG must not run")
 
-    monkeypatch.setattr(sos_module, "minimize", refuse)
+    monkeypatch.setattr(sos_module, "_newton_cg", refuse)
     r = np.random.default_rng(7)
     for d in (4, 6):
         m = skew_dim(d)

@@ -33,9 +33,13 @@ for t in (0.25, 0.5, 1.0, 2.0):
           f"   exp(-t) = {np.exp(-t):.12f}")
 
 # One path: the scheme multiplies by orthogonal matrices, so the norm never
-# drifts off the sphere.
-path = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=7, n_paths=1, keep_paths=True)
-print("\none path of", len(path.paths[0]), "states, max | |X| - 1 | =", path.max_norm_dev)
+# drifts off the sphere.  Its states leave the simulator through a sink, in
+# pieces of (paths, times, d).
+pieces = []
+path = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=7, n_paths=1,
+                       sink=lambda first_id, times, states: pieces.append(states[0]))
+states = np.concatenate(pieces)
+print("\none path of", len(states), "states, max | |X| - 1 | =", path.max_norm_dev)
 
 # An ensemble reproduces the moment within Monte Carlo error.
 ens = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=42, n_paths=50_000)

@@ -7,6 +7,8 @@ reserved for usage and IO errors.  Stochastic commands require an explicit
 """
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from math import comb
@@ -20,7 +22,7 @@ __all__ = ["main"]
 
 
 def _json_out(obj):
-    print(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1))
+    print(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False))
     return 0
 
 
@@ -123,10 +125,7 @@ def _cmd_moments(args):
     mdl = _load_model(args.model)
     q = generator.poly_from_json(_load_json_arg(args.q))
     x0 = _parse_vector(args.x0)
-    try:
-        value = generator.moment(mdl, q, x0, args.T, k=args.k)
-    except ValueError as exc:
-        return _json_out({"error": str(exc)})
+    value = generator.moment(mdl, q, x0, args.T, k=args.k)
     return _json_out({
         "value": value,
         "t": args.T,
@@ -135,41 +134,40 @@ def _cmd_moments(args):
     })
 
 
-def _write_csv(path, result):
-    """One row per path and time: path_id, t, x1..xd, floats written round-trip exact.
+class _CsvFile(contextlib.ExitStack):
+    """A CSV file made at its first write, header first, so a refused run leaves none."""
 
-    Without kept paths the rows are the terminal states at the final time.  The
-    text matches ``np.savetxt`` with formats ``%d`` and ``%.17g`` byte for byte.
-    """
-    d = result.terminal.shape[1]
-    with open(path, "w") as fh:
-        fh.write("path_id,t," + ",".join(f"x{i + 1}" for i in range(d)) + "\n")
-        if result.paths is not None:
-            _write_paths(fh, 0, result.times, result.paths)
-        else:
-            _write_paths(fh, 0, result.times[-1:], result.terminal[:, None, :])
+    def __init__(self, path, d):
+        super().__init__()
+        self.path, self.d, self.fh = path, d, None
+
+    def write(self, text):
+        if self.fh is None:
+            self.fh = self.enter_context(open(self.path, "w"))
+            self.fh.write("path_id,t," + ",".join(f"x{i + 1}" for i in range(self.d)) + "\n")
+        self.fh.write(text)
 
 
 def _write_paths(fh, first_id, times, states):
     """Write the rows of states (n, k, d) at times (k,), path ids from first_id on.
 
-    Each time is formatted once.  Rows go out in blocks of whole paths, at most
-    about 4096 rows each (a longer path is split), and a block's states are
-    formatted by one ``%`` over a template that already holds its ids and times.
+    The text matches ``np.savetxt`` with formats ``%d`` and ``%.17g`` byte for
+    byte.  Each time is formatted once, and each block of 4096 rows by one
+    ``%`` over a template that already holds its ids and times.
     """
     n, k, d = states.shape
     xs = ",".join(["%.17g"] * d) + "\n"
     tail = [",%.17g," % t + xs for t in times.tolist()]
     flat = states.reshape(n * k, d)
-    rows = k * (4096 // k) if k <= 4096 else 4096
-    for lo in range(0, n * k, rows):
-        hi = min(lo + rows, n * k)
+    for lo in range(0, n * k, 4096):
+        hi = min(lo + 4096, n * k)
         template = "".join([str(first_id + i // k) + tail[i % k] for i in range(lo, hi)])
         fh.write(template % tuple(flat[lo:hi].ravel().tolist()))
 
 
 def _cmd_simulate(args):
-    if args.keep_paths and not (args.out or "").endswith(".csv"):
+    to_csv = (args.out or "").endswith(".csv")
+    if args.keep_paths and not to_csv:
         raise SystemExit("--keep-paths requires a .csv --out")
     if args.scheme == "scalar":
         if args.kappa is None or args.nu is None:
@@ -190,19 +188,22 @@ def _cmd_simulate(args):
         if drive is None:
             return _json_out({"error": "no sum-of-squares representation found",
                               "sos_status": verdict.status})
-    run = (x0, args.T, args.h, args.seed, args.paths)
-    if args.scheme == "scalar":
-        result = sim.scalar_ball_ensemble(args.kappa, args.nu, drive, *run,
-                                          keep_paths=args.keep_paths)
-    elif args.scheme == "sphere":
-        result = sim.sphere_ensemble(drive, *run, keep_paths=args.keep_paths)
-    else:
-        # The rotation substep contributes the Ito drift (A_0 + 1/2 sum A_p^2) x,
-        # with A_0 the skew part of B; the radial substep supplies the rest of b + Bx.
-        corr = sum(A.T @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
-        Bhat = 0.5 * (mdl.B + mdl.B.T) + 0.5 * corr
-        result = sim.ball_ensemble(mdl.b, Bhat, mdl.alpha, drive, *run,
-                                   keep_paths=args.keep_paths)
+    with _CsvFile(args.out, len(x0)) as csv:
+        # With --keep-paths the CSV writer is the ensemble's sink.
+        sink = functools.partial(_write_paths, csv) if args.keep_paths else None
+        run = (x0, args.T, args.h, args.seed, args.paths, sink)
+        if args.scheme == "scalar":
+            result = sim.scalar_ball_ensemble(args.kappa, args.nu, drive, *run)
+        elif args.scheme == "sphere":
+            result = sim.sphere_ensemble(drive, *run)
+        else:
+            # The rotation substep contributes the Ito drift (A_0 + 1/2 sum A_p^2) x,
+            # with A_0 the skew part of B; the radial substep supplies the rest of b + Bx.
+            corr = sum(A.T @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
+            Bhat = 0.5 * (mdl.B + mdl.B.T) + 0.5 * corr
+            result = sim.ball_ensemble(mdl.b, Bhat, mdl.alpha, drive, *run)
+        if to_csv and not args.keep_paths:
+            _write_paths(csv, 0, result.times[-1:], result.terminal[:, None, :])
     out = {
         "scheme": result.scheme,
         "n_paths": result.n_paths,
@@ -217,11 +218,9 @@ def _cmd_simulate(args):
         "clamp_fraction": result.clamp_fraction,
     }
     if args.out:
-        if args.out.endswith(".csv"):
-            _write_csv(args.out, result)
-        else:
+        if not to_csv:
             with open(args.out, "w") as fh:
-                json.dump(out, fh, sort_keys=True, indent=1)
+                json.dump(out, fh, sort_keys=True, indent=1, allow_nan=False)
         out["out"] = args.out
     return _json_out(out)
 

@@ -231,7 +231,8 @@ def moment(model, q, x, t, k=None, gk=None):
 
     Raises ValueError for a malformed exponent in q, an x that is not d finite
     numbers within 1e-9 of the state space, a non-finite t or t < 0, deg q > k,
-    or a prebuilt G_k of another dimension.
+    a prebuilt G_k of another dimension, or an action of the exponential that
+    overflows or is not finite.
     """
     d = model.d
     q = _as_poly_dict(q, d)
@@ -249,8 +250,15 @@ def moment(model, q, x, t, k=None, gk=None):
         raise ValueError(f"prebuilt generator matrix has d = {gk.basis.d}, model has d = {d}")
     elif gk.basis.k < deg:
         raise ValueError("prebuilt generator matrix has too small a degree bound")
-    w = expm_multiply(t * gk.G, gk.basis.vector(q))
-    return float(gk.basis.eval_at(x) @ w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w = expm_multiply(t * gk.G, gk.basis.vector(q))
+            value = float(gk.basis.eval_at(x) @ w) if np.all(np.isfinite(w)) else np.inf
+        except OverflowError:
+            value = np.inf
+    if not np.isfinite(value):
+        raise ValueError(f"exp(t G_k) q is not finite at t = {t}: the moment overflows")
+    return value
 
 
 def poly_to_json(q):

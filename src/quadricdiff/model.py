@@ -32,9 +32,35 @@ __all__ = [
 ]
 
 
+def _coefficients(model, **shapes):
+    """Store the named coefficients as float arrays of the given shapes.
+
+    Raises ValueError unless each one has its shape and is finite.
+    """
+    for name, shape in shapes.items():
+        value = np.asarray(getattr(model, name), dtype=float)
+        if value.shape != shape:
+            raise ValueError(f"{name} must have shape {shape} for d = {model.d}, "
+                             f"got {value.shape}")
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+        object.__setattr__(model, name, value)
+
+
+def _square_dim(A, name):
+    """d of a (d, d) matrix A; ValueError if A is not two-dimensional."""
+    if np.ndim(A) != 2:
+        raise ValueError(f"{name} must be a (d, d) matrix, got shape {np.shape(A)}")
+    return np.shape(A)[0]
+
+
 @dataclass(frozen=True)
 class BallModel:
-    """Unit-ball diffusion coefficients (alpha, H, b, B)."""
+    """Unit-ball diffusion coefficients (alpha, H, b, B).
+
+    Raises ValueError unless alpha and B are finite (d, d), b finite (d,) and
+    H finite (m, m), m = C(d, 2).
+    """
 
     alpha: np.ndarray
     H: np.ndarray
@@ -42,16 +68,9 @@ class BallModel:
     B: np.ndarray
 
     def __post_init__(self):
-        d = self.d
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(d))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
+        d = _square_dim(self.alpha, "alpha")
         m = skew_dim(d)
-        if self.H.shape != (m, m):
-            raise ValueError(f"H must be {m} x {m} for d = {d}, got {self.H.shape}")
-        if self.B.shape != (d, d):
-            raise ValueError(f"B must be {d} x {d}, got {self.B.shape}")
+        _coefficients(self, alpha=(d, d), H=(m, m), b=(d,), B=(d, d))
 
     @property
     def d(self):
@@ -64,17 +83,18 @@ class BallModel:
 
 @dataclass(frozen=True)
 class SphereModel:
-    """Unit-sphere diffusion coefficients (H, B)."""
+    """Unit-sphere diffusion coefficients (H, B).
+
+    Raises ValueError unless B is finite (d, d) and H finite (m, m), m = C(d, 2).
+    """
 
     H: np.ndarray
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
-        d = self.d
-        if self.H.shape != (skew_dim(d),) * 2:
-            raise ValueError(f"H must be {skew_dim(d)} square for d = {d}, got {self.H.shape}")
+        d = _square_dim(self.B, "B")
+        m = skew_dim(d)
+        _coefficients(self, H=(m, m), B=(d, d))
 
     @property
     def d(self):
@@ -195,6 +215,10 @@ def sphere_max_quadratic(M, b, tol=1e-13):
     Eigendecomposes M and root-finds the Lagrange multiplier of
     ``2 M x + b = 2 lam x`` on the interval above the top eigenvalue, with the
     standard hard-case branch when b is orthogonal to the leading eigenspace.
+    When an entry of M or b exceeds 2**500, so that a squared norm could
+    overflow, (M, b) is first scaled by a power of two, which is exact; the
+    value and the multiplier are scaled back and the argmax does not move.
+    Raises ValueError unless M and b are finite.
 
     Returns
     -------
@@ -203,8 +227,18 @@ def sphere_max_quadratic(M, b, tol=1e-13):
         residual ``|2 M x + b - 2 lam x|`` is at roundoff level.
     """
     M = np.asarray(M, dtype=float)
-    M = 0.5 * (M + M.T)
     b = np.asarray(b, dtype=float).reshape(M.shape[0])
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
+        raise ValueError("M and b must be finite")
+    M = _sos._symmetric_part(M)
+    big = max(np.abs(M).max(initial=0.0), np.abs(b).max(initial=0.0))
+    shift = int(np.frexp(big)[1]) if big > 2.0 ** 500 else 0
+    value, x, lam = _secular_max(np.ldexp(M, -shift), np.ldexp(b, -shift))
+    return SphereQuadReport(float(np.ldexp(value, shift)), x, float(np.ldexp(lam, shift)))
+
+
+def _secular_max(M, b):
+    """(max value, argmax, multiplier) of :func:`sphere_max_quadratic` for a symmetric M."""
     d = M.shape[0]
     lam_all, V = np.linalg.eigh(M)
     lam_top = lam_all[-1]
@@ -216,7 +250,7 @@ def sphere_max_quadratic(M, b, tol=1e-13):
 
     if bnorm == 0.0:
         x = V[:, -1]
-        return SphereQuadReport(value(x), x, float(lam_top))
+        return value(x), x, lam_top
 
     scale = max(abs(lam_all).max(), bnorm, 1.0)
     top = np.abs(lam_all - lam_top) <= 1e-12 * scale
@@ -249,7 +283,7 @@ def sphere_max_quadratic(M, b, tol=1e-13):
             tau = np.sqrt(max(0.0, 1.0 - nrm ** 2))
             vtop = V[:, np.nonzero(top)[0][0]]
             x = x_perp + tau * vtop
-            return SphereQuadReport(value(x), x, float(lam_top))
+            return value(x), x, lam_top
         # |x(lam_top)| > 1: the secular root lies strictly above lam_top.
         lo = lam_top
     else:
@@ -265,7 +299,7 @@ def sphere_max_quadratic(M, b, tol=1e-13):
     lam = _bracketed_root(secular, lo, hi, xtol=1e-15 * max(1.0, abs(lam_top)), rtol=8.9e-16)
     x, _ = x_of(lam, skip_top=hard)
     x = x / np.linalg.norm(x)
-    return SphereQuadReport(value(x), x, float(lam))
+    return value(x), x, lam
 
 
 def _positivity(H, d):
@@ -303,8 +337,7 @@ def validate_ball(model, tol=1e-7):
     positivity, pos_details = _positivity(model.H, d)
 
     C = trace_form(model.H, d)
-    Bsym = 0.5 * (model.B + model.B.T)
-    quad = sphere_max_quadratic(Bsym + 0.5 * C, model.b)
+    quad = sphere_max_quadratic(_sos._symmetric_part(model.B) + 0.5 * C, model.b)
     drift_ok = quad.max_value <= tol
 
     report = ValidationReport(
@@ -357,7 +390,7 @@ def boundary_attainment(model, tol=1e-7):
 def _attainment(model, tol=1e-7):
     """The sphere-maximum step of :func:`boundary_attainment`, for a validated model."""
     C = trace_form(model.H, model.d)
-    Msym = 0.5 * (model.B + model.B.T) + model.alpha + 0.5 * C
+    Msym = _sos._symmetric_part(model.B) + model.alpha + 0.5 * C
     quad = sphere_max_quadratic(Msym, model.b)
     status = "InteriorInvariant" if quad.max_value <= tol else "MayAttainBoundary"
     return AttainmentReport(status, float(quad.max_value), quad.argmax)

@@ -4,7 +4,9 @@ Each state space has one entry, an ensemble: :func:`sphere_ensemble`,
 :func:`ball_ensemble` and :func:`scalar_ball_ensemble`.  Path k of an ensemble
 is driven by the noise stream of path id k alone, so it is bit-identical to
 row k of any larger ensemble with the same arguments, whatever the block it
-runs in; one path is ``n_paths=1, keep_paths=True`` and ``.paths[0]``.
+runs in.  Kept states leave through a ``sink`` in path-major pieces of whole
+paths or of one path, none larger than a noise chunk; one path is
+``n_paths=1`` with a sink (see :func:`sphere_ensemble`).
 
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
@@ -101,7 +103,7 @@ class SkewDrive:
 
 @dataclass
 class EnsembleResult:
-    """Terminal states (and optionally full paths) of an ensemble."""
+    """Terminal states and norm bookkeeping of an ensemble; kept states went to its sink."""
 
     times: np.ndarray
     terminal: np.ndarray
@@ -111,7 +113,6 @@ class EnsembleResult:
     max_norm_dev: float
     max_radius: np.ndarray
     clamp_fraction: float
-    paths: np.ndarray = None
 
 
 @dataclass
@@ -329,9 +330,11 @@ def path_normals(seed, path_id, n_steps, n_cols):
     return out[0]
 
 
-def _grid(T, h):
+def _grid(T, h, n_paths):
     if not (0 < T < np.inf and 0 < h < np.inf and T / h < np.inf):
         raise ValueError(f"need finite T > 0 and h > 0, got T = {T}, h = {h}")
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     n_steps = max(1, int(round(T / h)))
     return n_steps, T / n_steps
 
@@ -359,14 +362,14 @@ def _row_norms(X, sq, out):
     np.sqrt(out, out=out)
 
 
-def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
+def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink):
     """Advance a block of paths; the radial substep runs iff bhat is not None.
 
-    ``streams`` holds one noise stream per path (see :func:`_streams`).  If
-    ``paths`` is an array of shape (B, n_steps + 1, d), every state is written
-    into it.  Noise arrives in chunks of steps, already scaled by sqrt(h); the
-    norms of a chunk's states are kept and reduced into the running maxima
-    once per chunk.
+    ``streams`` holds one noise stream per path (see :func:`_streams`).  Noise
+    arrives in chunks of steps, already scaled by sqrt(h); the norms of a
+    chunk's states are reduced into the running maxima once per chunk, and
+    ``sink(i, states)``, if given, receives them from grid point i on, a new
+    (B, k, d) array with x0 leading the first.
     """
     d = drive.d
     m = drive.n_diffusion
@@ -379,8 +382,6 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
     sq = np.empty((B, d))
 
     X = np.array(x0s, dtype=float)
-    if paths is not None:
-        paths[:, 0] = X
     sqh = np.sqrt(h)
     As = drive.diffusion
     drift = np.abs(drive.a0).max() > 0
@@ -402,6 +403,10 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
 
     for lo in range(0, n_steps, chunk):
         steps = min(chunk, n_steps - lo)
+        if sink is not None:
+            lead = int(lo == 0)
+            piece = np.empty((B, lead + steps, d))
+            piece[:, :lead] = X[:, None]
         if n_cols:
             _normals_into(streams, noise[:, :steps])
             noise[:, :steps] *= sqh
@@ -430,8 +435,10 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
                     nrm[over] = np.linalg.norm(X[over], axis=1)
             else:
                 _row_norms(X, sq, nrm)
-            if paths is not None:
-                paths[:, lo + j + 1] = X
+            if sink is not None:
+                piece[:, lead + j] = X
+        if sink is not None:
+            sink(lo + 1 - lead, piece)
         done = norms[:steps]
         np.maximum(max_radius, done.max(axis=0), out=max_radius)
         if not radial:
@@ -441,28 +448,29 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths):
 
 
 def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
-              sqrt_alpha=None, keep_paths=False):
-    n_steps, h_eff = _grid(T, h)
-    if n_paths < 1:
-        raise ValueError(f"need n_paths >= 1, got {n_paths}")
-    d = drive.d
-    terminal = np.empty((n_paths, d))
-    all_paths = np.empty((n_paths, n_steps + 1, d)) if keep_paths else None
+              sqrt_alpha=None, sink=None):
+    n_steps, h_eff = _grid(T, h, n_paths)
+    times = np.linspace(0.0, T, n_steps + 1)
+    # Path-major pieces: a kept block's paths fit in one noise chunk, or it is one path.
+    cols = max(1, drive.n_diffusion + (drive.d if bhat is not None else 0))
+    block = _BLOCK if sink is None else min(_BLOCK, max(1, _NOISE_VALUES // (n_steps * cols)))
+    terminal = np.empty((n_paths, drive.d))
     max_radius = np.empty(n_paths)
     max_norm_dev = 0.0
     clamps = 0
-    for start in range(0, n_paths, _BLOCK):
-        ids = range(start, min(start + _BLOCK, n_paths))
+    for start in range(0, n_paths, block):
+        ids = range(start, min(start + block, n_paths))
         x0s = np.tile(x0, (len(ids), 1))
-        out = all_paths[ids.start:ids.stop] if keep_paths else None
+        block_sink = None if sink is None else (
+            lambda i, states, first=start: sink(first, times[i:i + states.shape[1]], states))
         Xt, mr, dev, cl = _run_block(drive, x0s, n_steps, h_eff, _streams(seed, ids),
-                                     bhat, Bhat, sqrt_alpha, out)
+                                     bhat, Bhat, sqrt_alpha, block_sink)
         terminal[ids.start:ids.stop] = Xt
         max_radius[ids.start:ids.stop] = mr
         max_norm_dev = max(max_norm_dev, dev)
         clamps += cl
     return EnsembleResult(
-        times=np.linspace(0.0, T, n_steps + 1),
+        times=times,
         terminal=terminal,
         seed=seed,
         scheme=scheme,
@@ -470,20 +478,20 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
         max_norm_dev=float(max_norm_dev),
         max_radius=max_radius,
         clamp_fraction=clamps / (n_paths * n_steps),
-        paths=all_paths,
     )
 
 
-def sphere_ensemble(drive, x0, T, h, seed, n_paths, keep_paths=False):
+def sphere_ensemble(drive, x0, T, h, seed, n_paths, sink=None):
     """Sphere paths of ``dX = (o dY) X`` by geometric exponential steps.
 
     Requires d finite numbers x0 with |x0| = 1 to 1e-12.  Every state keeps
     unit norm to about 1e-12 because each step multiplies by an orthogonal
-    matrix; the largest deviation is ``max_norm_dev``.  With ``keep_paths``
-    every state is kept.
+    matrix; the largest deviation is ``max_norm_dev``.  A ``sink`` receives
+    every state, x0 included: ``sink(first_id, times, states)`` gets a new
+    (n, k, d) array of paths first_id..first_id+n-1 at the k ``times``.
     """
     x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
-    return _ensemble("sphere", drive, x0, T, h, seed, n_paths, keep_paths=keep_paths)
+    return _ensemble("sphere", drive, x0, T, h, seed, n_paths, sink=sink)
 
 
 def _ball_args(bhat, Bhat, alpha, drive, x0):
@@ -501,7 +509,7 @@ def _ball_args(bhat, Bhat, alpha, drive, x0):
     return bhat, Bsym, _psd_sqrt(alpha, d), _start_point(x0, d, "ball", _X0_TOL)
 
 
-def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=False):
+def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, sink=None):
     """Ball paths: rotation substep by ``drive``, then an Euler-Maruyama radial substep.
 
     The radial substep adds ``(bhat + Bhat x) h`` and
@@ -511,10 +519,11 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, keep_paths=
     States that overshoot the sphere are pulled back just inside it, and
     ``clamp_fraction`` reports how often.  Requires finite coefficients, alpha
     positive semidefinite, and d finite numbers x0 with |x0| <= 1 + 1e-12.
+    ``sink`` is that of :func:`sphere_ensemble`.
     """
     bhat, Bhat, sqa, x0 = _ball_args(bhat, Bhat, alpha, drive, x0)
     return _ensemble("ball", drive, x0, T, h, seed, n_paths, bhat=bhat, Bhat=Bhat,
-                     sqrt_alpha=sqa, keep_paths=keep_paths)
+                     sqrt_alpha=sqa, sink=sink)
 
 
 def _scalar_args(kappa, nu, d):
@@ -535,13 +544,13 @@ def _scalar_args(kappa, nu, d):
     return np.zeros(d), -kappa * np.eye(d), nu2 * np.eye(d)
 
 
-def scalar_ball_ensemble(kappa, nu, drive, x0, T, h, seed, n_paths, keep_paths=False):
+def scalar_ball_ensemble(kappa, nu, drive, x0, T, h, seed, n_paths, sink=None):
     """:func:`ball_ensemble` with Bhat = -kappa Id and alpha = nu^2 Id, and bhat = 0.
 
     Y = 1 - |X|^2 then has the closed drift ``2 kappa |X|^2 - d nu^2 Y``.
     """
     result = ball_ensemble(*_scalar_args(kappa, nu, drive.d), drive, x0, T, h, seed,
-                           n_paths, keep_paths)
+                           n_paths, sink)
     result.scheme = "scalar"
     return result
 
@@ -553,13 +562,20 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
     X~ from (1 - eps) x0 with the identical stream and records the largest
     gap sup_t |X_t - X~_t|.  With eps = 0 the pairs coincide bitwise.  The
     report carries the pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.
+    Each pair runs side by side in one block, and only the running maxima are kept.
     """
     x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
-    run = (T, h, seed, n_seeds)
-    paths_a = scalar_ball_ensemble(kappa, nu, drive, x0, *run, keep_paths=True).paths
-    paths_b = scalar_ball_ensemble(kappa, nu, drive, (1.0 - eps) * x0, *run,
-                                   keep_paths=True).paths
-    gap = np.linalg.norm(paths_a - paths_b, axis=2).max(axis=1)
+    bhat, Bhat, sqa, x0 = _ball_args(*_scalar_args(kappa, nu, drive.d), drive, x0)
+    starts = np.stack([x0, _start_point((1.0 - eps) * x0, drive.d, "ball", _X0_TOL)])
+    n_steps, h_eff = _grid(T, h, n_seeds)
+    gap = np.zeros(n_seeds)
+
+    def fold(i, states):
+        np.maximum(gap, np.linalg.norm(states[0::2] - states[1::2], axis=2).max(axis=1),
+                   out=gap)
+
+    _run_block(drive, np.tile(starts, (n_seeds, 1)), n_steps, h_eff,
+               _streams(seed, np.repeat(range(n_seeds), 2)), bhat, Bhat, sqa, fold)
     ratio = kappa / nu ** 2
     return TwinPathReport(
         max_divergence=gap,
@@ -567,7 +583,7 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
         kappa_nu_ratio=ratio,
         uniqueness_condition=bool(ratio > np.sqrt(2.0) - 1.0),
         T=T,
-        h=_grid(T, h)[1],
+        h=h_eff,
     )
 
 

@@ -105,11 +105,26 @@ class NonnegReport:
         return "NegativeWitness" if self.negative else "NonnegativeUpTo"
 
 
-def _d_from_m(m):
-    d = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
-    if skew_dim(d) != m:
-        raise ValueError(f"{m} is not C(d, 2) for any integer d")
+def _d_of(H, name="H"):
+    """d of an (m, m) matrix with m = C(d, 2); ValueError naming the shape otherwise."""
+    m = H.shape[0] if H.ndim == 2 else -1
+    d = int(round((1 + np.sqrt(1 + 8 * max(m, 0))) / 2))
+    if H.shape != (m, m) or skew_dim(d) != m:
+        raise ValueError(f"{name} must be (m, m) with m = C(d, 2), got shape {H.shape}")
     return d
+
+
+def _symmetric_part(A):
+    """0.5 (A + A^T) of a finite A, with 0.5 A + 0.5 A^T where the sum overflows.
+
+    Both are exact on a symmetric entry, so a symmetric A keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        S = 0.5 * (A + A.T)
+    over = ~np.isfinite(S)
+    if over.any():
+        S[over] = (0.5 * A + 0.5 * A.T)[over]
+    return S
 
 
 def _eig_min(X):
@@ -135,7 +150,7 @@ def verify_certificate(H, B, tol=1e-9):
     """
     H = np.asarray(H, dtype=float)
     B = np.asarray(B, dtype=float)
-    kernel = _PluckerKernel(_d_from_m(H.shape[0]))
+    kernel = _PluckerKernel(_d_of(H))
     korth = float(np.abs(kernel.inner(B)).max(initial=0.0))
     report = {
         "eig_min": _eig_min(B),
@@ -243,7 +258,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
 
     Parameters
     ----------
-    H : (m, m) array, symmetric, m = C(d, 2)
+    H : finite (m, m) array, m = C(d, 2); its symmetric part is used
     tol : acceptance tolerance for witness residuals
     max_iter : iteration budget: Newton steps of the smooth phase.  The
         verdict's ``iterations`` is that count and never exceeds ``max_iter``;
@@ -257,6 +272,9 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         Infeasible with a re-verified certificate, or Undecided with
         diagnostics when the budget runs out or the line search stalls with
         neither witness in hand.
+
+    Raises ValueError for an H of another shape, with a non-finite entry, or
+    so large that phi(0) is not finite.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -277,12 +295,14 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         return SosVerdict(status, d, iterations=used, stats=stats, **kw)
 
     H = np.asarray(H, dtype=float)
+    d = _d_of(H)
     m = H.shape[0]
-    d = _d_from_m(m)
+    if not np.all(np.isfinite(H)):
+        raise ValueError("H must be finite")
     if m == 0:
         return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H.copy(), factors=[],
                           residuals={"eig_min": 0.0})
-    H = 0.5 * (H + H.T)
+    H = _symmetric_part(H)
     scale = max(1.0, float(np.linalg.norm(H)))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
@@ -338,6 +358,8 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     # phi(0) decides a PSD H (Z = H is the witness) and, with no kernel, every H.
     t = np.zeros(len(kernel))
     state = phi(t)
+    if not np.isfinite(state[0]):
+        raise ValueError(f"phi(0) = {state[0]} is not finite: the entries of H are too large")
     used, stop = 1, "no verified witness"
     if best["Z"] is None and len(kernel):
         enter("smooth", 0)
@@ -363,8 +385,8 @@ def sos_decompose(H_star, tol=1e-9):
     ValueError, small negatives are clipped.
     """
     H_star = np.asarray(H_star, dtype=float)
+    d = _d_of(H_star, "H_star")
     m = H_star.shape[0]
-    d = _d_from_m(m)
     if m == 0:
         return []
     lam, V = np.linalg.eigh(H_star)
@@ -397,7 +419,7 @@ def nonneg_check(H, samples=100, restarts=25, seed=0):
     yields a witness, otherwise only the smallest value found is reported.
     """
     H = np.asarray(H, dtype=float)
-    d = _d_from_m(H.shape[0])
+    d = _d_of(H)
     rng = np.random.default_rng(seed)
     best_val = np.inf
     best_xy = (np.zeros(d), np.zeros(d))

@@ -7,6 +7,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
+from kept import Kept, kept_run
 from quadricdiff.cli import main
 from quadricdiff.model import BallModel, SphereModel, model_to_json
 from quadricdiff.skew import skew_dim
@@ -156,8 +157,7 @@ def test_simulate_csv_values_round_trip(model_files):
     from quadricdiff.simulate import SkewDrive, scalar_ball_ensemble
 
     x0, T, h, seed, n = [0.1, -0.2, 0.3], 0.05, 0.01, 7, 4
-    ens = scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), x0, T, h, seed, n,
-                               keep_paths=True)
+    ens, paths = kept_run(scalar_ball_ensemble, 2.0, 1.0, SkewDrive.zero(3), x0, T, h, seed, n)
     argv = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
             "--x0", json.dumps(x0), "--T", str(T), "--h", str(h), "--paths", str(n),
             "--seed", str(seed)]
@@ -168,7 +168,7 @@ def test_simulate_csv_values_round_trip(model_files):
     assert header == "path_id,t,x1,x2,x3"
     assert np.array_equal(rows[:, 0], np.repeat(np.arange(n), k))
     assert rows[:, 1].tobytes() == np.tile(ens.times, n).tobytes()
-    assert rows[:, 2:].tobytes() == ens.paths.reshape(n * k, 3).tobytes()
+    assert rows[:, 2:].tobytes() == paths.reshape(n * k, 3).tobytes()
     terminal = model_files["tmp"] / "round_trip_terminal.csv"
     run_json(argv + ["--out", str(terminal)])
     _, rows = _read_csv(terminal)
@@ -178,17 +178,16 @@ def test_simulate_csv_values_round_trip(model_files):
 
 
 def test_csv_writer_blocks_are_exact(model_files):
-    # 30001 rows per path: the writer's blocks of whole paths hold two, then one
-    from quadricdiff.cli import _write_csv
-    from quadricdiff.simulate import EnsembleResult
+    # 30001 rows per path: the writer's 4096-row blocks straddle the paths
+    from quadricdiff.cli import _CsvFile, _write_paths
 
     r = np.random.default_rng(5)
     n, k, d = 3, 30001, 2
     paths = r.standard_normal((n, k, d)) * 10.0 ** r.integers(-300, 300, (n, k, d))
     times = np.linspace(0.0, 0.3, k)
-    ens = EnsembleResult(times, paths[:, -1], 0, "sphere", n, 0.0, np.zeros(n), 0.0, paths)
     out = model_files["tmp"] / "blocks.csv"
-    _write_csv(out, ens)
+    with _CsvFile(out, d) as fh:
+        _write_paths(fh, 0, times, paths)
     header, rows = _read_csv(out)
     assert header == "path_id,t,x1,x2"
     assert np.array_equal(rows[:, 0], np.repeat(np.arange(n), k))
@@ -197,18 +196,17 @@ def test_csv_writer_blocks_are_exact(model_files):
 
 
 def test_csv_writer_matches_savetxt(model_files):
-    # 15001 rows per path: blocks of four paths, then one
-    from quadricdiff.cli import _write_csv
-    from quadricdiff.simulate import EnsembleResult
+    # 15001 rows per path, written in 4096-row blocks
+    from quadricdiff.cli import _CsvFile, _write_paths
 
     r = np.random.default_rng(6)
     n, k, d = 5, 15001, 3
     paths = r.standard_normal((n, k, d)) * 10.0 ** r.integers(-320, 300, (n, k, d))
     paths[0, 0] = [-0.0, 5e-324, -1.0]
     times = np.linspace(0.0, 0.7, k)
-    ens = EnsembleResult(times, paths[:, -1], 0, "ball", n, 0.0, np.zeros(n), 0.0, paths)
     out = model_files["tmp"] / "savetxt.csv"
-    _write_csv(out, ens)
+    with _CsvFile(out, d) as fh:
+        _write_paths(fh, 0, times, paths)
     rows = np.column_stack([np.repeat(np.arange(n), k), np.tile(times, n),
                             paths.reshape(-1, d)])
     ref = StringIO()
@@ -220,16 +218,15 @@ def test_csv_writer_matches_savetxt(model_files):
 def test_csv_writer_memory_is_bounded(model_files):
     import tracemalloc
 
-    from quadricdiff.cli import _write_csv
-    from quadricdiff.simulate import EnsembleResult
+    from quadricdiff.cli import _CsvFile, _write_paths
 
     n, k, d = 100, 1001, 3
     paths = np.random.default_rng(7).standard_normal((n, k, d))
-    ens = EnsembleResult(np.linspace(0.0, 1.0, k), paths[:, -1], 0, "scalar", n, 0.0,
-                         np.zeros(n), 0.0, paths)
+    times = np.linspace(0.0, 1.0, k)
     tracemalloc.start()
     try:
-        _write_csv(model_files["tmp"] / "memory.csv", ens)
+        with _CsvFile(model_files["tmp"] / "memory.csv", d) as fh:
+            _write_paths(fh, 0, times, paths)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -241,7 +238,6 @@ def test_csv_terminal_export_is_savetxt_in_blocks(model_files, monkeypatch):
     import builtins
 
     from quadricdiff import cli
-    from quadricdiff.simulate import EnsembleResult
 
     writes = []
 
@@ -266,9 +262,9 @@ def test_csv_terminal_export_is_savetxt_in_blocks(model_files, monkeypatch):
     terminal = r.standard_normal((n, d)) * 10.0 ** r.integers(-320, 300, (n, d))
     terminal[0] = [-0.0, 5e-324]
     times = np.linspace(0.0, 0.9, 301)
-    ens = EnsembleResult(times, terminal, 0, "ball", n, 0.0, np.zeros(n), 0.0, None)
     out = model_files["tmp"] / "terminal.csv"
-    cli._write_csv(out, ens)
+    with cli._CsvFile(out, d) as fh:
+        cli._write_paths(fh, 0, times[-1:], terminal[:, None, :])
     rows = np.column_stack([np.arange(n), np.full(n, times[-1]), terminal])
     ref = StringIO()
     ref.write("path_id,t,x1,x2\n")
@@ -277,6 +273,53 @@ def test_csv_terminal_export_is_savetxt_in_blocks(model_files, monkeypatch):
     # the header, then blocks of many rows each
     assert writes[0] == 1 and sum(writes[1:]) == n
     assert len(writes) <= 1 + n // 1000 and min(writes[1:-1]) > 1000
+
+
+def test_keep_paths_csv_in_pieces_is_savetxt(model_files, monkeypatch):
+    from quadricdiff import simulate
+    from quadricdiff.simulate import SkewDrive, scalar_ball_ensemble
+
+    # 50 noise values: blocks of one path, pieces of 16 steps, 7 pieces a path
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 50)
+    x0, T, h, seed, n = [0.2, -0.1, 0.4], 0.1, 1e-3, 9, 3
+    sink = Kept()
+    ens = scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), x0, T, h, seed, n, sink=sink)
+    assert len(sink.pieces) == 7 * n
+    out = model_files["tmp"] / "pieces.csv"
+    run_json(["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
+              "--x0", json.dumps(x0), "--T", str(T), "--h", str(h), "--paths", str(n),
+              "--seed", str(seed), "--keep-paths", "--out", str(out)])
+    k = len(ens.times)
+    rows = np.column_stack([np.repeat(np.arange(n), k), np.tile(ens.times, n),
+                            sink.paths.reshape(-1, 3)])
+    ref = StringIO()
+    ref.write("path_id,t,x1,x2,x3\n")
+    np.savetxt(ref, rows, fmt=["%d"] + ["%.17g"] * 4, delimiter=",")
+    assert out.read_text() == ref.getvalue()
+
+
+def test_keep_paths_memory_does_not_grow_with_steps(model_files, monkeypatch):
+    import tracemalloc
+
+    from quadricdiff import simulate
+
+    # 1024 noise values: blocks of one 16-d path, pieces of 64 steps
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 1 << 10)
+    out = model_files["tmp"] / "kept_memory.csv"
+    for steps in (250, 1000):
+        argv = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
+                "--x0", json.dumps([0.0] * 16), "--T", "1", "--h", str(1.0 / steps),
+                "--paths", "4", "--seed", "3", "--keep-paths", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            run_json(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 1 + 4 * (steps + 1)
+        # the whole (4, 251, 16) path array and the text of its 1004 rows take
+        # 1.2 MB at 250 steps, and the 1000-step ones 4.7 MB
+        assert peak < 1e6, steps
 
 
 def test_simulate_rejects_bad_inputs(model_files):
@@ -308,6 +351,16 @@ def test_validate_ball_runs_one_sos_check(model_files, monkeypatch):
     j = run_json(["validate", "--model", str(path)])
     assert j["admissible"] and j["boundary"]["status"] == "InteriorInvariant"
     assert len(calls) == 1
+
+
+def test_refused_keep_paths_run_leaves_no_file(model_files):
+    out = model_files["tmp"] / "refused.csv"
+    base = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1", "--T", "0.1",
+            "--h", "0.01", "--paths", "3", "--keep-paths", "--out", str(out)]
+    for bad in (["--x0", "[2,0]", "--seed", "0"], ["--x0", "[0.5,0]", "--seed", "-1"],
+                ["--x0", "[0.5,0]", "--seed", "0", "--kappa", "inf"]):
+        assert set(run_json(base + bad)) == {"error"}, bad
+        assert not out.exists(), bad
 
 
 def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch):

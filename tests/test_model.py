@@ -212,3 +212,58 @@ def test_model_json_roundtrip():
     sp = sphere_bm(4)
     back = model_from_json(json.loads(json.dumps(model_to_json(sp))))
     assert back.space == "sphere" and np.allclose(back.B, sp.B)
+
+
+def test_models_refuse_non_finite_or_misshapen_coefficients():
+    ball = {"alpha": np.eye(3), "H": np.eye(3), "b": np.zeros(3), "B": -np.eye(3)}
+    sphere = {"H": np.eye(3), "B": -np.eye(3)}
+    for cls, good in ((BallModel, ball), (SphereModel, sphere)):
+        cls(**good)
+        for name in good:
+            for bad in (np.nan, np.inf, -np.inf):
+                coeffs = dict(good, **{name: np.array(good[name], dtype=float)})
+                coeffs[name].flat[-1] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    cls(**coeffs)
+    misshapen = [(BallModel, dict(ball, alpha=np.ones(3))),
+                 (BallModel, dict(ball, alpha=np.ones((3, 2)))),
+                 (BallModel, dict(ball, H=np.eye(2))),
+                 (BallModel, dict(ball, b=np.zeros((1, 3)))),
+                 (BallModel, dict(ball, b=np.zeros(2))),
+                 (BallModel, dict(ball, B=np.eye(2))),
+                 (SphereModel, dict(sphere, B=np.ones(3))),
+                 (SphereModel, dict(sphere, H=np.eye(6)))]
+    for cls, coeffs in misshapen:
+        with pytest.raises(ValueError, match="shape"):
+            cls(**coeffs)
+
+
+def test_sphere_max_quadratic_rescales_huge_coefficients():
+    r = sphere_max_quadratic(np.diag([1.0, 2.0]), np.array([1e200, 1e200]))
+    assert r.max_value == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-12)
+    assert np.allclose(r.argmax, [2 ** -0.5, 2 ** -0.5], rtol=0, atol=1e-12)
+    assert r.multiplier == pytest.approx(1e200 / np.sqrt(2.0), rel=1e-12)
+    for M, b in ((np.diag([np.nan, 1.0]), np.zeros(2)), (np.eye(2), np.array([np.inf, 0.0]))):
+        with pytest.raises(ValueError, match="finite"):
+            sphere_max_quadratic(M, b)
+
+
+def test_validate_returns_on_huge_finite_coefficients():
+    import signal
+
+    def stuck(*_):
+        raise TimeoutError("validate_ball did not return within 20 s")
+
+    mdl = BallModel(alpha=np.eye(2), H=np.eye(1), b=np.array([1e308, 1e308]),
+                    B=-1e308 * np.eye(2))
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        rep = validate_ball(mdl)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # max of b.x - 1e308 |x|^2 + c_H/2 on the sphere is (sqrt(2) - 1) 1e308
+    drift = rep.checks["drift"]
+    assert not rep.admissible and not drift["pass"]
+    assert drift["max_value"] == pytest.approx((np.sqrt(2.0) - 1.0) * 1e308, rel=1e-12)

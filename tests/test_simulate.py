@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 from scipy.special import ndtri
 
+from kept import Kept, kept_run
 from quadricdiff import simulate
 from quadricdiff.generator import moment
 from quadricdiff.model import BallModel, SphereModel
@@ -63,16 +64,16 @@ def test_sphere_deterministic_rotation():
     A0 = np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 0]])
     drive = SkewDrive(A0, np.zeros((0, 3, 3)))
     x0 = np.array([1.0, 0.0, 0.0])
-    s = sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=1, n_paths=1, keep_paths=True)
-    assert np.linalg.norm(s.paths[0, -1] - scipy_expm(A0) @ x0) < 1e-12
+    s, paths = kept_run(sphere_ensemble, drive, x0, T=1.0, h=1e-3, seed=1, n_paths=1)
+    assert np.linalg.norm(paths[0, -1] - scipy_expm(A0) @ x0) < 1e-12
     assert s.max_norm_dev < 1e-12
 
 
 def test_sphere_norm_preservation_and_determinism():
     drive = SkewDrive.elementary(3)
     x0 = np.array([0.0, 0.0, 1.0])
-    s1, s2, s3 = (sphere_ensemble(drive, x0, T=1.0, h=1e-3, seed=seed, n_paths=1,
-                                  keep_paths=True).paths[0] for seed in (7, 7, 8))
+    s1, s2, s3 = (kept_run(sphere_ensemble, drive, x0, T=1.0, h=1e-3, seed=seed,
+                           n_paths=1)[1][0] for seed in (7, 7, 8))
     assert np.array_equal(s1, s2)
     assert np.abs(np.linalg.norm(s1, axis=1) - 1.0).max() <= 1e-12
     assert not np.array_equal(s1, s3)
@@ -83,30 +84,30 @@ def test_sphere_norm_preservation_and_determinism():
 def test_ensemble_path_zero_matches_single_path():
     drive = SkewDrive.elementary(3)
     x0 = np.array([1.0, 0.0, 0.0])
-    s = sphere_ensemble(drive, x0, T=0.3, h=1e-3, seed=5, n_paths=1, keep_paths=True)
-    ens = sphere_ensemble(drive, x0, T=0.3, h=1e-3, seed=5, n_paths=4, keep_paths=True)
-    assert np.array_equal(ens.paths[0], s.paths[0])
+    _, s = kept_run(sphere_ensemble, drive, x0, T=0.3, h=1e-3, seed=5, n_paths=1)
+    _, ens = kept_run(sphere_ensemble, drive, x0, T=0.3, h=1e-3, seed=5, n_paths=4)
+    assert np.array_equal(ens[0], s[0])
 
 
 def test_ball_ensemble_matches_single():
     drive = SkewDrive.elementary(2)
     args = (np.array([0.05, 0.0]), -np.eye(2), 0.2 * np.eye(2), drive,
             np.zeros(2), 0.3, 1e-3)
-    p = ball_ensemble(*args, seed=9, n_paths=1, keep_paths=True)
-    ens = ball_ensemble(*args, seed=9, n_paths=3, keep_paths=True)
-    assert np.array_equal(ens.paths[0], p.paths[0])
+    _, p = kept_run(ball_ensemble, *args, seed=9, n_paths=1)
+    _, ens = kept_run(ball_ensemble, *args, seed=9, n_paths=3)
+    assert np.array_equal(ens[0], p[0])
 
 
 def _block_runs(n_paths):
-    """Sphere, ball with a drive, and scalar ensembles of n_paths kept paths."""
+    """(result, paths) of sphere, ball with a drive, and scalar ensembles of n_paths."""
     e3 = SkewDrive.elementary(3, a0=0.7 * skew_basis(3)[0])
     x3 = np.array([0.0, 0.6, 0.8])
     return [
-        sphere_ensemble(e3, x3, 0.03, 1e-3, 5, n_paths, keep_paths=True),
-        ball_ensemble(np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
-                      0.5 * x3, 0.03, 1e-3, 6, n_paths, keep_paths=True),
-        scalar_ball_ensemble(0.2, 1.0, SkewDrive.zero(2), [0.6, 0.79], 0.05, 1e-2, 7,
-                             n_paths, keep_paths=True),
+        kept_run(sphere_ensemble, e3, x3, 0.03, 1e-3, 5, n_paths),
+        kept_run(ball_ensemble, np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
+                 0.5 * x3, 0.03, 1e-3, 6, n_paths),
+        kept_run(scalar_ball_ensemble, 0.2, 1.0, SkewDrive.zero(2), [0.6, 0.79], 0.05, 1e-2, 7,
+                 n_paths),
     ]
 
 
@@ -117,12 +118,13 @@ def test_path_does_not_depend_on_its_neighbours(monkeypatch):
     monkeypatch.setattr(simulate, "_BLOCK", 3)
     sevens = _block_runs(7)
     for seven, one, eight, whole in zip(sevens, _block_runs(1), _block_runs(8), single_block):
+        seven, seven_paths = seven
         for k in range(7):
-            for other in ((one, eight, whole) if k == 0 else (eight, whole)):
-                assert seven.paths[k].tobytes() == other.paths[k].tobytes(), (seven.scheme, k)
+            for other, paths in ((one, eight, whole) if k == 0 else (eight, whole)):
+                assert seven_paths[k].tobytes() == paths[k].tobytes(), (seven.scheme, k)
                 assert seven.terminal[k].tobytes() == other.terminal[k].tobytes()
                 assert seven.max_radius[k] == other.max_radius[k]
-    assert sevens[2].clamp_fraction > 0, "the scalar case must clamp"
+    assert sevens[2][0].clamp_fraction > 0, "the scalar case must clamp"
 
 
 def test_sphere_mc_matches_generator_moment():
@@ -139,16 +141,16 @@ def test_sphere_mc_matches_generator_moment():
 
 def test_ball_pure_rotation_keeps_radius():
     drive = SkewDrive.elementary(2)
-    p = ball_ensemble(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)), drive,
-                      np.array([0.5, 0.0]), 1.0, 1e-3, seed=3, n_paths=1, keep_paths=True)
-    assert np.abs(np.linalg.norm(p.paths[0], axis=1) - 0.5).max() <= 1e-12
+    _, p = kept_run(ball_ensemble, np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2)), drive,
+                    np.array([0.5, 0.0]), 1.0, 1e-3, seed=3, n_paths=1)
+    assert np.abs(np.linalg.norm(p[0], axis=1) - 0.5).max() <= 1e-12
 
 
 def test_ball_states_stay_inside():
     drive = SkewDrive.zero(2)
-    p = ball_ensemble(np.array([0.3, 0.0]), -0.5 * np.eye(2), np.eye(2), drive,
-                      np.zeros(2), 2.0, 1e-3, seed=11, n_paths=1, keep_paths=True)
-    assert np.linalg.norm(p.paths[0], axis=1).max() <= 1.0
+    p, paths = kept_run(ball_ensemble, np.array([0.3, 0.0]), -0.5 * np.eye(2), np.eye(2),
+                        drive, np.zeros(2), 2.0, 1e-3, seed=11, n_paths=1)
+    assert np.linalg.norm(paths[0], axis=1).max() <= 1.0
     assert 0.0 <= p.clamp_fraction <= 1.0
 
 
@@ -182,9 +184,9 @@ def test_scalar_ball_reduces_to_jacobi():
 def test_scalar_ball_y_diagnostics():
     kappa, nu, d = 2.0, 1.0, 2
     drive = SkewDrive.zero(d)
-    s = scalar_ball_ensemble(kappa, nu, drive, np.array([0.5, 0.0]), T=1.0, h=1e-3, seed=5,
-                             n_paths=1, keep_paths=True)
-    r2 = np.einsum("ni,ni->n", s.paths[0], s.paths[0])
+    s, paths = kept_run(scalar_ball_ensemble, kappa, nu, drive, np.array([0.5, 0.0]), T=1.0,
+                        h=1e-3, seed=5, n_paths=1)
+    r2 = np.einsum("ni,ni->n", paths[0], paths[0])
     y = 1.0 - r2
     h = s.times[1] - s.times[0]
     # in-sample drift residual of the closed Y dynamics is noise-level
@@ -274,16 +276,17 @@ def _chunk_runs():
         ball_ensemble(np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
                       0.5 * x3, 0.03, 1e-3, 6, 4),                       # radial + drive
         scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(1), [0.5], 0.05, 1e-3, 7, 3),
-        scalar_ball_ensemble(1.0, 0.5, SkewDrive.zero(2), [0.3, 0.1], 0.041, 1e-3, 8, 3,
-                             keep_paths=True),
     ]
+    last, last_paths = kept_run(scalar_ball_ensemble, 1.0, 0.5, SkewDrive.zero(2), [0.3, 0.1],
+                                0.041, 1e-3, 8, 3)
+    ens.append(last)
     out = [np.concatenate([r.terminal.ravel(), r.max_radius,
                            [r.max_norm_dev, r.clamp_fraction]]) for r in ens]
-    out.append(ens[-1].paths.ravel())
-    out.append(ball_ensemble(np.zeros(2), -np.eye(2), np.eye(2), SkewDrive.elementary(2),
-                             np.array([0.2, 0.1]), 0.037, 1e-3, 9, 1,
-                             keep_paths=True).paths[0].ravel())
-    out.append(sphere_ensemble(e3, x3, 0.031, 1e-3, 10, 8, keep_paths=True).paths[7].ravel())
+    out.append(last_paths.ravel())
+    out.append(kept_run(ball_ensemble, np.zeros(2), -np.eye(2), np.eye(2),
+                        SkewDrive.elementary(2), np.array([0.2, 0.1]), 0.037, 1e-3, 9,
+                        1)[1][0].ravel())
+    out.append(kept_run(sphere_ensemble, e3, x3, 0.031, 1e-3, 10, 8)[1][7].ravel())
     out.append(twin_path_experiment(1.0, 1.0, SkewDrive.zero(2), np.array([0.6, 0.8]),
                                     0.03, 1e-3, 3, seed=11, eps=1e-3).max_divergence)
     return out
@@ -311,9 +314,9 @@ def test_path_normals_is_the_integers_stream():
 def test_ensemble_noise_is_the_path_normals_stream():
     # radial-only Brownian motion from the centre: each increment reveals its normal
     n, steps, h = 3, 40, 1e-6
-    ens = ball_ensemble(np.zeros(1), np.zeros((1, 1)), np.eye(1), SkewDrive.zero(1),
-                        [0.0], steps * h, h, 13, n, keep_paths=True)
-    x = ens.paths[:, :, 0]
+    _, paths = kept_run(ball_ensemble, np.zeros(1), np.zeros((1, 1)), np.eye(1),
+                        SkewDrive.zero(1), [0.0], steps * h, h, 13, n)
+    x = paths[:, :, 0]
     z = np.diff(x, axis=1) / (np.sqrt(1.0 - x[:, :-1] ** 2) * np.sqrt(h))
     for pid in range(n):
         assert np.allclose(z[pid], path_normals(13, pid, steps, 1)[:, 0], rtol=1e-6, atol=1e-6)
@@ -347,6 +350,63 @@ def test_block_noise_memory_is_bounded():
         tracemalloc.stop()
     # all of the noise at once would be 1024 x 2000 x 3 x 8 B = 49 MB
     assert peak < 24e6
+
+
+def test_sink_pieces_are_path_major_and_no_larger_than_a_noise_chunk(monkeypatch):
+    # 300 noise values hold 20 steps of 5 three-column paths, or 100 steps of one.
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 300)
+    for n_paths, T, n_pieces in ((12, 0.02, 3), (3, 0.5, 15)):
+        kept = Kept()
+        ens = scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), np.zeros(3), T, 1e-3, 1,
+                                   n_paths, sink=kept)
+        assert kept.paths.shape == (n_paths, len(ens.times), 3)
+        assert kept.times.tobytes() == ens.times.tobytes()
+        assert len(kept.pieces) == n_pieces
+        for first, times, states in kept.pieces:
+            n, k, _ = states.shape
+            assert n * (k - (times[0] == 0.0)) * 3 <= 300
+
+
+def _twin_from_two_ensembles(kappa, nu, drive, x0, T, h, n_seeds, seed, eps):
+    """max_divergence from two whole kept ensembles, X from x0 and X~ from (1 - eps) x0."""
+    run = (T, h, seed, n_seeds)
+    _, a = kept_run(scalar_ball_ensemble, kappa, nu, drive, x0, *run)
+    _, b = kept_run(scalar_ball_ensemble, kappa, nu, drive, (1.0 - eps) * x0, *run)
+    return np.linalg.norm(a - b, axis=2).max(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_twin_divergence_matches_two_ensembles(monkeypatch, d):
+    drive = SkewDrive.elementary(3, a0=0.5 * skew_basis(3)[1]) if d == 3 else SkewDrive.zero(d)
+    x0 = np.ones(d) / np.sqrt(d)
+    for eps in (0.0, 1e-3, 1e-8):
+        for seed in range(5):
+            args = (1.0, 0.7, drive, x0, 0.05, 1e-3, 5, seed, eps)
+            ref = _twin_from_two_ensembles(*args)
+            with monkeypatch.context() as patch:
+                # blocks of two pairs and one, chunks of two and four steps
+                patch.setattr(simulate, "_BLOCK", 5)
+                patch.setattr(simulate, "_NOISE_VALUES", 8 * (d + drive.n_diffusion))
+                split = twin_path_experiment(*args[:7], seed=seed, eps=eps).max_divergence
+            whole = twin_path_experiment(*args[:7], seed=seed, eps=eps).max_divergence
+            assert whole.tobytes() == ref.tobytes(), (eps, seed)
+            assert split.tobytes() == ref.tobytes(), (eps, seed)
+            assert (ref == 0).all() == (eps == 0.0)
+
+
+def test_twin_memory_does_not_grow_with_steps(monkeypatch):
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 1 << 10)
+    for steps in (1000, 4000):
+        tracemalloc.start()
+        try:
+            twin_path_experiment(1.0, 1.0, SkewDrive.zero(2), np.array([0.6, 0.8]), 1.0,
+                                 1.0 / steps, 16, seed=1, eps=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two whole 16-path ensembles would be 2 x 16 x 1001 x 2 x 8 B = 0.5 MB at
+        # 1000 steps, and four times that at 4000
+        assert peak < 1e6, steps
 
 
 def _reference_streams(seed, path_ids):
@@ -468,8 +528,13 @@ def test_run_block_matches_reference_loop(monkeypatch, noise_values):
         x0s = np.tile(x0, (n, 1))
         got_paths = np.empty((n, steps + 1, drive.d))
         ref_paths = np.empty_like(got_paths)
+
+        def into(i, states):
+            # A block's chunks span all its paths: pieces are time-major here.
+            got_paths[:, i:i + states.shape[1]] = states
+
         got = simulate._run_block(drive, x0s, steps, h, simulate._streams(11, range(n)),
-                                  *radial, got_paths)
+                                  *radial, into)
         ref = _reference_run_block(drive, x0s, steps, h, _reference_streams(11, range(n)),
                                    *radial, ref_paths, noise_values)
         for g, r in zip(got[:3], ref[:3]):

@@ -483,3 +483,29 @@ def test_repaired_candidate_is_admissible(d):
         assert np.linalg.eigvalsh(B)[0] >= -1e-12
         assert np.trace(B) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(kernel.inner(B)).max() <= 1e-12
+
+
+def test_sos_check_refuses_non_finite_or_misshapen_h():
+    for bad in (np.nan, np.inf, -np.inf):
+        H = np.eye(3)
+        H[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sos_check(H)
+    # phi(0) = lambda^2 / 2 overflows: refused, not a KeyError
+    for H in (np.array([[-1e200]]), np.diag([1e200, -1e200, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            sos_check(H)
+    for H in (np.eye(2), np.ones(3), np.ones((3, 4)), np.ones((1, 3, 3))):
+        with pytest.raises(ValueError, match="shape"):
+            sos_check(H)
+
+
+def test_sos_check_symmetrizes_without_overflow():
+    # a symmetric H keeps its bits, even next to the largest and smallest doubles
+    H = np.diag([1.7e308, 1e308, 5e-324, 1.0, 2.0, 3e-310])
+    v = sos_check(H)
+    assert v.status == "Feasible" and v.h_star.tobytes() == H.tobytes()
+    assert sos_check(np.array([[1e308]])).status == "Feasible"
+    H = np.array([[1.7e308, 1.5e308, 0.0], [1.6e308, 1.7e308, 0.0], [0.0, 0.0, 1.0]])
+    v = sos_check(H)
+    assert v.status == "Feasible" and v.h_star[0, 1] == v.h_star[1, 0] == 1.55e308

@@ -130,12 +130,14 @@ def cli(argv):
 @pytest.fixture(scope="module")
 def models(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("contract")
-    bad_alpha = BallModel(alpha=nan_at(BALL.alpha), H=BALL.H, b=BALL.b, B=BALL.B)
+    # BallModel refuses a NaN alpha, so the poisoned file is written directly.
+    bad_alpha = dict(model_to_json(BALL), alpha=nan_at(BALL.alpha).tolist())
     files = {}
-    for name, mdl in (("sphere", SPHERE), ("ball", BALL), ("bad_alpha", bad_alpha)):
+    for name, obj in (("sphere", model_to_json(SPHERE)), ("ball", model_to_json(BALL)),
+                      ("bad_alpha", bad_alpha)):
         files[name] = str(tmp / f"{name}.json")
         with open(files[name], "w") as fh:
-            json.dump(model_to_json(mdl), fh)
+            json.dump(obj, fh)
     return files
 
 
@@ -179,3 +181,28 @@ def test_cli_command_keeps_the_state_space_contract(models, name):
         out = cli(bad(models) + x0_flag([0.5, 0.0, 0.0] if space == "ball" else [1.0, 0.0, 0.0]))
         assert set(out) == {"error"} and "finite" in out["error"], out
 
+
+
+def test_non_finite_results_are_errors_in_strict_json(models, tmp_path):
+    # q = x1 on the d = 1 Jacobi model with B = 50 overflows to inf by t = 1e3,
+    # and with B = 1e300 already inside the exponential's scaling
+    q = '{"terms": [{"exp": [1], "coef": 1}]}'
+    for B in (50.0, 1e300):
+        path = tmp_path / f"jacobi_{B}.json"
+        path.write_text(json.dumps({"space": "ball", "d": 1, "alpha": [[1.0]], "H": [],
+                                    "b": [0.0], "B": [[B]]}))
+        out = cli(["moments", "--model", str(path), "--q", q, "--x0", "[0.5]", "--t", "1e3"])
+        assert set(out) == {"error"} and "not finite" in out["error"], out
+    mdl = BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[50.0]])
+    with pytest.raises(ValueError, match="not finite"):
+        moment(mdl, {(1,): 1.0}, [0.5], 1e3)
+    for argv in (["validate", "--model", models["bad_alpha"]],
+                 ["moments", "--model", models["bad_alpha"], "--t", "0.5", "--x0", "[0.5,0,0]",
+                  "--q", '{"terms": [{"exp": [1, 0, 0], "coef": 1}]}']):
+        out = cli(argv)
+        assert set(out) == {"error"} and "finite" in out["error"], out
+    for H in ("[[NaN]]", "[[Infinity]]", "[[-1e308]]"):
+        for command in ("sos-check", "decompose"):
+            out = cli([command, "--H", H, "--d", "2"])
+            assert set(out) == {"error"} and "finite" in out["error"], out
+    assert cli(["sos-check", "--H", "[[1e308]]", "--d", "2"])["status"] == "Feasible"

@@ -16,6 +16,7 @@ from math import comb
 import numpy as np
 
 from . import generator, liealg, model as model_mod, simulate as sim, sos
+from .cspace import _symmetric_part
 from .skew import skew_dim
 
 __all__ = ["main"]
@@ -65,9 +66,7 @@ def _drive_from_model(mdl, tol):
     verdict = sos.sos_check(mdl.H, tol=tol)
     if verdict.status != sos.FEASIBLE:
         return None, verdict
-    a0 = 0.5 * (mdl.B - mdl.B.T)
-    diffusion = np.array(verdict.factors) if verdict.factors else np.zeros((0, mdl.d, mdl.d))
-    return sim.SkewDrive(a0, diffusion), verdict
+    return sim.SkewDrive(0.5 * (mdl.B - mdl.B.T), np.array(verdict.factors)), verdict
 
 
 def _cmd_dims(args):
@@ -82,14 +81,13 @@ def _cmd_dims(args):
 
 def _cmd_validate(args):
     mdl = _load_model(args.model)
-    if mdl.space == "ball":
-        report = model_mod.validate_ball(mdl, tol=1e-7 if args.tol is None else args.tol)
-    else:
-        report = model_mod.validate_sphere(mdl, tol=1e-9 if args.tol is None else args.tol)
+    ball = mdl.space == "ball"
+    tol = (1e-7 if ball else 1e-9) if args.tol is None else args.tol
+    report = (model_mod.validate_ball if ball else model_mod.validate_sphere)(mdl, tol)
     out = report.to_json()
     out["space"] = mdl.space
-    if mdl.space == "ball":
-        out["boundary"] = model_mod._attainment(mdl).to_json() if report.admissible else None
+    if ball:
+        out["boundary"] = model_mod._attainment(mdl, tol).to_json() if report.admissible else None
     return _json_out(out)
 
 
@@ -200,7 +198,7 @@ def _cmd_simulate(args):
             # The rotation substep contributes the Ito drift (A_0 + 1/2 sum A_p^2) x,
             # with A_0 the skew part of B; the radial substep supplies the rest of b + Bx.
             corr = sum(A.T @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
-            Bhat = 0.5 * (mdl.B + mdl.B.T) + 0.5 * corr
+            Bhat = _symmetric_part(mdl.B) + 0.5 * corr
             result = sim.ball_ensemble(mdl.b, Bhat, mdl.alpha, drive, *run)
         if to_csv and not args.keep_paths:
             _write_paths(csv, 0, result.times[-1:], result.terminal[:, None, :])
@@ -299,7 +297,7 @@ def _build_parser():
     p = sub.add_parser("moments", help="exact conditional moment of a polynomial")
     p.add_argument("--model", required=True)
     p.add_argument("--q", required=True, help="polynomial JSON (inline or @file)")
-    p.add_argument("--x0", "--x", dest="x0", required=True)
+    p.add_argument("--x0", required=True)
     p.add_argument("--t", dest="T", type=float, required=True)
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_moments)

@@ -49,14 +49,25 @@ class TangencyError(ValueError):
         self.residual = float(residual)
 
 
+def _symmetric_part(A):
+    """0.5 (A + A^T) of a finite A, with 0.5 A + 0.5 A^T where the sum overflows.
+
+    Both are exact on a symmetric entry, so a symmetric A keeps its bits.
+    """
+    with np.errstate(over="ignore"):
+        S = 0.5 * (A + A.T)
+    over = ~np.isfinite(S)
+    if over.any():
+        S[over] = (0.5 * A + 0.5 * A.T)[over]
+    return S
+
+
 def _check_h(H):
     H = np.asarray(H, dtype=float)
     m = H.shape[0]
     if H.shape != (m, m):
         raise ValueError(f"H must be square, got shape {H.shape}")
-    if m > 0 and not np.allclose(H, H.T, rtol=0, atol=0):
-        H = 0.5 * (H + H.T)
-    return H
+    return _symmetric_part(H)
 
 
 def c_H_eval(H, x):
@@ -135,8 +146,7 @@ def trace_form(H, d):
         return np.zeros((d, d))
     Ds = skew_basis(d)
     # tr(D_p x x^T D_q^T) = x^T D_q^T D_p x
-    raw = np.einsum("pq,qau,pav->uv", H, Ds, Ds)
-    return 0.5 * (raw + raw.T)
+    return _symmetric_part(np.einsum("pq,qau,pav->uv", H, Ds, Ds))
 
 
 def c_space_basis(d):
@@ -150,22 +160,17 @@ def c_space_basis(d):
     if d < 2:
         raise ValueError("need d >= 2")
 
-    def S(a, b):
-        E = np.zeros((d, d))
-        E[a - 1, b - 1] = 1.0
-        E[b - 1, a - 1] = -1.0
-        return E
-
+    S = dict(zip(combinations(range(1, d + 1), 2), skew_basis(d)))
     out = []
     for i, j, k, l in combinations(range(1, d + 1), 4):
-        out.append(cmap_from_pair(S(i, j), S(k, l)))
-        out.append(cmap_from_pair(S(i, k), S(j, l)))
+        out.append(cmap_from_pair(S[i, j], S[k, l]))
+        out.append(cmap_from_pair(S[i, k], S[j, l]))
     for i, j, k in combinations(range(1, d + 1), 3):
-        out.append(cmap_from_pair(S(i, j), S(i, k)))
-        out.append(cmap_from_pair(S(i, j), S(j, k)))
-        out.append(cmap_from_pair(S(i, k), S(j, k)))
+        out.append(cmap_from_pair(S[i, j], S[i, k]))
+        out.append(cmap_from_pair(S[i, j], S[j, k]))
+        out.append(cmap_from_pair(S[i, k], S[j, k]))
     for i, j in combinations(range(1, d + 1), 2):
-        out.append(cmap_from_pair(S(i, j), S(i, j)))
+        out.append(cmap_from_pair(S[i, j], S[i, j]))
     return out
 
 
@@ -231,7 +236,7 @@ class _PluckerKernel:
         return self.combine(self.inner(X) / 6.0)
 
 
-def h_from_c(C, tol=1e-10):
+def h_from_c(C):
     """Recover the Frobenius-minimal H with c_H = C (coefficientwise).
 
     The map A: H -> c_H satisfies A^T A = 3 (I - proj_K) on symmetric
@@ -243,8 +248,8 @@ def h_from_c(C, tol=1e-10):
     Raises
     ------
     TangencyError
-        If C is not in the tangential space; the error carries the residual
-        Frobenius distance between C and its best c_H fit.
+        If the Frobenius distance between C and its best c_H fit, which the
+        error carries, exceeds 1e-10 max(1, ||C||).
     """
     C = np.asarray(C, dtype=float)
     d = C.shape[0]
@@ -257,14 +262,14 @@ def h_from_c(C, tol=1e-10):
     H = (M + M.T) / 6.0
     residual = np.linalg.norm(cmap_from_h(H, d) - C)
     scale = max(np.linalg.norm(C), 1.0)
-    if residual > tol * scale:
+    if residual > 1e-10 * scale:
         raise TangencyError(
             f"map is not tangential: best-fit residual {residual:.3e}", residual
         )
     return H
 
 
-def c_from_biquadratic(Q, tol=1e-12):
+def c_from_biquadratic(Q):
     """Coefficient tensor of c from the quartic tensor of a biquadratic form.
 
     ``Q`` has shape (2d, 2d, 2d, 2d) and represents the quartic form
@@ -273,7 +278,7 @@ def c_from_biquadratic(Q, tol=1e-12):
     in x and two in y); the returned c satisfies y^T c(x) y = BQ(x, y)
     identically.
 
-    Raises ValueError if the form has non-biquadratic components.
+    Raises ValueError if a non-biquadratic coefficient exceeds 1e-12 max(1, max |Q_sym|).
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
@@ -294,7 +299,7 @@ def c_from_biquadratic(Q, tol=1e-12):
     )
     off = np.abs(sym)[count_x != 2].max() if n > 0 else 0.0
     scale = max(np.abs(sym).max(), 1.0)
-    if off > tol * scale:
+    if off > 1e-12 * scale:
         raise ValueError(f"form is not biquadratic: off-pattern coefficient {off:.3e}")
 
     # y^T c(x) y = sum c_ab(x) y_a y_b with c_ab(x) = 6 * x^T sym[d+a, d+b] x.
@@ -335,8 +340,7 @@ def cmap_from_json(obj):
     C = np.zeros((d, d, d, d))
     for key, mat in obj["c"].items():
         i, j = (int(t) for t in key.split(","))
-        M = np.asarray(mat, dtype=float)
-        M = 0.5 * (M + M.T)
+        M = _symmetric_part(np.asarray(mat, dtype=float))
         C[i - 1, j - 1] = M
         C[j - 1, i - 1] = M
     return C

@@ -236,7 +236,7 @@ def moment(model, q, x, t, k=None, gk=None):
     """
     d = model.d
     q = _as_poly_dict(q, d)
-    deg = max((sum(e) for e in q), default=0)
+    deg = poly_degree(q)
     if k is None:
         k = deg if gk is None else gk.basis.k
     if deg > k:

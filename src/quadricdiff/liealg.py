@@ -69,16 +69,17 @@ def bracket(A, B):
     return A @ B - B @ A
 
 
-def _orthonormal_rows(mats, d, tol):
-    """Orthonormal basis (as matrices) of the span of a list of matrices."""
-    if len(mats) == 0:
-        return np.zeros((0, d, d))
-    M = np.asarray(mats, dtype=float).reshape(len(mats), d * d)
-    _, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return np.zeros((0, d, d))
+def _orthonormal_rows(rows, tol):
+    """Orthonormal basis, rows shaped alike, of the span of a stack of rows of any shape.
+
+    The rank counts the singular values above ``tol`` times the largest one.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.size == 0:
+        return np.zeros((0, *rows.shape[1:]))
+    _, s, Vt = np.linalg.svd(rows.reshape(len(rows), -1), full_matrices=False)
     rank = int(np.sum(s > tol * s[0]))
-    return Vt[:rank].reshape(rank, d, d)
+    return Vt[:rank].reshape(rank, *rows.shape[1:])
 
 
 def _project_residual(A, basis):
@@ -100,13 +101,12 @@ def g_ideal(drive, tol=1e-10):
     """
     d = drive.d
     gens = [drive.a0] + list(drive.diffusion)
-    basis = _orthonormal_rows(list(drive.diffusion), d, tol)
-    while True:
+    basis = _orthonormal_rows(drive.diffusion, tol)
+    changed = len(basis) > 0
+    while changed:
         new = [bracket(B, A) for B in basis for A in gens]
-        enlarged = _orthonormal_rows(list(basis) + new, d, tol)
-        if enlarged.shape[0] == basis.shape[0]:
-            basis = enlarged
-            break
+        enlarged = _orthonormal_rows(np.concatenate([basis, new]), tol)
+        changed = len(enlarged) != len(basis)
         basis = enlarged
 
     ideal_residual = 0.0
@@ -117,7 +117,7 @@ def g_ideal(drive, tol=1e-10):
             ideal_residual = max(ideal_residual, _project_residual(com, basis) / scale)
     g = LieSubspace(d, basis, basis.shape[0], ideal_residual)
 
-    h_basis = _orthonormal_rows(list(basis) + [drive.a0], d, tol)
+    h_basis = _orthonormal_rows(np.concatenate([basis, [drive.a0]]), tol)
     h = LieSubspace(d, h_basis, h_basis.shape[0])
     if ideal_residual > tol:
         raise ArithmeticError(
@@ -126,20 +126,15 @@ def g_ideal(drive, tol=1e-10):
     return g, h
 
 
-def _span_dim(vectors, tol):
-    if len(vectors) == 0:
-        return 0
-    M = np.asarray(vectors)
-    s = np.linalg.svd(M, compute_uv=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _density_report(drive, x0, tol, ball):
+    """DensityReport of a sphere drive at a unit x0: is A_0 x_0 in the closure applied to x_0?
 
-
-def _membership(a0, g, h, x0, tol):
-    """(A_0 x_0 in g x_0, its least-squares residual, dim g x_0, dim h x_0)."""
-    a0x0 = a0 @ x0
-    gx0, hx0 = g.basis @ x0, h.basis @ x0
+    That membership decides, unless ``ball`` says the drive is a ball drive
+    lifted to the sphere; then the closure being all of Skew(d) decides.
+    """
+    g, h = g_ideal(drive, max(tol, 1e-12))
+    a0x0 = drive.a0 @ x0
+    gx0 = g.basis @ x0
     if np.linalg.norm(a0x0) == 0.0:
         member, resid = True, 0.0
     elif g.dim == 0:
@@ -148,7 +143,17 @@ def _membership(a0, g, h, x0, tol):
         coeffs, _, _, _ = np.linalg.lstsq(gx0.T, a0x0, rcond=None)
         resid = float(np.linalg.norm(gx0.T @ coeffs - a0x0))
         member = resid <= max(tol * np.linalg.norm(a0x0), 1e-12)
-    return member, resid, _span_dim(gx0, 1e-10), _span_dim(hx0, 1e-10)
+    full = g.dim == skew_dim(drive.d)
+    return DensityReport(
+        has_smooth_density=full if ball else member,
+        dim_g=g.dim,
+        dim_h=h.dim,
+        a0x0_in_gx0=member,
+        membership_residual=resid,
+        dim_gx0=len(_orthonormal_rows(gx0, 1e-10)),
+        dim_hx0=len(_orthonormal_rows(h.basis @ x0, 1e-10)),
+        full_rotation=full,
+    )
 
 
 def density_check_sphere(drive, x0, tol=1e-9):
@@ -159,32 +164,21 @@ def density_check_sphere(drive, x0, tol=1e-9):
     |A_0 x_0| and an absolute floor of 1e-12.  x0 must be d finite numbers with
     |x0| = 1 to 1e-9.
     """
-    x0 = _start_point(x0, drive.d, "sphere", 1e-9)
-    g, h = g_ideal(drive, max(tol, 1e-12))
-    member, resid, dim_gx0, dim_hx0 = _membership(drive.a0, g, h, x0, tol)
-    return DensityReport(
-        has_smooth_density=member,
-        dim_g=g.dim,
-        dim_h=h.dim,
-        a0x0_in_gx0=member,
-        membership_residual=resid,
-        dim_gx0=dim_gx0,
-        dim_hx0=dim_hx0,
-        full_rotation=g.dim == skew_dim(drive.d),
-    )
+    return _density_report(drive, _start_point(x0, drive.d, "sphere", 1e-9), tol, ball=False)
 
 
-def lift_drive(drive, alpha, tol=1e-12):
+def lift_drive(drive, alpha):
     """Embed a ball drive into dimension d + 1 with border generators from alpha.
 
     Each drive matrix becomes its block-diagonal extension, and every factor
     a_i of alpha = sum a_i a_i^T (eigenvectors scaled by root eigenvalues,
-    small eigenvalues dropped) contributes a generator rotating into the
-    extra coordinate.  alpha must be a finite positive semidefinite d x d matrix.
+    eigenvalues up to 1e-12 dropped) contributes a generator rotating into the
+    extra coordinate.  alpha must be a finite, symmetric, positive semidefinite
+    d x d matrix.
     """
     d = drive.d
     w, V = _alpha_eigh(alpha, d)
-    factors = [np.sqrt(wi) * V[:, i] for i, wi in enumerate(w) if wi > tol]
+    factors = [np.sqrt(wi) * V[:, i] for i, wi in enumerate(w) if wi > 1e-12]
 
     def embed(A):
         out = np.zeros((d + 1, d + 1))
@@ -198,8 +192,7 @@ def lift_drive(drive, alpha, tol=1e-12):
         return out
 
     diffusion = [embed(A) for A in drive.diffusion] + [border(a) for a in factors]
-    diffusion = np.array(diffusion) if diffusion else np.zeros((0, d + 1, d + 1))
-    return SkewDrive(embed(drive.a0), diffusion)
+    return SkewDrive(embed(drive.a0), np.array(diffusion))
 
 
 def density_check_ball(drive, alpha, x0, tol=1e-9):
@@ -214,16 +207,4 @@ def density_check_ball(drive, alpha, x0, tol=1e-9):
     z0 = np.concatenate([x0, [np.sqrt(max(0.0, 1.0 - float(x0 @ x0)))]])
     nz = np.linalg.norm(z0)
     z0 = z0 / nz if nz > 0 else z0
-    g, h = g_ideal(lifted, max(tol, 1e-12))
-    full = g.dim == skew_dim(drive.d + 1)
-    member, resid, dim_gx0, dim_hx0 = _membership(lifted.a0, g, h, z0, tol)
-    return DensityReport(
-        has_smooth_density=full,
-        dim_g=g.dim,
-        dim_h=h.dim,
-        a0x0_in_gx0=member,
-        membership_residual=resid,
-        dim_gx0=dim_gx0,
-        dim_hx0=dim_hx0,
-        full_rotation=full,
-    )
+    return _density_report(lifted, z0, tol, ball=True)

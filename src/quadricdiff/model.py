@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import c_H_eval, h_from_json, h_to_json, trace_form
+from .cspace import _symmetric_part, c_H_eval, h_from_json, h_to_json, trace_form
 from .skew import skew_dim
 from . import sos as _sos
 
@@ -47,6 +47,19 @@ def _coefficients(model, **shapes):
         object.__setattr__(model, name, value)
 
 
+def _symmetric(A, message):
+    """The symmetric part of A; ValueError(message) unless A is symmetric to roundoff."""
+    S = _symmetric_part(A)
+    if np.abs(A - S).max(initial=0.0) > 1e-10 * (1.0 + np.abs(A).max(initial=0.0)):
+        raise ValueError(message)
+    return S
+
+
+def _alpha_psd(w):
+    """Whether alpha, with ascending eigenvalues w, is PSD: w_min >= -1e-10 max(1, w_max)."""
+    return bool(w[0] >= -1e-10 * max(1.0, w[-1]))
+
+
 def _square_dim(A, name):
     """d of a (d, d) matrix A; ValueError if A is not two-dimensional."""
     if np.ndim(A) != 2:
@@ -59,7 +72,7 @@ class BallModel:
     """Unit-ball diffusion coefficients (alpha, H, b, B).
 
     Raises ValueError unless alpha and B are finite (d, d), b finite (d,) and
-    H finite (m, m), m = C(d, 2).
+    H finite (m, m), m = C(d, 2), and alpha is symmetric to roundoff.
     """
 
     alpha: np.ndarray
@@ -71,6 +84,7 @@ class BallModel:
         d = _square_dim(self.alpha, "alpha")
         m = skew_dim(d)
         _coefficients(self, alpha=(d, d), H=(m, m), b=(d,), B=(d, d))
+        _symmetric(self.alpha, "alpha must be symmetric")
 
     @property
     def d(self):
@@ -209,7 +223,7 @@ def _bracketed_root(f, lo, hi, xtol, rtol):
     return lo if flo == 0.0 else hi if fhi == 0.0 else 0.5 * (lo + hi)
 
 
-def sphere_max_quadratic(M, b, tol=1e-13):
+def sphere_max_quadratic(M, b):
     """Global maximum of x^T M x + b^T x over the unit sphere, by secular equation.
 
     Eigendecomposes M and root-finds the Lagrange multiplier of
@@ -230,7 +244,7 @@ def sphere_max_quadratic(M, b, tol=1e-13):
     b = np.asarray(b, dtype=float).reshape(M.shape[0])
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
         raise ValueError("M and b must be finite")
-    M = _sos._symmetric_part(M)
+    M = _symmetric_part(M)
     big = max(np.abs(M).max(initial=0.0), np.abs(b).max(initial=0.0))
     shift = int(np.frexp(big)[1]) if big > 2.0 ** 500 else 0
     value, x, lam = _secular_max(np.ldexp(M, -shift), np.ldexp(b, -shift))
@@ -325,26 +339,26 @@ def _positivity(H, d):
 def validate_ball(model, tol=1e-7):
     """Check admissibility of a ball model.
 
-    Conditions: alpha PSD; c_H positive semidefinite (three-valued, via the
-    SOS check with a one-sided numerical screen as fallback); and the drift
-    inequality max over the unit sphere of
+    Conditions: alpha PSD by the simulators' floor (see ``_alpha_psd``); c_H
+    positive semidefinite (three-valued, via the SOS check with a one-sided
+    numerical screen as fallback); and the drift inequality max over the unit sphere of
     ``b.x + x.(B_sym + C/2).x`` nonpositive, where tr c_H(x) = x.C.x.
     """
     d = model.d
-    alpha_min = float(np.linalg.eigvalsh(model.alpha)[0]) if d else 0.0
-    alpha_ok = alpha_min >= -1e-12
+    w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if d else np.zeros(1)
+    alpha_ok = _alpha_psd(w)
 
     positivity, pos_details = _positivity(model.H, d)
 
     C = trace_form(model.H, d)
-    quad = sphere_max_quadratic(_sos._symmetric_part(model.B) + 0.5 * C, model.b)
+    quad = sphere_max_quadratic(_symmetric_part(model.B) + 0.5 * C, model.b)
     drift_ok = quad.max_value <= tol
 
     report = ValidationReport(
         admissible=bool(alpha_ok and drift_ok and positivity != "refuted"),
         positivity=positivity,
         checks={
-            "alpha": {"pass": alpha_ok, "min_eig": alpha_min},
+            "alpha": {"pass": alpha_ok, "min_eig": float(w[0])},
             "positivity": pos_details,
             "drift": {
                 "pass": drift_ok,
@@ -357,10 +371,16 @@ def validate_ball(model, tol=1e-7):
 
 
 def validate_sphere(model, tol=1e-9):
-    """Check the sphere drift identity B + B^T + C = 0 and positivity of c_H."""
+    """Check the sphere drift identity B + B^T + C = 0 and positivity of c_H.
+
+    ``residual`` is twice the largest entry of B_sym + C/2, which does not
+    overflow where B + B^T does; ValueError if it exceeds the float range."""
     d = model.d
-    C = trace_form(model.H, d)
-    resid = float(np.abs(model.B + model.B.T + C).max())
+    with np.errstate(over="ignore"):
+        resid = 2.0 * float(np.abs(_symmetric_part(model.B) + 0.5 * trace_form(model.H, d)).max())
+    if not np.isfinite(resid):
+        raise ValueError("the residual of the sphere drift identity B + B^T + C = 0 "
+                         "exceeds the float range")
     identity_ok = resid <= tol
     positivity, pos_details = _positivity(model.H, d)
     return ValidationReport(
@@ -387,10 +407,10 @@ def boundary_attainment(model, tol=1e-7):
     return _attainment(model, tol)
 
 
-def _attainment(model, tol=1e-7):
+def _attainment(model, tol):
     """The sphere-maximum step of :func:`boundary_attainment`, for a validated model."""
     C = trace_form(model.H, model.d)
-    Msym = _sos._symmetric_part(model.B) + model.alpha + 0.5 * C
+    Msym = _symmetric_part(model.B) + model.alpha + 0.5 * C
     quad = sphere_max_quadratic(Msym, model.b)
     status = "InteriorInvariant" if quad.max_value <= tol else "MayAttainBoundary"
     return AttainmentReport(status, float(quad.max_value), quad.argmax)

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .generator import _exponent, _start_point
+from .model import _alpha_psd, _symmetric
 from .skew import skew_basis
 
 __all__ = [
@@ -340,12 +341,12 @@ def _grid(T, h, n_paths):
 
 
 def _alpha_eigh(alpha, d):
-    """Eigenpairs of alpha's symmetric part; ValueError unless alpha is a finite PSD (d, d)."""
+    """Eigenpairs of alpha; ValueError unless alpha is a finite, symmetric, PSD (d, d)."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (d, d) or not np.all(np.isfinite(alpha)):
         raise ValueError(f"alpha must be a finite {d} x {d} matrix")
-    w, V = np.linalg.eigh(0.5 * (alpha + alpha.T))
-    if w[0] < -1e-10 * max(1.0, w[-1]):
+    w, V = np.linalg.eigh(_symmetric(alpha, "alpha must be symmetric"))
+    if not _alpha_psd(w):
         raise ValueError(f"alpha is not positive semidefinite (min eig {w[0]:.2e})")
     return w, V
 
@@ -500,9 +501,7 @@ def _ball_args(bhat, Bhat, alpha, drive, x0):
     Bhat = np.asarray(Bhat, dtype=float)
     if not (np.all(np.isfinite(bhat)) and np.all(np.isfinite(Bhat))):
         raise ValueError("bhat and Bhat must be finite")
-    Bsym = 0.5 * (Bhat + Bhat.T)
-    if np.abs(Bhat - Bsym).max() > 1e-10 * (1.0 + np.abs(Bhat).max()):
-        raise ValueError("Bhat must be symmetric; put the skew part into the drive")
+    Bsym = _symmetric(Bhat, "Bhat must be symmetric; put the skew part into the drive")
     top = float(np.linalg.eigvalsh(Bsym)[-1])
     if top > 1e-12 * max(1.0, np.abs(Bsym).max()):
         raise ValueError(f"Bhat must be negative semidefinite (max eig {top:.2e})")

@@ -126,12 +126,12 @@ def plucker_eval(A, quad):
     return a(i, j) * a(k, l) - a(i, k) * a(j, l) + a(i, l) * a(j, k)
 
 
-def rank2_factor(A, tol=1e-10):
+def rank2_factor(A):
     """Factor a numerically rank-two skew matrix as x y^T - y x^T.
 
     Uses an orthonormal basis (u1, u2) of the range and gamma = u1^T A u2,
     returning (gamma*u1, u2).  Numerical rank counts singular values above
-    ``tol`` times the largest one.
+    1e-10 times the largest one.
 
     Raises
     ------
@@ -142,7 +142,7 @@ def rank2_factor(A, tol=1e-10):
     U, s, _ = np.linalg.svd(A)
     if s[0] == 0.0:
         raise RankError("matrix is zero, expected rank two", s)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > 1e-10 * s[0]))
     if rank != 2:
         raise RankError(f"numerical rank is {rank}, expected two", s)
     u1, u2 = U[:, 0], U[:, 1]

@@ -26,8 +26,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import _PluckerKernel, biquadratic_eval, c_H_eval, cmap_from_h, cmap_from_pair
-from .skew import skew_dim, vec_to_skew
+from .cspace import (_PluckerKernel, _symmetric_part, biquadratic_eval, c_H_eval,
+                     cmap_from_h, cmap_from_pair, k_matrix)
+from .skew import pi_index, skew_dim, vec_to_skew
 
 __all__ = [
     "Counterexample",
@@ -112,19 +113,6 @@ def _d_of(H, name="H"):
     if H.shape != (m, m) or skew_dim(d) != m:
         raise ValueError(f"{name} must be (m, m) with m = C(d, 2), got shape {H.shape}")
     return d
-
-
-def _symmetric_part(A):
-    """0.5 (A + A^T) of a finite A, with 0.5 A + 0.5 A^T where the sum overflows.
-
-    Both are exact on a symmetric entry, so a symmetric A keeps its bits.
-    """
-    with np.errstate(over="ignore"):
-        S = 0.5 * (A + A.T)
-    over = ~np.isfinite(S)
-    if over.any():
-        S[over] = (0.5 * A + 0.5 * A.T)[over]
-    return S
 
 
 def _eig_min(X):
@@ -410,7 +398,7 @@ def reconstruct_cmap(factors, d):
     return C
 
 
-def nonneg_check(H, samples=100, restarts=25, seed=0):
+def nonneg_check(H, restarts=25):
     """Multistart alternating eigenvector descent of the biquadratic form.
 
     For fixed x the best unit y is the bottom eigenvector of c_H(x), and by
@@ -420,7 +408,7 @@ def nonneg_check(H, samples=100, restarts=25, seed=0):
     """
     H = np.asarray(H, dtype=float)
     d = _d_of(H)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best_val = np.inf
     best_xy = (np.zeros(d), np.zeros(d))
     for _ in range(restarts):
@@ -428,7 +416,7 @@ def nonneg_check(H, samples=100, restarts=25, seed=0):
         x /= np.linalg.norm(x)
         val_prev = np.inf
         y = None
-        for _ in range(samples):
+        for _ in range(100):
             _, Vx = np.linalg.eigh(c_H_eval(H, x))
             y = Vx[:, 0]
             _, Vy = np.linalg.eigh(c_H_eval(H, y))
@@ -451,8 +439,6 @@ def nonneg_check(H, samples=100, restarts=25, seed=0):
 # triangular 3x3 arguments, with two Plucker polynomials subtracted.
 
 def _pair_vec(coeffs, d):
-    from .skew import pi_index
-
     v = np.zeros(skew_dim(d))
     for (i, j), c in coeffs:
         v[pi_index(i, j, d) - 1] = c
@@ -460,8 +446,6 @@ def _pair_vec(coeffs, d):
 
 
 def _counterexample_h():
-    from .cspace import k_matrix
-
     m = 15
     H = 2.0 * np.eye(m)
     for coeffs in (

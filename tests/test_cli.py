@@ -516,3 +516,18 @@ def test_exit_codes():
     r = subprocess.run([sys.executable, "-m", "quadricdiff.cli", "validate",
                         "--model", "/no/such/file.json"], capture_output=True, text=True)
     assert r.returncode == 1  # IO error
+
+
+def test_validate_tol_reaches_the_boundary_step(tmp_path):
+    # the boundary margin is 1e-5: MayAttainBoundary at 1e-7, InteriorInvariant at 1e-3
+    from quadricdiff.model import boundary_attainment
+
+    mdl = BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[-1.0 + 1e-5]])
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(model_to_json(mdl)))
+    statuses = []
+    for tol in (1e-7, 1e-3):
+        j = run_json(["validate", "--model", str(path), "--tol", str(tol)])
+        assert j["boundary"] == boundary_attainment(mdl, tol=tol).to_json()
+        statuses.append(j["boundary"]["status"])
+    assert statuses == ["MayAttainBoundary", "InteriorInvariant"]

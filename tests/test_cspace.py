@@ -322,3 +322,18 @@ def test_c_from_biquadratic_matches_counterexample_map():
     C = c_from_biquadratic(T)
     ce = counterexample_d6()
     assert np.abs(C - cmap_from_h(ce.h, d)).max() <= 1e-12
+
+
+def test_near_overflow_h_takes_the_symmetric_part_sos_check_takes():
+    # h12 + h21 overflows; the symmetric part 0.5 h12 + 0.5 h21 = 1.65e308 does not
+    from quadricdiff.cspace import trace_form
+    from quadricdiff.sos import _symmetric_part
+
+    H = np.zeros((3, 3))
+    H[0, 1], H[1, 0] = 1.7e308, 1.6e308
+    S = _symmetric_part(H)
+    assert S[0, 1] == S[1, 0] == 0.5 * 1.7e308 + 0.5 * 1.6e308
+    x = np.array([1e-3, 2e-3, -1e-3])
+    for got, want in ((c_H_eval(H, x), c_H_eval(S, x)), (trace_form(H, 3), trace_form(S, 3)),
+                      (h_from_json({"d": 3, "H": H.tolist()})[0], S)):
+        assert np.all(np.isfinite(got)) and np.array_equal(got, want)

@@ -171,3 +171,31 @@ def test_density_ball_reports_lifted_h_and_residual():
     z0 = np.append(x0, np.sqrt(1.0 - x0 @ x0))
     assert rep.membership_residual == pytest.approx(np.hypot(z0[0], z0[1]), rel=1e-12)
     assert not rep.a0x0_in_gx0 and not rep.has_smooth_density
+
+
+def test_orthonormal_rows_counts_the_rank_span_dim_counted():
+    from quadricdiff.liealg import _orthonormal_rows
+
+    def span_dim(vectors, tol):
+        # the rank count of the former second copy, kept as the reference
+        if len(vectors) == 0:
+            return 0
+        s = np.linalg.svd(np.asarray(vectors), compute_uv=False)
+        if len(s) == 0 or s[0] == 0.0:
+            return 0
+        return int(np.sum(s > tol * s[0]))
+
+    gen = np.random.default_rng(2024)
+    for _ in range(300):
+        n, k = gen.integers(1, 10, size=2)
+        r = gen.integers(0, min(n, k) + 1)
+        rows = gen.standard_normal((n, r)) @ gen.standard_normal((r, k))
+        rows *= 10.0 ** gen.integers(-6, 7)
+        basis = _orthonormal_rows(rows, 1e-10)
+        assert len(basis) == span_dim(rows, 1e-10) == r
+        assert np.allclose(basis @ basis.T, np.eye(r), atol=1e-12)
+        # a stack of matrices keeps its shape: the rank of the flattened rows
+        stack = _orthonormal_rows(rows.reshape(n, k, 1) * np.ones(2), 1e-10)
+        assert stack.shape == (r, k, 2)
+    assert _orthonormal_rows(np.zeros((0, 3)), 1e-10).shape == (0, 3)
+    assert _orthonormal_rows(np.zeros((2, 3, 3)), 1e-10).shape == (0, 3, 3)

@@ -31,7 +31,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # The demos that run in about a second; a public name they import must not vanish.
-@pytest.mark.parametrize("demo", ["demo_tangential_space.py", "demo_sos_certificates.py"])
+@pytest.mark.parametrize("demo", ["demo_tangential_space.py", "demo_sos_certificates.py",
+                                  "demo_density_checks.py"])
 def test_demo_runs(demo):
     r = subprocess.run([sys.executable, os.path.join(DEMOS, demo)],
                        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,

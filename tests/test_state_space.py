@@ -19,7 +19,7 @@ import pytest
 from quadricdiff.cli import main
 from quadricdiff.generator import moment
 from quadricdiff.liealg import density_check_ball, density_check_sphere
-from quadricdiff.model import BallModel, SphereModel, model_to_json
+from quadricdiff.model import BallModel, SphereModel, model_to_json, validate_ball, validate_sphere
 from quadricdiff.simulate import (
     SkewDrive,
     ball_ensemble,
@@ -206,3 +206,56 @@ def test_non_finite_results_are_errors_in_strict_json(models, tmp_path):
             out = cli([command, "--H", H, "--d", "2"])
             assert set(out) == {"error"} and "finite" in out["error"], out
     assert cli(["sos-check", "--H", "[[1e308]]", "--d", "2"])["status"] == "Feasible"
+
+
+# alpha: (validate's verdict, and whether the engines accept it).  Inside the engines'
+# floor -1e-10 max(1, w_max), outside it, and asymmetric beyond roundoff.
+ALPHAS = {
+    "wide_spectrum": (np.diag([1e6, 1.0, -5e-6]), True),
+    "tiny_negative": (np.diag([1.0, 1.0, -5e-11]), True),
+    "negative": (np.diag([1.0, 1.0, -1e-6]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALPHAS))
+def test_validate_and_the_engines_agree_on_alpha(name):
+    alpha, psd = ALPHAS[name]
+    report = validate_ball(BallModel(alpha=alpha, H=np.zeros((3, 3)), b=np.zeros(3),
+                                     B=-np.eye(3)))
+    assert report.checks["alpha"] == {"pass": psd, "min_eig": np.linalg.eigvalsh(alpha)[0]}
+    assert report.admissible == psd
+    engines = (ball_from_zero(alpha=alpha),
+               lambda: density_check_ball(SkewDrive.zero(3), alpha, np.zeros(3)))
+    for engine in engines:
+        if psd:
+            engine()
+        else:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                engine()
+
+
+def test_asymmetric_alpha_is_refused_everywhere():
+    alpha = np.array([[1.0, 10.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="alpha must be symmetric"):
+        BallModel(alpha=alpha, H=np.zeros((3, 3)), b=np.zeros(3), B=-np.eye(3))
+    for engine in (ball_from_zero(alpha=alpha),
+                   lambda: density_check_ball(SkewDrive.zero(3), alpha, np.zeros(3))):
+        with pytest.raises(ValueError, match="alpha must be symmetric"):
+            engine()
+    # an asymmetry at roundoff passes, as it does for Bhat
+    alpha[0, 1] = 1e-14
+    BallModel(alpha=alpha, H=np.zeros((3, 3)), b=np.zeros(3), B=-np.eye(3))
+    ball_from_zero(alpha=alpha)()
+
+
+def test_sphere_identity_overflow_is_a_named_error(tmp_path):
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(model_to_json(SphereModel(H=[[1.0]], B=-1e308 * np.eye(2)))))
+    out = cli(["validate", "--model", str(path)])
+    assert set(out) == {"error"} and "sphere drift identity" in out["error"], out
+    with pytest.raises(ValueError, match="sphere drift identity"):
+        validate_sphere(SphereModel(H=[[1.0]], B=-1e308 * np.eye(2)))
+    # twice the largest entry of B_sym + C/2 = -0.5e308 I + I/2, the bits of |B + B^T + C|
+    report = validate_sphere(SphereModel(H=[[1.0]], B=-0.5e308 * np.eye(2)))
+    assert not report.admissible
+    assert report.checks["drift_identity"]["residual"] == 2.0 * 0.5e308

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 
 from . import generator, liealg, model as model_mod, simulate as sim, sos
-from .cspace import _symmetric_part
+from .cspace import _check_h, _symmetric_part
 from .skew import skew_dim
 
 __all__ = ["main"]
@@ -36,16 +36,13 @@ def _load_json_arg(text):
 
 
 def _parse_matrix(text, d):
-    """Matrix argument: 'id', 'zero', inline JSON, or @file (sized m = C(d,2))."""
+    """Matrix argument: 'id', 'zero', inline JSON, or @file, checked as an H for d."""
     m = skew_dim(d)
     if text == "id":
         return np.eye(m)
     if text == "zero":
         return np.zeros((m, m))
-    data = np.asarray(_load_json_arg(text), dtype=float)
-    if data.shape != (m, m):
-        raise ValueError(f"expected a {m} x {m} matrix for d = {d}, got shape {data.shape}")
-    return data
+    return _check_h(_load_json_arg(text), d)[0]
 
 
 def _parse_vector(text):
@@ -62,11 +59,20 @@ def _load_model(path):
 
 
 def _drive_from_model(mdl, tol):
-    """Recover a skew drive (A_0; A_1..A_r) from a model via the SOS witness."""
+    """(skew drive (A_0; A_1..A_r), None) from a model, or (None, the JSON refusal).
+
+    A_0 is the skew part of B and A_1..A_r the SOS witness's factors.  The
+    drive drops B_sym, so the model's drift must first pass ``validate``'s check.
+    """
+    ok, drift = model_mod._drift_check(mdl, tol)
+    if not ok:
+        return None, {"error": f"the {mdl.space} model's drift fails validation",
+                      "drift": model_mod._jsonable(drift)}
     verdict = sos.sos_check(mdl.H, tol=tol)
     if verdict.status != sos.FEASIBLE:
-        return None, verdict
-    return sim.SkewDrive(0.5 * (mdl.B - mdl.B.T), np.array(verdict.factors)), verdict
+        return None, {"error": "no sum-of-squares representation found",
+                      "sos_status": verdict.status}
+    return sim.SkewDrive(0.5 * (mdl.B - mdl.B.T), np.array(verdict.factors)), None
 
 
 def _cmd_dims(args):
@@ -182,10 +188,9 @@ def _cmd_simulate(args):
         if args.scheme not in ("scalar", mdl.space):
             raise ValueError(f"--scheme {args.scheme} needs a {args.scheme} model, "
                              f"got a {mdl.space} model")
-        drive, verdict = _drive_from_model(mdl, args.tol)
+        drive, refusal = _drive_from_model(mdl, args.tol)
         if drive is None:
-            return _json_out({"error": "no sum-of-squares representation found",
-                              "sos_status": verdict.status})
+            return _json_out(refusal)
     with _CsvFile(args.out, len(x0)) as csv:
         # With --keep-paths the CSV writer is the ensemble's sink.
         sink = functools.partial(_write_paths, csv) if args.keep_paths else None
@@ -243,10 +248,9 @@ def _cmd_twin(args):
 def _cmd_density(args):
     mdl = _load_model(args.model)
     x0 = _parse_vector(args.x0)
-    drive, verdict = _drive_from_model(mdl, args.tol)
+    drive, refusal = _drive_from_model(mdl, args.tol)
     if drive is None:
-        return _json_out({"error": "no sum-of-squares representation found",
-                          "sos_status": verdict.status})
+        return _json_out(refusal)
     if mdl.space == "sphere":
         report = liealg.density_check_sphere(drive, x0, args.tol)
     else:

@@ -62,23 +62,32 @@ def _symmetric_part(A):
     return S
 
 
-def _check_h(H):
+def _symmetric(A, message):
+    """The symmetric part of A; ValueError(message) unless A is symmetric to roundoff."""
+    S = _symmetric_part(A)
+    if np.abs(A - S).max(initial=0.0) > 1e-10 * (1.0 + np.abs(A).max(initial=0.0)):
+        raise ValueError(message)
+    return S
+
+
+def _check_h(H, d=None, name="H"):
+    """(symmetric part of H, d) for a finite (m, m) H, m = C(d, 2), with d
+    inferred from the shape if not given; ValueError naming ``name`` otherwise."""
     H = np.asarray(H, dtype=float)
-    m = H.shape[0]
-    if H.shape != (m, m):
-        raise ValueError(f"H must be square, got shape {H.shape}")
-    return _symmetric_part(H)
+    want = "" if d is None else f" = {skew_dim(d)} for d = {d}"
+    if d is None:
+        d = int(round((1 + np.sqrt(1 + 8 * (H.shape[0] if H.ndim == 2 else 0))) / 2))
+    if H.shape != (skew_dim(d),) * 2:
+        raise ValueError(f"{name} must be (m, m) with m = C(d, 2){want}, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError(f"{name} must be finite")
+    return _symmetric_part(H), d
 
 
 def c_H_eval(H, x):
     """Evaluate c_H at a point: sum_pq h_pq (D_p x)(D_q x)^T, a symmetric d x d matrix."""
-    H = _check_h(H)
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    if H.shape[0] != skew_dim(d):
-        raise ValueError(f"H is {H.shape[0]} x {H.shape[0]} but C({d},2) = {skew_dim(d)}")
-    if H.shape[0] == 0:
-        return np.zeros((d, d))
+    H, d = _check_h(H, x.shape[0])
     M = skew_basis(d) @ x          # row p is D_p x
     return M.T @ H @ M
 
@@ -89,20 +98,15 @@ def biquadratic_eval(H, x, y):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("x and y must have the same dimension")
-    H = _check_h(H)
-    if H.shape[0] != skew_dim(x.shape[0]):
-        raise ValueError("H size does not match the dimension of x")
+    H, _ = _check_h(H, x.shape[0])
     a = skew_to_vec(np.outer(x, y) - np.outer(y, x))
     return float(a @ H @ a)
 
 
 def h_action(H, A):
     """Apply H as a symmetric linear map on skew matrices (componentwise on vec)."""
-    H = _check_h(H)
     A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    if H.shape[0] != skew_dim(d):
-        raise ValueError("H size does not match the dimension of A")
+    H, d = _check_h(H, A.shape[0])
     return vec_to_skew(H @ skew_to_vec(A), d)
 
 
@@ -120,12 +124,7 @@ def cmap_from_pair(P, Q):
 
 def cmap_from_h(H, d):
     """Coefficient tensor of c_H."""
-    H = _check_h(H)
-    m = skew_dim(d)
-    if H.shape[0] != m:
-        raise ValueError(f"H must be {m} x {m} for d = {d}")
-    if m == 0:
-        return np.zeros((d, d, d, d))
+    H, _ = _check_h(H, d)
     Ds = skew_basis(d)
     T = np.einsum("pq,pua,qvb->uvab", H, Ds, Ds)
     return _sym_last_two(T)
@@ -140,10 +139,7 @@ def cmap_eval(C, x):
 
 def trace_form(H, d):
     """Symmetric matrix C with trace(c_H(x)) = x^T C x, computed on coefficients."""
-    H = _check_h(H)
-    m = skew_dim(d)
-    if m == 0:
-        return np.zeros((d, d))
+    H, _ = _check_h(H, d)
     Ds = skew_basis(d)
     # tr(D_p x x^T D_q^T) = x^T D_q^T D_p x
     return _symmetric_part(np.einsum("pq,qau,pav->uv", H, Ds, Ds))
@@ -253,8 +249,8 @@ def h_from_c(C):
     """
     C = np.asarray(C, dtype=float)
     d = C.shape[0]
-    if C.shape != (d, d, d, d):
-        raise ValueError(f"expected a (d, d, d, d) coefficient tensor, got shape {C.shape}")
+    if C.shape != (d, d, d, d) or not np.all(np.isfinite(C)):
+        raise ValueError(f"C must be a finite (d, d, d, d) tensor, got shape {C.shape}")
     i, j = np.triu_indices(d, 1)
     Ct = _sym_last_two(C)
     M = (Ct[i[:, None], i, j[:, None], j] - Ct[i[:, None], j, j[:, None], i]
@@ -282,8 +278,8 @@ def c_from_biquadratic(Q):
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
-    if Q.shape != (n, n, n, n) or n % 2 != 0:
-        raise ValueError(f"expected a (2d, 2d, 2d, 2d) tensor, got shape {Q.shape}")
+    if Q.shape != (n, n, n, n) or n % 2 != 0 or not np.all(np.isfinite(Q)):
+        raise ValueError(f"Q must be a finite (2d, 2d, 2d, 2d) tensor, got shape {Q.shape}")
     d = n // 2
     sym = np.zeros_like(Q)
     for perm in permutations(range(4)):
@@ -315,12 +311,9 @@ def h_from_json(obj):
     """Inverse of :func:`h_to_json`; returns (H, d)."""
     d = int(obj["d"])
     H = np.asarray(obj["H"], dtype=float)
-    m = skew_dim(d)
-    if m == 0 and H.size == 0:
+    if skew_dim(d) == 0 and H.size == 0:
         H = H.reshape(0, 0)
-    if H.shape != (m, m):
-        raise ValueError(f"H must be {m} x {m} for d = {d}, got shape {H.shape}")
-    return _check_h(H), d
+    return _check_h(H, d)
 
 
 def cmap_to_json(C):

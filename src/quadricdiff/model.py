@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import _symmetric_part, c_H_eval, h_from_json, h_to_json, trace_form
+from .cspace import _symmetric, _symmetric_part, c_H_eval, h_from_json, h_to_json, trace_form
 from .skew import skew_dim
 from . import sos as _sos
 
@@ -45,14 +45,6 @@ def _coefficients(model, **shapes):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
         object.__setattr__(model, name, value)
-
-
-def _symmetric(A, message):
-    """The symmetric part of A; ValueError(message) unless A is symmetric to roundoff."""
-    S = _symmetric_part(A)
-    if np.abs(A - S).max(initial=0.0) > 1e-10 * (1.0 + np.abs(A).max(initial=0.0)):
-        raise ValueError(message)
-    return S
 
 
 def _alpha_psd(w):
@@ -336,6 +328,31 @@ def _positivity(H, d):
     return "unverified", {"sos_status": verdict.status, "min_found": screen.min_value}
 
 
+def _drift_check(model, tol, boundary=False):
+    """(pass, details) of a model's drift condition, where tr c_H(x) = x.C.x.
+
+    Ball: max over the unit sphere of ``b.x + x.(B_sym + C/2).x`` <= tol, with
+    alpha added to the matrix for the ``boundary`` inequality.  Sphere: the
+    identity B + B^T + C = 0, checked as ``residual`` = 2 max |B_sym + C/2|.
+    ValueError naming the condition if its matrix or residual overflows.
+    """
+    sphere = model.space == "sphere"
+    condition = ("residual of the sphere drift identity B + B^T + C = 0" if sphere else
+                 "matrix B_sym + alpha + C/2 of the boundary inequality" if boundary else
+                 "matrix B_sym + C/2 of the drift inequality")
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _symmetric_part(model.B)
+        M = (S + model.alpha if boundary else S) + 0.5 * trace_form(model.H, model.d)
+        value = 2.0 * float(np.abs(M).max()) if sphere else M
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"the {condition} exceeds the float range")
+    if sphere:
+        return value <= tol, {"pass": value <= tol, "residual": value}
+    quad = sphere_max_quadratic(M, model.b)
+    ok = quad.max_value <= tol
+    return ok, {"pass": ok, "max_value": quad.max_value, "argmax": quad.argmax}
+
+
 def validate_ball(model, tol=1e-7):
     """Check admissibility of a ball model.
 
@@ -343,31 +360,24 @@ def validate_ball(model, tol=1e-7):
     positive semidefinite (three-valued, via the SOS check with a one-sided
     numerical screen as fallback); and the drift inequality max over the unit sphere of
     ``b.x + x.(B_sym + C/2).x`` nonpositive, where tr c_H(x) = x.C.x.
+    ValueError naming the inequality if its matrix exceeds the float range.
     """
     d = model.d
     w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if d else np.zeros(1)
     alpha_ok = _alpha_psd(w)
 
     positivity, pos_details = _positivity(model.H, d)
+    drift_ok, drift = _drift_check(model, tol)
 
-    C = trace_form(model.H, d)
-    quad = sphere_max_quadratic(_symmetric_part(model.B) + 0.5 * C, model.b)
-    drift_ok = quad.max_value <= tol
-
-    report = ValidationReport(
+    return ValidationReport(
         admissible=bool(alpha_ok and drift_ok and positivity != "refuted"),
         positivity=positivity,
         checks={
             "alpha": {"pass": alpha_ok, "min_eig": float(w[0])},
             "positivity": pos_details,
-            "drift": {
-                "pass": drift_ok,
-                "max_value": quad.max_value,
-                "argmax": quad.argmax,
-            },
+            "drift": drift,
         },
     )
-    return report
 
 
 def validate_sphere(model, tol=1e-9):
@@ -375,19 +385,13 @@ def validate_sphere(model, tol=1e-9):
 
     ``residual`` is twice the largest entry of B_sym + C/2, which does not
     overflow where B + B^T does; ValueError if it exceeds the float range."""
-    d = model.d
-    with np.errstate(over="ignore"):
-        resid = 2.0 * float(np.abs(_symmetric_part(model.B) + 0.5 * trace_form(model.H, d)).max())
-    if not np.isfinite(resid):
-        raise ValueError("the residual of the sphere drift identity B + B^T + C = 0 "
-                         "exceeds the float range")
-    identity_ok = resid <= tol
-    positivity, pos_details = _positivity(model.H, d)
+    identity_ok, identity = _drift_check(model, tol)
+    positivity, pos_details = _positivity(model.H, model.d)
     return ValidationReport(
         admissible=bool(identity_ok and positivity != "refuted"),
         positivity=positivity,
         checks={
-            "drift_identity": {"pass": identity_ok, "residual": resid},
+            "drift_identity": identity,
             "positivity": pos_details,
         },
     )
@@ -409,11 +413,9 @@ def boundary_attainment(model, tol=1e-7):
 
 def _attainment(model, tol):
     """The sphere-maximum step of :func:`boundary_attainment`, for a validated model."""
-    C = trace_form(model.H, model.d)
-    Msym = _symmetric_part(model.B) + model.alpha + 0.5 * C
-    quad = sphere_max_quadratic(Msym, model.b)
-    status = "InteriorInvariant" if quad.max_value <= tol else "MayAttainBoundary"
-    return AttainmentReport(status, float(quad.max_value), quad.argmax)
+    ok, quad = _drift_check(model, tol, boundary=True)
+    status = "InteriorInvariant" if ok else "MayAttainBoundary"
+    return AttainmentReport(status, float(quad["max_value"]), quad["argmax"])
 
 
 def model_to_json(model):

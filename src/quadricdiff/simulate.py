@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .cspace import _symmetric
 from .generator import _exponent, _start_point
-from .model import _alpha_psd, _symmetric
+from .model import _alpha_psd
 from .skew import skew_basis
 
 __all__ = [

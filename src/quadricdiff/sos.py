@@ -26,7 +26,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import (_PluckerKernel, _symmetric_part, biquadratic_eval, c_H_eval,
+from .cspace import (_PluckerKernel, _check_h, _symmetric, biquadratic_eval, c_H_eval,
                      cmap_from_h, cmap_from_pair, k_matrix)
 from .skew import pi_index, skew_dim, vec_to_skew
 
@@ -106,15 +106,6 @@ class NonnegReport:
         return "NegativeWitness" if self.negative else "NonnegativeUpTo"
 
 
-def _d_of(H, name="H"):
-    """d of an (m, m) matrix with m = C(d, 2); ValueError naming the shape otherwise."""
-    m = H.shape[0] if H.ndim == 2 else -1
-    d = int(round((1 + np.sqrt(1 + 8 * max(m, 0))) / 2))
-    if H.shape != (m, m) or skew_dim(d) != m:
-        raise ValueError(f"{name} must be (m, m) with m = C(d, 2), got shape {H.shape}")
-    return d
-
-
 def _eig_min(X):
     return float(np.linalg.eigvalsh(X)[0]) if X.size else 0.0
 
@@ -134,11 +125,15 @@ def verify_certificate(H, B, tol=1e-9):
     """Independently check an infeasibility certificate.
 
     True iff B is PSD up to tol, orthogonal to every kernel basis matrix up
-    to tol, and <H, B> < -tol.  The report carries all three margins.
+    to tol, and <H, B> < -tol.  The report carries all three margins.  B,
+    evaluated as given, must be a finite (m, m) matrix symmetric to roundoff
+    (the eigenvalue test reads one triangle); ValueError otherwise.
     """
-    H = np.asarray(H, dtype=float)
+    H, d = _check_h(H)
+    _check_h(B, d, "B")
     B = np.asarray(B, dtype=float)
-    kernel = _PluckerKernel(_d_of(H))
+    _symmetric(B, "B must be symmetric")
+    kernel = _PluckerKernel(d)
     korth = float(np.abs(kernel.inner(B)).max(initial=0.0))
     report = {
         "eig_min": _eig_min(B),
@@ -232,6 +227,8 @@ def _newton_cg(phi, kernel, t, state, max_iter, halt):
     return steps, products, "budget spent"
 
 
+# A huge H overflows norms and phi to inf, which are tested, not printed.
+@np.errstate(over="ignore")
 def sos_check(H, tol=1e-9, max_iter=50000):
     """Decide whether H + (kernel shift) meets the PSD cone.
 
@@ -282,15 +279,11 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         stats["stop"] = stop
         return SosVerdict(status, d, iterations=used, stats=stats, **kw)
 
-    H = np.asarray(H, dtype=float)
-    d = _d_of(H)
+    H, d = _check_h(H)
     m = H.shape[0]
-    if not np.all(np.isfinite(H)):
-        raise ValueError("H must be finite")
     if m == 0:
-        return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H.copy(), factors=[],
+        return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H, factors=[],
                           residuals={"eig_min": 0.0})
-    H = _symmetric_part(H)
     scale = max(1.0, float(np.linalg.norm(H)))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
@@ -369,11 +362,11 @@ def sos_check(H, tol=1e-9, max_iter=50000):
 def sos_decompose(H_star, tol=1e-9):
     """Skew factors A_1..A_r with sum_p A_p x x^T A_p^T = c_{H_star}(x).
 
-    ``r`` is the numerical rank of H_star; eigenvalues below -tol raise a
-    ValueError, small negatives are clipped.
+    H_star is a finite (m, m) matrix, m = C(d, 2), and its symmetric part is
+    factored.  ``r`` is the numerical rank of that part; eigenvalues below
+    -tol raise a ValueError, small negatives are clipped.
     """
-    H_star = np.asarray(H_star, dtype=float)
-    d = _d_of(H_star, "H_star")
+    H_star, d = _check_h(H_star, name="H_star")
     m = H_star.shape[0]
     if m == 0:
         return []
@@ -406,8 +399,7 @@ def nonneg_check(H, restarts=25):
     each alternation is monotone.  One-sided: a negative value below -1e-9
     yields a witness, otherwise only the smallest value found is reported.
     """
-    H = np.asarray(H, dtype=float)
-    d = _d_of(H)
+    H, d = _check_h(H)
     rng = np.random.default_rng(0)
     best_val = np.inf
     best_xy = (np.zeros(d), np.zeros(d))

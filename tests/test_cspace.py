@@ -1,8 +1,11 @@
 import json
+from contextlib import redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
 
+from quadricdiff.cli import main
 from quadricdiff.cspace import (
     TangencyError,
     biquadratic_eval,
@@ -18,8 +21,10 @@ from quadricdiff.cspace import (
     h_from_json,
     h_to_json,
     k_matrix,
+    trace_form,
 )
 from quadricdiff.skew import pi_index, plucker_eval, skew_dim, vec_to_skew
+from quadricdiff.sos import nonneg_check, sos_check, sos_decompose, verify_certificate
 
 from kbasis import k_basis
 
@@ -183,6 +188,11 @@ def test_h_from_c_rejects_non_tangential():
     with pytest.raises(TangencyError) as exc:
         h_from_c(bad)
     assert exc.value.residual > 0.1
+    # a NaN makes the residual test false, so it is refused before the fit
+    bad = cmap_from_h(np.eye(3), 3)
+    bad[0, 1, 1, 2] = np.nan
+    with pytest.raises(ValueError, match="^C must be a finite"):
+        h_from_c(bad)
 
 
 def _h_from_c_lstsq(C):
@@ -245,6 +255,9 @@ def test_c_from_biquadratic_zero_and_errors():
         c_from_biquadratic(quartic)
     with pytest.raises(ValueError):
         c_from_biquadratic(np.zeros((3, 3, 3, 3)))
+    quartic[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="^Q must be a finite"):
+        c_from_biquadratic(quartic)
 
 
 def test_c_from_biquadratic_reproduces_form():
@@ -327,7 +340,7 @@ def test_c_from_biquadratic_matches_counterexample_map():
 def test_near_overflow_h_takes_the_symmetric_part_sos_check_takes():
     # h12 + h21 overflows; the symmetric part 0.5 h12 + 0.5 h21 = 1.65e308 does not
     from quadricdiff.cspace import trace_form
-    from quadricdiff.sos import _symmetric_part
+    from quadricdiff.cspace import _symmetric_part
 
     H = np.zeros((3, 3))
     H[0, 1], H[1, 0] = 1.7e308, 1.6e308
@@ -337,3 +350,42 @@ def test_near_overflow_h_takes_the_symmetric_part_sos_check_takes():
     for got, want in ((c_H_eval(H, x), c_H_eval(S, x)), (trace_form(H, 3), trace_form(S, 3)),
                       (h_from_json({"d": 3, "H": H.tolist()})[0], S)):
         assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+
+
+def _cli_sos_check(H):
+    buf = StringIO()
+    with redirect_stdout(buf):
+        main(["sos-check", "--H", json.dumps(np.asarray(H).tolist()), "--d", "3"])
+    out = json.loads(buf.getvalue())
+    if "error" in out:
+        raise ValueError(out["error"])
+
+
+# Every entry that takes a coefficient matrix: (the argument its error names,
+# a call with that matrix at d = 3, whether d comes from another argument).
+H_ENTRIES = {
+    "c_H_eval": ("H", lambda H: c_H_eval(H, np.ones(3)), True),
+    "biquadratic_eval": ("H", lambda H: biquadratic_eval(H, np.ones(3), np.eye(3)[0]), True),
+    "h_action": ("H", lambda H: h_action(H, np.zeros((3, 3))), True),
+    "cmap_from_h": ("H", lambda H: cmap_from_h(H, 3), True),
+    "trace_form": ("H", lambda H: trace_form(H, 3), True),
+    "h_from_json": ("H", lambda H: h_from_json({"d": 3, "H": np.asarray(H).tolist()}), True),
+    "cli_sos_check": ("H", _cli_sos_check, True),
+    "sos_check": ("H", sos_check, False),
+    "sos_decompose": ("H_star", sos_decompose, False),
+    "nonneg_check": ("H", lambda H: nonneg_check(H, restarts=1), False),
+    "verify_certificate_H": ("H", lambda H: verify_certificate(H, np.eye(3)), False),
+    "verify_certificate_B": ("B", lambda B: verify_certificate(np.eye(3), B), True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(H_ENTRIES))
+def test_every_coefficient_matrix_entry_refuses_bad_input(entry):
+    # NaN, infinite, misshapen, no m = C(d, 2), and, where d is known, the wrong d
+    name, call, d_given = H_ENTRIES[entry]
+    call(np.eye(3))
+    bad = [np.diag([1.0, np.nan, 1.0]), np.full((3, 3), np.inf), np.ones(3), np.ones((3, 2)),
+           np.ones((1, 3, 3)), np.eye(2)] + [np.eye(6)] * d_given
+    for X in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(X)

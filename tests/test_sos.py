@@ -500,6 +500,27 @@ def test_sos_check_refuses_non_finite_or_misshapen_h():
             sos_check(H)
 
 
+def test_verify_certificate_refuses_an_asymmetric_certificate():
+    # eigvalsh reads B's lower triangle, where it looks PSD, while <H, B> and
+    # the kernel test read both; B's symmetric part has the eigenvalue -1
+    H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    B = np.array([[1.0, -4.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert sos_check(H).status == "Feasible"
+    with pytest.raises(ValueError, match="^B must be symmetric"):
+        verify_certificate(H, B)
+    # an asymmetry at roundoff passes, and B is evaluated as given
+    B = -0.5 * H + np.diag([0.0, 0.0, 1.0])
+    B[0, 1] += 1e-14
+    report = verify_certificate(-H, B)[1]
+    assert report["inner"] == float(np.sum(-H * B))
+
+
+def test_sos_decompose_factors_the_symmetric_part():
+    H_star = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    C = reconstruct_cmap(sos_decompose(H_star), 3)
+    assert np.abs(C - cmap_from_h(H_star, 3)).max() <= 1e-12
+
+
 def test_sos_check_symmetrizes_without_overflow():
     # a symmetric H keeps its bits, even next to the largest and smallest doubles
     H = np.diag([1.7e308, 1e308, 5e-324, 1.0, 2.0, 3e-310])

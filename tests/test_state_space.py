@@ -259,3 +259,39 @@ def test_sphere_identity_overflow_is_a_named_error(tmp_path):
     report = validate_sphere(SphereModel(H=[[1.0]], B=-0.5e308 * np.eye(2)))
     assert not report.admissible
     assert report.checks["drift_identity"]["residual"] == 2.0 * 0.5e308
+
+
+def test_ball_drift_overflow_is_a_named_error(tmp_path):
+    # B_sym + C/2 = 1.7e308 I + 0.5e308 I overflows; the error names the inequality
+    mdl = BallModel(alpha=np.eye(2), H=[[1e308]], b=np.zeros(2), B=1.7e308 * np.eye(2))
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(model_to_json(mdl)))
+    out = cli(["validate", "--model", str(path)])
+    assert out == {"error": "the matrix B_sym + C/2 of the drift inequality exceeds the "
+                            "float range"}, out
+    with pytest.raises(ValueError, match="drift inequality"):
+        validate_ball(mdl)
+
+
+# Models whose drift validate rejects: (model, x0, the drift check's key and value).
+# The sphere identity's residual is |2 B_sym + C| = |10 I + 2 I|; the ball's drift
+# maximum is b.x - x.x at x = (1, 0).
+BAD_DRIFT = {
+    "sphere": (SphereModel(H=np.eye(3), B=5 * np.eye(3)), [1.0, 0.0, 0.0], "residual", 12.0),
+    "ball": (BallModel(alpha=np.eye(2), H=[[1.0]], b=[2.0, 0.0], B=-1.5 * np.eye(2)),
+             [0.5, 0.0], "max_value", 1.0),
+}
+
+
+@pytest.mark.parametrize("space", sorted(BAD_DRIFT))
+def test_simulate_and_density_refuse_a_drift_that_validate_rejects(tmp_path, space):
+    # the drive keeps only skew(B) and the SOS factors, so B_sym would be dropped
+    mdl, x0, key, value = BAD_DRIFT[space]
+    assert not (validate_sphere if space == "sphere" else validate_ball)(mdl).admissible
+    path = tmp_path / f"{space}.json"
+    path.write_text(json.dumps(model_to_json(mdl)))
+    for argv in (["simulate", "--model", str(path), "--scheme", space] + SIM,
+                 ["density", "--model", str(path)]):
+        out = cli(argv + x0_flag(x0))
+        assert out["error"] == f"the {space} model's drift fails validation", out
+        assert out["drift"]["pass"] is False and out["drift"][key] == value, out

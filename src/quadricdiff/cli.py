@@ -39,10 +39,12 @@ def _parse_matrix(text, d):
     """Matrix argument: 'id', 'zero', inline JSON, or @file, checked as an H for d."""
     m = skew_dim(d)
     if text == "id":
-        return np.eye(m)
-    if text == "zero":
-        return np.zeros((m, m))
-    return _check_h(_load_json_arg(text), d)[0]
+        H = np.eye(m)
+    elif text == "zero":
+        H = np.zeros((m, m))
+    else:
+        H = _load_json_arg(text)
+    return _check_h(H, d)[0]
 
 
 def _parse_vector(text):
@@ -291,7 +293,7 @@ def _build_parser():
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--tol", type=_tolerance, default=1e-9)
         p.add_argument("--max-iter", type=int, default=50000,
-                       help="iteration budget: Newton steps of the SOS solver")
+                       help="iteration budget: Newton and face steps of the SOS solver")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("counterexample", help="dimension-six non-SOS construction report")

@@ -72,7 +72,10 @@ def _symmetric(A, message):
 
 def _check_h(H, d=None, name="H"):
     """(symmetric part of H, d) for a finite (m, m) H, m = C(d, 2), with d
-    inferred from the shape if not given; ValueError naming ``name`` otherwise."""
+    inferred from the shape if not given; ValueError naming ``name``, or ``d``
+    if it is negative, otherwise."""
+    if d is not None and d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
     H = np.asarray(H, dtype=float)
     want = "" if d is None else f" = {skew_dim(d)} for d = {d}"
     if d is None:

@@ -11,9 +11,18 @@ decides a PSD H and, with no kernel at d <= 3, every H; otherwise a
 semismooth Newton-CG minimizes it: phi's gradient is strongly semismooth,
 and its generalized Hessian is applied through the divided differences of
 lambda -> min(lambda, 0) at the eigendecomposition phi already made (Qi-Sun
-2006, Zhao-Sun-Toh 2010).  Any evaluated Z that is PSD up to tolerance is a
-witness.  Where phi stays positive, the certificate is read off the
-gradient: B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and
+2006, Zhao-Sun-Toh 2010).  Where every PSD point of the affine set is rank
+deficient, the set meets the PSD cone only on a proper face and that
+iteration slows to linear (Sturm 2000; Drusvyatskiy-Wolkowicz 2017); the
+spectrum of Z then splits into a cluster at 0, holding the negative
+eigenvalues, and the rest.  A face step takes the cluster's eigenvectors U0
+and makes Gauss-Newton steps on 1/2 ||U0^T Z(t) U0||^2, which drive the
+cluster to 0 quadratically; it is kept while each step halves the cluster,
+and the Newton-CG resumes when one does not.  Face steps count as
+iterations, and each candidate is still a Z that phi evaluated, so the
+stop tests below decide as before.  Any evaluated Z that is PSD up to
+tolerance is a witness.  Where phi stays positive, the certificate is read
+off the gradient: B0 = -Pi_-(Z) / tr(-Pi_-(Z)) is PSD and unit-trace, and
 kernel-orthogonal at a stationary point; projected off the kernel and
 shifted back to PSD it is checked as a certificate after every evaluation.
 Witnesses are re-verified independently; a spent budget or a stalled line
@@ -48,6 +57,12 @@ UNDECIDED = "Undecided"
 # Armijo's sufficient-decrease fraction and the smallest Newton step tried.
 ARMIJO = 1e-4
 STEP_FLOOR = 1e-6
+# The face step: the least gap ratio that splits the cluster at 0 off the
+# spectrum, the most face steps in a row, and the cap on their CG relative
+# residual (see _newton_cg).
+FACE_GAP = 2.0
+FACE_STEPS = 8
+FACE_CG = 0.01
 
 
 @dataclass
@@ -59,11 +74,13 @@ class SosVerdict:
     ``certificate`` is a PSD, unit-trace, kernel-orthogonal matrix B with
     <H, B> < 0.  ``residuals`` carries solver diagnostics in every case.
     ``stats`` says what decided: ``phase`` ("precheck" or "smooth"),
-    ``iterations`` (Newton steps in the smooth phase) and ``seconds`` per
-    phase run, ``stop``, the reason the deciding phase stopped, and
-    ``cg_products``, the generalized-Hessian products of its conjugate
-    gradient solves, once the smooth phase ran.  ``to_json`` leaves ``stats``
-    out.
+    ``iterations`` (Newton and face steps in the smooth phase) and
+    ``seconds`` per phase run, ``stop``, the reason the deciding phase
+    stopped, and, once the smooth phase ran, ``cg_products``, the products of
+    all its conjugate gradient solves, and ``face``: ``dim``, the size of the
+    last eigenvalue cluster a face step was tried on (0 if none), ``steps``,
+    the face steps among the iterations, and ``cg_products``, theirs among
+    the products.  ``to_json`` leaves ``stats`` out.
     """
 
     status: str
@@ -166,7 +183,9 @@ def _hessian_product(kernel, lam, V, mu):
     lambda -> min(lambda, 0) (Daleckii-Krein): 1 between two negative
     eigenvalues, 0 between two nonnegative ones, and lam_i / (lam_i - lam_j)
     across, so only the k negative eigenvectors enter and a product costs
-    O(m^2 k) besides one scatter and one gather.
+    O(m^2 k) besides one scatter and one gather.  V may be a block of
+    eigenvectors: given the face's U0 with every lam_i = -1, Omega is 1 on
+    the block and the product is K*(P K(v) P), P = U0 U0^T.
     """
     k = int(np.searchsorted(lam, 0.0))
     Vn = V[:, :k]
@@ -182,49 +201,122 @@ def _hessian_product(kernel, lam, V, mu):
     return product
 
 
-def _newton_cg(phi, kernel, t, state, max_iter, halt):
-    """Semismooth Newton-CG on phi from t, where phi(t) = state was evaluated.
+def _cg(product, b, tol):
+    """Conjugate gradients for product(x) = b from x = 0, to ||b - product(x)|| <= tol.
 
-    Each step solves (Hessian + mu I) p = -g by CG to the relative residual
-    min(0.1, ||g||^(1/2)) with mu = min(1e-2, ||g||), then halves the step from 1
-    until phi meets the Armijo condition (Qi-Sun 2006; Zhao-Sun-Toh 2010).
-    ``halt()`` runs after every evaluation of phi.  Returns the steps taken
-    (at most ``max_iter``), the CG products and the stop reason: "budget
-    spent", "stalled" when no step of at least STEP_FLOOR lowers phi, or "no
-    verified witness" when ``halt()`` held.
+    Returns x and the products spent.  n steps solve an n-dimensional system
+    in exact arithmetic; rounding may need more, so 2n bound them.  A
+    semidefinite product stops at a direction of zero curvature.
+    """
+    x, r = np.zeros_like(b), b
+    d, rr = r, float(r @ r)
+    products = 0
+    for _ in range(2 * len(b)):
+        if rr <= tol * tol:
+            break
+        Hd = product(d)
+        products += 1
+        curvature = float(d @ Hd)
+        if curvature <= 0.0:
+            break
+        a = rr / curvature
+        x, r = x + a * d, r - a * Hd
+        rr, rr_old = float(r @ r), rr
+        d = r + (rr / rr_old) * d
+    return x, products
+
+
+def _face(lam, failed):
+    """Size j of the eigenvalue cluster at 0, or 0 if the spectrum does not split.
+
+    The cluster lam[:j] holds every negative eigenvalue and at least one
+    nonnegative one, and j, not in ``failed``, maximizes the gap ratio
+    lam[j] / max|lam[:j]|, which must reach FACE_GAP.
+    """
+    k = int(np.searchsorted(lam, 0.0))
+    if k == 0 or k >= len(lam) - 1:
+        return 0
+    ratio = lam[k + 1:] / np.maximum(-lam[0], lam[k:-1])
+    ratio[[j - k - 1 for j in failed if j > k]] = 0.0
+    i = int(np.argmax(ratio))
+    return k + 1 + i if ratio[i] >= FACE_GAP else 0
+
+
+def _newton_cg(phi, kernel, t, state, max_iter, halt, accept_tol):
+    """Semismooth Newton-CG with face steps on phi from t, where phi(t) = state.
+
+    A Newton step solves (Hessian + mu I) p = -g by CG to the relative
+    residual min(0.1, ||g||^(1/2)) with mu = min(1e-2, ||g||), then halves the
+    step from 1 until phi meets the Armijo condition (Qi-Sun 2006;
+    Zhao-Sun-Toh 2010).  Where every PSD point of the affine set is rank
+    deficient, that iteration is only linear (Sturm 2000), and the spectrum
+    splits: a cluster of j eigenvalues at 0, all the negative ones among
+    them, set apart by a gap (``_face``).  Face steps then come first.  With
+    U0 the cluster's eigenvectors and P = U0 U0^T, each is a Gauss-Newton
+    step on psi(t) = 1/2 ||U0^T Z(t) U0||^2: one CG solve of
+    K*(P K(p) P) = -K*(P Z P), to the relative residual
+    max(min(FACE_CG, s / lam_j), accept_tol / (10 s)) for the cluster's
+    largest |eigenvalue| s, and one evaluation of phi at t + p, whose
+    eigendecomposition gives the next U0.  A face step is kept if it at
+    least halves s, and FACE_STEPS may follow in a row; the first that does
+    not is dropped, its j is not tried again, and a Newton step follows from
+    the last kept point.  ``halt()`` runs after every evaluation of phi.
+    Returns the steps of both kinds taken (at most ``max_iter``), their CG
+    products, the stop reason ("budget spent", "stalled" when no Newton step
+    of at least STEP_FLOOR lowers phi, or "no verified witness" when
+    ``halt()`` held), and the face report of ``SosVerdict.stats``.
     """
     f, g, lam, V = state
     steps = products = 0
+    face = {"dim": 0, "steps": 0, "cg_products": 0}
+    failed = set()
     while steps < max_iter:
-        gnorm = float(np.sqrt(g @ g))
-        hess = _hessian_product(kernel, lam, V, min(1e-2, gnorm))
-        p, r = np.zeros_like(g), -g
-        d, rr = r, float(r @ r)
-        # n CG steps solve the n-dimensional system in exact arithmetic;
-        # rounding may need more, so 2n bounds the products of one step.
-        for _ in range(2 * len(g)):
-            if rr <= (min(0.1, np.sqrt(gnorm)) * gnorm) ** 2:
+        j = _face(lam, failed)
+        if j:
+            face["dim"] = j
+            size = max(-lam[0], lam[j - 1])
+            for _ in range(min(FACE_STEPS, max_iter - steps)):
+                U0 = V[:, :j]
+                rhs = -kernel.inner((U0 * lam[:j]) @ U0.T)
+                # A face step leaves the cluster at about ten times the
+                # relative residual times its size: no need to go below what
+                # reaches accept_tol.
+                rtol = max(min(FACE_CG, size / lam[j]), accept_tol / (10.0 * size))
+                p, used = _cg(_hessian_product(kernel, -np.ones(j), U0, 0.0), rhs,
+                              rtol * float(np.sqrt(rhs @ rhs)))
+                products += used
+                face["cg_products"] += used
+                face["steps"] += 1
+                steps += 1
+                trial = phi(t + p)
+                if halt():
+                    return steps, products, "no verified witness", face
+                trial_size = max(-trial[2][0], trial[2][j - 1])
+                if trial_size > 0.5 * size:
+                    failed.add(j)
+                    break
+                t, size = t + p, trial_size
+                f, g, lam, V = trial
+            if steps == max_iter:
                 break
-            Hd = hess(d)
-            products += 1
-            a = rr / float(d @ Hd)
-            p, r = p + a * d, r - a * Hd
-            rr, rr_old = float(r @ r), rr
-            d = r + (rr / rr_old) * d
+        gnorm = float(np.sqrt(g @ g))
+        p, used = _cg(_hessian_product(kernel, lam, V, min(1e-2, gnorm)), -g,
+                      min(0.1, np.sqrt(gnorm)) * gnorm)
+        products += used
         slope, step = float(g @ p), 1.0
         steps += 1
         while True:
             trial = phi(t + step * p)
             if halt():
-                return steps, products, "no verified witness"
+                return steps, products, "no verified witness", face
             if trial[0] < f and trial[0] <= f + ARMIJO * step * slope:
                 break
             step *= 0.5
             if step < STEP_FLOOR:
-                return steps, products, "stalled"
+                return steps, products, "stalled", face
         t = t + step * p
         f, g, lam, V = trial
-    return steps, products, "budget spent"
+    return steps, products, "budget spent", face
 
 
 # A huge H overflows norms and phi to inf, which are tested, not printed.
@@ -245,10 +337,10 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     ----------
     H : finite (m, m) array, m = C(d, 2); its symmetric part is used
     tol : acceptance tolerance for witness residuals
-    max_iter : iteration budget: Newton steps of the smooth phase.  The
-        verdict's ``iterations`` is that count and never exceeds ``max_iter``;
-        a verdict decided before iterating (the trace pre-check, PSD H, or
-        any H at d <= 3) reports at most 1.
+    max_iter : iteration budget: Newton and face steps of the smooth phase.
+        The verdict's ``iterations`` is that count and never exceeds
+        ``max_iter``; a verdict decided before iterating (the trace
+        pre-check, PSD H, or any H at d <= 3) reports at most 1.
 
     Returns
     -------
@@ -344,7 +436,8 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     used, stop = 1, "no verified witness"
     if best["Z"] is None and len(kernel):
         enter("smooth", 0)
-        used, stats["cg_products"], stop = _newton_cg(phi, kernel, t, state, max_iter, halt)
+        used, stats["cg_products"], stop, stats["face"] = _newton_cg(
+            phi, kernel, t, state, max_iter, halt, accept_tol)
     if best["Z"] is not None:
         verdict = feasible_verdict(best["Z"], used)
         if verdict is not None:
@@ -364,13 +457,21 @@ def sos_decompose(H_star, tol=1e-9):
 
     H_star is a finite (m, m) matrix, m = C(d, 2), and its symmetric part is
     factored.  ``r`` is the numerical rank of that part; eigenvalues below
-    -tol raise a ValueError, small negatives are clipped.
+    -tol raise a ValueError, small negatives are clipped.  Where an eigenvalue
+    of H_star would overflow, H_star / 4^e is factored instead, e the least
+    integer that keeps its spectrum finite, and every factor is scaled by
+    2^e: both are exact, the rank and the tolerances are taken in those
+    scaled units, and e = 0 for any H_star whose spectrum is finite.
     """
     H_star, d = _check_h(H_star, name="H_star")
     m = H_star.shape[0]
     if m == 0:
         return []
+    e = 0
     lam, V = np.linalg.eigh(H_star)
+    while not np.all(np.isfinite(lam)):
+        e += 1
+        lam, V = np.linalg.eigh(np.ldexp(H_star, -2 * e))
     if lam[0] < -tol:
         raise ValueError(f"matrix is indefinite beyond tolerance: min eigenvalue {lam[0]:.3e}")
     lam = np.clip(lam, 0.0, None)
@@ -379,7 +480,7 @@ def sos_decompose(H_star, tol=1e-9):
     for p in range(m - 1, -1, -1):
         if lam[p] <= cutoff:
             break
-        factors.append(vec_to_skew(np.sqrt(lam[p]) * V[:, p], d))
+        factors.append(vec_to_skew(np.ldexp(np.sqrt(lam[p]) * V[:, p], e), d))
     return factors
 
 

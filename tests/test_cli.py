@@ -64,6 +64,13 @@ def test_sos_check_inline_matrix():
     assert j["status"] == "Infeasible"
 
 
+def test_a_negative_dimension_is_a_usage_error():
+    for command in ("sos-check", "decompose"):
+        for H in ("id", "zero"):
+            j = run_json([command, "--H", H, "--d", "-3"])
+            assert j == {"error": "d must be nonnegative, got -3"}
+
+
 def test_decompose():
     j = run_json(["decompose", "--H", "id", "--d", "3"])
     assert j["status"] == "Feasible" and j["rank"] == 3

@@ -389,3 +389,10 @@ def test_every_coefficient_matrix_entry_refuses_bad_input(entry):
     for X in bad:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(X)
+
+
+def test_a_negative_dimension_is_refused():
+    # skew_dim(-3) = 6, so a 6 x 6 H used to pass as an H "for d = -3"
+    for call in (lambda: cmap_from_h(np.eye(6), -3), lambda: trace_form(np.eye(6), -3)):
+        with pytest.raises(ValueError, match="^d must be nonnegative, got -3"):
+            call()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quadricdiff.cspace import _PluckerKernel, cmap_from_h, k_matrix
-from quadricdiff.skew import skew_dim, skew_to_vec
+from quadricdiff.skew import skew_dim, skew_to_vec, vec_to_skew
 from quadricdiff.sos import (
     charpoly_reference,
     counterexample_d6,
@@ -400,6 +400,65 @@ def test_hessian_product_is_the_divided_difference_derivative(d):
     assert np.abs(got - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
 
 
+@pytest.mark.parametrize("d,j", [(4, 2), (6, 8), (8, 14)])
+def test_face_product_is_the_gauss_newton_matrix(d, j):
+    # The face step's product v -> K*(P K(v) P), P = U0 U0^T, is J^T J for
+    # J v the derivative of U0^T Z(t) U0 along v: checked against the dense
+    # formula and against central differences of U0^T Z(t) U0.
+    from quadricdiff.sos import _hessian_product
+
+    r = np.random.default_rng(100 + d)
+    kernel = _PluckerKernel(d)
+    m = skew_dim(d)
+    X = r.standard_normal((m, m))
+    Z = X + X.T
+    U0 = np.linalg.eigh(Z)[1][:, :j]
+    P = U0 @ U0.T
+    v = r.standard_normal(len(kernel))
+    got = _hessian_product(kernel, -np.ones(j), U0, 0.0)(v)
+    dense = kernel.inner(P @ kernel.combine(v) @ P)
+    assert np.abs(got - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
+
+    def block(t):
+        return U0.T @ (Z + kernel.combine(t)) @ U0
+
+    h = 1e-6
+    fd = kernel.inner(U0 @ ((block(h * v) - block(-h * v)) / (2 * h)) @ U0.T)
+    assert np.abs(got - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_half_rank_families_are_decided_within_ten_steps(d):
+    # Every PSD point of these affine sets is rank deficient, where the
+    # Newton-CG alone is linear; with the face step each is decided within a
+    # fixed count of steps, not a wall-clock bound.
+    for seed in range(500, 520):
+        H = half_rank_form(seed, d)
+        v = sos_check(H)
+        _assert_feasible_witness(H, v)
+        assert v.iterations <= 10, seed
+
+
+@pytest.mark.parametrize("d", [20, 26])
+def test_large_half_rank_forms_are_decided_within_twelve_steps(d):
+    H = half_rank_form(0, d)
+    v = sos_check(H)
+    _assert_feasible_witness(H, v)
+    assert v.iterations <= 12
+
+
+def test_stats_report_the_face():
+    H = half_rank_form(500, 8)
+    v = sos_check(H)
+    face, m = v.stats["face"], skew_dim(8)
+    assert set(face) == {"dim", "steps", "cg_products"}
+    assert 0 < face["dim"] < m and 1 <= face["steps"] <= v.iterations
+    assert 0 < face["cg_products"] <= v.stats["cg_products"]
+    # the witness is singular on the face, and positive definite off it
+    w = np.linalg.eigvalsh(v.h_star)
+    assert np.abs(w[:face["dim"]]).max() <= 1e-9 < w[face["dim"]]
+
+
 def test_undecided_residuals_at_best_point():
     v = sos_check(half_rank_form(502, 8), max_iter=4)
     assert v.status == "Undecided"
@@ -519,6 +578,25 @@ def test_sos_decompose_factors_the_symmetric_part():
     H_star = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
     C = reconstruct_cmap(sos_decompose(H_star), 3)
     assert np.abs(C - cmap_from_h(H_star, 3)).max() <= 1e-12
+
+
+def test_sos_decompose_prescales_a_spectrum_that_overflows():
+    # The top eigenvalue of this H*, 2e308, overflows, and a cutoff of
+    # tol * inf used to drop every factor.  H* / 4 is factored instead and
+    # each factor scaled by 2.  The eigenvalue 1 is 5e-309 of the top one,
+    # below the rank cutoff, so one factor remains.
+    H = np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])
+    v = sos_check(H)
+    assert v.status == "Feasible" and len(v.factors) == 1
+    half = [skew_to_vec(A) / 2.0 for A in v.factors]
+    scaled = v.h_star / 4.0
+    err = np.abs(sum(np.outer(a, a) for a in half) - scaled).max()
+    assert err <= 1e-12 * np.abs(scaled).max()
+    # a finite spectrum is factored unscaled, bit for bit
+    P = np.diag([4.0, 1.0, 2.0]) + 0.5
+    lam, V = np.linalg.eigh(P)
+    for p, A in zip((2, 1, 0), sos_decompose(P)):
+        assert np.array_equal(A, vec_to_skew(np.sqrt(lam[p]) * V[:, p], 3))
 
 
 def test_sos_check_symmetrizes_without_overflow():

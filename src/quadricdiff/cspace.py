@@ -9,13 +9,22 @@ never by sampling alone.
 
 The kernel of H -> c_H has dimension C(d, 4) and is spanned by the
 Plucker-relation matrices :func:`k_matrix`, one per increasing 4-tuple.
+
+Index tables are built once per d, on first use, and kept read-only for
+the life of the process: the strict upper triangle (2m integers) and the
+pair and sign tables of the elementary basis (2d^2 entries) in ``skew``,
+and here the Plucker kernel's gather positions (6 C(d, 4) integers).
+Together they take 4.8 kB at d = 8 and 242 kB at d = 20, besides the
+(m, d, d) elementary basis ``skew_basis`` caches (14 kB and 608 kB).
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .skew import pi_index, skew_basis, skew_dim, skew_to_vec, vec_to_skew
+from .skew import (_pair_signs, _upper_indices, pi_index, skew_basis, skew_dim, skew_to_vec,
+                   vec_to_skew)
 
 __all__ = [
     "TangencyError",
@@ -52,13 +61,16 @@ class TangencyError(ValueError):
 def _symmetric_part(A):
     """0.5 (A + A^T) of a finite A, with 0.5 A + 0.5 A^T where the sum overflows.
 
-    Both are exact on a symmetric entry, so a symmetric A keeps its bits.
+    A^T swaps the last two axes, so a stack of matrices or a coefficient
+    tensor is symmetrized in its last two indices.  Both rules are exact on a
+    symmetric entry, so a symmetric A keeps its bits.
     """
+    At = np.swapaxes(A, -1, -2)
     with np.errstate(over="ignore"):
-        S = 0.5 * (A + A.T)
+        S = 0.5 * (A + At)
     over = ~np.isfinite(S)
     if over.any():
-        S[over] = (0.5 * A + 0.5 * A.T)[over]
+        S[over] = (0.5 * A + 0.5 * At)[over]
     return S
 
 
@@ -88,11 +100,20 @@ def _check_h(H, d=None, name="H"):
 
 
 def c_H_eval(H, x):
-    """Evaluate c_H at a point: sum_pq h_pq (D_p x)(D_q x)^T, a symmetric d x d matrix."""
+    """Evaluate c_H at a point: sum_pq h_pq (D_p x)(D_q x)^T, a symmetric d x d matrix.
+
+    ValueError if x is not finite or if c_H(x) overflows.
+    """
     x = np.asarray(x, dtype=float)
     H, d = _check_h(H, x.shape[0])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     M = skew_basis(d) @ x          # row p is D_p x
-    return M.T @ H @ M
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = M.T @ H @ M
+    if not np.all(np.isfinite(c)):
+        raise ValueError("c_H(x) is not finite: the entries of H and x are too large")
+    return c
 
 
 def biquadratic_eval(H, x, y):
@@ -113,24 +134,29 @@ def h_action(H, A):
     return vec_to_skew(H @ skew_to_vec(A), d)
 
 
-def _sym_last_two(T):
-    return 0.5 * (T + T.transpose(0, 1, 3, 2))
-
-
 def cmap_from_pair(P, Q):
     """Coefficient tensor of x -> P x x^T Q^T + Q x x^T P^T for skew P, Q."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     T = np.einsum("ua,vb->uvab", P, Q) + np.einsum("ua,vb->uvab", Q, P)
-    return _sym_last_two(T)
+    return _symmetric_part(T)
 
 
 def cmap_from_h(H, d):
-    """Coefficient tensor of c_H."""
-    H, _ = _check_h(H, d)
-    Ds = skew_basis(d)
-    T = np.einsum("pq,pua,qvb->uvab", H, Ds, Ds)
-    return _sym_last_two(T)
+    """Coefficient tensor of c_H, symmetrized in its last two indices.
+
+    D_p[u, a] is nonzero only at the pair p of {u, a}, so the entry
+    sum_pq h_pq D_p[u, a] D_q[v, b] is the single signed entry
+    S[u, a] S[v, b] H[P[u, a], P[v, b]] (``skew._pair_signs``), one gather.
+    """
+    H, d = _check_h(H, d)
+    if H.size == 0:
+        return np.zeros((d,) * 4)
+    P, S = _pair_signs(d)
+    T = (S[:, None, :, None] * S[None, :, None, :]) * H[P[:, None, :, None], P[None, :, None, :]]
+    # A zero sign times a negative entry is -0.0; the sum over p, q gives +0.0.
+    T += 0.0
+    return _symmetric_part(T)
 
 
 def cmap_eval(C, x):
@@ -204,14 +230,15 @@ class _PluckerKernel:
 
     def __init__(self, d):
         self.m = skew_dim(d)
-        pair = np.zeros((d, d), dtype=int)
-        pair[np.triu_indices(d, 1)] = np.arange(self.m)
+        pair, _ = _pair_signs(d)
         i, j, k, l = np.array(list(combinations(range(d), 4)), dtype=int).reshape(-1, 4).T
         rows = np.stack([pair[i, j], pair[i, l], pair[i, k]], axis=1)
         cols = np.stack([pair[k, l], pair[j, k], pair[j, l]], axis=1)
         # Flat positions of (row, col) and (col, row) in an m x m array.
         self.upper = rows * self.m + cols
         self.lower = cols * self.m + rows
+        self.upper.setflags(write=False)
+        self.lower.setflags(write=False)
 
     def __len__(self):
         return len(self.upper)
@@ -225,7 +252,7 @@ class _PluckerKernel:
     def combine(self, t):
         """sum_q t_q K_q."""
         X = np.zeros(self.m * self.m)
-        vals = np.outer(t, self.SIGNS)
+        vals = t[:, None] * self.SIGNS
         X[self.upper] = vals
         X[self.lower] = vals
         return X.reshape(self.m, self.m)
@@ -233,6 +260,12 @@ class _PluckerKernel:
     def project(self, X):
         """Orthogonal projection onto span(K); every K_q has squared norm 6."""
         return self.combine(self.inner(X) / 6.0)
+
+
+@lru_cache(maxsize=None)
+def _kernel(d):
+    """The one read-only :class:`_PluckerKernel` of dimension d."""
+    return _PluckerKernel(d)
 
 
 def h_from_c(C):
@@ -254,8 +287,8 @@ def h_from_c(C):
     d = C.shape[0]
     if C.shape != (d, d, d, d) or not np.all(np.isfinite(C)):
         raise ValueError(f"C must be a finite (d, d, d, d) tensor, got shape {C.shape}")
-    i, j = np.triu_indices(d, 1)
-    Ct = _sym_last_two(C)
+    i, j = _upper_indices(d)
+    Ct = _symmetric_part(C)
     M = (Ct[i[:, None], i, j[:, None], j] - Ct[i[:, None], j, j[:, None], i]
          - Ct[j[:, None], i, i[:, None], j] + Ct[j[:, None], j, i[:, None], i])
     H = (M + M.T) / 6.0

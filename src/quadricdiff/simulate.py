@@ -364,6 +364,17 @@ def _row_norms(X, sq, out):
     np.sqrt(out, out=out)
 
 
+def _rows_times(X, M):
+    """X @ M.T, each row of it rounded as a row of a larger X would be.
+
+    numpy multiplies a single row by BLAS gemv, which rounds otherwise than
+    gemm does for every row of a taller X, so a lone row goes in twice.
+    """
+    if len(X) == 1:
+        return (np.concatenate((X, X)) @ M.T)[:1]
+    return X @ M.T
+
+
 def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink):
     """Advance a block of paths; the radial substep runs iff bhat is not None.
 
@@ -415,9 +426,9 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink):
         for j in range(steps):
             if rotate:
                 if m == 0:
-                    X = X @ Q_const.T
+                    X = _rows_times(X, Q_const)
                 elif scalar3:
-                    X = _rot3_apply(noise[:, j, :m] @ Avec, X, h_a0vec)
+                    X = _rot3_apply(_rows_times(noise[:, j, :m], Avec.T), X, h_a0vec)
                 else:
                     M = np.einsum("bp,pij->bij", noise[:, j, :m], As)
                     if drift:
@@ -427,8 +438,8 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink):
             if radial:
                 r2 = np.einsum("bi,bi->b", X, X)
                 fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-                X += (bhat + X @ Bhat.T) * h
-                X += fac[:, None] * (noise[:, j, m:] @ sqrt_alpha.T)
+                X += (bhat + _rows_times(X, Bhat)) * h
+                X += fac[:, None] * _rows_times(noise[:, j, m:], sqrt_alpha)
                 _row_norms(X, sq, nrm)
                 over = nrm > 1.0
                 if np.any(over):

@@ -89,8 +89,29 @@ def skew_basis(d):
     return _skew_basis_cached(d)
 
 
+@lru_cache(maxsize=None)
 def _upper_indices(d):
-    return np.triu_indices(d, 1)
+    """Read-only (rows, cols) of the strict upper triangle, pair p at position p - 1."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
+def _pair_signs(d):
+    """Read-only (d, d) tables P, S with D_p[u, a] = S[u, a] exactly at p = P[u, a] + 1.
+
+    S is +1 above the diagonal, -1 below it and 0 on it, where P is 0.
+    """
+    rows, cols = _upper_indices(d)
+    P = np.zeros((d, d), dtype=np.intp)
+    P[rows, cols] = P[cols, rows] = np.arange(skew_dim(d))
+    S = np.zeros((d, d))
+    S[rows, cols], S[cols, rows] = 1.0, -1.0
+    P.setflags(write=False)
+    S.setflags(write=False)
+    return P, S
 
 
 def skew_to_vec(A):

@@ -35,7 +35,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import (_PluckerKernel, _check_h, _symmetric, biquadratic_eval, c_H_eval,
+from .cspace import (_check_h, _kernel, _symmetric, biquadratic_eval, c_H_eval,
                      cmap_from_h, cmap_from_pair, k_matrix)
 from .skew import pi_index, skew_dim, vec_to_skew
 
@@ -150,7 +150,7 @@ def verify_certificate(H, B, tol=1e-9):
     _check_h(B, d, "B")
     B = np.asarray(B, dtype=float)
     _symmetric(B, "B must be symmetric")
-    kernel = _PluckerKernel(d)
+    kernel = _kernel(d)
     korth = float(np.abs(kernel.inner(B)).max(initial=0.0))
     report = {
         "eig_min": _eig_min(B),
@@ -379,7 +379,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     scale = max(1.0, float(np.linalg.norm(H)))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
-    kernel = _PluckerKernel(d)
+    kernel = _kernel(d)
 
     def feasible_verdict(h_star, used):
         report, ok = _verify_feasible(H, h_star, kernel, tol)

@@ -8,6 +8,7 @@ import pytest
 from quadricdiff.cli import main
 from quadricdiff.cspace import (
     TangencyError,
+    _kernel,
     biquadratic_eval,
     c_H_eval,
     c_from_biquadratic,
@@ -23,7 +24,8 @@ from quadricdiff.cspace import (
     k_matrix,
     trace_form,
 )
-from quadricdiff.skew import pi_index, plucker_eval, skew_dim, vec_to_skew
+from quadricdiff.skew import (_pair_signs, _upper_indices, pi_index, plucker_eval, skew_basis,
+                              skew_dim, vec_to_skew)
 from quadricdiff.sos import nonneg_check, sos_check, sos_decompose, verify_certificate
 
 from kbasis import k_basis
@@ -350,6 +352,52 @@ def test_near_overflow_h_takes_the_symmetric_part_sos_check_takes():
     for got, want in ((c_H_eval(H, x), c_H_eval(S, x)), (trace_form(H, 3), trace_form(S, 3)),
                       (h_from_json({"d": 3, "H": H.tolist()})[0], S)):
         assert np.all(np.isfinite(got)) and np.array_equal(got, want)
+
+
+def test_finite_coefficients_do_not_overflow_cmap_from_h():
+    # h + h overflows in the symmetrization; 0.5 h + 0.5 h is the exact entry
+    C = cmap_from_h([[1.7e308]], 2)
+    assert C[0, 0, 1, 1] == C[1, 1, 0, 0] == 1.7e308
+    assert C[0, 1, 0, 1] == C[0, 1, 1, 0] == -0.5 * 1.7e308
+    assert np.all(np.isfinite(C))
+
+
+def test_c_H_eval_refuses_an_overflow_and_a_non_finite_x():
+    # c_H(x) = 1.7e308 * (6.8e16)^2 is not a double
+    with pytest.raises(ValueError, match="^c_H\\(x\\) is not finite: the entries of H and x"):
+        c_H_eval([[1.7e308]], [0.0, 6.8e16])
+    with pytest.raises(ValueError, match="^x must be finite"):
+        c_H_eval(np.eye(3), [0.0, np.nan, 1.0])
+    assert np.all(np.isfinite(c_H_eval([[1.7e308]], [0.0, 0.5])))
+
+
+def _cmap_from_h_einsum(H, d):
+    """The defining contraction sum_pq h_pq D_p x x^T D_q^T, symmetrized."""
+    Ds = skew_basis(d)
+    T = np.einsum("pq,pua,qvb->uvab", np.asarray(H, dtype=float), Ds, Ds)
+    return 0.5 * (T + T.transpose(0, 1, 3, 2))
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_cmap_from_h_gather_is_the_contraction_bit_for_bit(d):
+    # Zeros too: a zero sign times a negative entry must not leave a -0.0.
+    m = skew_dim(d)
+    H = random_sym(m)
+    huge = 1e300 * H / max(1.0, np.abs(H).max(initial=0.0))
+    for X in (H, -np.abs(H), np.eye(m), np.zeros((m, m)), huge):
+        assert cmap_from_h(X, d).tobytes() == _cmap_from_h_einsum(X, d).tobytes()
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_per_dimension_tables_are_shared_and_read_only(d):
+    tables = [*_upper_indices(d), *_pair_signs(d), skew_basis(d)]
+    if d >= 4:
+        assert _kernel(d) is _kernel(d)
+        tables += [_kernel(d).upper, _kernel(d).lower]
+    assert _upper_indices(d) is _upper_indices(d) and _pair_signs(d) is _pair_signs(d)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
 
 
 def _cli_sos_check(H):

@@ -99,15 +99,25 @@ def test_ball_ensemble_matches_single():
 
 
 def _block_runs(n_paths):
-    """(result, paths) of sphere, ball with a drive, and scalar ensembles of n_paths."""
+    """(result, paths) of sphere, ball with a drive, scalar, drift-only sphere and
+    drift-only ball ensembles of n_paths; the last ball's Bhat and alpha are not
+    diagonal, so its products of a state with them round."""
     e3 = SkewDrive.elementary(3, a0=0.7 * skew_basis(3)[0])
     x3 = np.array([0.0, 0.6, 0.8])
+    a4 = sum(c * A for c, A in zip((0.9, -0.3, 0.5, 0.2, -1.1, 0.4), skew_basis(4)))
+    drift4 = SkewDrive(a4, np.zeros((0, 4, 4)))
+    x4 = np.array([0.25, -0.25, 0.25, 0.25])
     return [
         kept_run(sphere_ensemble, e3, x3, 0.03, 1e-3, 5, n_paths),
         kept_run(ball_ensemble, np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
                  0.5 * x3, 0.03, 1e-3, 6, n_paths),
         kept_run(scalar_ball_ensemble, 0.2, 1.0, SkewDrive.zero(2), [0.6, 0.79], 0.05, 1e-2, 7,
                  n_paths),
+        kept_run(sphere_ensemble, SkewDrive(np.array([[0.0, 1.5], [-1.5, 0.0]]),
+                                            np.zeros((0, 2, 2))),
+                 [0.6, 0.8], 0.02, 1e-3, 5, n_paths),
+        kept_run(ball_ensemble, np.zeros(4), -np.eye(4) - 0.3, 0.5 * np.eye(4) + 0.2, drift4,
+                 x4, 0.02, 1e-3, 8, n_paths),
     ]
 
 

@@ -9,12 +9,10 @@ criteria.
 """
 
 from .skew import (
-    RankError,
     elementary_skew,
     pair_from_index,
     pi_index,
     plucker_eval,
-    rank2_factor,
     skew_basis,
     skew_dim,
     skew_to_vec,
@@ -24,13 +22,9 @@ from .cspace import (
     TangencyError,
     biquadratic_eval,
     c_H_eval,
-    c_from_biquadratic,
     c_space_basis,
-    cmap_eval,
     cmap_from_h,
-    cmap_from_json,
     cmap_from_pair,
-    cmap_to_json,
     h_action,
     h_from_c,
     h_from_json,
@@ -39,9 +33,6 @@ from .cspace import (
     trace_form,
 )
 from .sos import (
-    Counterexample,
-    NonnegReport,
-    SosVerdict,
     counterexample_d6,
     nonneg_check,
     reconstruct_cmap,
@@ -50,24 +41,15 @@ from .sos import (
     verify_certificate,
 )
 from .model import (
-    AttainmentReport,
     BallModel,
     SphereModel,
-    SphereQuadReport,
-    ValidationReport,
-    a_eval,
     boundary_attainment,
-    drift_eval,
     model_from_json,
-    model_to_json,
     sphere_max_quadratic,
     validate_ball,
     validate_sphere,
 )
 from .generator import (
-    GeneratorMatrix,
-    MonomialBasis,
-    apply_generator,
     build_Gk,
     moment,
     monomial_basis,
@@ -76,10 +58,7 @@ from .generator import (
     poly_to_json,
 )
 from .simulate import (
-    EnsembleResult,
-    MCMoment,
     SkewDrive,
-    TwinPathReport,
     ball_ensemble,
     eval_poly,
     expm_skew,
@@ -90,8 +69,6 @@ from .simulate import (
     twin_path_experiment,
 )
 from .liealg import (
-    DensityReport,
-    LieSubspace,
     bracket,
     density_check_ball,
     density_check_sphere,

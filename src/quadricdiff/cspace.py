@@ -33,16 +33,12 @@ __all__ = [
     "h_action",
     "cmap_from_h",
     "cmap_from_pair",
-    "cmap_eval",
     "trace_form",
     "c_space_basis",
     "k_matrix",
     "h_from_c",
-    "c_from_biquadratic",
     "h_to_json",
     "h_from_json",
-    "cmap_to_json",
-    "cmap_from_json",
 ]
 
 
@@ -167,11 +163,8 @@ def cmap_eval(C, x):
 
 
 def trace_form(H, d):
-    """Symmetric matrix C with trace(c_H(x)) = x^T C x, computed on coefficients."""
-    H, _ = _check_h(H, d)
-    Ds = skew_basis(d)
-    # tr(D_p x x^T D_q^T) = x^T D_q^T D_p x
-    return _symmetric_part(np.einsum("pq,qau,pav->uv", H, Ds, Ds))
+    """Symmetric matrix C with trace(c_H(x)) = x^T C x: the partial trace of c_H's tensor."""
+    return np.einsum("iiab->ab", cmap_from_h(H, d))
 
 
 def c_space_basis(d):
@@ -351,25 +344,3 @@ def h_from_json(obj):
         H = H.reshape(0, 0)
     return _check_h(H, d)
 
-
-def cmap_to_json(C):
-    """JSON-ready dict {"d": d, "c": {"i,j": [[...]]}} carrying the upper triangle."""
-    C = np.asarray(C, dtype=float)
-    d = C.shape[0]
-    comps = {}
-    for i in range(d):
-        for j in range(i, d):
-            comps[f"{i + 1},{j + 1}"] = C[i, j].tolist()
-    return {"d": d, "c": comps}
-
-
-def cmap_from_json(obj):
-    """Inverse of :func:`cmap_to_json`."""
-    d = int(obj["d"])
-    C = np.zeros((d, d, d, d))
-    for key, mat in obj["c"].items():
-        i, j = (int(t) for t in key.split(","))
-        M = _symmetric_part(np.asarray(mat, dtype=float))
-        C[i - 1, j - 1] = M
-        C[j - 1, i - 1] = M
-    return C

@@ -24,10 +24,7 @@ from scipy.sparse.linalg import expm_multiply
 from .cspace import cmap_from_h
 
 __all__ = [
-    "MonomialBasis",
-    "GeneratorMatrix",
     "monomial_basis",
-    "apply_generator",
     "build_Gk",
     "moment",
     "poly_to_json",
@@ -129,7 +126,9 @@ def _start_point(x0, d, space, tol):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (d,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be {d} finite numbers, got {x0.tolist()}")
-    r = float(np.linalg.norm(x0))
+    big = float(np.abs(x0).max(initial=0.0))
+    # Scaled where an entry is past 1 + tol, so that a huge x0 cannot overflow the norm.
+    r = big * float(np.linalg.norm(x0 / big)) if big > 1.0 + tol else float(np.linalg.norm(x0))
     if r > 1.0 + tol or (space == "sphere" and r < 1.0 - tol):
         raise ValueError(f"|x0| = {r} does not lie on the unit sphere" if space == "sphere"
                          else f"|x0| = {r} lies outside the closed unit ball")

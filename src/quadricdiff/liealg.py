@@ -16,8 +16,6 @@ from .simulate import SkewDrive, _alpha_eigh
 from .skew import skew_dim
 
 __all__ = [
-    "LieSubspace",
-    "DensityReport",
     "bracket",
     "g_ideal",
     "density_check_sphere",

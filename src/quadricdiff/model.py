@@ -18,16 +18,10 @@ from . import sos as _sos
 __all__ = [
     "BallModel",
     "SphereModel",
-    "SphereQuadReport",
-    "ValidationReport",
-    "AttainmentReport",
-    "a_eval",
-    "drift_eval",
     "sphere_max_quadratic",
     "validate_ball",
     "validate_sphere",
     "boundary_attainment",
-    "model_to_json",
     "model_from_json",
 ]
 

@@ -33,13 +33,10 @@ from scipy.special import ndtri
 from .cspace import _symmetric
 from .generator import _exponent, _start_point
 from .model import _alpha_psd
-from .skew import skew_basis
+from .skew import skew_basis, skew_to_vec
 
 __all__ = [
     "SkewDrive",
-    "EnsembleResult",
-    "MCMoment",
-    "TwinPathReport",
     "expm_skew",
     "path_normals",
     "sphere_ensemble",
@@ -403,8 +400,6 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink):
     Q_const = expm_skew(ha0) if (rotate and m == 0) else None
     scalar3 = rotate and m > 0 and d == 3
     if scalar3:
-        from .skew import skew_to_vec
-
         Avec = np.array([skew_to_vec(A) for A in As])
         h_a0vec = h * skew_to_vec(drive.a0)
         if not h_a0vec.any():

@@ -12,7 +12,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "RankError",
     "skew_dim",
     "pi_index",
     "pair_from_index",
@@ -21,7 +20,6 @@ __all__ = [
     "skew_to_vec",
     "vec_to_skew",
     "plucker_eval",
-    "rank2_factor",
 ]
 
 
@@ -55,31 +53,25 @@ def pi_index(i, j, d):
 
 def pair_from_index(p, d):
     """Inverse of :func:`pi_index`: the pair (i, j), i < j, with index p."""
-    m = skew_dim(d)
-    if not (1 <= p <= m):
-        raise ValueError(f"basis index {p} out of range 1..{m} for d = {d}")
-    i = 1
-    while p > d - i:
-        p -= d - i
-        i += 1
-    return i, i + p
+    rows, cols = _upper_indices(d)
+    if not (1 <= p <= len(rows)):
+        raise ValueError(f"basis index {p} out of range 1..{len(rows)} for d = {d}")
+    return int(rows[p - 1]) + 1, int(cols[p - 1]) + 1
 
 
 def elementary_skew(p, d):
     """Elementary skew basis matrix with +1 above the diagonal at pair number p."""
-    i, j = pair_from_index(p, d)
-    D = np.zeros((d, d))
-    D[i - 1, j - 1] = 1.0
-    D[j - 1, i - 1] = -1.0
-    return D
+    pair_from_index(p, d)  # the range check
+    return skew_basis(d)[p - 1].copy()
 
 
 @lru_cache(maxsize=None)
 def _skew_basis_cached(d):
-    m = skew_dim(d)
-    basis = np.zeros((m, d, d))
-    for p in range(1, m + 1):
-        basis[p - 1] = elementary_skew(p, d)
+    rows, cols = _upper_indices(d)
+    p = np.arange(len(rows))
+    basis = np.zeros((len(rows), d, d))
+    basis[p, rows, cols] = 1.0
+    basis[p, cols, rows] = -1.0
     basis.setflags(write=False)
     return basis
 

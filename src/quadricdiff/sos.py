@@ -40,9 +40,6 @@ from .cspace import (_check_h, _kernel, _symmetric, biquadratic_eval, c_H_eval,
 from .skew import pi_index, skew_dim, vec_to_skew
 
 __all__ = [
-    "Counterexample",
-    "SosVerdict",
-    "NonnegReport",
     "sos_check",
     "sos_decompose",
     "verify_certificate",
@@ -565,19 +562,6 @@ def charpoly_reference():
     return poly / 32.0
 
 
-def _negative_cubic_root(tol=1e-14):
-    """Bisection for the single negative root of 4 s^3 - 16 s^2 + 14 s + 1 in (-1, 0)."""
-    phi = lambda s: ((4.0 * s - 16.0) * s + 14.0) * s + 1.0
-    lo, hi = -1.0, 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass
 class Counterexample:
     """The dimension-six matrix with a nonnegative, non-SOS biquadratic form."""
@@ -598,7 +582,7 @@ def counterexample_d6():
     """
     H = _counterexample_h()
     lam = (1.0 - np.sqrt(3.0)) / 2.0
-    mu = _negative_cubic_root()
+    mu = float(np.roots([4.0, -16.0, 14.0, 1.0]).real.min())
     e = np.eye(15)
     v1 = 0.5 * e[1] - lam * e[6] + 0.5 * e[10]
     v2 = (mu / 2.0) * e[2] + mu * (2.0 - mu) * e[5] + 0.5 * (mu - 1.0) * e[12] + 0.5 * e[13]

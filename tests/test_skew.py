@@ -62,6 +62,49 @@ def test_elementary_skew_structure():
         elementary_skew(4, 3)
 
 
+def _pair_from_index_loop(p, d):
+    """The pair with index p, found by walking the rows of the upper triangle."""
+    i = 1
+    while p > d - i:
+        p -= d - i
+        i += 1
+    return i, i + p
+
+
+def _skew_basis_loop(d):
+    """The elementary basis built one matrix at a time from its pair."""
+    basis = np.zeros((skew_dim(d), d, d))
+    for p in range(1, skew_dim(d) + 1):
+        i, j = _pair_from_index_loop(p, d)
+        basis[p - 1, i - 1, j - 1] = 1.0
+        basis[p - 1, j - 1, i - 1] = -1.0
+    return basis
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_index_table_is_the_loop_bit_for_bit(d):
+    m = skew_dim(d)
+    assert skew_basis(d).tobytes() == _skew_basis_loop(d).tobytes()
+    for p in range(1, m + 1):
+        pair = pair_from_index(p, d)
+        assert pair == _pair_from_index_loop(p, d) and all(type(k) is int for k in pair)
+        D = elementary_skew(p, d)
+        assert D.tobytes() == _skew_basis_loop(d)[p - 1].tobytes()
+        D[...] = 0.0  # a writable copy, not a view of the cached basis
+    assert skew_basis(d).tobytes() == _skew_basis_loop(d).tobytes()
+    for p in (0, m + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            pair_from_index(p, d)
+        with pytest.raises(ValueError, match="out of range"):
+            elementary_skew(p, d)
+
+
+def test_pair_from_index_refuses_a_negative_dimension():
+    # skew_dim(-3) = 6, and the row walk never ended for d = -3
+    with pytest.raises(ValueError, match="out of range"):
+        pair_from_index(1, -3)
+
+
 def test_vec_roundtrip_exactly_skew():
     for d in (2, 3, 6):
         v = rng.standard_normal(skew_dim(d))

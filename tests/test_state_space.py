@@ -83,9 +83,10 @@ LIBRARY = {
 
 
 def radii(space, tol):
-    """(accepted, refused) norms at the edges of the state space."""
+    """(accepted, refused) norms at the edges of the state space, and huge ones."""
     accepted = [1.0 + 0.5 * tol, 1.0 - 0.5 * tol]
-    refused = [1.0 + 2.0 * tol]
+    # x0 . x0 overflows for the last two
+    refused = [1.0 + 2.0 * tol, 1e200, 1.7e308]
     if space == "sphere":
         refused += [1.0 - 2.0 * tol, 0.5]
     else:

@@ -11,21 +11,29 @@ paths or of one path, none larger than a noise chunk; one path is
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
-roundoff.  Ball schemes interleave that rotation with an Euler-Maruyama
-radial substep.  Noise is counter-based: each path owns a Philox stream keyed
-by (seed, path_id); the top 53 bits k of each draw give the midpoint
-(k + 1/2) * 2**-53 of a uniform grid, mapped to a Gaussian through the inverse
-normal CDF, so ensembles are reproducible and embarrassingly parallel.  A
-block of paths draws its noise in time chunks of about ``_NOISE_VALUES``
-values, straight into one float64 buffer of at most 8 MiB, each path's stream
-carrying over from one chunk to the next, so the memory a block holds does
-not grow with the number of steps; the streams are those of
-:func:`path_normals` whatever the chunk length.  Norm bookkeeping (largest
-radius, largest deviation from the sphere) is reduced once per chunk.  Seeds
-and path ids are integers in [0, 2**64).
+roundoff.  At d = 2, 3 and 4 the degree-13 approximant is applied in closed
+form, row by row, without forming matrices (:func:`_rot24_apply`,
+:func:`_rot3_apply`); rows whose norm needs squarings, and larger d, go
+through :func:`expm_skew`.  Ball schemes interleave that rotation with an
+Euler-Maruyama radial substep.  Noise is counter-based: each path owns a
+Philox stream keyed by (seed, path_id); the top 53 bits k of each draw give
+the midpoint (k + 1/2) * 2**-53 of a uniform grid, mapped to a Gaussian
+through the inverse normal CDF, so ensembles are reproducible and
+embarrassingly parallel.  A block of paths draws its noise in time chunks of
+about ``_NOISE_VALUES`` values, each path's stream carrying over from one
+chunk to the next, and holds two chunks at most, 8 MiB of float64 in all,
+so the memory a block holds does not grow with the number of steps; the
+streams are those of :func:`path_normals` whatever the chunk length.  While
+chunk k is stepped, a helper thread maps the uniforms of chunk k + 1 to
+normals (the inverse CDF releases the interpreter lock); a block of one
+chunk starts no thread.  Norm bookkeeping (largest radius, largest
+deviation from the sphere) is reduced once per chunk.  Seeds and path ids
+are integers in [0, 2**64).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 from scipy.special import ndtri
@@ -33,7 +41,7 @@ from scipy.special import ndtri
 from .cspace import _symmetric
 from .generator import _exponent, _start_point
 from .model import _alpha_psd
-from .skew import skew_basis, skew_to_vec
+from .skew import _upper_indices, skew_basis, skew_to_vec
 
 __all__ = [
     "SkewDrive",
@@ -51,8 +59,13 @@ _BLOCK = 4096
 _CLAMP = 1.0 - 1e-15
 # How far |x0| may miss the state space: the paths keep unit norm to about 1e-12.
 _X0_TOL = 1e-12
-# Noise values (float64, 8 MiB) one block holds at a time, whatever n_steps is.
-_NOISE_VALUES = 1 << 20
+# Noise values (float64, 4 MiB) in one chunk; a block holds two chunks at most,
+# whatever n_steps is.
+_NOISE_VALUES = 1 << 19
+# Names the noise streams and step kernels that seeded outputs depend on, and
+# moves with their bits.  "1": expm_skew at every d but 3; "2": closed-form
+# rotations at d = 2 and 4.
+_SCHEME_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -112,6 +125,13 @@ class EnsembleResult:
     max_norm_dev: float
     max_radius: np.ndarray
     clamp_fraction: float
+    # What the step loop did and cost, summed over blocks and read once per
+    # noise chunk: scheme_version, chunks, chunk_steps (longest chunk),
+    # noise_bytes (the noise buffers of one block), noise_wait_s (the loop
+    # waiting for a chunk's normals: on the helper thread, or in a block of
+    # one chunk on the inverse CDF itself), step_s (rotation, radial substep
+    # and bookkeeping, not the sink) and clamps.
+    stats: dict
 
 
 @dataclass
@@ -292,6 +312,96 @@ def _rot3_apply(w, X, h_a0vec=None):
     return out
 
 
+def _pade_angle(phi):
+    """psi(phi) with r(i phi) = exp(i psi) for the degree-13 diagonal Pade approximant r."""
+    x = -phi * phi
+    cf = _PADE[13][0]
+    v = cf[0] + x * (cf[2] + x * (cf[4] + x * (cf[6] + x * (cf[8] + x * (cf[10] + x * cf[12])))))
+    w = cf[1] + x * (cf[3] + x * (cf[5] + x * (cf[7] + x * (cf[9] + x * (cf[11] + x * cf[13])))))
+    return 2.0 * np.arctan2(phi * w, v)
+
+
+def _isoclinic(u, theta, psi, X, self_dual):
+    """cos(psi) X + sin(psi) N X / theta, N the 4 x 4 (anti-)self-dual skew matrix of u.
+
+    N has upper entries (u0, u1, u2, s u2, -s u1, s u0), s = +1 if ``self_dual``
+    else -1, so N^2 = -theta^2 I for theta = |u|.
+    """
+    f = np.divide(np.sin(psi), theta, out=np.zeros_like(theta), where=theta > 0)
+    a, b, c = f * u[0], f * u[1], f * u[2]
+    co = np.cos(psi)
+    pm = np.add if self_dual else np.subtract
+    x0, x1, x2, x3 = X.T
+    out = np.empty_like(X)
+    out[:, 0] = co * x0 + (a * x1 + b * x2 + c * x3)
+    out[:, 1] = pm(co * x1 - a * x0, c * x2 - b * x3)
+    out[:, 2] = pm(co * x2 - b * x0, a * x3 - c * x1)
+    out[:, 3] = pm(co * x3 - c * x0, b * x1 - a * x2)
+    return out
+
+
+def _pade_rot24(w, X):
+    """r(M) X for the degree-13 Pade r and the d = 2 or 4 skew M with upper entries w."""
+    if X.shape[1] == 2:
+        psi = _pade_angle(w[:, 0])
+        co, si = np.cos(psi), np.sin(psi)
+        out = np.empty_like(X)
+        out[:, 0] = co * X[:, 0] + si * X[:, 1]
+        out[:, 1] = co * X[:, 1] - si * X[:, 0]
+        return out
+    m01, m02, m03, m12, m13, m23 = w.T
+    up = (0.5 * (m01 + m23), 0.5 * (m02 - m13), 0.5 * (m03 + m12))
+    um = (0.5 * (m01 - m23), 0.5 * (m02 + m13), 0.5 * (m03 - m12))
+    tp = np.sqrt(up[0] * up[0] + up[1] * up[1] + up[2] * up[2])
+    tm = np.sqrt(um[0] * um[0] + um[1] * um[1] + um[2] * um[2])
+    psi1, psi2 = _pade_angle(tp + tm), _pade_angle(tp - tm)
+    Y = _isoclinic(um, tm, 0.5 * (psi1 - psi2), X, False)
+    return _isoclinic(up, tp, 0.5 * (psi1 + psi2), Y, True)
+
+
+def _rot24_apply(w, X, h_a0vec=None):
+    """Rotation substep for d = 2 and d = 4 without forming matrices.
+
+    ``w`` holds the upper entries of each row's skew M.  The degree-13
+    diagonal Pade approximant r, with numerator V(M^2) + M W(M^2), maps an
+    eigenvalue i phi of M to exp(i psi), psi = 2 atan2(phi W(-phi^2), V(-phi^2)).
+    At d = 2, r(M) is the plane rotation by psi(M_01).
+    At d = 4, M = M+ + M- with commuting self-dual and anti-self-dual parts,
+    (M+-)^2 = -theta+-^2 I, and the eigenvalues of M are i(theta+ +- theta-);
+    so r(M) is the product of the isoclinic rotations
+    cos(psi+-) I + sin(psi+-) M+- / theta+-, with
+    psi+- = (psi(theta+ + theta-) +- psi(theta+ - theta-)) / 2 (Gallier and
+    Xu 2002).  This is the approximant expm_skew uses below its squaring
+    threshold, in O(1) column operations per row; evaluated as E(M^2) +
+    M O(M^2) instead, it loses up to 3e-15 of orthogonality near the
+    threshold, this way about 1e-15.  Rows whose 1-norm needs squarings go
+    to expm_skew, as a stack of matrices.
+    """
+    if h_a0vec is not None:
+        w = w + h_a0vec
+    d = X.shape[1]
+    aw = np.abs(w)
+    if d == 2:
+        norm1 = aw[:, 0]
+    else:
+        # expm_skew's column sums of |M|, in its order
+        a01, a02, a03, a12, a13, a23 = aw.T
+        norm1 = np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
+                           np.maximum(a02 + a12 + a23, a03 + a13 + a23))
+    over = norm1 > _PADE[13][1]
+    if not over.any():
+        return _pade_rot24(w, X)
+    out = np.empty_like(X)
+    keep = ~over
+    out[keep] = _pade_rot24(w[keep], X[keep])
+    rows, cols = _upper_indices(d)
+    M = np.zeros((int(over.sum()), d, d))
+    M[:, rows, cols] = w[over]
+    M[:, cols, rows] = -w[over]
+    out[over] = np.einsum("bij,bj->bi", expm_skew(M), X[over])
+    return out
+
+
 def _check_key(value, name):
     if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 1 << 64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
@@ -305,18 +415,30 @@ def _streams(seed, path_ids):
         key=np.array([seed, _check_key(p, "path_id")], dtype=np.uint64))) for p in path_ids]
 
 
-def _normals_into(streams, out):
-    """Fill out[row] with the next standard normals of streams[row], in place.
+def _uniforms_into(streams, out):
+    """Fill out[row] with the next ``Generator.random`` draws of streams[row], in place."""
+    for row, gen in enumerate(streams):
+        gen.random(out=out[row])
+
+
+def _normals_from_uniforms(out, scale=1.0):
+    """Map the uniforms in ``out`` to standard normals times ``scale``, in place.
 
     ``random`` turns the top 53 bits k of each raw draw into k * 2**-53; adding
     2**-54 gives the grid midpoint (k + 1/2) * 2**-53 exactly as rounded, since
     rounding commutes with scaling by a power of two.  The inverse normal CDF
     maps the midpoint to a standard normal.  ``out`` is the only buffer.
     """
-    for row, gen in enumerate(streams):
-        gen.random(out=out[row])
     out += 2.0 ** -54
     ndtri(out, out=out)
+    if scale != 1.0:
+        out *= scale
+
+
+def _normals_into(streams, out):
+    """Fill out[row] with the next standard normals of streams[row], in place."""
+    _uniforms_into(streams, out)
+    _normals_from_uniforms(out)
 
 
 def path_normals(seed, path_id, n_steps, n_cols):
@@ -355,103 +477,195 @@ def _psd_sqrt(alpha, d):
 
 
 def _row_norms(X, sq, out):
-    """np.linalg.norm(X, axis=1) into ``out``, with ``sq`` as X-shaped scratch."""
+    """np.linalg.norm(X, axis=1) into ``out``, with ``sq`` as X-shaped scratch.
+
+    Below 8 columns ``add.reduce`` sums a row left to right, as these column
+    adds do, at a fraction of the cost.
+    """
     np.multiply(X, X, out=sq)
-    np.add.reduce(sq, axis=1, out=out)
+    if X.shape[1] >= 8:
+        np.add.reduce(sq, axis=1, out=out)
+    else:
+        out[:] = sq[:, 0]
+        for i in range(1, X.shape[1]):
+            out += sq[:, i]
     np.sqrt(out, out=out)
 
 
-def _rows_times(X, M):
+def _rows_times(X, M, out=None):
     """X @ M.T, each row of it rounded as a row of a larger X would be.
 
     numpy multiplies a single row by BLAS gemv, which rounds otherwise than
     gemm does for every row of a taller X, so a lone row goes in twice.
     """
     if len(X) == 1:
-        return (np.concatenate((X, X)) @ M.T)[:1]
-    return X @ M.T
+        XM = (np.concatenate((X, X)) @ M.T)[:1]
+        if out is None:
+            return XM
+        out[:] = XM
+        return out
+    return np.matmul(X, M.T, out=out)
 
 
-def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink):
+def _rotation(drive, h):
+    """The rotation substep as ``f(dW, X)``, dW one step's (B, m) scaled noise; None if none.
+
+    A drift-only drive multiplies by one precomputed expm(h A_0).  At d = 2, 3
+    and 4 the upper entries of h A_0 + sum_p dW_p A_p come from one product
+    dW @ Avec and the rotation is applied in closed form; at other d,
+    expm_skew exponentiates the stack of matrices.
+    """
+    d, m = drive.d, drive.n_diffusion
+    if m == 0:
+        if not np.abs(drive.a0).max() > 0:
+            return None
+        Q = expm_skew(drive.a0 * h)
+        return lambda dW, X: _rows_times(X, Q)
+    if d in (2, 3, 4):
+        Avec_T = np.array([skew_to_vec(A) for A in drive.diffusion]).T
+        h_a0vec = h * skew_to_vec(drive.a0)
+        h_a0vec = h_a0vec if h_a0vec.any() else None
+        apply = _rot3_apply if d == 3 else _rot24_apply
+        return lambda dW, X: apply(_rows_times(dW, Avec_T), X, h_a0vec)
+    As = drive.diffusion
+    ha0 = drive.a0 * h if np.abs(drive.a0).max() > 0 else None
+
+    def general(dW, X):
+        M = np.einsum("bp,pij->bij", dW, As)
+        if ha0 is not None:
+            M += ha0
+        return np.einsum("bij,bj->bi", expm_skew(M), X)
+
+    return general
+
+
+def _new_stats():
+    return {"scheme_version": _SCHEME_VERSION, "chunks": 0, "chunk_steps": 0,
+            "noise_bytes": 0, "noise_wait_s": 0.0, "step_s": 0.0, "clamps": 0}
+
+
+def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
+    """Yield each chunk's (B, steps, n_cols) noise, normals times sqh, in step order.
+
+    The uniforms of chunk k + 1 are drawn on the calling thread before chunk
+    k is handed out, and a helper thread maps them to normals while the
+    caller steps chunk k; two buffers take turns.  With one chunk, or no
+    noise, no thread starts.  Close the generator to stop the helper.
+    """
+    los = range(0, n_steps, chunk)
+    bufs = [np.empty((len(streams), chunk, n_cols)) for _ in range(min(2, len(los)))]
+    stats["noise_bytes"] = max(stats["noise_bytes"], sum(b.nbytes for b in bufs))
+
+    def buffer(k):
+        return bufs[k % 2][:, :min(chunk, n_steps - los[k])]
+
+    def drawn(k):
+        buf = buffer(k)
+        _uniforms_into(streams, buf)
+        return buf
+
+    if len(los) == 1 or not n_cols:
+        for k in range(len(los)):
+            buf = buffer(k)
+            if n_cols:
+                _uniforms_into(streams, buf)
+                t0 = perf_counter()
+                _normals_from_uniforms(buf, sqh)
+                stats["noise_wait_s"] += perf_counter() - t0
+            yield buf
+        return
+    helper = ThreadPoolExecutor(1, thread_name_prefix="quadricdiff-noise")
+    try:
+        ready = helper.submit(_normals_from_uniforms, drawn(0), sqh)
+        for k in range(len(los)):
+            following = None
+            if k + 1 < len(los):
+                following = helper.submit(_normals_from_uniforms, drawn(k + 1), sqh)
+            t0 = perf_counter()
+            ready.result()
+            stats["noise_wait_s"] += perf_counter() - t0
+            yield buffer(k)
+            ready = following
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
+
+
+def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, stats=None):
     """Advance a block of paths; the radial substep runs iff bhat is not None.
 
     ``streams`` holds one noise stream per path (see :func:`_streams`).  Noise
-    arrives in chunks of steps, already scaled by sqrt(h); the norms of a
-    chunk's states are reduced into the running maxima once per chunk, and
-    ``sink(i, states)``, if given, receives them from grid point i on, a new
-    (B, k, d) array with x0 leading the first.
+    arrives in chunks of steps, already scaled by sqrt(h) (see
+    :func:`_noise_chunks`); the norms of a chunk's states are reduced into the
+    running maxima once per chunk, and ``sink(i, states)``, if given,
+    receives them from grid point i on, a new (B, k, d) array with x0 leading
+    the first.  Counts and times are added to ``stats`` (see
+    :class:`EnsembleResult`).
     """
+    stats = _new_stats() if stats is None else stats
     d = drive.d
     m = drive.n_diffusion
     radial = bhat is not None
     n_cols = m + (d if radial else 0)
     B = len(streams)
     chunk = min(n_steps, max(1, _NOISE_VALUES // (B * max(1, n_cols))))
-    noise = np.empty((B, chunk, n_cols))
     norms = np.empty((chunk, B))
-    sq = np.empty((B, d))
+    sq, tmp, fac = np.empty((B, d)), np.empty((B, d)), np.empty(B)
 
     X = np.array(x0s, dtype=float)
-    sqh = np.sqrt(h)
-    As = drive.diffusion
-    drift = np.abs(drive.a0).max() > 0
-    ha0 = drive.a0 * h
-    rotate = m > 0 or drift
-    Q_const = expm_skew(ha0) if (rotate and m == 0) else None
-    scalar3 = rotate and m > 0 and d == 3
-    if scalar3:
-        Avec = np.array([skew_to_vec(A) for A in As])
-        h_a0vec = h * skew_to_vec(drive.a0)
-        if not h_a0vec.any():
-            h_a0vec = None
+    rotate = _rotation(drive, h)
     start_norms = np.linalg.norm(X, axis=1)
     max_radius = start_norms.copy()
     max_norm_dev = np.abs(start_norms - 1.0).max() if not radial else 0.0
     clamps = 0
 
-    for lo in range(0, n_steps, chunk):
-        steps = min(chunk, n_steps - lo)
-        if sink is not None:
-            lead = int(lo == 0)
-            piece = np.empty((B, lead + steps, d))
-            piece[:, :lead] = X[:, None]
-        if n_cols:
-            _normals_into(streams, noise[:, :steps])
-            noise[:, :steps] *= sqh
-        for j in range(steps):
-            if rotate:
-                if m == 0:
-                    X = _rows_times(X, Q_const)
-                elif scalar3:
-                    X = _rot3_apply(_rows_times(noise[:, j, :m], Avec.T), X, h_a0vec)
-                else:
-                    M = np.einsum("bp,pij->bij", noise[:, j, :m], As)
-                    if drift:
-                        M += ha0
-                    X = np.einsum("bij,bj->bi", expm_skew(M), X)
-            nrm = norms[j]
-            if radial:
-                r2 = np.einsum("bi,bi->b", X, X)
-                fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-                X += (bhat + _rows_times(X, Bhat)) * h
-                X += fac[:, None] * _rows_times(noise[:, j, m:], sqrt_alpha)
-                _row_norms(X, sq, nrm)
-                over = nrm > 1.0
-                if np.any(over):
-                    clamps += int(over.sum())
-                    X[over] *= (_CLAMP / nrm[over])[:, None]
-                    nrm[over] = np.linalg.norm(X[over], axis=1)
-            else:
-                _row_norms(X, sq, nrm)
+    chunks = _noise_chunks(streams, n_steps, chunk, n_cols, np.sqrt(h), stats)
+    try:
+        for lo, noise in zip(range(0, n_steps, chunk), chunks):
+            steps = noise.shape[1]
             if sink is not None:
-                piece[:, lead + j] = X
-        if sink is not None:
-            sink(lo + 1 - lead, piece)
-        done = norms[:steps]
-        np.maximum(max_radius, done.max(axis=0), out=max_radius)
-        if not radial:
-            done -= 1.0
-            max_norm_dev = max(max_norm_dev, np.abs(done, out=done).max())
+                lead = int(lo == 0)
+                piece = np.empty((B, lead + steps, d))
+                piece[:, :lead] = X[:, None]
+            t0 = perf_counter()
+            for j in range(steps):
+                if rotate is not None:
+                    X = rotate(noise[:, j, :m], X)
+                nrm = norms[j]
+                if radial:
+                    np.einsum("bi,bi->b", X, X, out=fac)
+                    np.subtract(1.0, fac, out=fac)
+                    np.maximum(fac, 0.0, out=fac)
+                    np.sqrt(fac, out=fac)
+                    _rows_times(X, Bhat, out=tmp)
+                    tmp += bhat
+                    tmp *= h
+                    X += tmp
+                    _rows_times(noise[:, j, m:], sqrt_alpha, out=tmp)
+                    tmp *= fac[:, None]
+                    X += tmp
+                    _row_norms(X, sq, nrm)
+                    if nrm.max() > 1.0:
+                        over = nrm > 1.0
+                        clamps += int(over.sum())
+                        X[over] *= (_CLAMP / nrm[over])[:, None]
+                        nrm[over] = np.linalg.norm(X[over], axis=1)
+                else:
+                    _row_norms(X, sq, nrm)
+                if sink is not None:
+                    piece[:, lead + j] = X
+            done = norms[:steps]
+            np.maximum(max_radius, done.max(axis=0), out=max_radius)
+            if not radial:
+                done -= 1.0
+                max_norm_dev = max(max_norm_dev, np.abs(done, out=done).max())
+            stats["step_s"] += perf_counter() - t0
+            stats["chunks"] += 1
+            stats["chunk_steps"] = max(stats["chunk_steps"], steps)
+            if sink is not None:
+                sink(lo + 1 - lead, piece)
+    finally:
+        chunks.close()
+    stats["clamps"] += clamps
     return X, max_radius, max_norm_dev, clamps
 
 
@@ -465,18 +679,17 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
     terminal = np.empty((n_paths, drive.d))
     max_radius = np.empty(n_paths)
     max_norm_dev = 0.0
-    clamps = 0
+    stats = _new_stats()
     for start in range(0, n_paths, block):
         ids = range(start, min(start + block, n_paths))
         x0s = np.tile(x0, (len(ids), 1))
         block_sink = None if sink is None else (
             lambda i, states, first=start: sink(first, times[i:i + states.shape[1]], states))
-        Xt, mr, dev, cl = _run_block(drive, x0s, n_steps, h_eff, _streams(seed, ids),
-                                     bhat, Bhat, sqrt_alpha, block_sink)
+        Xt, mr, dev, _ = _run_block(drive, x0s, n_steps, h_eff, _streams(seed, ids),
+                                    bhat, Bhat, sqrt_alpha, block_sink, stats)
         terminal[ids.start:ids.stop] = Xt
         max_radius[ids.start:ids.stop] = mr
         max_norm_dev = max(max_norm_dev, dev)
-        clamps += cl
     return EnsembleResult(
         times=times,
         terminal=terminal,
@@ -485,7 +698,8 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
         n_paths=n_paths,
         max_norm_dev=float(max_norm_dev),
         max_radius=max_radius,
-        clamp_fraction=clamps / (n_paths * n_steps),
+        clamp_fraction=stats["clamps"] / (n_paths * n_steps),
+        stats=stats,
     )
 
 

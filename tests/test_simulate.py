@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -436,7 +438,9 @@ def _reference_normals_into(streams, raw, out):
 def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths,
                          noise_values):
     """The step loop of _run_block as it was before per-chunk bookkeeping, verbatim."""
-    expm_skew, _rot3_apply = simulate.expm_skew, simulate._rot3_apply
+    expm_skew = simulate.expm_skew
+    # The closed-form rotations at d = 2, 3 and 4 (tested against expm_skew below).
+    closed_form = {2: simulate._rot24_apply, 3: simulate._rot3_apply, 4: simulate._rot24_apply}
     _CLAMP, _normals_into = simulate._CLAMP, _reference_normals_into
     d = drive.d
     m = drive.n_diffusion
@@ -454,8 +458,8 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
     As = drive.diffusion
     rotate = m > 0 or np.abs(drive.a0).max() > 0
     Q_const = expm_skew(drive.a0 * h) if (rotate and m == 0) else None
-    scalar3 = rotate and m > 0 and d == 3
-    if scalar3:
+    closed = rotate and m > 0 and d in closed_form
+    if closed:
         from quadricdiff.skew import skew_to_vec
 
         Avec = np.array([skew_to_vec(A) for A in As])
@@ -476,8 +480,8 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
         if rotate:
             if m == 0:
                 X = X @ Q_const.T
-            elif scalar3:
-                X = _rot3_apply((noise[:, j, :m] * sqh) @ Avec, X, h_a0vec)
+            elif closed:
+                X = closed_form[d]((noise[:, j, :m] * sqh) @ Avec, X, h_a0vec)
             else:
                 dW = noise[:, j, :m] * sqh
                 M = np.einsum("bp,pij->bij", dW, As)
@@ -567,3 +571,172 @@ def test_midpoint_map_is_exact():
         new = k.astype(float) * 2.0 ** -53 + 2.0 ** -54
         old = np.add(k, 0.5) * 2.0 ** -53
         assert new.tobytes() == old.tobytes()
+
+
+def _clamping_ball(d, seed):
+    """A ball drive, start point and (bhat, Bhat, alpha) whose paths hit the sphere often.
+
+    alpha and Bhat are not diagonal, so the products of a state with them round.
+    """
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    alpha = A @ A.T / d + 0.3 * np.eye(d)
+    G = rng.standard_normal((d, d))
+    Bhat = -0.05 * (G @ G.T) / d - 0.02 * np.eye(d)
+    bhat = rng.uniform(-0.2, 0.2, d)
+    drive = SkewDrive.zero(1) if d == 1 else SkewDrive.elementary(d, a0=0.7 * skew_basis(d)[0])
+    x0 = rng.standard_normal(d)
+    return drive, 0.995 * x0 / np.linalg.norm(x0), (bhat, Bhat, alpha)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_run_block_matches_reference_loop_at_1024_paths(monkeypatch, d, chunk):
+    # numpy takes other inner loops for 1024 rows than for a few.  Chunks of 7
+    # steps split the 30 steps five ways, so the noise of every chunk but the
+    # first comes from the helper thread.
+    drive, x0, ball = _clamping_ball(d, 100 + d)
+    noise_values = simulate._NOISE_VALUES if chunk is None else 1024 * 7 * (drive.n_diffusion + d)
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
+    n, steps, h = 1024, 30, 1e-2
+    bhat, Bhat, sqa, x0 = simulate._ball_args(*ball, drive, x0)
+    x0s = np.tile(x0, (n, 1))
+    got_paths = np.empty((n, steps + 1, d))
+    ref_paths = np.empty_like(got_paths)
+
+    def into(i, states):
+        got_paths[:, i:i + states.shape[1]] = states
+
+    stats = simulate._new_stats()
+    got = simulate._run_block(drive, x0s, steps, h, simulate._streams(3, range(n)),
+                              bhat, Bhat, sqa, into, stats)
+    ref = _reference_run_block(drive, x0s, steps, h, _reference_streams(3, range(n)),
+                               bhat, Bhat, sqa, ref_paths, noise_values)
+    for g, r in zip(got[:3], ref[:3]):
+        assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+    assert got[3] == ref[3] == stats["clamps"]
+    assert ref[3] > 0.02 * n * steps, "the case must clamp often"
+    assert got_paths.tobytes() == ref_paths.tobytes()
+    assert stats["chunks"] == (1 if chunk is None else 5)
+
+
+def _noise_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("quadricdiff-noise")]
+
+
+def test_noise_helper_thread_ends_with_its_block(monkeypatch):
+    # 300 noise values hold 100 steps of one three-column path: 5 chunks a path.
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 300)
+    run = (2.0, 1.0, SkewDrive.zero(3), np.zeros(3), 0.5, 1e-3, 1, 3)
+    alive = []
+    result = scalar_ball_ensemble(*run, sink=lambda *piece: alive.append(len(_noise_threads())))
+    assert len(alive) == 15 and max(alive) == 1, "the noise of later chunks comes from a helper"
+    assert result.stats["chunks"] == 15
+    assert _noise_threads() == []
+
+    class Refused(Exception):
+        pass
+
+    def refuse(first, times, states):
+        if first == 1:
+            raise Refused
+
+    with pytest.raises(Refused):
+        scalar_ball_ensemble(*run, sink=refuse)
+    assert _noise_threads() == []
+
+    def broken(out, scale=1.0):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("noise thread")
+        simulate.ndtri(out, out=out)
+
+    monkeypatch.setattr(simulate, "_normals_from_uniforms", broken)
+    with pytest.raises(FloatingPointError, match="noise thread"):
+        scalar_ball_ensemble(*run)
+    assert _noise_threads() == []
+
+
+def test_chunks_in_flight_under_thread_contention(monkeypatch):
+    # Three ensembles at once, each with its noise helper: six threads on fewer
+    # cores, switching every microsecond, and chunks of one step, so the two
+    # noise buffers change hands at every step.
+    run = (0.2, 1.0, SkewDrive.elementary(3), np.array([0.5, 0.5, 0.5]), 0.1, 1e-3)
+    ref = [scalar_ball_ensemble(*run, seed, 8).terminal for seed in range(3)]
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 8 * 6)
+    got = [None] * 3
+
+    def work(i):
+        got[i] = scalar_ball_ensemble(*run, i, 8)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for want, ens in zip(ref, got):
+        assert ens.stats["chunks"] == 100
+        assert ens.terminal.tobytes() == want.tobytes()
+    assert _noise_threads() == []
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_closed_form_rotation_matches_expm_skew(d):
+    # Bounds fixed before the kernel was written: on rows that need no squaring,
+    # entries within 2e-15 of expm_skew's and R^T R within 2e-15 of I; rows
+    # that need squarings are expm_skew's bit for bit.
+    rng = np.random.default_rng(24)
+    m = d * (d - 1) // 2
+    scales = np.repeat([1e-8, 0.03, 0.3, 1.0, 2.0, 3.0, 30.0], 1000)
+    w = rng.standard_normal((len(scales), m)) * scales[:, None]
+    n = len(w)
+    rows, cols = np.triu_indices(d, 1)
+    M = np.zeros((n, d, d))
+    M[:, rows, cols] = w
+    M[:, cols, rows] = -w
+    ref = expm_skew(M)
+    plain = np.abs(M).sum(axis=1).max(axis=1) <= simulate._PADE[13][1]
+    assert plain.sum() > 3000 and (~plain).sum() > 500
+    R = np.stack([simulate._rot24_apply(w, np.tile(e, (n, 1))) for e in np.eye(d)], axis=2)
+    assert np.abs(R - ref)[plain].max() <= 2e-15
+    orth = np.abs(np.einsum("bki,bkj->bij", R, R) - np.eye(d)).max(axis=(1, 2))
+    assert orth[plain].max() <= 2e-15
+    X = rng.standard_normal((n, d))
+    RX = simulate._rot24_apply(w, X)
+    assert RX[~plain].tobytes() == np.einsum("bij,bj->bi", ref, X)[~plain].tobytes()
+    # a row's result does not depend on its neighbours, nor on how A_0 h is added
+    h_a0 = 0.01 * rng.standard_normal(m)
+    RX = simulate._rot24_apply(w, X, h_a0)
+    assert RX.tobytes() == simulate._rot24_apply(w + h_a0, X).tobytes()
+    for i in range(0, n, 97):
+        assert RX[i].tobytes() == simulate._rot24_apply(w[i:i + 1], X[i:i + 1], h_a0).tobytes()
+    # and a path does not depend on the other paths of its ensemble
+    x0 = np.ones(d) / np.sqrt(d)
+    drive = SkewDrive.elementary(d, a0=0.5 * skew_basis(d)[-1])
+    _, one = kept_run(sphere_ensemble, drive, x0, 0.02, 1e-3, 4, 1)
+    _, five = kept_run(sphere_ensemble, drive, x0, 0.02, 1e-3, 4, 5)
+    assert one[0].tobytes() == five[0].tobytes()
+
+
+def test_ensemble_stats_count_chunks_and_clamps(monkeypatch):
+    # 240 noise values hold 16 steps of five three-column paths.
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 240)
+    drive, x0, (bhat, Bhat, alpha) = _clamping_ball(3, 7)
+    ens = ball_ensemble(bhat, Bhat, alpha, SkewDrive.zero(3), x0, 0.5, 1e-2, 7, 5)
+    st = ens.stats
+    assert st["scheme_version"] == simulate._SCHEME_VERSION
+    assert (st["chunks"], st["chunk_steps"]) == (4, 16)
+    assert st["noise_bytes"] == 2 * 5 * 16 * 3 * 8
+    assert st["clamps"] > 0 and st["clamps"] == round(ens.clamp_fraction * 5 * 50)
+    assert st["step_s"] > 0 and st["noise_wait_s"] >= 0
+    # blocks of 3 and 2 paths: 26 and 40 steps a chunk, two chunks each, and
+    # the block of 2 holds the larger buffers
+    monkeypatch.setattr(simulate, "_BLOCK", 3)
+    split = ball_ensemble(bhat, Bhat, alpha, SkewDrive.zero(3), x0, 0.5, 1e-2, 7, 5).stats
+    assert (split["chunks"], split["chunk_steps"], split["clamps"]) == (4, 40, st["clamps"])
+    assert split["noise_bytes"] == 2 * 2 * 40 * 3 * 8

@@ -530,7 +530,8 @@ def _reference_cases():
     ]
 
 
-@pytest.mark.parametrize("noise_values", [1, 7, simulate._NOISE_VALUES])
+# 1 << 20 values, like the default _NOISE_VALUES, hold every case in one chunk.
+@pytest.mark.parametrize("noise_values", [1, 7, 1 << 20])
 def test_run_block_matches_reference_loop(monkeypatch, noise_values):
     monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
     for name, drive, x0, ball, n, steps, h in _reference_cases():

@@ -11,28 +11,29 @@ paths or of one path, none larger than a noise chunk; one path is
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
-roundoff.  At d = 2, 3 and 4 the degree-13 approximant is applied in closed
-form, row by row, without forming matrices (:func:`_rot24_apply`,
-:func:`_rot3_apply`); rows whose norm needs squarings, and larger d, go
-through :func:`expm_skew`.  Ball schemes interleave that rotation with an
+roundoff.  At d = 3 and 4 the degree-13 approximant is applied in closed
+form, row by row, without forming matrices (:func:`_rot3_apply`,
+:func:`_rot4_apply`); rows whose norm needs squarings, and every other d,
+go through :func:`expm_skew`.  Ball schemes interleave that rotation with an
 Euler-Maruyama radial substep.  Noise is counter-based: each path owns a
 Philox stream keyed by (seed, path_id); the top 53 bits k of each draw give
 the midpoint (k + 1/2) * 2**-53 of a uniform grid, mapped to a Gaussian
 through the inverse normal CDF, so ensembles are reproducible and
 embarrassingly parallel.  A block of paths draws its noise in time chunks of
 about ``_NOISE_VALUES`` values, each path's stream carrying over from one
-chunk to the next, and holds two chunks at most, 8 MiB of float64 in all,
-so the memory a block holds does not grow with the number of steps; the
-streams are those of :func:`path_normals` whatever the chunk length.  While
-chunk k is stepped, a helper thread maps the uniforms of chunk k + 1 to
-normals (the inverse CDF releases the interpreter lock); a block of one
-chunk starts no thread.  Norm bookkeeping (largest radius, largest
-deviation from the sphere) is reduced once per chunk.  Seeds and path ids
-are integers in [0, 2**64).
+chunk to the next, and holds two chunks at most, 8 MiB of float64 in all
+(or one step, if one step's noise is larger than a chunk), so the memory a
+block holds does not grow with the number of steps; the streams are those
+of :func:`path_normals` whatever the chunk length.  While chunk k is
+stepped, a helper thread maps the uniforms of chunk k + 1 to normals (the
+inverse CDF releases the interpreter lock); a block of one chunk, or of
+one-step chunks larger than ``_NOISE_VALUES``, starts no thread.  Norm
+bookkeeping (largest radius, largest deviation from the sphere) is reduced
+once per chunk.  Seeds and path ids are integers in [0, 2**64).
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -60,11 +61,11 @@ _CLAMP = 1.0 - 1e-15
 # How far |x0| may miss the state space: the paths keep unit norm to about 1e-12.
 _X0_TOL = 1e-12
 # Noise values (float64, 4 MiB) in one chunk; a block holds two chunks at most,
-# whatever n_steps is.
+# whatever n_steps is (one step alone if its noise is larger than this).
 _NOISE_VALUES = 1 << 19
 # Names the noise streams and step kernels that seeded outputs depend on, and
 # moves with their bits.  "1": expm_skew at every d but 3; "2": closed-form
-# rotations at d = 2 and 4.
+# rotation at d = 4.
 _SCHEME_VERSION = "2"
 
 
@@ -131,7 +132,7 @@ class EnsembleResult:
     # waiting for a chunk's normals: on the helper thread, or in a block of
     # one chunk on the inverse CDF itself), step_s (rotation, radial substep
     # and bookkeeping, not the sink) and clamps.
-    stats: dict
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -340,15 +341,8 @@ def _isoclinic(u, theta, psi, X, self_dual):
     return out
 
 
-def _pade_rot24(w, X):
-    """r(M) X for the degree-13 Pade r and the d = 2 or 4 skew M with upper entries w."""
-    if X.shape[1] == 2:
-        psi = _pade_angle(w[:, 0])
-        co, si = np.cos(psi), np.sin(psi)
-        out = np.empty_like(X)
-        out[:, 0] = co * X[:, 0] + si * X[:, 1]
-        out[:, 1] = co * X[:, 1] - si * X[:, 0]
-        return out
+def _pade_rot4(w, X):
+    """r(M) X for the degree-13 Pade r and the 4 x 4 skew M with upper entries w."""
     m01, m02, m03, m12, m13, m23 = w.T
     up = (0.5 * (m01 + m23), 0.5 * (m02 - m13), 0.5 * (m03 + m12))
     um = (0.5 * (m01 - m23), 0.5 * (m02 + m13), 0.5 * (m03 - m12))
@@ -359,43 +353,39 @@ def _pade_rot24(w, X):
     return _isoclinic(up, tp, 0.5 * (psi1 + psi2), Y, True)
 
 
-def _rot24_apply(w, X, h_a0vec=None):
-    """Rotation substep for d = 2 and d = 4 without forming matrices.
+def _rot4_apply(w, X, h_a0vec=None):
+    """Rotation substep for d = 4 without forming matrices.
 
     ``w`` holds the upper entries of each row's skew M.  The degree-13
     diagonal Pade approximant r, with numerator V(M^2) + M W(M^2), maps an
     eigenvalue i phi of M to exp(i psi), psi = 2 atan2(phi W(-phi^2), V(-phi^2)).
-    At d = 2, r(M) is the plane rotation by psi(M_01).
-    At d = 4, M = M+ + M- with commuting self-dual and anti-self-dual parts,
+    M = M+ + M- with commuting self-dual and anti-self-dual parts,
     (M+-)^2 = -theta+-^2 I, and the eigenvalues of M are i(theta+ +- theta-);
     so r(M) is the product of the isoclinic rotations
     cos(psi+-) I + sin(psi+-) M+- / theta+-, with
     psi+- = (psi(theta+ + theta-) +- psi(theta+ - theta-)) / 2 (Gallier and
-    Xu 2002).  This is the approximant expm_skew uses below its squaring
-    threshold, in O(1) column operations per row; evaluated as E(M^2) +
-    M O(M^2) instead, it loses up to 3e-15 of orthogonality near the
-    threshold, this way about 1e-15.  Rows whose 1-norm needs squarings go
-    to expm_skew, as a stack of matrices.
+    Xu 2002).  Rows whose 1-norm needs no squaring always get the degree-13
+    approximant, in O(1) column operations per row, where expm_skew takes
+    degree 5 or 9 for the smaller norms; so results differ from expm_skew's
+    by about an ulp.  Evaluated as E(M^2) + M O(M^2) instead, it loses up to
+    3e-15 of orthogonality near the squaring threshold, this way about
+    1e-15.  Rows whose 1-norm needs squarings go to expm_skew, as a stack
+    of matrices, and keep its bits.
     """
     if h_a0vec is not None:
         w = w + h_a0vec
-    d = X.shape[1]
-    aw = np.abs(w)
-    if d == 2:
-        norm1 = aw[:, 0]
-    else:
-        # expm_skew's column sums of |M|, in its order
-        a01, a02, a03, a12, a13, a23 = aw.T
-        norm1 = np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
-                           np.maximum(a02 + a12 + a23, a03 + a13 + a23))
+    # expm_skew's column sums of |M|, in its order
+    a01, a02, a03, a12, a13, a23 = np.abs(w).T
+    norm1 = np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
+                       np.maximum(a02 + a12 + a23, a03 + a13 + a23))
     over = norm1 > _PADE[13][1]
     if not over.any():
-        return _pade_rot24(w, X)
+        return _pade_rot4(w, X)
     out = np.empty_like(X)
     keep = ~over
-    out[keep] = _pade_rot24(w[keep], X[keep])
-    rows, cols = _upper_indices(d)
-    M = np.zeros((int(over.sum()), d, d))
+    out[keep] = _pade_rot4(w[keep], X[keep])
+    rows, cols = _upper_indices(4)
+    M = np.zeros((int(over.sum()), 4, 4))
     M[:, rows, cols] = w[over]
     M[:, cols, rows] = -w[over]
     out[over] = np.einsum("bij,bj->bi", expm_skew(M), X[over])
@@ -510,7 +500,7 @@ def _rows_times(X, M, out=None):
 def _rotation(drive, h):
     """The rotation substep as ``f(dW, X)``, dW one step's (B, m) scaled noise; None if none.
 
-    A drift-only drive multiplies by one precomputed expm(h A_0).  At d = 2, 3
+    A drift-only drive multiplies by one precomputed expm(h A_0).  At d = 3
     and 4 the upper entries of h A_0 + sum_p dW_p A_p come from one product
     dW @ Avec and the rotation is applied in closed form; at other d,
     expm_skew exponentiates the stack of matrices.
@@ -521,11 +511,11 @@ def _rotation(drive, h):
             return None
         Q = expm_skew(drive.a0 * h)
         return lambda dW, X: _rows_times(X, Q)
-    if d in (2, 3, 4):
+    if d in (3, 4):
         Avec_T = np.array([skew_to_vec(A) for A in drive.diffusion]).T
         h_a0vec = h * skew_to_vec(drive.a0)
         h_a0vec = h_a0vec if h_a0vec.any() else None
-        apply = _rot3_apply if d == 3 else _rot24_apply
+        apply = _rot3_apply if d == 3 else _rot4_apply
         return lambda dW, X: apply(_rows_times(dW, Avec_T), X, h_a0vec)
     As = drive.diffusion
     ha0 = drive.a0 * h if np.abs(drive.a0).max() > 0 else None
@@ -549,22 +539,25 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
 
     The uniforms of chunk k + 1 are drawn on the calling thread before chunk
     k is handed out, and a helper thread maps them to normals while the
-    caller steps chunk k; two buffers take turns.  With one chunk, or no
-    noise, no thread starts.  Close the generator to stop the helper.
+    caller steps chunk k; two buffers take turns.  With one chunk, no noise,
+    or chunks of one step whose noise alone exceeds ``_NOISE_VALUES``, one
+    buffer is filled and stepped in turn and no thread starts.  Close the
+    generator to stop the helper.
     """
     los = range(0, n_steps, chunk)
-    bufs = [np.empty((len(streams), chunk, n_cols)) for _ in range(min(2, len(los)))]
+    inline = len(los) == 1 or not n_cols or len(streams) * chunk * n_cols > _NOISE_VALUES
+    bufs = [np.empty((len(streams), chunk, n_cols)) for _ in range(1 if inline else 2)]
     stats["noise_bytes"] = max(stats["noise_bytes"], sum(b.nbytes for b in bufs))
 
     def buffer(k):
-        return bufs[k % 2][:, :min(chunk, n_steps - los[k])]
+        return bufs[k % len(bufs)][:, :min(chunk, n_steps - los[k])]
 
     def drawn(k):
         buf = buffer(k)
         _uniforms_into(streams, buf)
         return buf
 
-    if len(los) == 1 or not n_cols:
+    if inline:
         for k in range(len(los)):
             buf = buffer(k)
             if n_cols:

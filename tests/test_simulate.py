@@ -439,8 +439,8 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
                          noise_values):
     """The step loop of _run_block as it was before per-chunk bookkeeping, verbatim."""
     expm_skew = simulate.expm_skew
-    # The closed-form rotations at d = 2, 3 and 4 (tested against expm_skew below).
-    closed_form = {2: simulate._rot24_apply, 3: simulate._rot3_apply, 4: simulate._rot24_apply}
+    # The closed-form rotations at d = 3 and 4 (d = 4 tested against expm_skew below).
+    closed_form = {3: simulate._rot3_apply, 4: simulate._rot4_apply}
     _CLAMP, _normals_into = simulate._CLAMP, _reference_normals_into
     d = drive.d
     m = drive.n_diffusion
@@ -686,13 +686,12 @@ def test_chunks_in_flight_under_thread_contention(monkeypatch):
     assert _noise_threads() == []
 
 
-@pytest.mark.parametrize("d", [2, 4])
-def test_closed_form_rotation_matches_expm_skew(d):
+def test_closed_form_rotation_matches_expm_skew():
     # Bounds fixed before the kernel was written: on rows that need no squaring,
     # entries within 2e-15 of expm_skew's and R^T R within 2e-15 of I; rows
     # that need squarings are expm_skew's bit for bit.
     rng = np.random.default_rng(24)
-    m = d * (d - 1) // 2
+    d, m = 4, 6
     scales = np.repeat([1e-8, 0.03, 0.3, 1.0, 2.0, 3.0, 30.0], 1000)
     w = rng.standard_normal((len(scales), m)) * scales[:, None]
     n = len(w)
@@ -703,19 +702,19 @@ def test_closed_form_rotation_matches_expm_skew(d):
     ref = expm_skew(M)
     plain = np.abs(M).sum(axis=1).max(axis=1) <= simulate._PADE[13][1]
     assert plain.sum() > 3000 and (~plain).sum() > 500
-    R = np.stack([simulate._rot24_apply(w, np.tile(e, (n, 1))) for e in np.eye(d)], axis=2)
+    R = np.stack([simulate._rot4_apply(w, np.tile(e, (n, 1))) for e in np.eye(d)], axis=2)
     assert np.abs(R - ref)[plain].max() <= 2e-15
     orth = np.abs(np.einsum("bki,bkj->bij", R, R) - np.eye(d)).max(axis=(1, 2))
     assert orth[plain].max() <= 2e-15
     X = rng.standard_normal((n, d))
-    RX = simulate._rot24_apply(w, X)
+    RX = simulate._rot4_apply(w, X)
     assert RX[~plain].tobytes() == np.einsum("bij,bj->bi", ref, X)[~plain].tobytes()
     # a row's result does not depend on its neighbours, nor on how A_0 h is added
     h_a0 = 0.01 * rng.standard_normal(m)
-    RX = simulate._rot24_apply(w, X, h_a0)
-    assert RX.tobytes() == simulate._rot24_apply(w + h_a0, X).tobytes()
+    RX = simulate._rot4_apply(w, X, h_a0)
+    assert RX.tobytes() == simulate._rot4_apply(w + h_a0, X).tobytes()
     for i in range(0, n, 97):
-        assert RX[i].tobytes() == simulate._rot24_apply(w[i:i + 1], X[i:i + 1], h_a0).tobytes()
+        assert RX[i].tobytes() == simulate._rot4_apply(w[i:i + 1], X[i:i + 1], h_a0).tobytes()
     # and a path does not depend on the other paths of its ensemble
     x0 = np.ones(d) / np.sqrt(d)
     drive = SkewDrive.elementary(d, a0=0.5 * skew_basis(d)[-1])
@@ -741,3 +740,20 @@ def test_ensemble_stats_count_chunks_and_clamps(monkeypatch):
     split = ball_ensemble(bhat, Bhat, alpha, SkewDrive.zero(3), x0, 0.5, 1e-2, 7, 5).stats
     assert (split["chunks"], split["chunk_steps"], split["clamps"]) == (4, 40, st["clamps"])
     assert split["noise_bytes"] == 2 * 2 * 40 * 3 * 8
+
+
+def test_one_step_larger_than_a_chunk_holds_one_buffer(monkeypatch):
+    # A step of eight paths of six noise columns draws 48 values, and a step of
+    # one path (a kept block) 6, both more than a chunk of 4: chunks are one
+    # step long, one buffer holds them and no helper thread starts.
+    run = (0.2, 1.0, SkewDrive.elementary(3), np.array([0.5, 0.5, 0.5]), 0.01, 1e-3, 5, 8)
+    whole = scalar_ball_ensemble(*run)
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", 4)
+    ens = scalar_ball_ensemble(*run)
+    assert ens.terminal.tobytes() == whole.terminal.tobytes()
+    assert (ens.stats["chunks"], ens.stats["chunk_steps"]) == (10, 1)
+    assert ens.stats["noise_bytes"] == 8 * 6 * 8
+    alive = []
+    kept = scalar_ball_ensemble(*run, sink=lambda *piece: alive.append(len(_noise_threads())))
+    assert kept.terminal.tobytes() == whole.terminal.tobytes()
+    assert alive == [0] * 80 and kept.stats["noise_bytes"] == 6 * 8

@@ -159,7 +159,8 @@ def _write_paths(fh, first_id, times, states):
 
     The text matches ``np.savetxt`` with formats ``%d`` and ``%.17g`` byte for
     byte.  Each time is formatted once, and each block of 4096 rows by one
-    ``%`` over a template that already holds its ids and times.
+    ``%`` over a template that already holds its ids and times; a path's rows
+    in a block are one join of their times, each newline followed by its id.
     """
     n, k, d = states.shape
     xs = ",".join(["%.17g"] * d) + "\n"
@@ -167,8 +168,11 @@ def _write_paths(fh, first_id, times, states):
     flat = states.reshape(n * k, d)
     for lo in range(0, n * k, 4096):
         hi = min(lo + 4096, n * k)
-        template = "".join([str(first_id + i // k) + tail[i % k] for i in range(lo, hi)])
-        fh.write(template % tuple(flat[lo:hi].ravel().tolist()))
+        parts = []
+        for p in range(lo // k, (hi - 1) // k + 1):
+            pid = str(first_id + p)
+            parts.append(pid + pid.join(tail[max(lo - p * k, 0):min(hi - p * k, k)]))
+        fh.write("".join(parts) % tuple(flat[lo:hi].ravel().tolist()))
 
 
 def _cmd_simulate(args):

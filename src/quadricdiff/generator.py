@@ -17,9 +17,6 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  (unused; bench/tracer.py wraps generator.expm)
-from scipy.sparse import coo_array, csr_array
-from scipy.sparse.linalg import expm_multiply
 
 from .cspace import cmap_from_h
 
@@ -31,6 +28,15 @@ __all__ = [
     "poly_from_json",
     "poly_degree",
 ]
+
+
+def __getattr__(name):
+    # scipy.linalg.expm, imported on access: bench/tracer.py wraps ``generator.expm``,
+    # and nothing in the package calls it.
+    if name == "expm":
+        from scipy.linalg import expm
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class GeneratorMatrix:
     """Matrix of the generator restricted to polynomials of degree <= k (sparse CSR)."""
 
     basis: MonomialBasis
-    G: csr_array
+    G: "scipy.sparse.csr_array"
 
 
 def monomial_basis(d, k):
@@ -149,6 +155,8 @@ def _images(model, basis, exps):
     exponent, so a shift is one integer addition and each target row is found
     by exact lookup; terms landing on the same exponent are then summed.
     """
+    from scipy.sparse import coo_array
+
     d, k = basis.d, basis.k
     if (k + 1) ** d > np.iinfo(np.int64).max:
         raise ValueError(f"(k + 1)^d overflows the int64 exponent keys at d = {d}, k = {k}")
@@ -249,6 +257,8 @@ def moment(model, q, x, t, k=None, gk=None):
         raise ValueError(f"prebuilt generator matrix has d = {gk.basis.d}, model has d = {d}")
     elif gk.basis.k < deg:
         raise ValueError("prebuilt generator matrix has too small a degree bound")
+    from scipy.sparse.linalg import expm_multiply
+
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             w = expm_multiply(t * gk.G, gk.basis.vector(q))

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.special import ndtri
 
 from .cspace import _symmetric
 from .generator import _exponent, _start_point
@@ -411,13 +410,14 @@ def _uniforms_into(streams, out):
         gen.random(out=out[row])
 
 
-def _normals_from_uniforms(out, scale=1.0):
+def _normals_from_uniforms(out, ndtri, scale=1.0):
     """Map the uniforms in ``out`` to standard normals times ``scale``, in place.
 
     ``random`` turns the top 53 bits k of each raw draw into k * 2**-53; adding
     2**-54 gives the grid midpoint (k + 1/2) * 2**-53 exactly as rounded, since
-    rounding commutes with scaling by a power of two.  The inverse normal CDF
-    maps the midpoint to a standard normal.  ``out`` is the only buffer.
+    rounding commutes with scaling by a power of two.  The inverse normal CDF,
+    ``ndtri`` (``scipy.special.ndtri``, which the caller imports), maps the
+    midpoint to a standard normal.  ``out`` is the only buffer.
     """
     out += 2.0 ** -54
     ndtri(out, out=out)
@@ -427,8 +427,10 @@ def _normals_from_uniforms(out, scale=1.0):
 
 def _normals_into(streams, out):
     """Fill out[row] with the next standard normals of streams[row], in place."""
+    from scipy.special import ndtri
+
     _uniforms_into(streams, out)
-    _normals_from_uniforms(out)
+    _normals_from_uniforms(out, ndtri)
 
 
 def path_normals(seed, path_id, n_steps, n_cols):
@@ -473,11 +475,14 @@ def _row_norms(X, sq, out):
     adds do, at a fraction of the cost.
     """
     np.multiply(X, X, out=sq)
-    if X.shape[1] >= 8:
+    d = X.shape[1]
+    if d >= 8:
         np.add.reduce(sq, axis=1, out=out)
-    else:
+    elif d == 1:
         out[:] = sq[:, 0]
-        for i in range(1, X.shape[1]):
+    else:
+        np.add(sq[:, 0], sq[:, 1], out=out)
+        for i in range(2, d):
             out += sq[:, i]
     np.sqrt(out, out=out)
 
@@ -544,6 +549,10 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
     buffer is filled and stepped in turn and no thread starts.  Close the
     generator to stop the helper.
     """
+    # Imported here, on the calling thread and before the helper starts, so
+    # that only a simulation loads scipy.special.
+    from scipy.special import ndtri
+
     los = range(0, n_steps, chunk)
     inline = len(los) == 1 or not n_cols or len(streams) * chunk * n_cols > _NOISE_VALUES
     bufs = [np.empty((len(streams), chunk, n_cols)) for _ in range(1 if inline else 2)]
@@ -563,17 +572,17 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
             if n_cols:
                 _uniforms_into(streams, buf)
                 t0 = perf_counter()
-                _normals_from_uniforms(buf, sqh)
+                _normals_from_uniforms(buf, ndtri, sqh)
                 stats["noise_wait_s"] += perf_counter() - t0
             yield buf
         return
     helper = ThreadPoolExecutor(1, thread_name_prefix="quadricdiff-noise")
     try:
-        ready = helper.submit(_normals_from_uniforms, drawn(0), sqh)
+        ready = helper.submit(_normals_from_uniforms, drawn(0), ndtri, sqh)
         for k in range(len(los)):
             following = None
             if k + 1 < len(los):
-                following = helper.submit(_normals_from_uniforms, drawn(k + 1), sqh)
+                following = helper.submit(_normals_from_uniforms, drawn(k + 1), ndtri, sqh)
             t0 = perf_counter()
             ready.result()
             stats["noise_wait_s"] += perf_counter() - t0
@@ -600,6 +609,9 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     radial = bhat is not None
     n_cols = m + (d if radial else 0)
     B = len(streams)
+    if radial:
+        # One (B, d) copy: adding it costs a fifth of broadcasting a length-d row.
+        bhat = np.tile(bhat, (B, 1))
     chunk = min(n_steps, max(1, _NOISE_VALUES // (B * max(1, n_cols))))
     norms = np.empty((chunk, B))
     sq, tmp, fac = np.empty((B, d)), np.empty((B, d)), np.empty(B)

@@ -1,4 +1,4 @@
-"""The package's public names are exactly the layers' ``__all__``, and the demos run."""
+"""The exports are the layers' ``__all__``, the demos run, and scipy loads only where used."""
 
 import ast
 import glob
@@ -58,9 +58,48 @@ def test_demo_runs(demo):
     assert r.returncode == 0, r.stderr
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, quadricdiff; print('scipy.optimize' in sys.modules)"
+# Each case runs in a fresh interpreter: (code, the public scipy subpackages it loads).
+# The algebra, SOS, validation and density layers load none; a simulation loads
+# scipy.special alone.
+SCIPY_CASES = [
+    ("import quadricdiff", set()),
+    ("import quadricdiff.cli", set()),
+    ("import numpy as np, quadricdiff as q\n"
+     "q.sos_check(np.eye(15)); q.counterexample_d6()\n"
+     "q.validate_sphere(q.SphereModel(H=np.eye(3), B=-np.eye(3)))\n"
+     "q.validate_ball(q.BallModel(alpha=np.eye(3), H=np.eye(3), b=np.zeros(3), B=-2 * np.eye(3)))\n"
+     "q.density_check_sphere(q.SkewDrive.elementary(3), np.array([1.0, 0.0, 0.0]))\n"
+     "q.density_check_ball(q.SkewDrive.elementary(3), np.eye(3), np.zeros(3))",
+     set()),
+    ("import numpy as np, quadricdiff as q\n"
+     "q.sphere_ensemble(q.SkewDrive.elementary(3), np.array([1.0, 0.0, 0.0]), 0.1, 0.01, 0, 4)",
+     {"special"}),
+]
+
+
+def _fresh(code):
+    """The last line that code prints in a fresh interpreter."""
     r = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
+    return r.stdout.strip().splitlines()[-1]
+
+
+def _scipy_loaded(code):
+    """The public scipy subpackages that a fresh interpreter holds after running code."""
+    names = ast.literal_eval(_fresh(code + "\nimport sys; print(sorted(sys.modules))"))
+    return {name.split(".")[1] for name in names
+            if name.count(".") == 1 and name.startswith("scipy.")
+            and not name.startswith("scipy._") and name != "scipy.version"}
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    for code, expected in SCIPY_CASES:
+        assert _scipy_loaded(code) == expected, code
+    moment = ("import numpy as np, quadricdiff as q\n"
+              "q.moment(q.SphereModel(H=np.eye(3), B=-np.eye(3)), {(2, 0, 0): 1.0},"
+              " np.array([1.0, 0.0, 0.0]), 0.5)")
+    assert "sparse" in _scipy_loaded(moment)
+    # bench/tracer.py reads generator.expm, which imports scipy.linalg on access.
+    expm = "import quadricdiff.generator as g, scipy.linalg\nprint(g.expm is scipy.linalg.expm)"
+    assert _fresh(expm) == "True"

@@ -646,10 +646,10 @@ def test_noise_helper_thread_ends_with_its_block(monkeypatch):
         scalar_ball_ensemble(*run, sink=refuse)
     assert _noise_threads() == []
 
-    def broken(out, scale=1.0):
+    def broken(out, ndtri, scale=1.0):
         if threading.current_thread() is not threading.main_thread():
             raise FloatingPointError("noise thread")
-        simulate.ndtri(out, out=out)
+        ndtri(out, out=out)
 
     monkeypatch.setattr(simulate, "_normals_from_uniforms", broken)
     with pytest.raises(FloatingPointError, match="noise thread"):

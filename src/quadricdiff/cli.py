@@ -8,6 +8,7 @@ reserved for usage and IO errors.  Stochastic commands require an explicit
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -16,14 +17,34 @@ from math import comb
 import numpy as np
 
 from . import generator, liealg, model as model_mod, simulate as sim, sos
-from .cspace import _check_h, _symmetric_part
+from .cspace import _check_h, _float_array, _symmetric_part
 from .skew import skew_dim
 
 __all__ = ["main"]
 
 
+def _jsonable(obj):
+    """obj for ``json.dumps``: each dataclass as the dict of its fields, each array or
+    numpy scalar by one ``tolist()``; only dicts, lists and tuples are walked."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+def _dumps(obj):
+    """The one JSON form of every result: strict, sorted keys, one-space indent."""
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ": "), indent=1,
+                      allow_nan=False)
+
+
 def _json_out(obj):
-    print(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1, allow_nan=False))
+    print(_dumps(obj))
     return 0
 
 
@@ -48,11 +69,12 @@ def _parse_matrix(text, d):
 
 
 def _parse_vector(text):
-    try:
-        data = _load_json_arg(text)
-    except json.JSONDecodeError:
-        data = [float(tok) for tok in text.replace(",", " ").split()]
-    return np.asarray(data, dtype=float).ravel()
+    """--x0: a JSON list of numbers, inline or @file."""
+    data = _load_json_arg(text)
+    x0 = _float_array(data)
+    if x0 is None or x0.ndim != 1:
+        raise ValueError(f"x0 must be a list of numbers, got {data!r:.80}")
+    return x0
 
 
 def _load_model(path):
@@ -69,7 +91,7 @@ def _drive_from_model(mdl, tol):
     ok, drift = model_mod._drift_check(mdl, tol)
     if not ok:
         return None, {"error": f"the {mdl.space} model's drift fails validation",
-                      "drift": model_mod._jsonable(drift)}
+                      "drift": drift}
     verdict = sos.sos_check(mdl.H, tol=tol)
     if verdict.status != sos.FEASIBLE:
         return None, {"error": "no sum-of-squares representation found",
@@ -92,17 +114,19 @@ def _cmd_validate(args):
     ball = mdl.space == "ball"
     tol = (1e-7 if ball else 1e-9) if args.tol is None else args.tol
     report = (model_mod.validate_ball if ball else model_mod.validate_sphere)(mdl, tol)
-    out = report.to_json()
-    out["space"] = mdl.space
+    out = dict(vars(report), space=mdl.space)
     if ball:
-        out["boundary"] = model_mod._attainment(mdl, tol).to_json() if report.admissible else None
+        out["boundary"] = model_mod._attainment(mdl, tol) if report.admissible else None
     return _json_out(out)
 
 
 def _cmd_sos_check(args):
     H = _parse_matrix(args.H, args.d)
     verdict = sos.sos_check(H, tol=args.tol, max_iter=args.max_iter)
-    return _json_out(verdict.to_json())
+    witness = {name: getattr(verdict, name) for name in ("h_star", "factors", "certificate")
+               if getattr(verdict, name) is not None}
+    return _json_out({"status": verdict.status, "iterations": verdict.iterations,
+                      "margins": verdict.residuals, "witness": witness})
 
 
 def _cmd_decompose(args):
@@ -110,21 +134,18 @@ def _cmd_decompose(args):
     verdict = sos.sos_check(H, tol=args.tol, max_iter=args.max_iter)
     out = {"status": verdict.status}
     if verdict.status == sos.FEASIBLE:
-        out["factors"] = [A.tolist() for A in verdict.factors]
+        out["factors"] = verdict.factors
         out["rank"] = len(verdict.factors)
     else:
-        out["margins"] = {k: float(v) for k, v in verdict.residuals.items()}
+        out["margins"] = verdict.residuals
     return _json_out(out)
 
 
 def _cmd_counterexample(args):
     ce = sos.counterexample_d6()
     verdict = sos.sos_check(ce.h, tol=args.tol)
-    out = dict(ce.report)
-    out["H"] = ce.h.tolist()
-    out["certificate"] = ce.certificate.tolist()
-    out["sos_status"] = verdict.status
-    return _json_out(out)
+    return _json_out(dict(ce.report, H=ce.h, certificate=ce.certificate,
+                          sos_status=verdict.status))
 
 
 def _cmd_moments(args):
@@ -136,7 +157,7 @@ def _cmd_moments(args):
         "value": value,
         "t": args.T,
         "k": args.k if args.k is not None else generator.poly_degree(q),
-        "x0": x0.tolist(),
+        "x0": x0,
     })
 
 
@@ -217,19 +238,18 @@ def _cmd_simulate(args):
         "scheme": result.scheme,
         "n_paths": result.n_paths,
         "T": args.T,
-        "h": float(result.times[1] - result.times[0]),
+        "h": result.times[1] - result.times[0],
         "seed": args.seed,
-        "terminal_mean": result.terminal.mean(axis=0).tolist(),
-        "terminal_stderr": (result.terminal.std(axis=0, ddof=1)
-                            / np.sqrt(result.n_paths)).tolist() if result.n_paths > 1
-                           else [0.0] * result.terminal.shape[1],
+        "terminal_mean": result.terminal.mean(axis=0),
+        "terminal_stderr": (result.terminal.std(axis=0, ddof=1) / np.sqrt(result.n_paths)
+                            if result.n_paths > 1 else np.zeros(result.terminal.shape[1])),
         "max_norm_dev": result.max_norm_dev,
         "clamp_fraction": result.clamp_fraction,
     }
     if args.out:
         if not to_csv:
             with open(args.out, "w") as fh:
-                json.dump(out, fh, sort_keys=True, indent=1, allow_nan=False)
+                fh.write(_dumps(out))
         out["out"] = args.out
     return _json_out(out)
 
@@ -240,15 +260,7 @@ def _cmd_twin(args):
     drive = sim.SkewDrive.zero(d)
     report = sim.twin_path_experiment(args.kappa, args.nu, drive, x0, args.T, args.h,
                                       args.seeds, seed=args.seed, eps=args.eps)
-    return _json_out({
-        "max_divergence": report.max_divergence.tolist(),
-        "eps": report.eps,
-        "kappa_nu_ratio": report.kappa_nu_ratio,
-        "uniqueness_condition": report.uniqueness_condition,
-        "threshold": np.sqrt(2.0) - 1.0,
-        "T": report.T,
-        "h": report.h,
-    })
+    return _json_out(dict(vars(report), threshold=np.sqrt(2.0) - 1.0))
 
 
 def _cmd_density(args):
@@ -261,9 +273,7 @@ def _cmd_density(args):
         report = liealg.density_check_sphere(drive, x0, args.tol)
     else:
         report = liealg.density_check_ball(drive, mdl.alpha, x0, args.tol)
-    out = report.to_json()
-    out["space"] = mdl.space
-    return _json_out(out)
+    return _json_out(dict(vars(report), space=mdl.space))
 
 
 def _tolerance(text):

@@ -78,14 +78,23 @@ def _symmetric(A, message):
     return S
 
 
+def _float_array(value):
+    """value as a float array, or None if it is not a regular array of numbers."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 def _check_h(H, d=None, name="H"):
     """(symmetric part of H, d) for a finite (m, m) H, m = C(d, 2), with d
     inferred from the shape if not given; ValueError naming ``name``, or ``d``
     if it is negative, otherwise."""
-    if d is not None and d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    H = np.asarray(H, dtype=float)
     want = "" if d is None else f" = {skew_dim(d)} for d = {d}"
+    given, H = H, _float_array(H)
+    if H is None:
+        raise ValueError(f"{name} must be an (m, m) array of numbers with m = C(d, 2){want}, "
+                         f"got {given!r:.80}")
     if d is None:
         d = int(round((1 + np.sqrt(1 + 8 * (H.shape[0] if H.ndim == 2 else 0))) / 2))
     if H.shape != (skew_dim(d),) * 2:
@@ -339,8 +348,8 @@ def h_to_json(H, d):
 def h_from_json(obj):
     """Inverse of :func:`h_to_json`; returns (H, d)."""
     d = int(obj["d"])
-    H = np.asarray(obj["H"], dtype=float)
-    if skew_dim(d) == 0 and H.size == 0:
+    H = _float_array(obj["H"])
+    if H is not None and H.size == 0 and skew_dim(d) == 0:
         H = H.reshape(0, 0)
-    return _check_h(H, d)
+    return _check_h(obj["H"] if H is None else H, d)
 

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .cspace import cmap_from_h
+from .cspace import _float_array, cmap_from_h
 
 __all__ = [
     "monomial_basis",
@@ -129,16 +129,16 @@ def _start_point(x0, d, space, tol):
     included, raises ValueError.  Every entry that takes a start point checks
     it here.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (d,) or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be {d} finite numbers, got {x0.tolist()}")
-    big = float(np.abs(x0).max(initial=0.0))
+    x = _float_array(x0)
+    if x is None or x.shape != (d,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be {d} finite numbers, got {x0 if x is None else x.tolist()}")
+    big = float(np.abs(x).max(initial=0.0))
     # Scaled where an entry is past 1 + tol, so that a huge x0 cannot overflow the norm.
-    r = big * float(np.linalg.norm(x0 / big)) if big > 1.0 + tol else float(np.linalg.norm(x0))
+    r = big * float(np.linalg.norm(x / big)) if big > 1.0 + tol else float(np.linalg.norm(x))
     if r > 1.0 + tol or (space == "sphere" and r < 1.0 - tol):
         raise ValueError(f"|x0| = {r} does not lie on the unit sphere" if space == "sphere"
                          else f"|x0| = {r} lies outside the closed unit ball")
-    return x0
+    return x
 
 
 def _images(model, basis, exps):
@@ -276,9 +276,13 @@ def poly_to_json(q):
 
 
 def poly_from_json(obj):
-    """Inverse of :func:`poly_to_json`."""
+    """Inverse of :func:`poly_to_json`; ValueError if obj does not have its form."""
     out = {}
-    for term in obj["terms"]:
-        e = _exponent(term["exp"])
-        out[e] = out.get(e, 0.0) + float(term["coef"])
+    try:
+        for term in obj["terms"]:
+            e = _exponent(term["exp"])
+            out[e] = out.get(e, 0.0) + float(term["coef"])
+    except (KeyError, TypeError):
+        raise ValueError('q must be {"terms": [{"exp": [...], "coef": c}, ...]}, '
+                         f"got {obj!r:.80}") from None
     return out

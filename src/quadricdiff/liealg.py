@@ -45,18 +45,6 @@ class DensityReport:
     dim_hx0: int
     full_rotation: bool    # dim g equals C(d, 2)
 
-    def to_json(self):
-        return {
-            "has_smooth_density": bool(self.has_smooth_density),
-            "dim_g": int(self.dim_g),
-            "dim_h": int(self.dim_h),
-            "a0x0_in_gx0": bool(self.a0x0_in_gx0),
-            "membership_residual": float(self.membership_residual),
-            "dim_gx0": int(self.dim_gx0),
-            "dim_hx0": int(self.dim_hx0),
-            "full_rotation": bool(self.full_rotation),
-        }
-
 
 def bracket(A, B):
     """Matrix commutator AB - BA; skew whenever both arguments are."""

@@ -120,38 +120,12 @@ class ValidationReport:
     positivity: str           # "verified" | "refuted" | "unverified"
     checks: dict = field(default_factory=dict)
 
-    def to_json(self):
-        return {
-            "admissible": bool(self.admissible),
-            "positivity": self.positivity,
-            "checks": _jsonable(self.checks),
-        }
-
 
 @dataclass
 class AttainmentReport:
     status: str               # "InteriorInvariant" | "MayAttainBoundary"
     margin: float
     argmax: np.ndarray
-
-    def to_json(self):
-        return {
-            "status": self.status,
-            "margin": float(self.margin),
-            "argmax": np.asarray(self.argmax).tolist(),
-        }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def a_eval(model, x):
@@ -424,12 +398,16 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
-    """Load a BallModel or SphereModel from its JSON dict."""
+    """Load a BallModel or SphereModel from its JSON dict; ValueError if a key is missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"model must be a JSON object, got {obj!r:.80}")
     space = obj.get("space", "ball")
+    keys = ("d", "H", "B") if space == "sphere" else ("d", "H", "B", "alpha")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"a {space} model needs the keys {', '.join(keys)}; "
+                         f"missing {', '.join(missing)}")
     H, d = h_from_json(obj)
-    B = np.asarray(obj["B"], dtype=float)
     if space == "sphere":
-        return SphereModel(H=H, B=B)
-    alpha = np.asarray(obj["alpha"], dtype=float)
-    b = np.asarray(obj.get("b", np.zeros(d)), dtype=float)
-    return BallModel(alpha=alpha, H=H, b=b, B=B)
+        return SphereModel(H=H, B=obj["B"])
+    return BallModel(alpha=obj["alpha"], H=H, b=obj.get("b", np.zeros(d)), B=obj["B"])

@@ -32,7 +32,6 @@ bookkeeping (largest radius, largest deviation from the sphere) is reduced
 once per chunk.  Seeds and path ids are integers in [0, 2**64).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -550,7 +549,8 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
     generator to stop the helper.
     """
     # Imported here, on the calling thread and before the helper starts, so
-    # that only a simulation loads scipy.special.
+    # that only a simulation loads scipy.special and concurrent.futures.
+    from concurrent.futures import ThreadPoolExecutor
     from scipy.special import ndtri
 
     los = range(0, n_steps, chunk)

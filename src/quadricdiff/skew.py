@@ -36,7 +36,9 @@ class RankError(ValueError):
 
 
 def skew_dim(d):
-    """Dimension m = C(d, 2) of the space of skew-symmetric d x d matrices."""
+    """Dimension m = C(d, 2) of the space of skew-symmetric d x d matrices; ValueError if d < 0."""
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
     return d * (d - 1) // 2
 
 

@@ -77,7 +77,7 @@ class SosVerdict:
     all its conjugate gradient solves, and ``face``: ``dim``, the size of the
     last eigenvalue cluster a face step was tried on (0 if none), ``steps``,
     the face steps among the iterations, and ``cg_products``, theirs among
-    the products.  ``to_json`` leaves ``stats`` out.
+    the products.  The CLI leaves ``stats`` out.
     """
 
     status: str
@@ -88,22 +88,6 @@ class SosVerdict:
     iterations: int = 0
     residuals: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
-
-    def to_json(self):
-        out = {
-            "status": self.status,
-            "iterations": int(self.iterations),
-            "margins": {k: float(v) for k, v in self.residuals.items()},
-        }
-        witness = {}
-        if self.h_star is not None:
-            witness["h_star"] = np.asarray(self.h_star).tolist()
-        if self.factors is not None:
-            witness["factors"] = [np.asarray(A).tolist() for A in self.factors]
-        if self.certificate is not None:
-            witness["certificate"] = np.asarray(self.certificate).tolist()
-        out["witness"] = witness
-        return out
 
 
 @dataclass

@@ -2,15 +2,17 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 from io import StringIO
 
 import numpy as np
 import pytest
 
 from kept import Kept, kept_run
-from quadricdiff.cli import main
+from quadricdiff.cli import _jsonable, main
 from quadricdiff.model import BallModel, SphereModel, model_to_json
 from quadricdiff.skew import skew_dim
+from quadricdiff.sos import counterexample_d6
 
 
 def run(argv):
@@ -57,6 +59,39 @@ def test_sos_check_identity():
     assert j["iterations"] >= 1
 
 
+def test_sos_check_prints_the_verdict_without_its_stats(model_files):
+    ce = model_files["tmp"] / "ce.json"
+    ce.write_text(json.dumps(counterexample_d6().h.tolist()))
+    for H, d, budget, status in (("id", 6, [], "Feasible"), (f"@{ce}", 6, [], "Infeasible"),
+                                 (f"@{ce}", 6, ["--max-iter", "1"], "Undecided")):
+        j = run_json(["sos-check", "--H", H, "--d", str(d)] + budget)
+        assert j["status"] == status
+        assert set(j) == {"status", "iterations", "margins", "witness"}
+
+
+def test_jsonable_makes_plain_json_of_results():
+    @dataclass
+    class Inner:
+        flag: np.bool_
+        values: np.ndarray
+
+    @dataclass
+    class Outer:
+        count: np.int64
+        scale: np.float64
+        inner: Inner
+        items: list
+        missing: None = None
+
+    obj = Outer(np.int64(3), np.float64(0.25), Inner(np.bool_(True), np.arange(2.0)),
+                [np.eye(2), (np.int64(1), None)])
+    out = _jsonable(obj)
+    assert out == {"count": 3, "scale": 0.25, "inner": {"flag": True, "values": [0.0, 1.0]},
+                   "items": [[[1.0, 0.0], [0.0, 1.0]], [1, None]], "missing": None}
+    assert type(out["count"]) is int and type(out["inner"]["flag"]) is bool
+    assert json.loads(json.dumps(out, allow_nan=False)) == out
+
+
 def test_sos_check_inline_matrix():
     m = skew_dim(3)
     H = (-np.eye(m)).tolist()
@@ -69,6 +104,7 @@ def test_a_negative_dimension_is_a_usage_error():
         for H in ("id", "zero"):
             j = run_json([command, "--H", H, "--d", "-3"])
             assert j == {"error": "d must be nonnegative, got -3"}
+    assert run_json(["dims", "--d", "-2"]) == {"error": "d must be nonnegative, got -2"}
 
 
 def test_decompose():
@@ -133,6 +169,23 @@ def test_moments_malformed_exponent_is_a_domain_error(model_files):
     j = run_json(["moments", "--model", str(model_files["sphere"]), "--q", q,
                   "--x0", "[1,0,0]", "--t", "1.0"])
     assert "(1, 0)" in j["error"]
+    # documents that are not {"terms": [{"exp": ..., "coef": ...}, ...]}
+    for q in ("{}", "[1]", '{"terms": [{"exp": [1, 0]}]}',
+              '{"terms": [{"exp": [1, 0, 0], "coef": [1]}]}'):
+        j = run_json(["moments", "--model", str(model_files["sphere"]), "--q", q,
+                      "--x0", "[1,0,0]", "--t", "1.0"])
+        assert set(j) == {"error"} and j["error"].startswith("q must be "), (q, j)
+
+
+def test_validate_refuses_a_malformed_model_file(model_files):
+    sphere = json.loads(model_files["sphere"].read_text())
+    del sphere["B"]
+    cases = {"no_b.json": (sphere, "a sphere model needs the keys d, H, B; missing B"),
+             "list.json": ([1, 2], "model must be a JSON object, got [1, 2]")}
+    for name, (doc, error) in cases.items():
+        path = model_files["tmp"] / name
+        path.write_text(json.dumps(doc))
+        assert run_json(["validate", "--model", str(path)]) == {"error": error}
 
 
 def test_simulate_sphere_with_csv(model_files):
@@ -535,6 +588,8 @@ def test_validate_tol_reaches_the_boundary_step(tmp_path):
     statuses = []
     for tol in (1e-7, 1e-3):
         j = run_json(["validate", "--model", str(path), "--tol", str(tol)])
-        assert j["boundary"] == boundary_attainment(mdl, tol=tol).to_json()
+        report = boundary_attainment(mdl, tol=tol)
+        assert j["boundary"] == {"status": report.status, "margin": report.margin,
+                                 "argmax": report.argmax.tolist()}
         statuses.append(j["boundary"]["status"])
     assert statuses == ["MayAttainBoundary", "InteriorInvariant"]

@@ -440,11 +440,11 @@ H_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(H_ENTRIES))
 def test_every_coefficient_matrix_entry_refuses_bad_input(entry):
-    # NaN, infinite, misshapen, no m = C(d, 2), and, where d is known, the wrong d
+    # NaN, infinite, misshapen, no m = C(d, 2), not numbers, and, where d is known, the wrong d
     name, call, d_given = H_ENTRIES[entry]
     call(np.eye(3))
     bad = [np.diag([1.0, np.nan, 1.0]), np.full((3, 3), np.inf), np.ones(3), np.ones((3, 2)),
-           np.ones((1, 3, 3)), np.eye(2)] + [np.eye(6)] * d_given
+           np.ones((1, 3, 3)), np.eye(2), {"a": 1}] + [np.eye(6)] * d_given
     for X in bad:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call(X)

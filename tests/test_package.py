@@ -103,3 +103,11 @@ def test_import_leaves_scipy_optimize_unloaded():
     # bench/tracer.py reads generator.expm, which imports scipy.linalg on access.
     expm = "import quadricdiff.generator as g, scipy.linalg\nprint(g.expm is scipy.linalg.expm)"
     assert _fresh(expm) == "True"
+
+
+def test_only_a_simulation_loads_concurrent_futures():
+    # numpy alone does not load it, so the noise helper's import is the simulator's to defer
+    loaded = "\nimport sys; print('concurrent.futures' in sys.modules)"
+    assert _fresh("import numpy" + loaded) == "False"
+    for code, scipy_parts in SCIPY_CASES:
+        assert _fresh(code + loaded) == str(bool(scipy_parts)), code

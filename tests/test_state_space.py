@@ -29,11 +29,13 @@ from quadricdiff.simulate import (
 )
 
 NAN, INF = float("nan"), float("inf")
-# Not three finite numbers (the CLI flattens its --x0, so a (1, 3) x0 is library-only).
-MALFORMED = ([NAN, 0.0, 0.0], [INF, 0.0, 0.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0])
-ROW = [[1.0, 0.0, 0.0]]
+# Not three finite numbers; the first four are not d finite numbers for any d.
+MALFORMED = ([NAN, 0.0, 0.0], [INF, 0.0, 0.0], {"a": 1}, [[1.0, 0.0, 0.0]], [1.0, 0.0],
+             [1.0, 0.0, 0.0, 0.0])
 X0_ERROR = (r"x0 must be 3 finite numbers|"
             r"\|x0\| = \S+ (does not lie on the unit sphere|lies outside the closed unit ball)")
+# The CLI refuses an --x0 that is not a JSON list of numbers before it knows d.
+CLI_X0_ERROR = X0_ERROR + "|x0 must be a list of numbers"
 RUN = (0.01, 1e-3, 0, 2)
 DRIVE = SkewDrive.elementary(3)
 SPHERE = SphereModel(H=np.eye(3), B=-np.eye(3))
@@ -101,7 +103,7 @@ def test_library_entry_keeps_the_state_space_contract(name):
     accepted, refused = radii(space, tol)
     for r in accepted:
         run(np.array([r, 0.0, 0.0]))
-    for x0 in MALFORMED + (ROW,) + tuple([r, 0.0, 0.0] for r in refused):
+    for x0 in MALFORMED + tuple([r, 0.0, 0.0] for r in refused):
         with pytest.raises(ValueError, match=X0_ERROR):
             run(x0)
     for call in bad_coefficients:
@@ -171,13 +173,13 @@ COMMANDS = {
 def test_cli_command_keeps_the_state_space_contract(models, name):
     space, tol, argv, bad_coefficients = COMMANDS[name]
     # without a model, the length of --x0 is the dimension
-    malformed = MALFORMED if "--model" in argv(models) else MALFORMED[:2]
+    malformed = MALFORMED if "--model" in argv(models) else MALFORMED[:4]
     accepted, refused = radii(space, tol)
     for r in accepted:
         assert "error" not in cli(argv(models) + x0_flag([r, 0.0, 0.0])), r
     for x in malformed + tuple([r, 0.0, 0.0] for r in refused):
         out = cli(argv(models) + x0_flag(x))
-        assert set(out) == {"error"} and re.match(X0_ERROR, out["error"]), (x, out)
+        assert set(out) == {"error"} and re.match(CLI_X0_ERROR, out["error"]), (x, out)
     for bad in bad_coefficients:
         out = cli(bad(models) + x0_flag([0.5, 0.0, 0.0] if space == "ball" else [1.0, 0.0, 0.0]))
         assert set(out) == {"error"} and "finite" in out["error"], out

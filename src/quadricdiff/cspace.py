@@ -346,10 +346,12 @@ def h_to_json(H, d):
 
 
 def h_from_json(obj):
-    """Inverse of :func:`h_to_json`; returns (H, d)."""
-    d = int(obj["d"])
+    """Inverse of :func:`h_to_json`; returns (H, d).  ValueError unless d is an integer >= 0."""
+    d = obj["d"]
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
+        raise ValueError(f"d must be a nonnegative integer, got {d!r:.80}")
     H = _float_array(obj["H"])
     if H is not None and H.size == 0 and skew_dim(d) == 0:
         H = H.reshape(0, 0)
-    return _check_h(obj["H"] if H is None else H, d)
+    return _check_h(obj["H"] if H is None else H, int(d))
 

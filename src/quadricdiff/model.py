@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import _symmetric, _symmetric_part, c_H_eval, h_from_json, h_to_json, trace_form
+from .cspace import (_float_array, _symmetric, _symmetric_part, c_H_eval, h_from_json,
+                     h_to_json, trace_form)
 from .skew import skew_dim
 from . import sos as _sos
 
@@ -29,10 +30,13 @@ __all__ = [
 def _coefficients(model, **shapes):
     """Store the named coefficients as float arrays of the given shapes.
 
-    Raises ValueError unless each one has its shape and is finite.
+    Raises ValueError unless each one is an array of numbers of its shape and is finite.
     """
     for name, shape in shapes.items():
-        value = np.asarray(getattr(model, name), dtype=float)
+        given = getattr(model, name)
+        value = _float_array(given)
+        if value is None:
+            raise ValueError(f"{name} must be an array of numbers, got {given!r:.80}")
         if value.shape != shape:
             raise ValueError(f"{name} must have shape {shape} for d = {model.d}, "
                              f"got {value.shape}")
@@ -398,10 +402,16 @@ def model_to_json(model):
 
 
 def model_from_json(obj):
-    """Load a BallModel or SphereModel from its JSON dict; ValueError if a key is missing."""
+    """Load a BallModel or SphereModel from its JSON dict.
+
+    ``space`` is "ball" (the default) or "sphere".  Raises ValueError naming
+    the key if one is missing or malformed.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"model must be a JSON object, got {obj!r:.80}")
     space = obj.get("space", "ball")
+    if space not in ("ball", "sphere"):
+        raise ValueError(f'space must be "ball" or "sphere", got {space!r:.80}')
     keys = ("d", "H", "B") if space == "sphere" else ("d", "H", "B", "alpha")
     missing = [key for key in keys if key not in obj]
     if missing:

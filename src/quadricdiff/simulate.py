@@ -11,20 +11,20 @@ paths or of one path, none larger than a noise chunk; one path is
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
-roundoff.  At d = 3 and 4 the degree-13 approximant is applied in closed
-form, row by row, without forming matrices (:func:`_rot3_apply`,
-:func:`_rot4_apply`); rows whose norm needs squarings, and every other d,
-go through :func:`expm_skew`.  Ball schemes interleave that rotation with an
-Euler-Maruyama radial substep.  Noise is counter-based: each path owns a
-Philox stream keyed by (seed, path_id); the top 53 bits k of each draw give
-the midpoint (k + 1/2) * 2**-53 of a uniform grid, mapped to a Gaussian
-through the inverse normal CDF, so ensembles are reproducible and
-embarrassingly parallel.  A block of paths draws its noise in time chunks of
-about ``_NOISE_VALUES`` values, each path's stream carrying over from one
-chunk to the next, and holds two chunks at most, 8 MiB of float64 in all
-(or one step, if one step's noise is larger than a chunk), so the memory a
-block holds does not grow with the number of steps; the streams are those
-of :func:`path_normals` whatever the chunk length.  While chunk k is
+roundoff.  At d = 2, 3 and 4 the degree-13 approximant is applied in closed
+form, row by row, without forming matrices (:func:`_rot2_apply`,
+:func:`_rot3_apply`, :func:`_rot4_apply`); d = 4 rows whose norm needs
+squarings, and every d above 4, go through :func:`expm_skew`.  Ball schemes
+interleave that rotation with an Euler-Maruyama radial substep.  Noise is
+counter-based: each path owns a Philox stream keyed by (seed, path_id); the
+top 53 bits k of each draw give the midpoint (k + 1/2) * 2**-53 of a uniform
+grid, mapped to a Gaussian through the inverse normal CDF, so ensembles are
+reproducible and embarrassingly parallel.  A block of paths draws its noise in
+time chunks of about ``_NOISE_VALUES`` values, each path's stream carrying
+over from one chunk to the next, and holds two chunks at most, 8 MiB of
+float64 in all (or one step, if one step's noise is larger than a chunk), so
+the memory a block holds does not grow with the number of steps; the streams
+are those of :func:`path_normals` whatever the chunk length.  While chunk k is
 stepped, a helper thread maps the uniforms of chunk k + 1 to normals (the
 inverse CDF releases the interpreter lock); a block of one chunk, or of
 one-step chunks larger than ``_NOISE_VALUES``, starts no thread.  Norm
@@ -63,8 +63,10 @@ _X0_TOL = 1e-12
 _NOISE_VALUES = 1 << 19
 # Names the noise streams and step kernels that seeded outputs depend on, and
 # moves with their bits.  "1": expm_skew at every d but 3; "2": closed-form
-# rotation at d = 4.
-_SCHEME_VERSION = "2"
+# rotation at d = 4; "3": closed-form rotation at d = 2, LAPACK's solve in
+# expm_skew at n = 2 and 3 (drift-only Q), and the step's skew sum at d >= 5
+# as one product with the drive's upper entries.
+_SCHEME_VERSION = "3"
 
 
 @dataclass(frozen=True)
@@ -165,39 +167,13 @@ _PADE = {
 }
 
 
-def _solve_small(A, B):
-    """Batched solve specialized by size: cofactor inverse for n <= 3, else LAPACK."""
-    n = A.shape[-1]
-    if n == 1:
-        return B / A[:, 0, 0, None, None]
-    if n == 2:
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        inv = np.empty_like(A)
-        inv[:, 0, 0] = A[:, 1, 1]
-        inv[:, 0, 1] = -A[:, 0, 1]
-        inv[:, 1, 0] = -A[:, 1, 0]
-        inv[:, 1, 1] = A[:, 0, 0]
-        return (inv @ B) / det[:, None, None]
-    if n == 3:
-        a, b, c = A[:, 0, 0], A[:, 0, 1], A[:, 0, 2]
-        d, e, f = A[:, 1, 0], A[:, 1, 1], A[:, 1, 2]
-        g, h, i = A[:, 2, 0], A[:, 2, 1], A[:, 2, 2]
-        co00 = e * i - f * h
-        co01 = c * h - b * i
-        co02 = b * f - c * e
-        co10 = f * g - d * i
-        co11 = a * i - c * g
-        co12 = c * d - a * f
-        co20 = d * h - e * g
-        co21 = b * g - a * h
-        co22 = a * e - b * d
-        det = a * co00 + b * co10 + c * co20
-        inv = np.empty_like(A)
-        inv[:, 0, 0], inv[:, 0, 1], inv[:, 0, 2] = co00, co01, co02
-        inv[:, 1, 0], inv[:, 1, 1], inv[:, 1, 2] = co10, co11, co12
-        inv[:, 2, 0], inv[:, 2, 1], inv[:, 2, 2] = co20, co21, co22
-        return (inv @ B) / det[:, None, None]
-    return np.linalg.solve(A, B)
+def _squarings(norm1):
+    """Squaring count for each 1-norm: 0 up to theta_13, else ceil(log2(norm1 / theta_13))."""
+    s = np.zeros(len(norm1), dtype=int)
+    over = norm1 > _PADE[13][1]
+    if np.any(over):
+        s[over] = np.ceil(np.log2(norm1[over] / _PADE[13][1])).astype(int)
+    return s
 
 
 def _pade_exp(M, degree, s):
@@ -213,7 +189,7 @@ def _pade_exp(M, degree, s):
         powers[k] = powers[k - 2] @ A2
     V = sum(b[k] * powers[k] for k in range(0, degree + 1, 2))
     U = M @ sum(b[k + 1] * powers[k] for k in range(0, degree, 2))
-    R = _solve_small(V - U, V + U)
+    R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
         R = R @ R
     return R
@@ -226,7 +202,9 @@ def expm_skew(M):
     matrix's exponential does not depend on its batch neighbors.  For skew
     inputs the diagonal Pade approximant is exactly orthogonal, so the result
     is orthogonal to roundoff; this is what makes the sphere scheme
-    norm-preserving without renormalization.
+    norm-preserving without renormalization.  ValueError unless every matrix
+    is finite with a 1-norm of at most theta_13 * 2**52 (about 2.4e16): s
+    squarings multiply the roundoff by 2**s, and past 52 no digit is left.
     """
     M = np.asarray(M, dtype=float)
     single = M.ndim == 2
@@ -236,11 +214,11 @@ def expm_skew(M):
     n = M.shape[-1]
     flat = M.reshape(-1, n, n)
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
-
-    theta13 = _PADE[13][1]
-    squarings = np.zeros(len(flat), dtype=int)
-    over = norms > theta13
-    squarings[over] = np.ceil(np.log2(norms[over] / theta13)).astype(int)
+    top = _PADE[13][1] * 2.0 ** 52
+    if not np.all(norms <= top):
+        raise ValueError(f"M must be finite with a 1-norm of at most {top:.3g}, "
+                         f"got a 1-norm of {np.max(norms):.3g}")
+    squarings = _squarings(norms)
     scaled = norms / 2.0 ** squarings
     # Degrees 3 and 7 are folded into 5 and 9: one extra matmul is cheaper
     # than fragmenting the batch into several Pade groups.
@@ -249,15 +227,16 @@ def expm_skew(M):
         degrees[scaled <= _PADE[m][1]] = m
 
     out = np.empty_like(flat)
-    key = degrees * 64 + squarings
+    # One group per (squarings, degree) pair; degrees are below 16.
+    key = squarings * 16 + degrees
     for k in np.unique(key):
         idx = np.nonzero(key == k)[0]
-        out[idx] = _pade_exp(flat[idx], int(k) // 64, int(k) % 64)
+        out[idx] = _pade_exp(flat[idx], int(k) % 16, int(k) // 16)
     out = out.reshape(*lead, n, n)
     return out[0] if single else out
 
 
-def _rot3_apply(w, X, h_a0vec=None):
+def _rot3_apply(w, X):
     """Rotation substep for d = 3 without forming matrices.
 
     For a 3x3 skew matrix M with upper entries (a, b, c), Cayley-Hamilton
@@ -267,17 +246,10 @@ def _rot3_apply(w, X, h_a0vec=None):
     approximant expm_skew computes, evaluated in O(1) column operations, and
     inherits its exact orthogonality.
     """
-    if h_a0vec is not None:
-        w = w + h_a0vec
     a, b, c = w[:, 0], w[:, 1], w[:, 2]
     theta2 = a * a + b * b + c * c
     aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
-    norm1 = np.maximum(np.maximum(aa + ab, aa + ac), ab + ac)
-    theta13 = _PADE[13][1]
-    s = np.zeros(len(w), dtype=int)
-    over = norm1 > theta13
-    if np.any(over):
-        s[over] = np.ceil(np.log2(norm1[over] / theta13)).astype(int)
+    s = _squarings(np.maximum(np.maximum(aa + ab, aa + ac), ab + ac))
     x2 = -theta2 / 4.0 ** s
     cf = _PADE[13][0]
     v = cf[2] + x2 * (cf[4] + x2 * (cf[6] + x2 * (cf[8] + x2 * (cf[10] + x2 * cf[12]))))
@@ -320,6 +292,22 @@ def _pade_angle(phi):
     return 2.0 * np.arctan2(phi * w, v)
 
 
+def _rot2_apply(w, X):
+    """Rotation substep for d = 2 without forming matrices.
+
+    The skew M with upper entry w has eigenvalues +-i w, so the degree-13
+    Pade approximant with expm_skew's s squarings is the plane rotation by
+    2^s psi(w / 2^s) (see :func:`_pade_angle`).  Like :func:`_rot4_apply`
+    it takes degree 13 where expm_skew may take 5 or 9.
+    """
+    w = w[:, 0]
+    s = _squarings(np.abs(w))
+    psi = np.ldexp(_pade_angle(np.ldexp(w, -s)), s)
+    co, si = np.cos(psi), np.sin(psi)
+    x0, x1 = X.T
+    return np.stack((co * x0 + si * x1, co * x1 - si * x0), axis=1)
+
+
 def _isoclinic(u, theta, psi, X, self_dual):
     """cos(psi) X + sin(psi) N X / theta, N the 4 x 4 (anti-)self-dual skew matrix of u.
 
@@ -351,7 +339,7 @@ def _pade_rot4(w, X):
     return _isoclinic(up, tp, 0.5 * (psi1 + psi2), Y, True)
 
 
-def _rot4_apply(w, X, h_a0vec=None):
+def _rot4_apply(w, X):
     """Rotation substep for d = 4 without forming matrices.
 
     ``w`` holds the upper entries of each row's skew M.  The degree-13
@@ -367,11 +355,9 @@ def _rot4_apply(w, X, h_a0vec=None):
     degree 5 or 9 for the smaller norms; so results differ from expm_skew's
     by about an ulp.  Evaluated as E(M^2) + M O(M^2) instead, it loses up to
     3e-15 of orthogonality near the squaring threshold, this way about
-    1e-15.  Rows whose 1-norm needs squarings go to expm_skew, as a stack
-    of matrices, and keep its bits.
+    1e-15.  Rows whose 1-norm needs squarings go to :func:`_rot_expm` and
+    keep expm_skew's bits.
     """
-    if h_a0vec is not None:
-        w = w + h_a0vec
     # expm_skew's column sums of |M|, in its order
     a01, a02, a03, a12, a13, a23 = np.abs(w).T
     norm1 = np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
@@ -380,14 +366,19 @@ def _rot4_apply(w, X, h_a0vec=None):
     if not over.any():
         return _pade_rot4(w, X)
     out = np.empty_like(X)
-    keep = ~over
-    out[keep] = _pade_rot4(w[keep], X[keep])
-    rows, cols = _upper_indices(4)
-    M = np.zeros((int(over.sum()), 4, 4))
-    M[:, rows, cols] = w[over]
-    M[:, cols, rows] = -w[over]
-    out[over] = np.einsum("bij,bj->bi", expm_skew(M), X[over])
+    out[~over] = _pade_rot4(w[~over], X[~over])
+    out[over] = _rot_expm(w[over], X[over])
     return out
+
+
+def _rot_expm(w, X):
+    """expm_skew(M) X, row by row, for the skew M with upper entries w, at any d."""
+    d = X.shape[1]
+    rows, cols = _upper_indices(d)
+    M = np.zeros((len(w), d, d))
+    M[:, rows, cols] = w
+    M[:, cols, rows] = -w
+    return np.einsum("bij,bj->bi", expm_skew(M), X)
 
 
 def _check_key(value, name):
@@ -504,10 +495,11 @@ def _rows_times(X, M, out=None):
 def _rotation(drive, h):
     """The rotation substep as ``f(dW, X)``, dW one step's (B, m) scaled noise; None if none.
 
-    A drift-only drive multiplies by one precomputed expm(h A_0).  At d = 3
-    and 4 the upper entries of h A_0 + sum_p dW_p A_p come from one product
-    dW @ Avec and the rotation is applied in closed form; at other d,
-    expm_skew exponentiates the stack of matrices.
+    A drift-only drive multiplies by one precomputed expm(h A_0).  Otherwise
+    the upper entries w of h A_0 + sum_p dW_p A_p come from one product
+    dW @ Avec (h vec(A_0) added only if A_0 is not zero), and the rotation
+    by them is applied in closed form at d = 2, 3 and 4 and by
+    :func:`_rot_expm` at other d.
     """
     d, m = drive.d, drive.n_diffusion
     if m == 0:
@@ -515,22 +507,12 @@ def _rotation(drive, h):
             return None
         Q = expm_skew(drive.a0 * h)
         return lambda dW, X: _rows_times(X, Q)
-    if d in (3, 4):
-        Avec_T = np.array([skew_to_vec(A) for A in drive.diffusion]).T
-        h_a0vec = h * skew_to_vec(drive.a0)
-        h_a0vec = h_a0vec if h_a0vec.any() else None
-        apply = _rot3_apply if d == 3 else _rot4_apply
-        return lambda dW, X: apply(_rows_times(dW, Avec_T), X, h_a0vec)
-    As = drive.diffusion
-    ha0 = drive.a0 * h if np.abs(drive.a0).max() > 0 else None
-
-    def general(dW, X):
-        M = np.einsum("bp,pij->bij", dW, As)
-        if ha0 is not None:
-            M += ha0
-        return np.einsum("bij,bj->bi", expm_skew(M), X)
-
-    return general
+    Avec_T = np.array([skew_to_vec(A) for A in drive.diffusion]).T
+    h_a0vec = h * skew_to_vec(drive.a0)
+    apply = {2: _rot2_apply, 3: _rot3_apply, 4: _rot4_apply}.get(d, _rot_expm)
+    if not h_a0vec.any():
+        return lambda dW, X: apply(_rows_times(dW, Avec_T), X)
+    return lambda dW, X: apply(_rows_times(dW, Avec_T) + h_a0vec, X)
 
 
 def _new_stats():

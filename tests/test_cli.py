@@ -180,8 +180,16 @@ def test_moments_malformed_exponent_is_a_domain_error(model_files):
 def test_validate_refuses_a_malformed_model_file(model_files):
     sphere = json.loads(model_files["sphere"].read_text())
     del sphere["B"]
+    ball = json.loads(model_files["ball"].read_text())
     cases = {"no_b.json": (sphere, "a sphere model needs the keys d, H, B; missing B"),
-             "list.json": ([1, 2], "model must be a JSON object, got [1, 2]")}
+             "list.json": ([1, 2], "model must be a JSON object, got [1, 2]"),
+             "torus.json": (dict(ball, space="torus"),
+                            'space must be "ball" or "sphere", got \'torus\''),
+             "b_object.json": (dict(ball, b={"a": 1}),
+                               "b must be an array of numbers, got {'a': 1}")}
+    for d in (2.5, "2", [3], True, -1):
+        cases[f"d_{d}.json"] = (dict(sphere, B=[[0.0] * 3] * 3, d=d),
+                                f"d must be a nonnegative integer, got {d!r}")
     for name, (doc, error) in cases.items():
         path = model_files["tmp"] / name
         path.write_text(json.dumps(doc))
@@ -383,10 +391,14 @@ def test_keep_paths_memory_does_not_grow_with_steps(model_files, monkeypatch):
 
 
 def test_simulate_rejects_bad_inputs(model_files):
+    # A drift-only drive whose h A_0 has 1-norm 1e20, 65 squarings in expm_skew
+    fast = model_files["tmp"] / "fast_turn.json"
+    fast.write_text(json.dumps({"space": "sphere", "d": 3, "H": np.zeros((3, 3)).tolist(),
+                                "B": [[0, 1e22, 0], [-1e22, 0, 0], [0, 0, 0]]}))
     base = ["simulate", "--model", str(model_files["sphere"]), "--scheme", "sphere",
             "--x0", "[1,0,0]", "--T", "0.1", "--h", "0.01", "--paths", "4", "--seed", "0"]
     for flag, value in (("--seed", "-1"), ("--seed", str(2 ** 64)), ("--paths", "0"),
-                        ("--T", "inf"), ("--h", "nan")):
+                        ("--T", "inf"), ("--h", "nan"), ("--model", str(fast))):
         argv = list(base)
         argv[argv.index(flag) + 1] = value
         code, out = run(argv)

@@ -22,7 +22,7 @@ from quadricdiff.simulate import (
     sphere_ensemble,
     twin_path_experiment,
 )
-from quadricdiff.skew import skew_basis
+from quadricdiff.skew import skew_basis, skew_dim, vec_to_skew
 
 rng = np.random.default_rng(404)
 
@@ -140,15 +140,17 @@ def test_path_does_not_depend_on_its_neighbours(monkeypatch):
 
 
 def test_sphere_mc_matches_generator_moment():
-    # law check: elementary drive is spherical Brownian motion
-    d = 3
-    drive = SkewDrive.elementary(d)
-    x0 = np.array([1.0, 0.0, 0.0])
-    ens = sphere_ensemble(drive, x0, T=1.0, h=2e-3, seed=31, n_paths=20000)
-    est = mc_moment(ens.terminal, {(1, 0, 0): 1.0})
-    target = moment(SphereModel(H=np.eye(3), B=-np.eye(3)), {(1, 0, 0): 1.0}, x0, 1.0)
-    assert target == pytest.approx(np.exp(-1.0), abs=1e-12)
-    assert abs(est.estimate - target) <= 3 * est.stderr + 5e-3
+    # law check: elementary drive is spherical Brownian motion, E[X_T] = e^{-(d-1)T/2} x0
+    for d in (3, 2):
+        drive = SkewDrive.elementary(d)
+        x0 = np.eye(d)[0]
+        e = (1,) + (0,) * (d - 1)
+        ens = sphere_ensemble(drive, x0, T=1.0, h=2e-3, seed=31, n_paths=20000)
+        est = mc_moment(ens.terminal, {e: 1.0})
+        model = SphereModel(H=np.eye(skew_dim(d)), B=-0.5 * (d - 1) * np.eye(d))
+        target = moment(model, {e: 1.0}, x0, 1.0)
+        assert target == pytest.approx(np.exp(-0.5 * (d - 1)), abs=1e-12), d
+        assert abs(est.estimate - target) <= 3 * est.stderr + 5e-3, d
 
 
 def test_ball_pure_rotation_keeps_radius():
@@ -439,8 +441,9 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
                          noise_values):
     """The step loop of _run_block as it was before per-chunk bookkeeping, verbatim."""
     expm_skew = simulate.expm_skew
-    # The closed-form rotations at d = 3 and 4 (d = 4 tested against expm_skew below).
-    closed_form = {3: simulate._rot3_apply, 4: simulate._rot4_apply}
+    # The closed-form rotations at d = 2, 3 and 4 (d = 2 and 4 tested against
+    # expm_skew below).
+    closed_form = {2: simulate._rot2_apply, 3: simulate._rot3_apply, 4: simulate._rot4_apply}
     _CLAMP, _normals_into = simulate._CLAMP, _reference_normals_into
     d = drive.d
     m = drive.n_diffusion
@@ -481,7 +484,8 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
             if m == 0:
                 X = X @ Q_const.T
             elif closed:
-                X = closed_form[d]((noise[:, j, :m] * sqh) @ Avec, X, h_a0vec)
+                w = (noise[:, j, :m] * sqh) @ Avec
+                X = closed_form[d](w if h_a0vec is None else w + h_a0vec, X)
             else:
                 dW = noise[:, j, :m] * sqh
                 M = np.einsum("bp,pij->bij", dW, As)
@@ -709,18 +713,71 @@ def test_closed_form_rotation_matches_expm_skew():
     X = rng.standard_normal((n, d))
     RX = simulate._rot4_apply(w, X)
     assert RX[~plain].tobytes() == np.einsum("bij,bj->bi", ref, X)[~plain].tobytes()
-    # a row's result does not depend on its neighbours, nor on how A_0 h is added
+    # a row's result does not depend on its neighbours, and the rotation
+    # substep hands the kernel w + h vec(A_0)
     h_a0 = 0.01 * rng.standard_normal(m)
-    RX = simulate._rot4_apply(w, X, h_a0)
-    assert RX.tobytes() == simulate._rot4_apply(w + h_a0, X).tobytes()
+    RX = simulate._rot4_apply(w + h_a0, X)
     for i in range(0, n, 97):
-        assert RX[i].tobytes() == simulate._rot4_apply(w[i:i + 1], X[i:i + 1], h_a0).tobytes()
+        assert RX[i].tobytes() == simulate._rot4_apply(w[i:i + 1] + h_a0, X[i:i + 1]).tobytes()
+    rotate = simulate._rotation(SkewDrive.elementary(d, a0=vec_to_skew(h_a0, d)), 1.0)
+    assert rotate(w, X).tobytes() == RX.tobytes()
     # and a path does not depend on the other paths of its ensemble
     x0 = np.ones(d) / np.sqrt(d)
     drive = SkewDrive.elementary(d, a0=0.5 * skew_basis(d)[-1])
     _, one = kept_run(sphere_ensemble, drive, x0, 0.02, 1e-3, 4, 1)
     _, five = kept_run(sphere_ensemble, drive, x0, 0.02, 1e-3, 4, 5)
     assert one[0].tobytes() == five[0].tobytes()
+
+
+def test_plane_rotation_matches_expm_skew():
+    # Bounds fixed before the kernel was written, on 8,000 rows at scales 1e-8
+    # to 1e3: rows that need no squaring within 2e-15 of expm_skew, rows that
+    # need squarings within 1e-15 (1 + |w|) of it, and R^T R within 2e-15 of I.
+    rng = np.random.default_rng(22)
+    scales = np.repeat([1e-8, 0.03, 0.3, 1.0, 3.0, 30.0, 1e2, 1e3], 1000)
+    w = rng.standard_normal((len(scales), 1)) * scales[:, None]
+    n = len(w)
+    M = np.zeros((n, 2, 2))
+    M[:, 0, 1], M[:, 1, 0] = w[:, 0], -w[:, 0]
+    ref = expm_skew(M)
+    plain = np.abs(w[:, 0]) <= simulate._PADE[13][1]
+    assert plain.sum() > 3000 and (~plain).sum() > 2000
+    R = np.stack([simulate._rot2_apply(w, np.tile(e, (n, 1))) for e in np.eye(2)], axis=2)
+    err = np.abs(R - ref).max(axis=(1, 2))
+    assert err[plain].max() <= 2e-15
+    assert np.all(err[~plain] <= 1e-15 * (1.0 + np.abs(w[~plain, 0])))
+    orth = np.abs(np.einsum("bki,bkj->bij", R, R) - np.eye(2)).max(axis=(1, 2))
+    assert orth.max() <= 2e-15
+    # a row's result does not depend on its neighbours, and the rotation
+    # substep hands the kernel w + h vec(A_0)
+    X = rng.standard_normal((n, 2))
+    RX = simulate._rot2_apply(w + 0.25, X)
+    for i in range(0, n, 97):
+        assert RX[i].tobytes() == simulate._rot2_apply(w[i:i + 1] + 0.25, X[i:i + 1]).tobytes()
+    rotate = simulate._rotation(SkewDrive.elementary(2, a0=vec_to_skew([0.25], 2)), 1.0)
+    assert rotate(w, X).tobytes() == RX.tobytes()
+
+
+def test_expm_skew_refuses_a_norm_past_52_squarings():
+    # The s squarings multiply the approximant's roundoff by 2**s; past 52 of
+    # them nothing of the result is left (and from 64 the old grouping key ran
+    # into the degree: a KeyError).  A stack mixing 52 squarings with ordinary
+    # matrices still equals its per-matrix calls.
+    rng = np.random.default_rng(52)
+    M = rng.standard_normal((6, 3, 3))
+    M -= M.transpose(0, 2, 1)
+    top = simulate._PADE[13][1] * 2.0 ** 52
+    M[1] *= 1e-3
+    M[3] *= 0.9 * top / np.abs(M[3]).sum(axis=0).max()
+    M[4] *= 1e12
+    R = expm_skew(M)
+    for i in range(len(M)):
+        assert np.array_equal(expm_skew(M[i]), R[i])
+    for big in (1e20, 1.1 * top, np.inf, np.nan):
+        bad = M.copy()
+        bad[2, 0, 1], bad[2, 1, 0] = big, -big
+        with pytest.raises(ValueError, match="M must be finite with a 1-norm of at most"):
+            expm_skew(bad)
 
 
 def test_ensemble_stats_count_chunks_and_clamps(monkeypatch):

@@ -11,10 +11,12 @@ paths or of one path, none larger than a noise chunk; one path is
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
-roundoff.  At d = 2, 3 and 4 the degree-13 approximant is applied in closed
-form, row by row, without forming matrices (:func:`_rot2_apply`,
-:func:`_rot3_apply`, :func:`_rot4_apply`); d = 4 rows whose norm needs
-squarings, and every d above 4, go through :func:`expm_skew`.  Ball schemes
+roundoff.  At d = 2, 3 and 4 the degree-13 approximant, squarings included, is
+applied in closed form, row by row, without forming matrices
+(:func:`_rot2_apply`, :func:`_rot3_apply`, :func:`_rot4_apply`), by the angles
+it turns the eigen-planes by (:func:`_half_turn`); every d above 4 goes
+through :func:`expm_skew`.  Every rotation refuses a step whose 1-norm needs
+more than 52 squarings (:func:`_squarings`).  Ball schemes
 interleave that rotation with an Euler-Maruyama radial substep.  Noise is
 counter-based: each path owns a Philox stream keyed by (seed, path_id); the
 top 53 bits k of each draw give the midpoint (k + 1/2) * 2**-53 of a uniform
@@ -65,8 +67,10 @@ _NOISE_VALUES = 1 << 19
 # moves with their bits.  "1": expm_skew at every d but 3; "2": closed-form
 # rotation at d = 4; "3": closed-form rotation at d = 2, LAPACK's solve in
 # expm_skew at n = 2 and 3 (drift-only Q), and the step's skew sum at d >= 5
-# as one product with the drive's upper entries.
-_SCHEME_VERSION = "3"
+# as one product with the drive's upper entries; "4": every d = 2, 3 and 4
+# rotation from the half-angles of _half_turn, squaring rows included (d = 3
+# loses its Cayley-Hamilton p, q recurrence, d = 4 its expm_skew rows).
+_SCHEME_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,8 @@ class SkewDrive:
 
     def __post_init__(self):
         a0 = np.asarray(self.a0, dtype=float)
+        if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
+            raise ValueError(f"a0 must be a square (d, d) matrix, got shape {a0.shape}")
         d = a0.shape[0]
         diff = np.asarray(self.diffusion, dtype=float)
         if diff.size == 0:
@@ -168,7 +174,15 @@ _PADE = {
 
 
 def _squarings(norm1):
-    """Squaring count for each 1-norm: 0 up to theta_13, else ceil(log2(norm1 / theta_13))."""
+    """Squaring count for each 1-norm: 0 up to theta_13, else ceil(log2(norm1 / theta_13)).
+
+    ValueError unless every 1-norm is finite and at most theta_13 * 2**52: s
+    squarings multiply the roundoff by 2**s, and past 52 no digit is left.
+    """
+    top = _PADE[13][1] * 2.0 ** 52
+    if not np.all(norm1 <= top):
+        raise ValueError(f"M must be finite with a 1-norm of at most {top:.3g}, "
+                         f"got a 1-norm of {np.max(norm1):.3g}")
     s = np.zeros(len(norm1), dtype=int)
     over = norm1 > _PADE[13][1]
     if np.any(over):
@@ -202,11 +216,14 @@ def expm_skew(M):
     matrix's exponential does not depend on its batch neighbors.  For skew
     inputs the diagonal Pade approximant is exactly orthogonal, so the result
     is orthogonal to roundoff; this is what makes the sphere scheme
-    norm-preserving without renormalization.  ValueError unless every matrix
-    is finite with a 1-norm of at most theta_13 * 2**52 (about 2.4e16): s
-    squarings multiply the roundoff by 2**s, and past 52 no digit is left.
+    norm-preserving without renormalization.  ValueError unless M holds n x n
+    matrices, n >= 1, each finite with a 1-norm of at most theta_13 * 2**52
+    (see :func:`_squarings`).
     """
     M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or not M.shape[-1]:
+        raise ValueError(f"M must be an n x n matrix, n >= 1, or a stack of them, "
+                         f"got shape {M.shape}")
     single = M.ndim == 2
     if single:
         M = M[None]
@@ -214,10 +231,6 @@ def expm_skew(M):
     n = M.shape[-1]
     flat = M.reshape(-1, n, n)
     norms = np.abs(flat).sum(axis=-2).max(axis=-1)
-    top = _PADE[13][1] * 2.0 ** 52
-    if not np.all(norms <= top):
-        raise ValueError(f"M must be finite with a 1-norm of at most {top:.3g}, "
-                         f"got a 1-norm of {np.max(norms):.3g}")
     squarings = _squarings(norms)
     scaled = norms / 2.0 ** squarings
     # Degrees 3 and 7 are folded into 5 and 9: one extra matmul is cheaper
@@ -236,39 +249,60 @@ def expm_skew(M):
     return out[0] if single else out
 
 
+def _half_turn(phi, s):
+    """(cos beta, sin beta): r(M / 2^s)^(2^s) turns the eigen-plane i phi of M by 2 beta.
+
+    r, the degree-13 diagonal Pade approximant, has the numerator V(z^2) + z W(z^2),
+    so r(i phi) = exp(2i atan2(phi W(-phi^2), V(-phi^2))), and each squaring
+    doubles the angle (Gallier and Xu 2002).  Rows with s = 0 take
+    (V, phi W) / |(V, phi W)|, without trigonometry.  Every row takes degree 13
+    where expm_skew may take 5 or 9, so results differ from its by about an ulp.
+    """
+    turned = s > 0
+    if turned.any():
+        phi = np.ldexp(phi, -s)
+    x = -phi * phi
+    cf = _PADE[13][0]
+    v = cf[0] + x * (cf[2] + x * (cf[4] + x * (cf[6] + x * (cf[8] + x * (cf[10] + x * cf[12])))))
+    w = cf[1] + x * (cf[3] + x * (cf[5] + x * (cf[7] + x * (cf[9] + x * (cf[11] + x * cf[13])))))
+    w *= phi
+    r = np.sqrt(v * v + w * w)
+    co, si = v / r, w / r
+    if turned.any():
+        beta = np.ldexp(np.arctan2(w[turned], v[turned]), s[turned])
+        co[turned], si[turned] = np.cos(beta), np.sin(beta)
+    return co, si
+
+
+def _rot2_apply(w, X):
+    """Rotation substep for d = 2 without forming matrices.
+
+    The skew M with upper entry w has eigenvalues +-i w, so r(M), with
+    expm_skew's squaring count, is the plane rotation by twice the angle of
+    :func:`_half_turn`, here by the double-angle formulas.
+    """
+    w = w[:, 0]
+    co, si = _half_turn(w, _squarings(np.abs(w)))
+    c2, s2 = co * co - si * si, 2.0 * co * si
+    x0, x1 = X.T
+    return np.stack((c2 * x0 + s2 * x1, c2 * x1 - s2 * x0), axis=1)
+
+
 def _rot3_apply(w, X):
     """Rotation substep for d = 3 without forming matrices.
 
-    For a 3x3 skew matrix M with upper entries (a, b, c), Cayley-Hamilton
-    gives M^3 = -theta^2 M with theta^2 = a^2 + b^2 + c^2, so the degree-13
-    diagonal Pade approximant (with scaling and squaring) collapses to
-    R = I + p M + q M^2 for per-matrix scalars p, q.  This is the same
-    approximant expm_skew computes, evaluated in O(1) column operations, and
-    inherits its exact orthogonality.
+    The skew M with upper entries (a, b, c) has eigenvalues 0 and +-i theta,
+    theta^2 = a^2 + b^2 + c^2, and M^3 = -theta^2 M; so r(M), with
+    expm_skew's squaring count, turns the plane of M by 2 beta
+    (:func:`_half_turn`), and Rodrigues' formula gives
+    R = I + (2 sin(beta) cos(beta) / theta) M + (2 sin(beta)^2 / theta^2) M^2.
     """
     a, b, c = w[:, 0], w[:, 1], w[:, 2]
-    theta2 = a * a + b * b + c * c
     aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
-    s = _squarings(np.maximum(np.maximum(aa + ab, aa + ac), ab + ac))
-    x2 = -theta2 / 4.0 ** s
-    cf = _PADE[13][0]
-    v = cf[2] + x2 * (cf[4] + x2 * (cf[6] + x2 * (cf[8] + x2 * (cf[10] + x2 * cf[12]))))
-    wod = cf[3] + x2 * (cf[5] + x2 * (cf[7] + x2 * (cf[9] + x2 * (cf[11] + x2 * cf[13]))))
-    u = cf[1] + x2 * wod
-    s0 = cf[0] + x2 * v
-    det = s0 * s0 - x2 * u * u
-    gamma = (u * u - s0 * v) / (cf[0] * det)
-    p = 2.0 * u * (1.0 / cf[0] + gamma * x2)
-    q = 2.0 * u * (u / det)
-    smax = int(s.max()) if len(s) else 0
-    for k in range(smax):
-        live = s > k
-        pl, ql = p[live], q[live]
-        p[live] = 2.0 * pl + 2.0 * pl * ql * x2[live]
-        q[live] = 2.0 * ql + pl * pl + ql * ql * x2[live]
-    if smax:
-        p = p * 0.5 ** s
-        q = q * 0.25 ** s
+    theta = np.sqrt(a * a + b * b + c * c)
+    co, si = _half_turn(theta, _squarings(np.maximum(np.maximum(aa + ab, aa + ac), ab + ac)))
+    f = np.divide(si, theta, out=np.zeros_like(theta), where=theta > 0)
+    p, q = 2.0 * co * f, 2.0 * f * f
     x1c, x2c, x3c = X[:, 0], X[:, 1], X[:, 2]
     m1 = a * x2c + b * x3c
     m2 = -a * x1c + c * x3c
@@ -283,40 +317,14 @@ def _rot3_apply(w, X):
     return out
 
 
-def _pade_angle(phi):
-    """psi(phi) with r(i phi) = exp(i psi) for the degree-13 diagonal Pade approximant r."""
-    x = -phi * phi
-    cf = _PADE[13][0]
-    v = cf[0] + x * (cf[2] + x * (cf[4] + x * (cf[6] + x * (cf[8] + x * (cf[10] + x * cf[12])))))
-    w = cf[1] + x * (cf[3] + x * (cf[5] + x * (cf[7] + x * (cf[9] + x * (cf[11] + x * cf[13])))))
-    return 2.0 * np.arctan2(phi * w, v)
-
-
-def _rot2_apply(w, X):
-    """Rotation substep for d = 2 without forming matrices.
-
-    The skew M with upper entry w has eigenvalues +-i w, so the degree-13
-    Pade approximant with expm_skew's s squarings is the plane rotation by
-    2^s psi(w / 2^s) (see :func:`_pade_angle`).  Like :func:`_rot4_apply`
-    it takes degree 13 where expm_skew may take 5 or 9.
-    """
-    w = w[:, 0]
-    s = _squarings(np.abs(w))
-    psi = np.ldexp(_pade_angle(np.ldexp(w, -s)), s)
-    co, si = np.cos(psi), np.sin(psi)
-    x0, x1 = X.T
-    return np.stack((co * x0 + si * x1, co * x1 - si * x0), axis=1)
-
-
-def _isoclinic(u, theta, psi, X, self_dual):
-    """cos(psi) X + sin(psi) N X / theta, N the 4 x 4 (anti-)self-dual skew matrix of u.
+def _isoclinic(u, theta, co, si, X, self_dual):
+    """co X + si N X / theta, N the 4 x 4 (anti-)self-dual skew matrix of u.
 
     N has upper entries (u0, u1, u2, s u2, -s u1, s u0), s = +1 if ``self_dual``
     else -1, so N^2 = -theta^2 I for theta = |u|.
     """
-    f = np.divide(np.sin(psi), theta, out=np.zeros_like(theta), where=theta > 0)
+    f = np.divide(si, theta, out=np.zeros_like(theta), where=theta > 0)
     a, b, c = f * u[0], f * u[1], f * u[2]
-    co = np.cos(psi)
     pm = np.add if self_dual else np.subtract
     x0, x1, x2, x3 = X.T
     out = np.empty_like(X)
@@ -327,52 +335,34 @@ def _isoclinic(u, theta, psi, X, self_dual):
     return out
 
 
-def _pade_rot4(w, X):
-    """r(M) X for the degree-13 Pade r and the 4 x 4 skew M with upper entries w."""
+def _rot4_apply(w, X):
+    """Rotation substep for d = 4 without forming matrices.
+
+    ``w`` holds the upper entries of each row's skew M.  M = M+ + M- with
+    commuting self-dual and anti-self-dual parts, (M+-)^2 = -theta+-^2 I, and
+    the eigenvalues of M are i phi_1,2 = i(theta+ +- theta-).  r(M), with
+    expm_skew's squaring count, turns those planes by 2 beta_1 and 2 beta_2
+    (:func:`_half_turn`), so it is the product of the isoclinic rotations
+    cos(beta_1 +- beta_2) I + sin(beta_1 +- beta_2) M+- / theta+-, whose
+    cosines and sines come from the angle-sum formulas (Gallier and Xu 2002).
+    """
+    # expm_skew's column sums of |M|, in its order
+    a01, a02, a03, a12, a13, a23 = np.abs(w).T
+    s = _squarings(np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
+                              np.maximum(a02 + a12 + a23, a03 + a13 + a23)))
     m01, m02, m03, m12, m13, m23 = w.T
     up = (0.5 * (m01 + m23), 0.5 * (m02 - m13), 0.5 * (m03 + m12))
     um = (0.5 * (m01 - m23), 0.5 * (m02 + m13), 0.5 * (m03 - m12))
     tp = np.sqrt(up[0] * up[0] + up[1] * up[1] + up[2] * up[2])
     tm = np.sqrt(um[0] * um[0] + um[1] * um[1] + um[2] * um[2])
-    psi1, psi2 = _pade_angle(tp + tm), _pade_angle(tp - tm)
-    Y = _isoclinic(um, tm, 0.5 * (psi1 - psi2), X, False)
-    return _isoclinic(up, tp, 0.5 * (psi1 + psi2), Y, True)
-
-
-def _rot4_apply(w, X):
-    """Rotation substep for d = 4 without forming matrices.
-
-    ``w`` holds the upper entries of each row's skew M.  The degree-13
-    diagonal Pade approximant r, with numerator V(M^2) + M W(M^2), maps an
-    eigenvalue i phi of M to exp(i psi), psi = 2 atan2(phi W(-phi^2), V(-phi^2)).
-    M = M+ + M- with commuting self-dual and anti-self-dual parts,
-    (M+-)^2 = -theta+-^2 I, and the eigenvalues of M are i(theta+ +- theta-);
-    so r(M) is the product of the isoclinic rotations
-    cos(psi+-) I + sin(psi+-) M+- / theta+-, with
-    psi+- = (psi(theta+ + theta-) +- psi(theta+ - theta-)) / 2 (Gallier and
-    Xu 2002).  Rows whose 1-norm needs no squaring always get the degree-13
-    approximant, in O(1) column operations per row, where expm_skew takes
-    degree 5 or 9 for the smaller norms; so results differ from expm_skew's
-    by about an ulp.  Evaluated as E(M^2) + M O(M^2) instead, it loses up to
-    3e-15 of orthogonality near the squaring threshold, this way about
-    1e-15.  Rows whose 1-norm needs squarings go to :func:`_rot_expm` and
-    keep expm_skew's bits.
-    """
-    # expm_skew's column sums of |M|, in its order
-    a01, a02, a03, a12, a13, a23 = np.abs(w).T
-    norm1 = np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
-                       np.maximum(a02 + a12 + a23, a03 + a13 + a23))
-    over = norm1 > _PADE[13][1]
-    if not over.any():
-        return _pade_rot4(w, X)
-    out = np.empty_like(X)
-    out[~over] = _pade_rot4(w[~over], X[~over])
-    out[over] = _rot_expm(w[over], X[over])
-    return out
+    c1, s1 = _half_turn(tp + tm, s)
+    c2, s2 = _half_turn(tp - tm, s)
+    Y = _isoclinic(um, tm, c1 * c2 + s1 * s2, s1 * c2 - c1 * s2, X, False)
+    return _isoclinic(up, tp, c1 * c2 - s1 * s2, s1 * c2 + c1 * s2, Y, True)
 
 
 def _rot_expm(w, X):
-    """expm_skew(M) X, row by row, for the skew M with upper entries w, at any d."""
+    """expm_skew(M) X, row by row, for the skew M with upper entries w (d >= 5)."""
     d = X.shape[1]
     rows, cols = _upper_indices(d)
     M = np.zeros((len(w), d, d))
@@ -433,11 +423,11 @@ def path_normals(seed, path_id, n_steps, n_cols):
     return out[0]
 
 
-def _grid(T, h, n_paths):
+def _grid(T, h, n_paths, name="n_paths"):
     if not (0 < T < np.inf and 0 < h < np.inf and T / h < np.inf):
         raise ValueError(f"need finite T > 0 and h > 0, got T = {T}, h = {h}")
-    if n_paths < 1:
-        raise ValueError(f"need n_paths >= 1, got {n_paths}")
+    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n_paths!r}")
     n_steps = max(1, int(round(T / h)))
     return n_steps, T / n_steps
 
@@ -498,8 +488,10 @@ def _rotation(drive, h):
     A drift-only drive multiplies by one precomputed expm(h A_0).  Otherwise
     the upper entries w of h A_0 + sum_p dW_p A_p come from one product
     dW @ Avec (h vec(A_0) added only if A_0 is not zero), and the rotation
-    by them is applied in closed form at d = 2, 3 and 4 and by
-    :func:`_rot_expm` at other d.
+    by them is applied in closed form at d = 2, 3 and 4, every row with the
+    degree-13 approximant and expm_skew's squaring count, and by
+    :func:`_rot_expm` at d >= 5.  Each refuses a row whose 1-norm
+    :func:`_squarings` refuses.
     """
     d, m = drive.d, drive.n_diffusion
     if m == 0:
@@ -705,8 +697,12 @@ def sphere_ensemble(drive, x0, T, h, seed, n_paths, sink=None):
 
 def _ball_args(bhat, Bhat, alpha, drive, x0):
     d = drive.d
-    bhat = np.asarray(bhat, dtype=float).reshape(d)
-    Bhat = np.asarray(Bhat, dtype=float)
+    bhat, Bhat = np.asarray(bhat, dtype=float), np.asarray(Bhat, dtype=float)
+    if bhat.size != d:
+        raise ValueError(f"bhat must hold {d} numbers, got shape {bhat.shape}")
+    if Bhat.shape != (d, d):
+        raise ValueError(f"Bhat must be a {d} x {d} matrix, got shape {Bhat.shape}")
+    bhat = bhat.reshape(d)
     if not (np.all(np.isfinite(bhat)) and np.all(np.isfinite(Bhat))):
         raise ValueError("bhat and Bhat must be finite")
     Bsym = _symmetric(Bhat, "Bhat must be symmetric; put the skew part into the drive")
@@ -774,7 +770,7 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
     x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
     bhat, Bhat, sqa, x0 = _ball_args(*_scalar_args(kappa, nu, drive.d), drive, x0)
     starts = np.stack([x0, _start_point((1.0 - eps) * x0, drive.d, "ball", _X0_TOL)])
-    n_steps, h_eff = _grid(T, h, n_seeds)
+    n_steps, h_eff = _grid(T, h, n_seeds, "n_seeds")
     gap = np.zeros(n_seeds)
 
     def fold(i, states):
@@ -816,6 +812,8 @@ def mc_moment(states, q):
     """Sample mean and standard error of q(X) over terminal states."""
     vals = eval_poly(q, states)
     n = len(vals)
+    if n == 0:
+        raise ValueError("states must hold at least one row")
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return MCMoment(est, stderr, n)

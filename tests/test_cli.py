@@ -406,6 +406,22 @@ def test_simulate_rejects_bad_inputs(model_files):
         assert "error" in json.loads(out), (flag, value)
 
 
+def test_simulate_refuses_a_rotation_too_large_to_keep(model_files):
+    # A d = 3 model that passes validate, whose h A_0 has a 1-norm of 1e17:
+    # past 52 squarings the rotation kernel refuses rather than losing the sphere.
+    big = model_files["tmp"] / "big_turn.json"
+    B = -np.eye(3)
+    B[0, 1], B[1, 0] = 1e20, -1e20
+    big.write_text(json.dumps({"space": "sphere", "d": 3, "H": np.eye(3).tolist(),
+                               "B": B.tolist()}))
+    assert run_json(["validate", "--model", str(big)])["admissible"] is True
+    code, out = run(["simulate", "--model", str(big), "--scheme", "sphere", "--x0", "[0.6,0.8,0]",
+                     "--T", "0.01", "--h", "1e-3", "--seed", "0", "--paths", "4"])
+    assert code == 0
+    assert json.loads(out)["error"].startswith(
+        "M must be finite with a 1-norm of at most 2.42e+16, got a 1-norm of 1e+17")
+
+
 def test_validate_ball_runs_one_sos_check(model_files, monkeypatch):
     from quadricdiff import sos
 

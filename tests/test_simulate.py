@@ -175,6 +175,10 @@ def test_ball_rejects_bad_arguments():
     with pytest.raises(ValueError):
         ball_ensemble(np.zeros(2), -np.eye(2), np.eye(2), drive,
                       np.array([1.2, 0.0]), 1.0, 1e-3, 0, 1)
+    with pytest.raises(ValueError, match="Bhat"):
+        ball_ensemble(np.zeros(2), -np.ones(2), np.eye(2), drive, np.zeros(2), 1.0, 1e-3, 0, 1)
+    with pytest.raises(ValueError, match="bhat"):
+        ball_ensemble(np.zeros(3), -np.eye(2), np.eye(2), drive, np.zeros(2), 1.0, 1e-3, 0, 1)
 
 
 def test_clamp_rarely_fires_when_interior_invariant():
@@ -348,8 +352,19 @@ def test_simulation_rejects_bad_inputs():
         path_normals(0, -1, 3, 2)
     with pytest.raises(ValueError):
         sphere_ensemble(drive, x0, 0.1, 1e-2, 0, 0)
-    with pytest.raises(ValueError):
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="n_paths"):
+            sphere_ensemble(drive, x0, 0.1, 1e-2, 0, n)
+    with pytest.raises(ValueError, match="n_seeds"):
         twin_path_experiment(1.0, 1.0, SkewDrive.zero(1), np.array([1.0]), 0.1, 1e-2, 0)
+    for a0 in (np.zeros((3, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match="a0"):
+            SkewDrive(a0, np.zeros((0, 3, 3)))
+    with pytest.raises(ValueError, match="states"):
+        mc_moment(np.zeros((0, 3)), {(0, 0, 0): 1.0})
+    for shape in ((2, 3), (0, 0)):
+        with pytest.raises(ValueError, match="M must be an n x n matrix"):
+            expm_skew(np.zeros(shape))
     for T, h in ((np.inf, 1e-2), (1.0, np.inf), (np.nan, 1e-2), (1.0, np.nan), (1e300, 1e-300)):
         with pytest.raises(ValueError):
             sphere_ensemble(drive, x0, T, h, 0, 2)
@@ -441,7 +456,7 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
                          noise_values):
     """The step loop of _run_block as it was before per-chunk bookkeeping, verbatim."""
     expm_skew = simulate.expm_skew
-    # The closed-form rotations at d = 2, 3 and 4 (d = 2 and 4 tested against
+    # The closed-form rotations at d = 2, 3 and 4 (each tested against
     # expm_skew below).
     closed_form = {2: simulate._rot2_apply, 3: simulate._rot3_apply, 4: simulate._rot4_apply}
     _CLAMP, _normals_into = simulate._CLAMP, _reference_normals_into
@@ -690,13 +705,20 @@ def test_chunks_in_flight_under_thread_contention(monkeypatch):
     assert _noise_threads() == []
 
 
-def test_closed_form_rotation_matches_expm_skew():
-    # Bounds fixed before the kernel was written: on rows that need no squaring,
-    # entries within 2e-15 of expm_skew's and R^T R within 2e-15 of I; rows
-    # that need squarings are expm_skew's bit for bit.
-    rng = np.random.default_rng(24)
-    d, m = 4, 6
-    scales = np.repeat([1e-8, 0.03, 0.3, 1.0, 2.0, 3.0, 30.0], 1000)
+_KERNELS = {2: simulate._rot2_apply, 3: simulate._rot3_apply, 4: simulate._rot4_apply}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_closed_form_rotation_matches_expm_skew(d):
+    # Bounds fixed before the kernels were written, on 9,000 rows at scales
+    # 1e-8 to 1e6: rows that need no squaring within 2e-15 of expm_skew, rows
+    # that need squarings within 1e-15 (1 + |w|) of it, and R^T R within 2e-15
+    # of I (4e-15 at d = 3, where the M^2 term of Rodrigues' formula adds
+    # its own roundoff).
+    kernel = _KERNELS[d]
+    rng = np.random.default_rng(20 + d)
+    m = skew_dim(d)
+    scales = np.repeat([1e-8, 0.03, 0.3, 1.0, 2.0, 3.0, 30.0, 1e3, 1e6], 1000)
     w = rng.standard_normal((len(scales), m)) * scales[:, None]
     n = len(w)
     rows, cols = np.triu_indices(d, 1)
@@ -705,20 +727,21 @@ def test_closed_form_rotation_matches_expm_skew():
     M[:, cols, rows] = -w
     ref = expm_skew(M)
     plain = np.abs(M).sum(axis=1).max(axis=1) <= simulate._PADE[13][1]
-    assert plain.sum() > 3000 and (~plain).sum() > 500
-    R = np.stack([simulate._rot4_apply(w, np.tile(e, (n, 1))) for e in np.eye(d)], axis=2)
-    assert np.abs(R - ref)[plain].max() <= 2e-15
+    assert plain.sum() > 3000 and (~plain).sum() > 2000
+    R = np.stack([kernel(w, np.tile(e, (n, 1))) for e in np.eye(d)], axis=2)
+    err = np.abs(R - ref).max(axis=(1, 2))
+    assert err[plain].max() <= 2e-15
+    assert np.all(err[~plain] <= 1e-15 * (1.0 + np.linalg.norm(w[~plain], axis=1)))
     orth = np.abs(np.einsum("bki,bkj->bij", R, R) - np.eye(d)).max(axis=(1, 2))
-    assert orth[plain].max() <= 2e-15
+    assert orth.max() <= (4e-15 if d == 3 else 2e-15)
     X = rng.standard_normal((n, d))
-    RX = simulate._rot4_apply(w, X)
-    assert RX[~plain].tobytes() == np.einsum("bij,bj->bi", ref, X)[~plain].tobytes()
+    assert kernel(np.zeros((5, m)), X[:5]).tobytes() == X[:5].tobytes()
     # a row's result does not depend on its neighbours, and the rotation
     # substep hands the kernel w + h vec(A_0)
     h_a0 = 0.01 * rng.standard_normal(m)
-    RX = simulate._rot4_apply(w + h_a0, X)
+    RX = kernel(w + h_a0, X)
     for i in range(0, n, 97):
-        assert RX[i].tobytes() == simulate._rot4_apply(w[i:i + 1] + h_a0, X[i:i + 1]).tobytes()
+        assert RX[i].tobytes() == kernel(w[i:i + 1] + h_a0, X[i:i + 1]).tobytes()
     rotate = simulate._rotation(SkewDrive.elementary(d, a0=vec_to_skew(h_a0, d)), 1.0)
     assert rotate(w, X).tobytes() == RX.tobytes()
     # and a path does not depend on the other paths of its ensemble
@@ -729,33 +752,26 @@ def test_closed_form_rotation_matches_expm_skew():
     assert one[0].tobytes() == five[0].tobytes()
 
 
-def test_plane_rotation_matches_expm_skew():
-    # Bounds fixed before the kernel was written, on 8,000 rows at scales 1e-8
-    # to 1e3: rows that need no squaring within 2e-15 of expm_skew, rows that
-    # need squarings within 1e-15 (1 + |w|) of it, and R^T R within 2e-15 of I.
-    rng = np.random.default_rng(22)
-    scales = np.repeat([1e-8, 0.03, 0.3, 1.0, 3.0, 30.0, 1e2, 1e3], 1000)
-    w = rng.standard_normal((len(scales), 1)) * scales[:, None]
-    n = len(w)
-    M = np.zeros((n, 2, 2))
-    M[:, 0, 1], M[:, 1, 0] = w[:, 0], -w[:, 0]
-    ref = expm_skew(M)
-    plain = np.abs(w[:, 0]) <= simulate._PADE[13][1]
-    assert plain.sum() > 3000 and (~plain).sum() > 2000
-    R = np.stack([simulate._rot2_apply(w, np.tile(e, (n, 1))) for e in np.eye(2)], axis=2)
-    err = np.abs(R - ref).max(axis=(1, 2))
-    assert err[plain].max() <= 2e-15
-    assert np.all(err[~plain] <= 1e-15 * (1.0 + np.abs(w[~plain, 0])))
-    orth = np.abs(np.einsum("bki,bkj->bij", R, R) - np.eye(2)).max(axis=(1, 2))
-    assert orth.max() <= 2e-15
-    # a row's result does not depend on its neighbours, and the rotation
-    # substep hands the kernel w + h vec(A_0)
-    X = rng.standard_normal((n, 2))
-    RX = simulate._rot2_apply(w + 0.25, X)
-    for i in range(0, n, 97):
-        assert RX[i].tobytes() == simulate._rot2_apply(w[i:i + 1] + 0.25, X[i:i + 1]).tobytes()
-    rotate = simulate._rotation(SkewDrive.elementary(2, a0=vec_to_skew([0.25], 2)), 1.0)
-    assert rotate(w, X).tobytes() == RX.tobytes()
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_every_rotation_refuses_a_norm_past_52_squarings(d):
+    # One refusal, in _squarings, for every kernel and for expm_skew: a row
+    # whose 1-norm is past theta_13 * 2**52, infinite or NaN.
+    kernel = _KERNELS.get(d, simulate._rot_expm)
+    m = skew_dim(d)
+    w = np.random.default_rng(d).standard_normal((4, m))
+    X = np.tile(np.eye(d)[0], (4, 1))
+    rows, cols = np.triu_indices(d, 1)
+    for big in (1.1 * simulate._PADE[13][1] * 2.0 ** 52, np.inf, np.nan):
+        bad = w.copy()
+        bad[2, -1] = big
+        M = np.zeros((4, d, d))
+        M[:, rows, cols] = bad
+        M[:, cols, rows] = -bad
+        with pytest.raises(ValueError, match="of at most 2.42e[+]16, got a 1-norm of") as want:
+            expm_skew(M)
+        with pytest.raises(ValueError) as got:
+            kernel(bad, X)
+        assert str(got.value) == str(want.value)
 
 
 def test_expm_skew_refuses_a_norm_past_52_squarings():

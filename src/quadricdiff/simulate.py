@@ -255,12 +255,12 @@ def _half_turn(phi, s):
     r, the degree-13 diagonal Pade approximant, has the numerator V(z^2) + z W(z^2),
     so r(i phi) = exp(2i atan2(phi W(-phi^2), V(-phi^2))), and each squaring
     doubles the angle (Gallier and Xu 2002).  Rows with s = 0 take
-    (V, phi W) / |(V, phi W)|, without trigonometry.  Every row takes degree 13
-    where expm_skew may take 5 or 9, so results differ from its by about an ulp.
+    (V, phi W) / |(V, phi W)|, without trigonometry, so their bits do not depend
+    on numpy's SIMD atan2, cos and sin, which differ between builds and CPUs.
+    Every row takes degree 13 where expm_skew may take 5 or 9, so results
+    differ from its by about an ulp.
     """
-    turned = s > 0
-    if turned.any():
-        phi = np.ldexp(phi, -s)
+    phi = np.ldexp(phi, -s)
     x = -phi * phi
     cf = _PADE[13][0]
     v = cf[0] + x * (cf[2] + x * (cf[4] + x * (cf[6] + x * (cf[8] + x * (cf[10] + x * cf[12])))))
@@ -268,9 +268,9 @@ def _half_turn(phi, s):
     w *= phi
     r = np.sqrt(v * v + w * w)
     co, si = v / r, w / r
-    if turned.any():
-        beta = np.ldexp(np.arctan2(w[turned], v[turned]), s[turned])
-        co[turned], si[turned] = np.cos(beta), np.sin(beta)
+    turned = s > 0
+    beta = np.ldexp(np.arctan2(w[turned], v[turned]), s[turned])
+    co[turned], si[turned] = np.cos(beta), np.sin(beta)
     return co, si
 
 

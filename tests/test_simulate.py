@@ -452,13 +452,15 @@ def _reference_normals_into(streams, raw, out):
     ndtri(out, out=out)
 
 
+# The closed-form rotations at d = 2, 3 and 4 (each tested against expm_skew
+# below).
+_KERNELS = {2: simulate._rot2_apply, 3: simulate._rot3_apply, 4: simulate._rot4_apply}
+
+
 def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, paths,
                          noise_values):
     """The step loop of _run_block as it was before per-chunk bookkeeping, verbatim."""
     expm_skew = simulate.expm_skew
-    # The closed-form rotations at d = 2, 3 and 4 (each tested against
-    # expm_skew below).
-    closed_form = {2: simulate._rot2_apply, 3: simulate._rot3_apply, 4: simulate._rot4_apply}
     _CLAMP, _normals_into = simulate._CLAMP, _reference_normals_into
     d = drive.d
     m = drive.n_diffusion
@@ -476,7 +478,7 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
     As = drive.diffusion
     rotate = m > 0 or np.abs(drive.a0).max() > 0
     Q_const = expm_skew(drive.a0 * h) if (rotate and m == 0) else None
-    closed = rotate and m > 0 and d in closed_form
+    closed = rotate and m > 0 and d in _KERNELS
     if closed:
         from quadricdiff.skew import skew_to_vec
 
@@ -500,7 +502,7 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
                 X = X @ Q_const.T
             elif closed:
                 w = (noise[:, j, :m] * sqh) @ Avec
-                X = closed_form[d](w if h_a0vec is None else w + h_a0vec, X)
+                X = _KERNELS[d](w if h_a0vec is None else w + h_a0vec, X)
             else:
                 dW = noise[:, j, :m] * sqh
                 M = np.einsum("bp,pij->bij", dW, As)
@@ -703,9 +705,6 @@ def test_chunks_in_flight_under_thread_contention(monkeypatch):
         assert ens.stats["chunks"] == 100
         assert ens.terminal.tobytes() == want.tobytes()
     assert _noise_threads() == []
-
-
-_KERNELS = {2: simulate._rot2_apply, 3: simulate._rot3_apply, 4: simulate._rot4_apply}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .cspace import _float_array, cmap_from_h
+from .cspace import _check_number, _float_array, cmap_from_h
 
 __all__ = [
     "monomial_basis",
@@ -86,9 +86,10 @@ def monomial_basis(d, k):
 
     The constant monomial comes first; within each degree the variables are
     ordered x1 before x2 and so on.  The basis has C(d + k, k) elements.
+    ValueError unless d is a positive integer and k a nonnegative one.
     """
-    if d < 1 or k < 0:
-        raise ValueError("need d >= 1 and k >= 0")
+    _check_number(d, "d", integer=True)
+    _check_number(k, "k", integer=True, zero=True)
     exps = []
     for deg in range(k + 1):
         level = []
@@ -201,20 +202,16 @@ def _images(model, basis, exps):
     return G
 
 
-def apply_generator(model, exponent, as_dict=False):
+def apply_generator(model, exponent):
     """Apply the generator to a monomial, exactly.
 
     Returns the coefficient vector of the image on the monomial basis of the
-    same degree, or the raw exponent-dict when ``as_dict`` is true.  The image
-    degree never exceeds the input degree because the quadratic part of a(x)
-    is tangential and the drift is affine.
+    same degree.  The image degree never exceeds the input degree because the
+    quadratic part of a(x) is tangential and the drift is affine.
     """
     exponent = _exponent(exponent, model.d)
     basis = monomial_basis(model.d, sum(exponent))
-    col = _images(model, basis, [exponent]).toarray()[:, 0]
-    if as_dict:
-        return {basis.exponents[i]: float(col[i]) for i in np.flatnonzero(col)}
-    return col
+    return _images(model, basis, [exponent]).toarray()[:, 0]
 
 
 def build_Gk(model, k):
@@ -237,15 +234,17 @@ def moment(model, q, x, t, k=None, gk=None):
     GeneratorMatrix can be supplied to amortize construction.
 
     Raises ValueError for a malformed exponent in q, an x that is not d finite
-    numbers within 1e-9 of the state space, a non-finite t or t < 0, deg q > k,
-    a prebuilt G_k of another dimension, or an action of the exponential that
-    overflows or is not finite.
+    numbers within 1e-9 of the state space, a non-finite t or t < 0, a k that
+    is not a nonnegative integer, deg q > k, a prebuilt G_k of another
+    dimension, or an action of the exponential that overflows or is not
+    finite.
     """
     d = model.d
     q = _as_poly_dict(q, d)
     deg = poly_degree(q)
     if k is None:
         k = deg if gk is None else gk.basis.k
+    _check_number(k, "k", integer=True, zero=True)
     if deg > k:
         raise ValueError(f"polynomial degree {deg} exceeds k = {k}")
     if not np.isfinite(t) or t < 0:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cspace import _check_number
 from .generator import _start_point
 from .simulate import SkewDrive, _alpha_eigh
 from .skew import skew_dim
@@ -83,8 +84,10 @@ def g_ideal(drive, tol=1e-10):
     elements B and all p = 0..m until the rank stabilizes; terminates within
     C(d, 2) rounds since the dimension strictly grows.  Also returns the
     extension by A_0 and verifies the ideal property (brackets of the closure
-    with every drive matrix stay inside the closure, up to tol).
+    with every drive matrix stay inside the closure, up to tol, a positive
+    finite number).
     """
+    _check_number(tol, "tol")
     d = drive.d
     gens = [drive.a0] + list(drive.diffusion)
     basis = _orthonormal_rows(drive.diffusion, tol)
@@ -117,7 +120,9 @@ def _density_report(drive, x0, tol, ball):
 
     That membership decides, unless ``ball`` says the drive is a ball drive
     lifted to the sphere; then the closure being all of Skew(d) decides.
+    ValueError unless ``tol`` is a positive finite number.
     """
+    _check_number(tol, "tol")
     g, h = g_ideal(drive, max(tol, 1e-12))
     a0x0 = drive.a0 @ x0
     gx0 = g.basis @ x0
@@ -147,8 +152,8 @@ def density_check_sphere(drive, x0, tol=1e-9):
 
     Membership is tested by least-squares projection of A_0 x_0 onto
     span{B x_0} over the closure basis, with tolerance ``tol`` relative to
-    |A_0 x_0| and an absolute floor of 1e-12.  x0 must be d finite numbers with
-    |x0| = 1 to 1e-9.
+    |A_0 x_0| and an absolute floor of 1e-12; ``tol`` must be a positive
+    finite number.  x0 must be d finite numbers with |x0| = 1 to 1e-9.
     """
     return _density_report(drive, _start_point(x0, drive.d, "sphere", 1e-9), tol, ball=False)
 
@@ -186,7 +191,7 @@ def density_check_ball(drive, alpha, x0, tol=1e-9):
 
     Lifts the drive to the sphere in dimension d + 1 and reports a smooth
     interior density iff the lifted closure is all of Skew(d + 1).  x0 must be
-    d finite numbers with |x0| <= 1 + 1e-9.
+    d finite numbers with |x0| <= 1 + 1e-9, and ``tol`` a positive finite number.
     """
     x0 = _start_point(x0, drive.d, "ball", 1e-9)
     lifted = lift_drive(drive, alpha)

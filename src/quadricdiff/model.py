@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import (_float_array, _symmetric, _symmetric_part, c_H_eval, h_from_json,
-                     h_to_json, trace_form)
+from .cspace import (_check_number, _float_array, _symmetric, _symmetric_part,
+                     c_H_eval, h_from_json, h_to_json, trace_form)
 from .skew import skew_dim
 from . import sos as _sos
 
@@ -196,7 +196,7 @@ def sphere_max_quadratic(M, b):
     When an entry of M or b exceeds 2**500, so that a squared norm could
     overflow, (M, b) is first scaled by a power of two, which is exact; the
     value and the multiplier are scaled back and the argmax does not move.
-    Raises ValueError unless M and b are finite.
+    Raises ValueError unless M is a finite (d, d) matrix and b d finite numbers.
 
     Returns
     -------
@@ -204,8 +204,12 @@ def sphere_max_quadratic(M, b):
         max value, a unit argmax, and the multiplier; the stationarity
         residual ``|2 M x + b - 2 lam x|`` is at roundoff level.
     """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(M.shape[0])
+    M, b = np.asarray(M, dtype=float), np.asarray(b, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be a square (d, d) matrix, got shape {M.shape}")
+    if b.size != len(M):
+        raise ValueError(f"b must hold {len(M)} numbers, got shape {b.shape}")
+    b = b.reshape(len(M))
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
         raise ValueError("M and b must be finite")
     M = _symmetric_part(M)
@@ -332,8 +336,10 @@ def validate_ball(model, tol=1e-7):
     positive semidefinite (three-valued, via the SOS check with a one-sided
     numerical screen as fallback); and the drift inequality max over the unit sphere of
     ``b.x + x.(B_sym + C/2).x`` nonpositive, where tr c_H(x) = x.C.x.
-    ValueError naming the inequality if its matrix exceeds the float range.
+    ValueError naming the inequality if its matrix exceeds the float range,
+    or ``tol`` if it is not a positive finite number.
     """
+    _check_number(tol, "tol")
     d = model.d
     w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if d else np.zeros(1)
     alpha_ok = _alpha_psd(w)
@@ -356,7 +362,9 @@ def validate_sphere(model, tol=1e-9):
     """Check the sphere drift identity B + B^T + C = 0 and positivity of c_H.
 
     ``residual`` is twice the largest entry of B_sym + C/2, which does not
-    overflow where B + B^T does; ValueError if it exceeds the float range."""
+    overflow where B + B^T does; ValueError if it exceeds the float range, or
+    naming ``tol`` if it is not a positive finite number."""
+    _check_number(tol, "tol")
     identity_ok, identity = _drift_check(model, tol)
     positivity, pos_details = _positivity(model.H, model.d)
     return ValidationReport(
@@ -375,7 +383,8 @@ def boundary_attainment(model, tol=1e-7):
     InteriorInvariant iff max over the unit sphere of
     ``b.x + x.(B + alpha)_sym.x + tr(c_H(x))/2`` is nonpositive.
 
-    Raises ValueError if the model fails validation first.
+    Raises ValueError if the model fails validation first, or if ``tol`` is
+    not a positive finite number.
     """
     report = validate_ball(model, tol)
     if not report.admissible:

@@ -24,12 +24,12 @@ grid, mapped to a Gaussian through the inverse normal CDF, so ensembles are
 reproducible and embarrassingly parallel.  A block of paths draws its noise in
 time chunks of about ``_NOISE_VALUES`` values, each path's stream carrying
 over from one chunk to the next, and holds two chunks at most, 8 MiB of
-float64 in all (or one step, if one step's noise is larger than a chunk), so
-the memory a block holds does not grow with the number of steps; the streams
-are those of :func:`path_normals` whatever the chunk length.  While chunk k is
-stepped, a helper thread maps the uniforms of chunk k + 1 to normals (the
-inverse CDF releases the interpreter lock); a block of one chunk, or of
-one-step chunks larger than ``_NOISE_VALUES``, starts no thread.  Norm
+float64 in all, so the memory a block holds does not grow with the number of
+steps; a block holds no more paths than fit one step's noise of each (a kept
+block: one whole path's) into a chunk.  The streams are those of
+:func:`path_normals` whatever the chunk length.  The calling thread draws the
+uniforms of chunk k + 1 before it steps chunk k, and a helper thread maps
+every chunk to normals (the inverse CDF releases the interpreter lock).  Norm
 bookkeeping (largest radius, largest deviation from the sphere) is reduced
 once per chunk.  Seeds and path ids are integers in [0, 2**64).
 """
@@ -39,7 +39,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import _symmetric
+from .cspace import _check_number, _symmetric
 from .generator import _exponent, _start_point
 from .model import _alpha_psd
 from .skew import _upper_indices, skew_basis, skew_to_vec
@@ -61,7 +61,7 @@ _CLAMP = 1.0 - 1e-15
 # How far |x0| may miss the state space: the paths keep unit norm to about 1e-12.
 _X0_TOL = 1e-12
 # Noise values (float64, 4 MiB) in one chunk; a block holds two chunks at most,
-# whatever n_steps is (one step alone if its noise is larger than this).
+# whatever n_steps is.
 _NOISE_VALUES = 1 << 19
 # Names the noise streams and step kernels that seeded outputs depend on, and
 # moves with their bits.  "1": expm_skew at every d but 3; "2": closed-form
@@ -135,9 +135,8 @@ class EnsembleResult:
     # What the step loop did and cost, summed over blocks and read once per
     # noise chunk: scheme_version, chunks, chunk_steps (longest chunk),
     # noise_bytes (the noise buffers of one block), noise_wait_s (the loop
-    # waiting for a chunk's normals: on the helper thread, or in a block of
-    # one chunk on the inverse CDF itself), step_s (rotation, radial substep
-    # and bookkeeping, not the sink) and clamps.
+    # waiting for the helper thread to map a chunk to normals), step_s
+    # (rotation, radial substep and bookkeeping, not the sink) and clamps.
     stats: dict = field(default_factory=dict)
 
 
@@ -405,29 +404,26 @@ def _normals_from_uniforms(out, ndtri, scale=1.0):
         out *= scale
 
 
-def _normals_into(streams, out):
-    """Fill out[row] with the next standard normals of streams[row], in place."""
-    from scipy.special import ndtri
-
-    _uniforms_into(streams, out)
-    _normals_from_uniforms(out, ndtri)
-
-
 def path_normals(seed, path_id, n_steps, n_cols):
     """Standard normals for one path: Philox keyed by (seed, path), inverse-CDF mapped.
 
     Row i holds the normals of step i; ensembles draw exactly these, chunk by chunk.
+    ValueError unless n_steps and n_cols are nonnegative integers.
     """
+    _check_number(n_steps, "n_steps", integer=True, zero=True)
+    _check_number(n_cols, "n_cols", integer=True, zero=True)
+    from scipy.special import ndtri
+
     out = np.empty((1, n_steps, n_cols))
-    _normals_into(_streams(seed, [path_id]), out)
+    _uniforms_into(_streams(seed, [path_id]), out)
+    _normals_from_uniforms(out, ndtri)
     return out[0]
 
 
 def _grid(T, h, n_paths, name="n_paths"):
     if not (0 < T < np.inf and 0 < h < np.inf and T / h < np.inf):
         raise ValueError(f"need finite T > 0 and h > 0, got T = {T}, h = {h}")
-    if isinstance(n_paths, bool) or not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n_paths!r}")
+    _check_number(n_paths, name, integer=True)
     n_steps = max(1, int(round(T / h)))
     return n_steps, T / n_steps
 
@@ -451,15 +447,14 @@ def _psd_sqrt(alpha, d):
 def _row_norms(X, sq, out):
     """np.linalg.norm(X, axis=1) into ``out``, with ``sq`` as X-shaped scratch.
 
-    Below 8 columns ``add.reduce`` sums a row left to right, as these column
-    adds do, at a fraction of the cost.
+    From 2 to 7 columns the column adds below sum each row left to right, as
+    ``add.reduce`` does there, at a fraction of its cost; one column is its
+    own sum either way.
     """
     np.multiply(X, X, out=sq)
     d = X.shape[1]
-    if d >= 8:
+    if d == 1 or d >= 8:
         np.add.reduce(sq, axis=1, out=out)
-    elif d == 1:
-        out[:] = sq[:, 0]
     else:
         np.add(sq[:, 0], sq[:, 1], out=out)
         for i in range(2, d):
@@ -516,11 +511,9 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
     """Yield each chunk's (B, steps, n_cols) noise, normals times sqh, in step order.
 
     The uniforms of chunk k + 1 are drawn on the calling thread before chunk
-    k is handed out, and a helper thread maps them to normals while the
-    caller steps chunk k; two buffers take turns.  With one chunk, no noise,
-    or chunks of one step whose noise alone exceeds ``_NOISE_VALUES``, one
-    buffer is filled and stepped in turn and no thread starts.  Close the
-    generator to stop the helper.
+    k is handed out, and a helper thread maps every chunk to normals, chunk 0
+    included, while the caller steps the one before; two buffers take turns,
+    or one if there is one chunk.  Close the generator to stop the helper.
     """
     # Imported here, on the calling thread and before the helper starts, so
     # that only a simulation loads scipy.special and concurrent.futures.
@@ -528,35 +521,21 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
     from scipy.special import ndtri
 
     los = range(0, n_steps, chunk)
-    inline = len(los) == 1 or not n_cols or len(streams) * chunk * n_cols > _NOISE_VALUES
-    bufs = [np.empty((len(streams), chunk, n_cols)) for _ in range(1 if inline else 2)]
+    bufs = [np.empty((len(streams), chunk, n_cols)) for _ in range(min(2, len(los)))]
     stats["noise_bytes"] = max(stats["noise_bytes"], sum(b.nbytes for b in bufs))
 
     def buffer(k):
         return bufs[k % len(bufs)][:, :min(chunk, n_steps - los[k])]
 
-    def drawn(k):
-        buf = buffer(k)
-        _uniforms_into(streams, buf)
-        return buf
+    def mapped(k):
+        _uniforms_into(streams, buffer(k))
+        return helper.submit(_normals_from_uniforms, buffer(k), ndtri, sqh)
 
-    if inline:
-        for k in range(len(los)):
-            buf = buffer(k)
-            if n_cols:
-                _uniforms_into(streams, buf)
-                t0 = perf_counter()
-                _normals_from_uniforms(buf, ndtri, sqh)
-                stats["noise_wait_s"] += perf_counter() - t0
-            yield buf
-        return
     helper = ThreadPoolExecutor(1, thread_name_prefix="quadricdiff-noise")
     try:
-        ready = helper.submit(_normals_from_uniforms, drawn(0), ndtri, sqh)
+        ready = mapped(0)
         for k in range(len(los)):
-            following = None
-            if k + 1 < len(los):
-                following = helper.submit(_normals_from_uniforms, drawn(k + 1), ndtri, sqh)
+            following = mapped(k + 1) if k + 1 < len(los) else None
             t0 = perf_counter()
             ready.result()
             stats["noise_wait_s"] += perf_counter() - t0
@@ -652,9 +631,10 @@ def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
               sqrt_alpha=None, sink=None):
     n_steps, h_eff = _grid(T, h, n_paths)
     times = np.linspace(0.0, T, n_steps + 1)
-    # Path-major pieces: a kept block's paths fit in one noise chunk, or it is one path.
+    # One step's noise of every path of a block fits in a chunk; a kept block's
+    # whole paths do, so its pieces are path-major.
     cols = max(1, drive.n_diffusion + (drive.d if bhat is not None else 0))
-    block = _BLOCK if sink is None else min(_BLOCK, max(1, _NOISE_VALUES // (n_steps * cols)))
+    block = min(_BLOCK, max(1, _NOISE_VALUES // (cols * (1 if sink is None else n_steps))))
     terminal = np.empty((n_paths, drive.d))
     max_radius = np.empty(n_paths)
     max_norm_dev = 0.0
@@ -765,7 +745,10 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
     X~ from (1 - eps) x0 with the identical stream and records the largest
     gap sup_t |X_t - X~_t|.  With eps = 0 the pairs coincide bitwise.  The
     report carries the pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.
-    Each pair runs side by side in one block, and only the running maxima are kept.
+    All pairs run side by side in one block of 2 n_seeds rows, and only the
+    running maxima are kept.  Its two noise buffers hold about
+    ``_NOISE_VALUES`` values each, or one step each if one step's noise of
+    all the rows is larger.
     """
     x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
     bhat, Bhat, sqa, x0 = _ball_args(*_scalar_args(kappa, nu, drive.d), drive, x0)

@@ -46,10 +46,10 @@ def pi_index(i, j, d):
     """1-based lexicographic index of the upper-triangular position (i, j).
 
     The pairs (1,2), (1,3), ..., (1,d), (2,3), ..., (d-1,d) map to 1..m.
-    Raises ValueError unless 1 <= i < j <= d.
+    Raises ValueError unless i, j and d are integers with 1 <= i < j <= d.
     """
-    if not (1 <= i < j <= d):
-        raise ValueError(f"need 1 <= i < j <= d, got (i, j, d) = ({i}, {j}, {d})")
+    if not (all(isinstance(v, (int, np.integer)) for v in (i, j, d)) and 1 <= i < j <= d):
+        raise ValueError(f"need integers 1 <= i < j <= d, got (i, j, d) = ({i}, {j}, {d})")
     return (i - 1) * (2 * d - i) // 2 + (j - i)
 
 

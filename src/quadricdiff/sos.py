@@ -35,8 +35,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import (_check_h, _kernel, _symmetric, biquadratic_eval, c_H_eval,
-                     cmap_from_h, cmap_from_pair, k_matrix)
+from .cspace import (_check_h, _check_number, _kernel, _symmetric, biquadratic_eval,
+                     c_H_eval, cmap_from_h, cmap_from_pair, k_matrix)
 from .skew import pi_index, skew_dim, vec_to_skew
 
 __all__ = [
@@ -125,8 +125,10 @@ def verify_certificate(H, B, tol=1e-9):
     True iff B is PSD up to tol, orthogonal to every kernel basis matrix up
     to tol, and <H, B> < -tol.  The report carries all three margins.  B,
     evaluated as given, must be a finite (m, m) matrix symmetric to roundoff
-    (the eigenvalue test reads one triangle); ValueError otherwise.
+    (the eigenvalue test reads one triangle), and tol a positive finite
+    number; ValueError otherwise.
     """
+    _check_number(tol, "tol")
     H, d = _check_h(H)
     _check_h(B, d, "B")
     B = np.asarray(B, dtype=float)
@@ -317,11 +319,11 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     Parameters
     ----------
     H : finite (m, m) array, m = C(d, 2); its symmetric part is used
-    tol : acceptance tolerance for witness residuals
-    max_iter : iteration budget: Newton and face steps of the smooth phase.
-        The verdict's ``iterations`` is that count and never exceeds
-        ``max_iter``; a verdict decided before iterating (the trace
-        pre-check, PSD H, or any H at d <= 3) reports at most 1.
+    tol : acceptance tolerance for witness residuals, a positive finite number
+    max_iter : iteration budget, a positive integer: Newton and face steps of
+        the smooth phase.  The verdict's ``iterations`` is that count and
+        never exceeds ``max_iter``; a verdict decided before iterating (the
+        trace pre-check, PSD H, or any H at d <= 3) reports at most 1.
 
     Returns
     -------
@@ -332,10 +334,10 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         neither witness in hand.
 
     Raises ValueError for an H of another shape, with a non-finite entry, or
-    so large that phi(0) is not finite.
+    so large that phi(0) is not finite, and for a bad tol or max_iter.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_number(tol, "tol")
+    _check_number(max_iter, "max_iter", integer=True)
     stats = {"phase": "precheck", "iterations": {}, "seconds": {}}
     clock, counted = perf_counter(), 0
 
@@ -442,8 +444,10 @@ def sos_decompose(H_star, tol=1e-9):
     of H_star would overflow, H_star / 4^e is factored instead, e the least
     integer that keeps its spectrum finite, and every factor is scaled by
     2^e: both are exact, the rank and the tolerances are taken in those
-    scaled units, and e = 0 for any H_star whose spectrum is finite.
+    scaled units, and e = 0 for any H_star whose spectrum is finite.  tol
+    must be a positive finite number.
     """
+    _check_number(tol, "tol")
     H_star, d = _check_h(H_star, name="H_star")
     m = H_star.shape[0]
     if m == 0:
@@ -480,8 +484,10 @@ def nonneg_check(H, restarts=25):
     the symmetry of the form in (x, y) the same holds with roles swapped, so
     each alternation is monotone.  One-sided: a negative value below -1e-9
     yields a witness, otherwise only the smallest value found is reported.
+    ``restarts``, the number of random starts, must be a positive integer.
     """
     H, d = _check_h(H)
+    _check_number(restarts, "restarts", integer=True)
     rng = np.random.default_rng(0)
     best_val = np.inf
     best_xy = (np.zeros(d), np.zeros(d))

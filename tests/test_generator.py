@@ -67,7 +67,7 @@ def test_apply_generator_sphere_linear():
 
 def test_apply_generator_jacobi_square():
     # oracle by hand: G x^2 = sigma^2 (1 - x^2) + 2x(b + Bx)
-    p = apply_generator(jacobi(), (2,), as_dict=True)
+    p = dict(zip(monomial_basis(1, 2).exponents, apply_generator(jacobi(), (2,))))
     assert p[(0,)] == pytest.approx(SIG2)
     assert p[(1,)] == pytest.approx(2 * BJ)
     assert p[(2,)] == pytest.approx(2 * BB - SIG2)
@@ -252,6 +252,14 @@ def test_malformed_polynomials_raise_value_error():
         poly_from_json({"terms": [{"exp": [0.5, 1], "coef": 1.0}]})
     with pytest.raises(ValueError):
         apply_generator(mdl, (1, 0))
+    for k in (2.5, -1, True):
+        with pytest.raises(ValueError, match="^k must be a nonnegative integer"):
+            moment(mdl, {(1, 0, 0): 1.0}, x, 1.0, k=k)
+        with pytest.raises(ValueError, match="^k must be a nonnegative integer"):
+            monomial_basis(2, k)
+    for d in (1.5, 0):
+        with pytest.raises(ValueError, match="^d must be a positive integer"):
+            monomial_basis(d, 2)
 
 
 def test_exponent_keys_that_overflow_raise():

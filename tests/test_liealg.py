@@ -110,6 +110,14 @@ def test_density_checks_reject_a_bad_x0():
     # the closed ball is the ball's state space, the boundary included
     for x0 in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]):
         assert density_check_ball(drive, np.eye(3), x0).has_smooth_density
+    # a tolerance is a positive finite number
+    x0 = [1.0, 0.0, 0.0]
+    for tol in (-1.0, 0.0, np.nan, np.inf):
+        for check in (lambda: density_check_sphere(drive, x0, tol),
+                      lambda: density_check_ball(drive, np.eye(3), x0, tol),
+                      lambda: g_ideal(drive, tol)):
+            with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+                check()
 
 
 def test_density_invariant_under_orthogonal_conjugation():

@@ -236,6 +236,13 @@ def test_models_refuse_non_finite_or_misshapen_coefficients():
     for cls, coeffs in misshapen:
         with pytest.raises(ValueError, match="shape"):
             cls(**coeffs)
+    # and the validators refuse a tolerance that is not a positive finite number
+    for check, mdl in ((validate_ball, BallModel(**ball)),
+                       (validate_sphere, SphereModel(**sphere)),
+                       (boundary_attainment, BallModel(**ball))):
+        for tol in (-1.0, 0.0, np.nan, np.inf, "1e-9"):
+            with pytest.raises(ValueError, match="^tol must be a positive finite number"):
+                check(mdl, tol)
 
 
 def test_sphere_max_quadratic_rescales_huge_coefficients():
@@ -243,8 +250,12 @@ def test_sphere_max_quadratic_rescales_huge_coefficients():
     assert r.max_value == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-12)
     assert np.allclose(r.argmax, [2 ** -0.5, 2 ** -0.5], rtol=0, atol=1e-12)
     assert r.multiplier == pytest.approx(1e200 / np.sqrt(2.0), rel=1e-12)
-    for M, b in ((np.diag([np.nan, 1.0]), np.zeros(2)), (np.eye(2), np.array([np.inf, 0.0]))):
-        with pytest.raises(ValueError, match="finite"):
+    for M, b, name in ((np.diag([np.nan, 1.0]), np.zeros(2), "finite"),
+                       (np.eye(2), np.array([np.inf, 0.0]), "finite"),
+                       (np.eye(3), [1.0, 2.0], "b must hold 3 numbers"),
+                       (np.ones((2, 3)), [1.0, 2.0], "M must be a square"),
+                       (np.ones(3), [1.0, 2.0, 3.0], "M must be a square")):
+        with pytest.raises(ValueError, match=name):
             sphere_max_quadratic(M, b)
 
 

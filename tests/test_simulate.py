@@ -350,6 +350,10 @@ def test_simulation_rejects_bad_inputs():
             path_normals(seed, 0, 3, 2)
     with pytest.raises(ValueError):
         path_normals(0, -1, 3, 2)
+    for n_steps, n_cols, name in ((-1, 3, "n_steps"), (2.5, 3, "n_steps"),
+                                  (3, -1, "n_cols"), (3, 2.5, "n_cols")):
+        with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+            path_normals(0, 0, n_steps, n_cols)
     with pytest.raises(ValueError):
         sphere_ensemble(drive, x0, 0.1, 1e-2, 0, 0)
     for n in (2.5, True):
@@ -615,8 +619,8 @@ def _clamping_ball(d, seed):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_run_block_matches_reference_loop_at_1024_paths(monkeypatch, d, chunk):
     # numpy takes other inner loops for 1024 rows than for a few.  Chunks of 7
-    # steps split the 30 steps five ways, so the noise of every chunk but the
-    # first comes from the helper thread.
+    # steps split the 30 steps five ways, so the helper thread maps chunk k + 1
+    # while chunk k is stepped.
     drive, x0, ball = _clamping_ball(d, 100 + d)
     noise_values = simulate._NOISE_VALUES if chunk is None else 1024 * 7 * (drive.n_diffusion + d)
     monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
@@ -647,14 +651,30 @@ def _noise_threads():
 
 
 def test_noise_helper_thread_ends_with_its_block(monkeypatch):
-    # 300 noise values hold 100 steps of one three-column path: 5 chunks a path.
+    # 300 noise values hold 100 steps of one three-column path: 5 chunks a
+    # path, or one chunk for 20 steps of three paths.
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 300)
+    mapped_on = []
+    normals_from_uniforms = simulate._normals_from_uniforms
+
+    def recorded(out, ndtri, scale=1.0):
+        mapped_on.append(threading.current_thread().name)
+        normals_from_uniforms(out, ndtri, scale)
+
     run = (2.0, 1.0, SkewDrive.zero(3), np.zeros(3), 0.5, 1e-3, 1, 3)
-    alive = []
-    result = scalar_ball_ensemble(*run, sink=lambda *piece: alive.append(len(_noise_threads())))
-    assert len(alive) == 15 and max(alive) == 1, "the noise of later chunks comes from a helper"
-    assert result.stats["chunks"] == 15
-    assert _noise_threads() == []
+    short = run[:4] + (0.02,) + run[5:]
+    for args, chunks in ((run, 15), (short, 1)):
+        alive, mapped_on[:] = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_normals_from_uniforms", recorded)
+            result = scalar_ball_ensemble(
+                *args, sink=lambda *piece: alive.append(len(_noise_threads())))
+        assert result.stats["chunks"] == chunks
+        assert alive == [1] * chunks, "each block's helper is alive while it is stepped"
+        assert len(mapped_on) == chunks
+        assert all(name.startswith("quadricdiff-noise") for name in mapped_on), \
+            "the helper maps every chunk, a block's only chunk included"
+        assert _noise_threads() == []
 
     class Refused(Exception):
         pass
@@ -814,18 +834,26 @@ def test_ensemble_stats_count_chunks_and_clamps(monkeypatch):
     assert split["noise_bytes"] == 2 * 2 * 40 * 3 * 8
 
 
-def test_one_step_larger_than_a_chunk_holds_one_buffer(monkeypatch):
-    # A step of eight paths of six noise columns draws 48 values, and a step of
-    # one path (a kept block) 6, both more than a chunk of 4: chunks are one
-    # step long, one buffer holds them and no helper thread starts.
+def test_one_step_larger_than_a_chunk_caps_the_block(monkeypatch):
+    # A step of one path of six noise columns draws 6 values, more than a
+    # chunk of 4: every block holds one path, whether or not it is kept, its
+    # chunks are one step long, and the helper maps them into two one-step
+    # buffers in turn.
     run = (0.2, 1.0, SkewDrive.elementary(3), np.array([0.5, 0.5, 0.5]), 0.01, 1e-3, 5, 8)
     whole = scalar_ball_ensemble(*run)
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 4)
     ens = scalar_ball_ensemble(*run)
     assert ens.terminal.tobytes() == whole.terminal.tobytes()
-    assert (ens.stats["chunks"], ens.stats["chunk_steps"]) == (10, 1)
-    assert ens.stats["noise_bytes"] == 8 * 6 * 8
-    alive = []
-    kept = scalar_ball_ensemble(*run, sink=lambda *piece: alive.append(len(_noise_threads())))
+    # 8 one-path blocks of ten one-step chunks
+    assert (ens.stats["chunks"], ens.stats["chunk_steps"]) == (80, 1)
+    assert ens.stats["noise_bytes"] == 2 * 6 * 8
+    alive, firsts = [], []
+
+    def sink(first, times, states):
+        alive.append(len(_noise_threads()))
+        firsts.append((first, len(states)))
+
+    kept = scalar_ball_ensemble(*run, sink=sink)
     assert kept.terminal.tobytes() == whole.terminal.tobytes()
-    assert alive == [0] * 80 and kept.stats["noise_bytes"] == 6 * 8
+    assert firsts == [(i, 1) for i in range(8) for _ in range(10)]
+    assert alive == [1] * 80 and kept.stats["noise_bytes"] == 2 * 6 * 8

@@ -37,7 +37,8 @@ def test_pi_index_is_lexicographic_bijection():
             assert pair_from_index(p, d) == pair
 
 
-@pytest.mark.parametrize("i,j,d", [(2, 2, 4), (3, 2, 4), (0, 1, 4), (1, 5, 4)])
+@pytest.mark.parametrize("i,j,d", [(2, 2, 4), (3, 2, 4), (0, 1, 4), (1, 5, 4),
+                                   (1.5, 2, 3), (1, 2.5, 3), (1, 2, 3.5)])
 def test_pi_index_rejects_bad_pairs(i, j, d):
     with pytest.raises(ValueError):
         pi_index(i, j, d)

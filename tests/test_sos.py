@@ -315,8 +315,18 @@ def test_iteration_budget_is_honest(max_iter):
 
 
 def test_max_iter_must_be_positive():
-    with pytest.raises(ValueError):
-        sos_check(np.eye(6), max_iter=0)
+    # A count is a positive integer and a tolerance a positive finite number;
+    # the error names the argument.
+    bad = [(sos_check, (H,), "tol", t) for H in (np.eye(6), -np.eye(6))
+           for t in (-1, 0.0, np.nan, np.inf, True)]
+    bad += [(sos_check, (np.eye(6),), "max_iter", n) for n in (0, -3, 2.5, True)]
+    bad += [(sos_decompose, (np.eye(6),), "tol", t) for t in (-1, np.nan, np.inf)]
+    bad += [(verify_certificate, (np.eye(6), -np.eye(6) / 6), "tol", t)
+            for t in (-1, np.nan, np.inf)]
+    bad += [(nonneg_check, (np.eye(6),), "restarts", n) for n in (0, 2.5, True)]
+    for fn, args, name, value in bad:
+        with pytest.raises(ValueError, match=f"^{name} must be a positive"):
+            fn(*args, **{name: value})
 
 
 def test_stats_name_the_deciding_phase():

@@ -18,7 +18,6 @@ Together they take 4.8 kB at d = 8 and 242 kB at d = 20, besides the
 (m, d, d) elementary basis ``skew_basis`` caches (14 kB and 608 kB).
 """
 
-import numbers
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -103,18 +102,6 @@ def _check_h(H, d=None, name="H"):
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} must be finite")
     return _symmetric_part(H), d
-
-
-def _check_number(value, name, integer=False, zero=False):
-    """value if it is a finite number above 0, or at least 0 if ``zero``, and
-    an integer if ``integer``; ValueError naming ``name`` otherwise.  A bool
-    is not a number here."""
-    kind = numbers.Integral if integer else numbers.Real
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not (0 <= value if zero else 0 < value) or not value < np.inf):
-        raise ValueError(f"{name} must be a {'nonnegative' if zero else 'positive'} "
-                         f"{'integer' if integer else 'finite number'}, got {value!r:.80}")
-    return value
 
 
 def c_H_eval(H, x):

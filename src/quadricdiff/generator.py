@@ -18,7 +18,8 @@ from math import comb
 
 import numpy as np
 
-from .cspace import _check_number, _float_array, cmap_from_h
+from .cspace import _float_array, cmap_from_h
+from .skew import _check_number
 
 __all__ = [
     "monomial_basis",

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cspace import _check_number
 from .generator import _start_point
 from .simulate import SkewDrive, _alpha_eigh
-from .skew import skew_dim
+from .skew import _check_number, skew_dim
 
 __all__ = [
     "bracket",

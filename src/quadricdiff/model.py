@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import (_check_number, _float_array, _symmetric, _symmetric_part,
+from .cspace import (_float_array, _symmetric, _symmetric_part,
                      c_H_eval, h_from_json, h_to_json, trace_form)
-from .skew import skew_dim
+from .skew import _check_number, skew_dim
 from . import sos as _sos
 
 __all__ = [

@@ -11,13 +11,16 @@ paths or of one path, none larger than a noise chunk; one path is
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
 skew matrix are exactly orthogonal, so sphere paths keep unit norm to
-roundoff.  At d = 2, 3 and 4 the degree-13 approximant, squarings included, is
-applied in closed form, row by row, without forming matrices
-(:func:`_rot2_apply`, :func:`_rot3_apply`, :func:`_rot4_apply`), by the angles
-it turns the eigen-planes by (:func:`_half_turn`); every d above 4 goes
-through :func:`expm_skew`.  Every rotation refuses a step whose 1-norm needs
-more than 52 squarings (:func:`_squarings`).  Ball schemes
-interleave that rotation with an Euler-Maruyama radial substep.  Noise is
+roundoff.  A block holds its states as d rows of B paths, so each step op
+reads contiguous rows and matrices multiply the states from the left.  At
+d = 2, 3 and 4 the degree-13 approximant, squarings included, is applied in
+closed form, path by path, without forming matrices (:func:`_rot2_apply`,
+:func:`_rot3_apply`, :func:`_rot4_apply`), by the angles it turns the
+eigen-planes by (:func:`_half_turn`); every d above 4 goes through
+:func:`expm_skew`.  Every rotation refuses a step whose 1-norm needs more than
+52 squarings (:func:`_squarings`).  Ball schemes interleave that rotation with
+an Euler-Maruyama radial substep, whose |x|^2, like every norm, is one
+left-to-right sum of squares (:func:`_sq_norms`).  Noise is
 counter-based: each path owns a Philox stream keyed by (seed, path_id); the
 top 53 bits k of each draw give the midpoint (k + 1/2) * 2**-53 of a uniform
 grid, mapped to a Gaussian through the inverse normal CDF, so ensembles are
@@ -39,10 +42,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import _check_number, _symmetric
+from .cspace import _symmetric
 from .generator import _exponent, _start_point
 from .model import _alpha_psd
-from .skew import _upper_indices, skew_basis, skew_to_vec
+from .skew import _check_number, _upper_indices, skew_basis, skew_to_vec
 
 __all__ = [
     "SkewDrive",
@@ -69,8 +72,10 @@ _NOISE_VALUES = 1 << 19
 # expm_skew at n = 2 and 3 (drift-only Q), and the step's skew sum at d >= 5
 # as one product with the drive's upper entries; "4": every d = 2, 3 and 4
 # rotation from the half-angles of _half_turn, squaring rows included (d = 3
-# loses its Cayley-Hamilton p, q recurrence, d = 4 its expm_skew rows).
-_SCHEME_VERSION = "4"
+# loses its Cayley-Hamilton p, q recurrence, d = 4 its expm_skew rows); "5":
+# states held as (d, B), every |x|^2 summed left to right (the radial
+# factor's einsum goes), and the d = 2 rotation's one-row product by gemm.
+_SCHEME_VERSION = "5"
 
 
 @dataclass(frozen=True)
@@ -274,21 +279,21 @@ def _half_turn(phi, s):
 
 
 def _rot2_apply(w, X):
-    """Rotation substep for d = 2 without forming matrices.
+    """Rotation substep for d = 2 without forming matrices, path by path.
 
     The skew M with upper entry w has eigenvalues +-i w, so r(M), with
     expm_skew's squaring count, is the plane rotation by twice the angle of
     :func:`_half_turn`, here by the double-angle formulas.
     """
-    w = w[:, 0]
+    w = w[0]
     co, si = _half_turn(w, _squarings(np.abs(w)))
     c2, s2 = co * co - si * si, 2.0 * co * si
-    x0, x1 = X.T
-    return np.stack((c2 * x0 + s2 * x1, c2 * x1 - s2 * x0), axis=1)
+    x0, x1 = X
+    return np.stack((c2 * x0 + s2 * x1, c2 * x1 - s2 * x0))
 
 
 def _rot3_apply(w, X):
-    """Rotation substep for d = 3 without forming matrices.
+    """Rotation substep for d = 3 without forming matrices, path by path.
 
     The skew M with upper entries (a, b, c) has eigenvalues 0 and +-i theta,
     theta^2 = a^2 + b^2 + c^2, and M^3 = -theta^2 M; so r(M), with
@@ -296,13 +301,13 @@ def _rot3_apply(w, X):
     (:func:`_half_turn`), and Rodrigues' formula gives
     R = I + (2 sin(beta) cos(beta) / theta) M + (2 sin(beta)^2 / theta^2) M^2.
     """
-    a, b, c = w[:, 0], w[:, 1], w[:, 2]
+    a, b, c = w
     aa, ab, ac = np.abs(a), np.abs(b), np.abs(c)
     theta = np.sqrt(a * a + b * b + c * c)
     co, si = _half_turn(theta, _squarings(np.maximum(np.maximum(aa + ab, aa + ac), ab + ac)))
     f = np.divide(si, theta, out=np.zeros_like(theta), where=theta > 0)
     p, q = 2.0 * co * f, 2.0 * f * f
-    x1c, x2c, x3c = X[:, 0], X[:, 1], X[:, 2]
+    x1c, x2c, x3c = X
     m1 = a * x2c + b * x3c
     m2 = -a * x1c + c * x3c
     m3 = -b * x1c - c * x2c
@@ -310,14 +315,14 @@ def _rot3_apply(w, X):
     mm2 = -a * m1 + c * m3
     mm3 = -b * m1 - c * m2
     out = np.empty_like(X)
-    out[:, 0] = x1c + p * m1 + q * mm1
-    out[:, 1] = x2c + p * m2 + q * mm2
-    out[:, 2] = x3c + p * m3 + q * mm3
+    out[0] = x1c + p * m1 + q * mm1
+    out[1] = x2c + p * m2 + q * mm2
+    out[2] = x3c + p * m3 + q * mm3
     return out
 
 
 def _isoclinic(u, theta, co, si, X, self_dual):
-    """co X + si N X / theta, N the 4 x 4 (anti-)self-dual skew matrix of u.
+    """co X + si N X / theta, path by path, N the 4 x 4 (anti-)self-dual skew matrix of u.
 
     N has upper entries (u0, u1, u2, s u2, -s u1, s u0), s = +1 if ``self_dual``
     else -1, so N^2 = -theta^2 I for theta = |u|.
@@ -325,20 +330,20 @@ def _isoclinic(u, theta, co, si, X, self_dual):
     f = np.divide(si, theta, out=np.zeros_like(theta), where=theta > 0)
     a, b, c = f * u[0], f * u[1], f * u[2]
     pm = np.add if self_dual else np.subtract
-    x0, x1, x2, x3 = X.T
+    x0, x1, x2, x3 = X
     out = np.empty_like(X)
-    out[:, 0] = co * x0 + (a * x1 + b * x2 + c * x3)
-    out[:, 1] = pm(co * x1 - a * x0, c * x2 - b * x3)
-    out[:, 2] = pm(co * x2 - b * x0, a * x3 - c * x1)
-    out[:, 3] = pm(co * x3 - c * x0, b * x1 - a * x2)
+    out[0] = co * x0 + (a * x1 + b * x2 + c * x3)
+    out[1] = pm(co * x1 - a * x0, c * x2 - b * x3)
+    out[2] = pm(co * x2 - b * x0, a * x3 - c * x1)
+    out[3] = pm(co * x3 - c * x0, b * x1 - a * x2)
     return out
 
 
 def _rot4_apply(w, X):
-    """Rotation substep for d = 4 without forming matrices.
+    """Rotation substep for d = 4 without forming matrices, path by path.
 
-    ``w`` holds the upper entries of each row's skew M.  M = M+ + M- with
-    commuting self-dual and anti-self-dual parts, (M+-)^2 = -theta+-^2 I, and
+    Column b of ``w`` holds the upper entries of path b's skew M.  M = M+ + M-
+    with commuting self-dual and anti-self-dual parts, (M+-)^2 = -theta+-^2 I, and
     the eigenvalues of M are i phi_1,2 = i(theta+ +- theta-).  r(M), with
     expm_skew's squaring count, turns those planes by 2 beta_1 and 2 beta_2
     (:func:`_half_turn`), so it is the product of the isoclinic rotations
@@ -346,10 +351,10 @@ def _rot4_apply(w, X):
     cosines and sines come from the angle-sum formulas (Gallier and Xu 2002).
     """
     # expm_skew's column sums of |M|, in its order
-    a01, a02, a03, a12, a13, a23 = np.abs(w).T
+    a01, a02, a03, a12, a13, a23 = np.abs(w)
     s = _squarings(np.maximum(np.maximum(a01 + a02 + a03, a01 + a12 + a13),
                               np.maximum(a02 + a12 + a23, a03 + a13 + a23)))
-    m01, m02, m03, m12, m13, m23 = w.T
+    m01, m02, m03, m12, m13, m23 = w
     up = (0.5 * (m01 + m23), 0.5 * (m02 - m13), 0.5 * (m03 + m12))
     um = (0.5 * (m01 - m23), 0.5 * (m02 + m13), 0.5 * (m03 - m12))
     tp = np.sqrt(up[0] * up[0] + up[1] * up[1] + up[2] * up[2])
@@ -361,13 +366,16 @@ def _rot4_apply(w, X):
 
 
 def _rot_expm(w, X):
-    """expm_skew(M) X, row by row, for the skew M with upper entries w (d >= 5)."""
-    d = X.shape[1]
+    """expm_skew(M) X, path by path, for the skew M with upper entries w (d >= 5).
+
+    einsum multiplies a contiguous (B, d) copy of X, so it keeps its order.
+    """
+    d = len(X)
     rows, cols = _upper_indices(d)
-    M = np.zeros((len(w), d, d))
-    M[:, rows, cols] = w
-    M[:, cols, rows] = -w
-    return np.einsum("bij,bj->bi", expm_skew(M), X)
+    M = np.zeros((X.shape[1], d, d))
+    M[:, rows, cols] = w.T
+    M[:, cols, rows] = -w.T
+    return np.einsum("bij,bj->bi", expm_skew(M), X.T.copy()).T.copy()
 
 
 def _check_key(value, name):
@@ -444,48 +452,41 @@ def _psd_sqrt(alpha, d):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _row_norms(X, sq, out):
-    """np.linalg.norm(X, axis=1) into ``out``, with ``sq`` as X-shaped scratch.
+def _sq_norms(X):
+    """|x|^2 of each path x, a column of X: the squares of its d rows summed left to right.
 
-    From 2 to 7 columns the column adds below sum each row left to right, as
-    ``add.reduce`` does there, at a fraction of its cost; one column is its
-    own sum either way.
+    The order is the same at every d and on every build, where ``add.reduce``
+    and ``einsum`` pick theirs by d and by the CPU.
     """
-    np.multiply(X, X, out=sq)
-    d = X.shape[1]
-    if d == 1 or d >= 8:
-        np.add.reduce(sq, axis=1, out=out)
-    else:
-        np.add(sq[:, 0], sq[:, 1], out=out)
-        for i in range(2, d):
-            out += sq[:, i]
-    np.sqrt(out, out=out)
+    sq = X * X
+    for row in sq[1:]:
+        sq[0] += row
+    return sq[0]
 
 
-def _rows_times(X, M, out=None):
-    """X @ M.T, each row of it rounded as a row of a larger X would be.
+def _times_paths(M, X):
+    """M @ X, each entry rounded as in a product of at least two rows and two paths.
 
-    numpy multiplies a single row by BLAS gemv, which rounds otherwise than
-    gemm does for every row of a taller X, so a lone row goes in twice.
+    numpy multiplies a single row or a single column by BLAS gemv, which
+    rounds otherwise than gemm, so a lone row of M (the d = 2 rotation's one
+    upper entry) or a lone path of X goes in twice.
     """
-    if len(X) == 1:
-        XM = (np.concatenate((X, X)) @ M.T)[:1]
-        if out is None:
-            return XM
-        out[:] = XM
-        return out
-    return np.matmul(X, M.T, out=out)
+    rows, paths = len(M), X.shape[1]
+    if rows > 1 and paths > 1:
+        return M @ X
+    return (np.tile(M, (1 + (rows == 1), 1)) @ np.tile(X, 1 + (paths == 1)))[:rows, :paths]
 
 
 def _rotation(drive, h):
-    """The rotation substep as ``f(dW, X)``, dW one step's (B, m) scaled noise; None if none.
+    """The rotation substep as ``f(dW, X)``, dW one step's (m, B) scaled noise; None if none.
 
-    A drift-only drive multiplies by one precomputed expm(h A_0).  Otherwise
-    the upper entries w of h A_0 + sum_p dW_p A_p come from one product
-    dW @ Avec (h vec(A_0) added only if A_0 is not zero), and the rotation
-    by them is applied in closed form at d = 2, 3 and 4, every row with the
+    X holds a path per column, (d, B).  A drift-only drive multiplies by one
+    precomputed expm(h A_0).  Otherwise the upper entries w of
+    h A_0 + sum_p dW_p A_p, a column per path, come from one product
+    Avec @ dW (h vec(A_0) added only if A_0 is not zero), and the rotation
+    by them is applied in closed form at d = 2, 3 and 4, every path with the
     degree-13 approximant and expm_skew's squaring count, and by
-    :func:`_rot_expm` at d >= 5.  Each refuses a row whose 1-norm
+    :func:`_rot_expm` at d >= 5.  Each refuses a path whose 1-norm
     :func:`_squarings` refuses.
     """
     d, m = drive.d, drive.n_diffusion
@@ -493,13 +494,13 @@ def _rotation(drive, h):
         if not np.abs(drive.a0).max() > 0:
             return None
         Q = expm_skew(drive.a0 * h)
-        return lambda dW, X: _rows_times(X, Q)
-    Avec_T = np.array([skew_to_vec(A) for A in drive.diffusion]).T
-    h_a0vec = h * skew_to_vec(drive.a0)
+        return lambda dW, X: _times_paths(Q, X)
+    Avec = np.array([skew_to_vec(A) for A in drive.diffusion]).T
+    h_a0vec = h * skew_to_vec(drive.a0)[:, None]
     apply = {2: _rot2_apply, 3: _rot3_apply, 4: _rot4_apply}.get(d, _rot_expm)
     if not h_a0vec.any():
-        return lambda dW, X: apply(_rows_times(dW, Avec_T), X)
-    return lambda dW, X: apply(_rows_times(dW, Avec_T) + h_a0vec, X)
+        return lambda dW, X: apply(_times_paths(Avec, dW), X)
+    return lambda dW, X: apply(_times_paths(Avec, dW) + h_a0vec, X)
 
 
 def _new_stats():
@@ -548,13 +549,14 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
 def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, stats=None):
     """Advance a block of paths; the radial substep runs iff bhat is not None.
 
-    ``streams`` holds one noise stream per path (see :func:`_streams`).  Noise
-    arrives in chunks of steps, already scaled by sqrt(h) (see
-    :func:`_noise_chunks`); the norms of a chunk's states are reduced into the
-    running maxima once per chunk, and ``sink(i, states)``, if given,
-    receives them from grid point i on, a new (B, k, d) array with x0 leading
-    the first.  Counts and times are added to ``stats`` (see
-    :class:`EnsembleResult`).
+    ``streams`` holds one noise stream per path (see :func:`_streams`).  The
+    states X are (d, B), a path per column; steps read the path-major noise
+    chunks, already scaled by sqrt(h) (see :func:`_noise_chunks`), through
+    transposed views, and |X|^2 is not recomputed where X did not move.  The
+    norms of a chunk's states are reduced into the running maxima once per
+    chunk, and ``sink(i, states)``, if given, receives them from grid point i
+    on, a new (B, k, d) array with x0 leading the first.  Counts and times are
+    added to ``stats`` (see :class:`EnsembleResult`).
     """
     stats = _new_stats() if stats is None else stats
     d = drive.d
@@ -563,17 +565,16 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     n_cols = m + (d if radial else 0)
     B = len(streams)
     if radial:
-        # One (B, d) copy: adding it costs a fifth of broadcasting a length-d row.
-        bhat = np.tile(bhat, (B, 1))
+        # One (d, B) copy: adding it costs half of broadcasting a column.
+        bhat = np.repeat(bhat[:, None], B, axis=1)
     chunk = min(n_steps, max(1, _NOISE_VALUES // (B * max(1, n_cols))))
-    norms = np.empty((chunk, B))
-    sq, tmp, fac = np.empty((B, d)), np.empty((B, d)), np.empty(B)
+    norms, fac = np.empty((chunk, B)), np.empty(B)
 
-    X = np.array(x0s, dtype=float)
+    X = np.array(np.asarray(x0s, dtype=float).T, order="C")
     rotate = _rotation(drive, h)
-    start_norms = np.linalg.norm(X, axis=1)
-    max_radius = start_norms.copy()
-    max_norm_dev = np.abs(start_norms - 1.0).max() if not radial else 0.0
+    r2 = _sq_norms(X)
+    max_radius = np.sqrt(r2)
+    max_norm_dev = np.abs(max_radius - 1.0).max() if not radial else 0.0
     clamps = 0
 
     chunks = _noise_chunks(streams, n_steps, chunk, n_cols, np.sqrt(h), stats)
@@ -583,34 +584,32 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
             if sink is not None:
                 lead = int(lo == 0)
                 piece = np.empty((B, lead + steps, d))
-                piece[:, :lead] = X[:, None]
+                piece[:, :lead] = X.T[:, None]
             t0 = perf_counter()
             for j in range(steps):
                 if rotate is not None:
-                    X = rotate(noise[:, j, :m], X)
+                    X = rotate(noise[:, j, :m].T, X)
+                    r2 = _sq_norms(X)
                 nrm = norms[j]
                 if radial:
-                    np.einsum("bi,bi->b", X, X, out=fac)
-                    np.subtract(1.0, fac, out=fac)
-                    np.maximum(fac, 0.0, out=fac)
-                    np.sqrt(fac, out=fac)
-                    _rows_times(X, Bhat, out=tmp)
+                    np.sqrt(np.maximum(np.subtract(1.0, r2, out=fac), 0.0, out=fac), out=fac)
+                    tmp = _times_paths(Bhat, X)
                     tmp += bhat
                     tmp *= h
                     X += tmp
-                    _rows_times(noise[:, j, m:], sqrt_alpha, out=tmp)
-                    tmp *= fac[:, None]
+                    tmp = _times_paths(sqrt_alpha, noise[:, j, m:].T)
+                    tmp *= fac
                     X += tmp
-                    _row_norms(X, sq, nrm)
-                    if nrm.max() > 1.0:
-                        over = nrm > 1.0
-                        clamps += int(over.sum())
-                        X[over] *= (_CLAMP / nrm[over])[:, None]
-                        nrm[over] = np.linalg.norm(X[over], axis=1)
-                else:
-                    _row_norms(X, sq, nrm)
+                    r2 = _sq_norms(X)
+                np.sqrt(r2, out=nrm)
+                if radial and nrm.max() > 1.0:
+                    over = nrm > 1.0
+                    clamps += int(over.sum())
+                    X[:, over] *= _CLAMP / nrm[over]
+                    r2[over] = _sq_norms(X[:, over])
+                    nrm[over] = np.sqrt(r2[over])
                 if sink is not None:
-                    piece[:, lead + j] = X
+                    piece[:, lead + j] = X.T
             done = norms[:steps]
             np.maximum(max_radius, done.max(axis=0), out=max_radius)
             if not radial:
@@ -624,7 +623,7 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     finally:
         chunks.close()
     stats["clamps"] += clamps
-    return X, max_radius, max_norm_dev, clamps
+    return X.T, max_radius, max_norm_dev, clamps
 
 
 def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,

@@ -7,6 +7,7 @@ built through it is exactly skew, no runtime tolerance involved.  Positions
 and basis indices are 1-based in the public API.
 """
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +36,30 @@ class RankError(ValueError):
         self.singular_values = np.asarray(singular_values)
 
 
+def _integer(value):
+    """Whether value is an int or a numpy integer; a bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_number(value, name, integer=False, zero=False):
+    """value if it is a finite number above 0, or at least 0 if ``zero``, and
+    an integer if ``integer``; ValueError naming ``name`` otherwise.  A bool
+    is not a number here."""
+    number = _integer(value) if integer else isinstance(value, numbers.Real)
+    if (isinstance(value, bool) or not number
+            or not (0 <= value if zero else 0 < value) or not value < np.inf):
+        raise ValueError(f"{name} must be a {'nonnegative' if zero else 'positive'} "
+                         f"{'integer' if integer else 'finite number'}, got {value!r:.80}")
+    return value
+
+
 def skew_dim(d):
-    """Dimension m = C(d, 2) of the space of skew-symmetric d x d matrices; ValueError if d < 0."""
+    """Dimension m = C(d, 2) of the space of skew-symmetric d x d matrices.
+
+    ValueError unless d is a nonnegative integer.
+    """
+    if not _integer(d):
+        raise ValueError(f"d must be an integer, got {d!r:.80}")
     if d < 0:
         raise ValueError(f"d must be nonnegative, got {d}")
     return d * (d - 1) // 2
@@ -54,16 +77,23 @@ def pi_index(i, j, d):
 
 
 def pair_from_index(p, d):
-    """Inverse of :func:`pi_index`: the pair (i, j), i < j, with index p."""
+    """Inverse of :func:`pi_index`: the pair (i, j), i < j, with index p.
+
+    ValueError unless d is a nonnegative integer and p an integer in 1..C(d, 2).
+    """
+    if not _integer(p):
+        raise ValueError(f"p must be an integer, got {p!r:.80}")
+    # A negative d has no basis index, like d = 0 and 1.
+    m = 0 if _integer(d) and d < 0 else skew_dim(d)
+    if not 1 <= p <= m:
+        raise ValueError(f"basis index {p} out of range 1..{m} for d = {d}")
     rows, cols = _upper_indices(d)
-    if not (1 <= p <= len(rows)):
-        raise ValueError(f"basis index {p} out of range 1..{len(rows)} for d = {d}")
     return int(rows[p - 1]) + 1, int(cols[p - 1]) + 1
 
 
 def elementary_skew(p, d):
     """Elementary skew basis matrix with +1 above the diagonal at pair number p."""
-    pair_from_index(p, d)  # the range check
+    pair_from_index(p, d)  # the index checks
     return skew_basis(d)[p - 1].copy()
 
 
@@ -79,7 +109,11 @@ def _skew_basis_cached(d):
 
 
 def skew_basis(d):
-    """All m elementary skew matrices stacked as an (m, d, d) read-only array."""
+    """All m elementary skew matrices stacked as an (m, d, d) read-only array.
+
+    ValueError unless d is a nonnegative integer.
+    """
+    skew_dim(d)
     return _skew_basis_cached(d)
 
 
@@ -109,8 +143,13 @@ def _pair_signs(d):
 
 
 def skew_to_vec(A):
-    """Strict upper triangle of A as an m-vector in lexicographic order."""
+    """Strict upper triangle of A as an m-vector in lexicographic order.
+
+    ValueError unless A is a square matrix.
+    """
     A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
     return A[_upper_indices(A.shape[0])].copy()
 
 

@@ -35,9 +35,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .cspace import (_check_h, _check_number, _kernel, _symmetric, biquadratic_eval,
+from .cspace import (_check_h, _kernel, _symmetric, biquadratic_eval,
                      c_H_eval, cmap_from_h, cmap_from_pair, k_matrix)
-from .skew import pi_index, skew_dim, vec_to_skew
+from .skew import _check_number, pi_index, skew_dim, vec_to_skew
 
 __all__ = [
     "sos_check",

@@ -505,8 +505,10 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
             if m == 0:
                 X = X @ Q_const.T
             elif closed:
-                w = (noise[:, j, :m] * sqh) @ Avec
-                X = _KERNELS[d](w if h_a0vec is None else w + h_a0vec, X)
+                dW = noise[:, j, :m] * sqh
+                # A lone column goes in twice, for gemm, as in simulate._times_paths.
+                w = (dW @ np.tile(Avec, 1 + (Avec.shape[1] == 1)))[:, :Avec.shape[1]]
+                X = _KERNELS[d]((w if h_a0vec is None else w + h_a0vec).T, X.T).T
             else:
                 dW = noise[:, j, :m] * sqh
                 M = np.einsum("bp,pij->bij", dW, As)
@@ -515,7 +517,7 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
                 Q = expm_skew(M)
                 X = np.einsum("bij,bj->bi", Q, X)
         if radial:
-            r2 = np.einsum("bi,bi->b", X, X)
+            r2 = np.add.reduce(X * X, axis=1)
             fac = np.sqrt(np.clip(1.0 - r2, 0.0, None))
             dWr = noise[:, j, m:] * sqh
             X = X + (bhat + X @ Bhat.T) * h + fac[:, None] * (dWr @ sqrt_alpha.T)
@@ -541,7 +543,14 @@ def _reference_cases():
     e3 = np.array([0.0, 0.6, 0.8])
     e4 = np.array([0.5, -0.5, 0.5, 0.5])
     scalar = lambda d, kappa, nu: (np.zeros(d), -kappa * np.eye(d), nu ** 2 * np.eye(d))
+    # Two non-elementary directions at d = 2: the rotation's one upper entry is
+    # a one-row product with two terms.
+    d2 = SkewDrive(np.zeros((2, 2)), np.array([0.8, -1.3])[:, None, None] * skew_basis(2)[0])
     return [
+        ("sphere d2 two directions", d2, np.array([0.6, 0.8]), None, 5, 37, 1e-3),
+        ("sphere d3 one path", SkewDrive.elementary(3), e3, None, 1, 37, 1e-3),
+        ("ball d3 drive, clamps, one path", SkewDrive.elementary(3, a0=a3), 0.999 * e3,
+         scalar(3, 0.2, 1.0), 1, 60, 1e-2),
         ("sphere d3", SkewDrive.elementary(3), e3, None, 5, 37, 1e-3),
         ("sphere d3 A0", SkewDrive.elementary(3, a0=a3), e3, None, 5, 37, 1e-3),
         ("sphere d4 A0", SkewDrive.elementary(4, a0=a4), e4, None, 4, 23, 2e-3),
@@ -587,6 +596,31 @@ def test_run_block_matches_reference_loop(monkeypatch, noise_values):
         assert bare[0].tobytes() == ref[0].tobytes(), name
         if name.startswith("ball"):
             assert ref[3] > 0, "the clamp case must clamp"
+
+
+def _left_to_right(x):
+    total = float(x[0]) * float(x[0])
+    for v in x[1:]:
+        total = total + float(v) * float(v)
+    return total
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_squared_norm_sums_left_to_right(d):
+    # One |x|^2 for the radial factor, the start norms, the step norms and the
+    # clamp: x_1^2 + x_2^2 + ... in that order, one path or many, where
+    # add.reduce and einsum pick their order by d and by the CPU.
+    X = np.random.default_rng(d).standard_normal((d, 500)) * np.logspace(-3, 3, 500)
+    want = np.array([_left_to_right(x) for x in X.T])
+    assert simulate._sq_norms(X).tobytes() == want.tobytes()
+    assert simulate._sq_norms(X[:, 7:8]).tobytes() == want[7:8].tobytes()
+    # and the step loop's norms are these: each path's largest radius is
+    # that of one of its kept states, the clamped ones included
+    drive, x0, ball = _clamping_ball(d, 200 + d)
+    result, paths = kept_run(ball_ensemble, *ball, drive, x0, 0.3, 1e-2, 5, 6)
+    assert result.clamp_fraction > 0
+    radii = np.sqrt([[_left_to_right(x) for x in path] for path in paths])
+    assert result.max_radius.tobytes() == radii.max(axis=1).tobytes()
 
 
 def test_midpoint_map_is_exact():
@@ -747,22 +781,22 @@ def test_closed_form_rotation_matches_expm_skew(d):
     ref = expm_skew(M)
     plain = np.abs(M).sum(axis=1).max(axis=1) <= simulate._PADE[13][1]
     assert plain.sum() > 3000 and (~plain).sum() > 2000
-    R = np.stack([kernel(w, np.tile(e, (n, 1))) for e in np.eye(d)], axis=2)
+    R = np.stack([kernel(w.T, np.tile(e, (n, 1)).T).T for e in np.eye(d)], axis=2)
     err = np.abs(R - ref).max(axis=(1, 2))
     assert err[plain].max() <= 2e-15
     assert np.all(err[~plain] <= 1e-15 * (1.0 + np.linalg.norm(w[~plain], axis=1)))
     orth = np.abs(np.einsum("bki,bkj->bij", R, R) - np.eye(d)).max(axis=(1, 2))
     assert orth.max() <= (4e-15 if d == 3 else 2e-15)
     X = rng.standard_normal((n, d))
-    assert kernel(np.zeros((5, m)), X[:5]).tobytes() == X[:5].tobytes()
-    # a row's result does not depend on its neighbours, and the rotation
+    assert kernel(np.zeros((m, 5)), X[:5].T).T.tobytes() == X[:5].tobytes()
+    # a path's result does not depend on its neighbours, and the rotation
     # substep hands the kernel w + h vec(A_0)
     h_a0 = 0.01 * rng.standard_normal(m)
-    RX = kernel(w + h_a0, X)
+    RX = kernel((w + h_a0).T, X.T).T
     for i in range(0, n, 97):
-        assert RX[i].tobytes() == kernel(w[i:i + 1] + h_a0, X[i:i + 1]).tobytes()
+        assert RX[i].tobytes() == kernel((w[i:i + 1] + h_a0).T, X[i:i + 1].T).T.tobytes()
     rotate = simulate._rotation(SkewDrive.elementary(d, a0=vec_to_skew(h_a0, d)), 1.0)
-    assert rotate(w, X).tobytes() == RX.tobytes()
+    assert rotate(w.T, X.T).T.tobytes() == RX.tobytes()
     # and a path does not depend on the other paths of its ensemble
     x0 = np.ones(d) / np.sqrt(d)
     drive = SkewDrive.elementary(d, a0=0.5 * skew_basis(d)[-1])
@@ -789,7 +823,7 @@ def test_every_rotation_refuses_a_norm_past_52_squarings(d):
         with pytest.raises(ValueError, match="of at most 2.42e[+]16, got a 1-norm of") as want:
             expm_skew(M)
         with pytest.raises(ValueError) as got:
-            kernel(bad, X)
+            kernel(bad.T, X.T)
         assert str(got.value) == str(want.value)
 
 

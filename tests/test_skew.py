@@ -106,6 +106,22 @@ def test_pair_from_index_refuses_a_negative_dimension():
         pair_from_index(1, -3)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: skew_dim(2.5), "d"),
+    (lambda: pair_from_index(1.5, 3), "p"),
+    (lambda: pair_from_index(1, 3.0), "d"),
+    (lambda: elementary_skew(1.5, 3), "p"),
+    (lambda: skew_basis(2.5), "d"),
+    (lambda: skew_to_vec(np.ones((2, 3))), "A"),
+    (lambda: skew_to_vec(np.ones(3)), "A"),
+])
+def test_index_helpers_name_a_bad_argument(call, name):
+    # skew_dim(2.5) was 1.0, skew_to_vec of a (2, 3) array its first entry;
+    # the others failed inside numpy
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
 def test_vec_roundtrip_exactly_skew():
     for d in (2, 3, 6):
         v = rng.standard_normal(skew_dim(d))

@@ -4,7 +4,12 @@ A polynomial diffusion's generator ``G f = tr(a grad^2 f)/2 + b . grad f``
 maps polynomials of degree at most k to themselves, so on a fixed monomial
 basis it is a finite sparse matrix G_k, and conditional moments reduce to
 ``H(x)^T expm(t G_k) q``; ``moment`` applies the exponential's action to q
-(``expm_multiply``) instead of forming ``expm(t G_k)``.  G_k is built by
+(``expm_multiply``) instead of forming ``expm(t G_k)``.  The graded basis
+puts each invariant block of G on a contiguous range: polynomials of degree
+at most deg q lead every G_k, and on the sphere, where the drift is linear
+and a(x) a homogeneous quadratic, each homogeneous degree is a diagonal
+block of its own, so ``moment`` exponentiates only the blocks that hold q.
+G_k is built by
 exact exponent arithmetic: every term of the image of a monomial sits at an
 integer shift of its exponent, found by exact integer-key lookup, and
 coefficients are only ever combined at identical exponents, never
@@ -230,9 +235,13 @@ def _as_poly_dict(q, d):
 def moment(model, q, x, t, k=None, gk=None):
     """Conditional moment E[q(X_t) | X_0 = x] via the action of the matrix exponential.
 
-    ``q`` is an exponent-dict polynomial.  ``k`` defaults to deg q; passing a
-    smaller k is an error rather than a silent truncation.  A prebuilt
-    GeneratorMatrix can be supplied to amortize construction.
+    ``q`` is an exponent-dict polynomial.  The exponential acts on the
+    invariant block of degrees <= deg q alone, or on a sphere on the diagonal
+    block of each homogeneous degree that q has terms in, so the value does
+    not depend on ``k``: it is checked (passing a k below deg q is an error
+    rather than a silent truncation) and then costs nothing.  Without ``gk``,
+    G is built at degree deg q; a prebuilt GeneratorMatrix of any degree
+    >= deg q amortizes construction.
 
     Raises ValueError for a malformed exponent in q, an x that is not d finite
     numbers within 1e-9 of the state space, a non-finite t or t < 0, a k that
@@ -252,17 +261,26 @@ def moment(model, q, x, t, k=None, gk=None):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     x = _start_point(x, d, model.space, 1e-9)
     if gk is None:
-        gk = build_Gk(model, k)
+        gk = build_Gk(model, deg)
     elif gk.basis.d != d:
         raise ValueError(f"prebuilt generator matrix has d = {gk.basis.d}, model has d = {d}")
     elif gk.basis.k < deg:
         raise ValueError("prebuilt generator matrix has too small a degree bound")
     from scipy.sparse.linalg import expm_multiply
 
+    # Basis positions [lo, hi) of each invariant block that q has terms in:
+    # degree j starts at C(d + j - 1, d), the number of monomials of lower degree.
+    if model.space == "sphere":
+        blocks = [(comb(d + j - 1, d), comb(d + j, d)) for j in sorted({sum(e) for e in q})]
+    else:
+        blocks = [(0, comb(d + deg, d))]
+    h, vec = gk.basis.eval_at(x), gk.basis.vector(q)
+    # The monomials h of x in the ball are finite, so a block's product is
+    # finite unless its action overflowed or is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            w = expm_multiply(t * gk.G, gk.basis.vector(q))
-            value = float(gk.basis.eval_at(x) @ w) if np.all(np.isfinite(w)) else np.inf
+            value = sum((float(h[lo:hi] @ expm_multiply(t * gk.G[lo:hi, lo:hi], vec[lo:hi]))
+                         for lo, hi in blocks), 0.0)
         except OverflowError:
             value = np.inf
     if not np.isfinite(value):

@@ -21,7 +21,9 @@ eigen-planes by (:func:`_half_turn`); every d above 4 goes through
 52 squarings (:func:`_squarings`).  Ball schemes interleave that rotation with
 an Euler-Maruyama radial substep, whose |x|^2, like every norm, is one
 left-to-right sum of squares (:func:`_sq_norms`).  Noise is
-counter-based: each path owns a Philox stream keyed by (seed, path_id); the
+counter-based: each path owns a Philox stream whose key is the uint64 pair
+(seed, path_id) and whose counter starts at 0, handed to Philox by one shared
+seed-sequence object rather than built from OS entropy (:func:`_streams`); the
 top 53 bits k of each draw give the midpoint (k + 1/2) * 2**-53 of a uniform
 grid, mapped to a Gaussian through the inverse normal CDF, so ensembles are
 reproducible and embarrassingly parallel.  A block of paths draws its noise in
@@ -45,7 +47,7 @@ import numpy as np
 from .cspace import _symmetric
 from .generator import _exponent, _start_point
 from .model import _alpha_psd
-from .skew import _check_number, _upper_indices, skew_basis, skew_to_vec
+from .skew import _check_number, _integer, _upper_indices, skew_basis, skew_to_vec
 
 __all__ = [
     "SkewDrive",
@@ -379,16 +381,45 @@ def _rot_expm(w, X):
 
 
 def _check_key(value, name):
-    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 1 << 64:
+    if not _integer(value) or not 0 <= int(value) < 1 << 64:
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return int(value)
 
 
+class _PathKey:
+    """The Philox key (seed, path_id) handed over as a numpy ``ISeedSequence``.
+
+    ``Philox(path_key)`` copies ``generate_state(2, uint64)``, the ``words``
+    array, into its key, so it equals ``Philox(key=words)`` at counter 0
+    without the ``SeedSequence`` of OS entropy that ``Philox(key=...)``
+    builds and discards.  One object serves every path: set ``words[1]`` to
+    the path id before each construction.  :func:`_streams` registers the
+    class as an ``ISeedSequence``, so that numpy.random loads with the first
+    simulation, not with the package.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed):
+        self.words = np.array([seed, 0], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a path key is 2 uint64 words, not {n_words!r} of {dtype!r}")
+        return self.words
+
+
 def _streams(seed, path_ids):
     """One Philox generator per path, keyed by the uint64 pair (seed, path_id)."""
-    seed = _check_key(seed, "seed")
-    return [np.random.Generator(np.random.Philox(
-        key=np.array([seed, _check_key(p, "path_id")], dtype=np.uint64))) for p in path_ids]
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PathKey)
+    key = _PathKey(_check_key(seed, "seed"))
+    streams = []
+    for p in path_ids:
+        key.words[1] = _check_key(p, "path_id")
+        streams.append(np.random.Generator(np.random.Philox(key)))
+    return streams
 
 
 def _uniforms_into(streams, out):
@@ -469,8 +500,14 @@ def _times_paths(M, X):
 
     numpy multiplies a single row or a single column by BLAS gemv, which
     rounds otherwise than gemm, so a lone row of M (the d = 2 rotation's one
-    upper entry) or a lone path of X goes in twice.
+    upper entry) or a lone path of X goes in twice.  A one-column M has no
+    sum: each entry is gemm's 0 + M[i, 0] X[0, j], here from one outer
+    product, the 0 added so that a -0 product reads +0 as gemm's does.
     """
+    if M.shape[1] == 1:
+        out = np.multiply.outer(M[:, 0], X[0])
+        out += 0.0
+        return out
     rows, paths = len(M), X.shape[1]
     if rows > 1 and paths > 1:
         return M @ X

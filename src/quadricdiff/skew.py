@@ -71,7 +71,7 @@ def pi_index(i, j, d):
     The pairs (1,2), (1,3), ..., (1,d), (2,3), ..., (d-1,d) map to 1..m.
     Raises ValueError unless i, j and d are integers with 1 <= i < j <= d.
     """
-    if not (all(isinstance(v, (int, np.integer)) for v in (i, j, d)) and 1 <= i < j <= d):
+    if not (all(map(_integer, (i, j, d))) and 1 <= i < j <= d):
         raise ValueError(f"need integers 1 <= i < j <= d, got (i, j, d) = ({i}, {j}, {d})")
     return (i - 1) * (2 * d - i) // 2 + (j - i)
 
@@ -169,13 +169,17 @@ def plucker_eval(A, quad):
 
     For (i, j, k, l) with i < j < k < l this is
     ``a_ij*a_kl - a_ik*a_jl + a_il*a_jk``.  All rank-two skew matrices
-    x y^T - y x^T are common zeros of these polynomials.
+    x y^T - y x^T are common zeros of these polynomials.  ValueError unless
+    quad is four integers.
     """
     A = np.asarray(A)
     d = A.shape[0]
+    quad = tuple(quad)
+    if not (len(quad) == 4 and all(map(_integer, quad))
+            and 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= d):
+        raise ValueError(f"quad must be 4 strictly increasing integers within 1..{d}, "
+                         f"got {quad}")
     i, j, k, l = quad
-    if not (1 <= i < j < k < l <= d):
-        raise ValueError(f"quad must be strictly increasing within 1..{d}, got {quad}")
     a = lambda r, s: A[r - 1, s - 1]
     return a(i, j) * a(k, l) - a(i, k) * a(j, l) + a(i, l) * a(j, k)
 

@@ -266,3 +266,48 @@ def test_exponent_keys_that_overflow_raise():
     d = 40
     with pytest.raises(ValueError, match="overflows"):
         build_Gk(SphereModel(H=np.eye(skew_dim(d)), B=np.zeros((d, d))), 2)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_generator_keeps_the_invariant_blocks_moment_uses(d):
+    # moment exponentiates G only on these blocks: on the sphere each
+    # homogeneous degree maps into itself, on the ball no degree goes up
+    for k in range(5):
+        for space in ("sphere", "ball"):
+            gk = build_Gk(random_model(space, d), k)
+            deg = np.array([sum(e) for e in gk.basis.exponents])
+            rows, cols = gk.G.nonzero()
+            if space == "sphere":
+                assert np.array_equal(deg[rows], deg[cols]), (space, k)
+            else:
+                assert np.all(deg[rows] <= deg[cols]), (space, k)
+
+
+def test_moment_does_not_depend_on_k():
+    x3 = np.array([0.6, 0.0, 0.8])
+    cases = [(random_model("sphere", 3), x3, {(1, 1, 0): 1.0, (0, 0, 2): -0.5}),
+             (random_model("sphere", 4), np.array([0.5, 0.5, -0.5, 0.5]), {(0, 3, 0, 1): 2.0}),
+             (random_model("ball", 3), 0.5 * x3, {(2, 0, 1): 1.0, (0, 1, 0): 0.3, (0, 0, 0): 1.0}),
+             (jacobi(), np.array([0.3]), {(2,): 1.0})]
+    for mdl, x, q in cases:
+        deg = poly_degree(q)
+        at_deg = moment(mdl, q, x, 0.7)
+        for k in (deg, deg + 2):
+            assert moment(mdl, q, x, 0.7, k=k) == pytest.approx(at_deg, rel=1e-14, abs=0)
+            assert moment(mdl, q, x, 0.7, gk=build_Gk(mdl, k)) == pytest.approx(
+                at_deg, rel=1e-14, abs=0)
+
+
+def test_mixed_degree_sphere_moment_matches_dense_expm():
+    # degrees 0, 2 and 4 are three diagonal blocks of G, each exponentiated alone
+    for d in (3, 5):
+        mdl = random_model("sphere", d)
+        gk = build_Gk(mdl, 4)
+        e = np.eye(d, dtype=int)
+        q = {(0,) * d: 0.25, tuple(e[0] + e[1]): -1.5, tuple(2 * e[0] + 2 * e[d - 1]): 1.0,
+             tuple(e[1] + 3 * e[2]): 0.5}
+        x = rng.standard_normal(d)
+        x /= np.linalg.norm(x)
+        t = 0.4
+        dense = gk.basis.eval_at(x) @ expm(t * gk.G.toarray()) @ gk.basis.vector(q)
+        assert moment(mdl, q, x, t) == pytest.approx(dense, rel=1e-12, abs=1e-12)

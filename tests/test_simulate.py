@@ -329,6 +329,54 @@ def test_path_normals_is_the_integers_stream():
     assert not np.array_equal(path_normals(2 ** 63, 0, 4, 2), path_normals(2 ** 63 + 1, 0, 4, 2))
 
 
+def test_streams_are_philox_keyed_by_seed_and_path_id():
+    ids = [0, 1, 2 ** 63, 2 ** 64 - 1]
+    for seed in (0, 2 ** 64 - 1):
+        # the shared key is rewritten for every later stream: the first keeps its own
+        streams = simulate._streams(seed, ids)
+        for pid, gen in zip(ids, streams):
+            ref = np.random.Philox(key=np.array([seed, pid], dtype=np.uint64))
+            got, want = gen.bit_generator.state["state"], ref.state["state"]
+            assert got["key"].tolist() == want["key"].tolist() == [seed, pid]
+            assert got["counter"].tolist() == want["counter"].tolist() == [0, 0, 0, 0]
+            assert gen.random(9).tobytes() == np.random.Generator(ref).random(9).tobytes()
+    key = simulate._PathKey(5)
+    for n_words, dtype in ((1, np.uint64), (4, np.uint64), (2, np.uint32)):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(n_words, dtype)
+
+
+def test_streams_hold_no_more_memory_than_keyed_philox():
+    def held(build):
+        tracemalloc.start()
+        try:
+            streams = build()
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(streams) == 4096
+        return size
+
+    def keyed(n):
+        return [np.random.Generator(np.random.Philox(key=np.array([3, p], dtype=np.uint64)))
+                for p in range(n)]
+
+    # warmed up outside the count: numpy.random's import and first-use caches
+    keyed(2), simulate._streams(3, range(2))
+    # about 2.5 MB each; the one key that all streams share is 0.2 kB, where
+    # one small object per stream would add hundreds of kB
+    assert held(lambda: simulate._streams(3, range(4096))) <= held(lambda: keyed(4096)) + 1024
+
+
+def test_bool_seed_and_path_id_are_refused():
+    drive, x0 = SkewDrive.elementary(3), np.array([1.0, 0.0, 0.0])
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            sphere_ensemble(drive, x0, 0.1, 1e-2, flag, 2)
+        with pytest.raises(ValueError, match="^path_id must be an integer"):
+            path_normals(0, flag, 3, 2)
+
+
 def test_ensemble_noise_is_the_path_normals_stream():
     # radial-only Brownian motion from the centre: each increment reveals its normal
     n, steps, h = 3, 40, 1e-6
@@ -596,6 +644,37 @@ def test_run_block_matches_reference_loop(monkeypatch, noise_values):
         assert bare[0].tobytes() == ref[0].tobytes(), name
         if name.startswith("ball"):
             assert ref[3] > 0, "the clamp case must clamp"
+
+
+def _gemm_times_paths(M, X):
+    """simulate._times_paths with every product, one-column ones included, through gemm."""
+    rows, paths = len(M), X.shape[1]
+    return (np.tile(M, (1 + (rows == 1), 1)) @ np.tile(X, 1 + (paths == 1)))[:rows, :paths]
+
+
+def test_one_column_products_have_gemm_bits(monkeypatch):
+    gen = np.random.default_rng(71)
+    for rows in (1, 3, 6):
+        for paths in (1, 2, 4096):
+            M, X = gen.standard_normal((rows, 1)), gen.standard_normal((1, paths))
+            # gemm adds each product to 0, so a -0 product comes out +0
+            M[gen.random(M.shape) < 0.3] = gen.choice([0.0, -0.0])
+            X[gen.random(X.shape) < 0.3] = gen.choice([0.0, -0.0])
+            want = _gemm_times_paths(M, X).tobytes()
+            assert simulate._times_paths(M, X).tobytes() == want, (rows, paths)
+    # End to end: the d = 1 ball from x0 = +-0 with b = 0, whose first radial
+    # product is Bhat x0 = -0 or +0, and one-direction sphere drives at d = 2, 3, 4.
+    jacobi = (np.zeros(1), -2.0 * np.eye(1), 0.49 * np.eye(1), SkewDrive.zero(1))
+    runs = [lambda x0=x0: kept_run(ball_ensemble, *jacobi, [x0], 0.05, 1e-3, 5, 9)
+            for x0 in (0.0, -0.0)]
+    runs += [lambda d=d: kept_run(sphere_ensemble, SkewDrive(np.zeros((d, d)), skew_basis(d)[:1]),
+                                  np.eye(d)[0], 0.05, 1e-3, 5, 9) for d in (2, 3, 4)]
+    got = [run() for run in runs]
+    monkeypatch.setattr(simulate, "_times_paths", _gemm_times_paths)
+    for (result, paths), run in zip(got, runs):
+        ref, ref_paths = run()
+        assert result.terminal.tobytes() == ref.terminal.tobytes()
+        assert paths.tobytes() == ref_paths.tobytes()
 
 
 def _left_to_right(x):

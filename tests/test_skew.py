@@ -44,6 +44,12 @@ def test_pi_index_rejects_bad_pairs(i, j, d):
         pi_index(i, j, d)
 
 
+def test_pi_index_refuses_bools():
+    for args in ((True, 2, 3), (1, True, 3), (1, 2, True)):
+        with pytest.raises(ValueError, match="need integers"):
+            pi_index(*args)
+
+
 def test_elementary_skew_structure():
     D = elementary_skew(1, 2)
     assert np.array_equal(D, [[0.0, 1.0], [-1.0, 0.0]])
@@ -204,3 +210,11 @@ def test_rank2_factor_rejects_other_ranks():
     assert len(exc.value.singular_values) == 4
     with pytest.raises(RankError):
         rank2_factor(np.zeros((3, 3)))
+
+
+def test_plucker_refuses_non_integer_quads():
+    A = vec_to_skew(rng.standard_normal(6), 4)
+    for quad in ((1, 2, 2.5, 4), (1.0, 2, 3, 4), (True, 2, 3, 4), (1, 2, 3)):
+        with pytest.raises(ValueError, match="^quad must be"):
+            plucker_eval(A, quad)
+    assert plucker_eval(A, np.array([1, 2, 3, 4])) == plucker_eval(A, (1, 2, 3, 4))

@@ -3,7 +3,9 @@
 Every command writes one JSON document to stdout and exits 0 whenever the
 computation ran, even if the verdict is negative; nonzero exit codes are
 reserved for usage and IO errors.  Stochastic commands require an explicit
---seed so identical invocations are byte-identical.
+--seed so identical invocations are byte-identical.  The argument parser is
+built once per process, on the first call of :func:`main`, and serves every
+later call.
 """
 
 import argparse
@@ -284,7 +286,9 @@ def _tolerance(text):
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The one argument parser of the process: ``parse_args`` leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="quadricdiff",
         description="Polynomial diffusions on the unit ball and sphere.",

@@ -20,10 +20,11 @@ Together they take 4.8 kB at d = 8 and 242 kB at d = 20, besides the
 
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 
-from .skew import (_pair_signs, _upper_indices, pi_index, skew_basis, skew_dim, skew_to_vec,
+from .skew import (_integer, _pair_signs, _upper_indices, skew_basis, skew_dim, skew_to_vec,
                    vec_to_skew)
 
 __all__ = [
@@ -202,21 +203,20 @@ def c_space_basis(d):
 
 
 def k_matrix(quad, d):
-    """The kernel matrix K_(i,j,k,l): vec(A) -> quadratic form 4 * Plucker_(i,j,k,l)(A)."""
+    """The kernel matrix K_(i,j,k,l): vec(A) -> quadratic form 4 * Plucker_(i,j,k,l)(A).
+
+    The one K of :class:`_PluckerKernel`'s basis at quad's place in the order
+    of ``combinations(range(1, d + 1), 4)``.  ValueError unless quad is four
+    integers 1 <= i < j < k < l <= d.
+    """
     i, j, k, l = quad
-    if not (1 <= i < j < k < l <= d):
+    if not (all(map(_integer, (i, j, k, l, d))) and 1 <= i < j < k < l <= d):
         raise ValueError(f"quad must be strictly increasing within 1..{d}, got {quad}")
-    m = skew_dim(d)
-    K = np.zeros((m, m))
-    for (a, b), (c, e), sign in (
-        ((i, j), (k, l), 1.0),
-        ((i, k), (j, l), -1.0),
-        ((i, l), (j, k), 1.0),
-    ):
-        p, q = pi_index(a, b, d) - 1, pi_index(c, e, d) - 1
-        K[p, q] = sign
-        K[q, p] = sign
-    return K
+    # Lexicographic rank: C(d, 4) - 1 less the 4-sets that sort after quad.
+    t = np.zeros(comb(d, 4))
+    t[len(t) - 1 - sum(comb(d - c, 4 - n) for n, c in enumerate(quad))] = 1.0
+    # Adding 0 turns the -0 that the other quads' (ik, jl) entries get into +0.
+    return _kernel(d).combine(t) + 0.0
 
 
 class _PluckerKernel:

@@ -34,8 +34,10 @@ steps; a block holds no more paths than fit one step's noise of each (a kept
 block: one whole path's) into a chunk.  The streams are those of
 :func:`path_normals` whatever the chunk length.  The calling thread draws the
 uniforms of chunk k + 1 before it steps chunk k, and a helper thread maps
-every chunk to normals (the inverse CDF releases the interpreter lock).  Norm
-bookkeeping (largest radius, largest deviation from the sphere) is reduced
+every chunk to normals (the inverse CDF releases the interpreter lock).  A
+block chooses each radial product's rule once and writes the products into
+buffers it reuses; each step stores its squared norms in the chunk's rows, and norm
+bookkeeping (largest radius, largest deviation from the sphere) roots them
 once per chunk.  Seeds and path ids are integers in [0, 2**64).
 """
 
@@ -63,6 +65,9 @@ __all__ = [
 
 _BLOCK = 4096
 _CLAMP = 1.0 - 1e-15
+# 1 + 2u, the double after 1 (u = 2**-53): |x|^2 > _ABOVE_ONE iff the correctly rounded
+# sqrt(|x|^2) > 1, as sqrt(1 + 2u) rounds to 1 and sqrt(1 + 4u) to 1 + 2u.
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
 # How far |x0| may miss the state space: the paths keep unit norm to about 1e-12.
 _X0_TOL = 1e-12
 # Noise values (float64, 4 MiB) in one chunk; a block holds two chunks at most,
@@ -264,7 +269,9 @@ def _half_turn(phi, s):
     (V, phi W) / |(V, phi W)|, without trigonometry, so their bits do not depend
     on numpy's SIMD atan2, cos and sin, which differ between builds and CPUs.
     Every row takes degree 13 where expm_skew may take 5 or 9, so results
-    differ from its by about an ulp.
+    differ from its by about an ulp.  phi may stack several angles per path,
+    (k, B) against s's (B,): every op is elementwise, so each angle's bits are
+    those of a call of its own.
     """
     phi = np.ldexp(phi, -s)
     x = -phi * phi
@@ -274,9 +281,11 @@ def _half_turn(phi, s):
     w *= phi
     r = np.sqrt(v * v + w * w)
     co, si = v / r, w / r
-    turned = s > 0
-    beta = np.ldexp(np.arctan2(w[turned], v[turned]), s[turned])
-    co[turned], si[turned] = np.cos(beta), np.sin(beta)
+    if s.any():
+        s = np.broadcast_to(s, phi.shape)
+        turned = s > 0
+        beta = np.ldexp(np.arctan2(w[turned], v[turned]), s[turned])
+        co[turned], si[turned] = np.cos(beta), np.sin(beta)
     return co, si
 
 
@@ -361,8 +370,7 @@ def _rot4_apply(w, X):
     um = (0.5 * (m01 - m23), 0.5 * (m02 + m13), 0.5 * (m03 - m12))
     tp = np.sqrt(up[0] * up[0] + up[1] * up[1] + up[2] * up[2])
     tm = np.sqrt(um[0] * um[0] + um[1] * um[1] + um[2] * um[2])
-    c1, s1 = _half_turn(tp + tm, s)
-    c2, s2 = _half_turn(tp - tm, s)
+    (c1, c2), (s1, s2) = _half_turn(np.stack((tp + tm, tp - tm)), s)
     Y = _isoclinic(um, tm, c1 * c2 + s1 * s2, s1 * c2 - c1 * s2, X, False)
     return _isoclinic(up, tp, c1 * c2 - s1 * s2, s1 * c2 + c1 * s2, Y, True)
 
@@ -415,9 +423,15 @@ def _streams(seed, path_ids):
 
     ISeedSequence.register(_PathKey)
     key = _PathKey(_check_key(seed, "seed"))
+    if isinstance(path_ids, range):
+        # A range holds only integers, none outside its two ends.
+        for p in (path_ids[0], path_ids[-1]) if path_ids else ():
+            _check_key(p, "path_id")
+    else:
+        path_ids = [_check_key(p, "path_id") for p in path_ids]
     streams = []
     for p in path_ids:
-        key.words[1] = _check_key(p, "path_id")
+        key.words[1] = p
         streams.append(np.random.Generator(np.random.Philox(key)))
     return streams
 
@@ -483,35 +497,52 @@ def _psd_sqrt(alpha, d):
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
 
 
-def _sq_norms(X):
+def _sq_norms(X, out=None):
     """|x|^2 of each path x, a column of X: the squares of its d rows summed left to right.
 
     The order is the same at every d and on every build, where ``add.reduce``
-    and ``einsum`` pick theirs by d and by the CPU.
+    and ``einsum`` pick theirs by d and by the CPU.  The sums go into ``out``
+    if it is given.
     """
     sq = X * X
-    for row in sq[1:]:
-        sq[0] += row
-    return sq[0]
+    # x^2 + 0.0 is x^2: a square is never -0.
+    out = np.add(sq[0], sq[1] if len(sq) > 1 else 0.0, out=out)
+    for row in sq[2:]:
+        out += row
+    return out
 
 
-def _times_paths(M, X):
-    """M @ X, each entry rounded as in a product of at least two rows and two paths.
+def _product(M, B):
+    """``f(X)``: M @ X for X of B paths (columns), in one buffer that every call reuses.
 
+    Each entry is rounded as in a product of at least two rows and two paths.
     numpy multiplies a single row or a single column by BLAS gemv, which
     rounds otherwise than gemm, so a lone row of M (the d = 2 rotation's one
     upper entry) or a lone path of X goes in twice.  A one-column M has no
     sum: each entry is gemm's 0 + M[i, 0] X[0, j], here from one outer
-    product, the 0 added so that a -0 product reads +0 as gemm's does.
+    product, the 0 added so that a -0 product reads +0 as gemm's does.  The
+    rule depends only on M's shape and B, so it is chosen here, once.
     """
+    rows = len(M)
     if M.shape[1] == 1:
-        out = np.multiply.outer(M[:, 0], X[0])
-        out += 0.0
-        return out
-    rows, paths = len(M), X.shape[1]
-    if rows > 1 and paths > 1:
-        return M @ X
-    return (np.tile(M, (1 + (rows == 1), 1)) @ np.tile(X, 1 + (paths == 1)))[:rows, :paths]
+        col, out = M[:, 0], np.empty((rows, B))
+
+        def outer(X):
+            return np.add(np.multiply.outer(col, X[0], out=out), 0.0, out=out)
+        return outer
+    if rows > 1 and B > 1:
+        out = np.empty((rows, B))
+        return lambda X: np.matmul(M, X, out=out)
+    M = np.tile(M, (1 + (rows == 1), 1))
+    out = np.empty((len(M), B + (B == 1)))
+    if B == 1:
+        return lambda X: np.matmul(M, np.tile(X, 2), out=out)[:rows, :1]
+    return lambda X: np.matmul(M, X, out=out)[:rows]
+
+
+def _times_paths(M, X):
+    """M @ X by the rule of :func:`_product`, in a new array."""
+    return _product(M, X.shape[1])(X)
 
 
 def _rotation(drive, h):
@@ -583,6 +614,17 @@ def _noise_chunks(streams, n_steps, chunk, n_cols, sqh, stats):
         helper.shutdown(wait=True, cancel_futures=True)
 
 
+def _radii(r2):
+    """Each path's largest radius, and the largest |radius - 1|, of (k, B) squared norms.
+
+    sqrt(max |x|^2) and max(sqrt(max |x|^2) - 1, 1 - sqrt(min |x|^2)) take two
+    roots in place of k B: a correctly rounded sqrt, x - 1 and 1 - x are
+    monotone, so the results are those of rooting every entry.
+    """
+    top = np.sqrt(r2.max(axis=0))
+    return top, max(top.max() - 1.0, 1.0 - np.sqrt(r2.min()))
+
+
 def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, stats=None):
     """Advance a block of paths; the radial substep runs iff bhat is not None.
 
@@ -590,10 +632,14 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     states X are (d, B), a path per column; steps read the path-major noise
     chunks, already scaled by sqrt(h) (see :func:`_noise_chunks`), through
     transposed views, and |X|^2 is not recomputed where X did not move.  The
-    norms of a chunk's states are reduced into the running maxima once per
-    chunk, and ``sink(i, states)``, if given, receives them from grid point i
-    on, a new (B, k, d) array with x0 leading the first.  Counts and times are
-    added to ``stats`` (see :class:`EnsembleResult`).
+    radial substep's two products choose their rule once per block and write
+    into a buffer each (:func:`_product`).  Every step stores its |X|^2 in a row of the
+    chunk's norms, rooted once per chunk (:func:`_radii`); the clamp compares
+    |x|^2 with the double after 1, which is the test sqrt(|x|^2) > 1
+    (``_ABOVE_ONE``), so only clamped paths are rooted.  ``sink(i, states)``,
+    if given, receives each chunk's states from grid point i on, a new
+    (B, k, d) array with x0 leading the first.  Counts and times are added
+    to ``stats`` (see :class:`EnsembleResult`).
     """
     stats = _new_stats() if stats is None else stats
     d = drive.d
@@ -604,14 +650,15 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     if radial:
         # One (d, B) copy: adding it costs half of broadcasting a column.
         bhat = np.repeat(bhat[:, None], B, axis=1)
+        drift, kick, fac = _product(Bhat, B), _product(sqrt_alpha, B), np.empty(B)
     chunk = min(n_steps, max(1, _NOISE_VALUES // (B * max(1, n_cols))))
-    norms, fac = np.empty((chunk, B)), np.empty(B)
+    norms = np.empty((chunk, B))
 
     X = np.array(np.asarray(x0s, dtype=float).T, order="C")
     rotate = _rotation(drive, h)
     r2 = _sq_norms(X)
-    max_radius = np.sqrt(r2)
-    max_norm_dev = np.abs(max_radius - 1.0).max() if not radial else 0.0
+    max_radius, max_norm_dev = _radii(r2[None])
+    max_norm_dev = 0.0 if radial else max_norm_dev
     clamps = 0
 
     chunks = _noise_chunks(streams, n_steps, chunk, n_cols, np.sqrt(h), stats)
@@ -626,32 +673,30 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
             for j in range(steps):
                 if rotate is not None:
                     X = rotate(noise[:, j, :m].T, X)
-                    r2 = _sq_norms(X)
-                nrm = norms[j]
+                    r2 = _sq_norms(X, norms[j])
                 if radial:
                     np.sqrt(np.maximum(np.subtract(1.0, r2, out=fac), 0.0, out=fac), out=fac)
-                    tmp = _times_paths(Bhat, X)
+                    tmp = drift(X)
                     tmp += bhat
                     tmp *= h
                     X += tmp
-                    tmp = _times_paths(sqrt_alpha, noise[:, j, m:].T)
+                    tmp = kick(noise[:, j, m:].T)
                     tmp *= fac
                     X += tmp
-                    r2 = _sq_norms(X)
-                np.sqrt(r2, out=nrm)
-                if radial and nrm.max() > 1.0:
-                    over = nrm > 1.0
-                    clamps += int(over.sum())
-                    X[:, over] *= _CLAMP / nrm[over]
-                    r2[over] = _sq_norms(X[:, over])
-                    nrm[over] = np.sqrt(r2[over])
+                    r2 = _sq_norms(X, norms[j])
+                    if r2.max() > _ABOVE_ONE:
+                        over = r2 > _ABOVE_ONE
+                        clamps += int(over.sum())
+                        X[:, over] *= _CLAMP / np.sqrt(r2[over])
+                        r2[over] = _sq_norms(X[:, over])
+                elif rotate is None:
+                    norms[j] = r2    # a sphere path that does not move
                 if sink is not None:
                     piece[:, lead + j] = X.T
-            done = norms[:steps]
-            np.maximum(max_radius, done.max(axis=0), out=max_radius)
+            top, dev = _radii(norms[:steps])
+            np.maximum(max_radius, top, out=max_radius)
             if not radial:
-                done -= 1.0
-                max_norm_dev = max(max_norm_dev, np.abs(done, out=done).max())
+                max_norm_dev = max(max_norm_dev, dev)
             stats["step_s"] += perf_counter() - t0
             stats["chunks"] += 1
             stats["chunk_steps"] = max(stats["chunk_steps"], steps)

@@ -621,3 +621,24 @@ def test_validate_tol_reaches_the_boundary_step(tmp_path):
                                  "argmax": report.argmax.tolist()}
         statuses.append(j["boundary"]["status"])
     assert statuses == ["MayAttainBoundary", "InteriorInvariant"]
+
+
+def test_the_one_parser_serves_every_call_alike():
+    # main builds its parser once per process; a usage error in between
+    # leaves no trace in it, and defaults do not carry over from one call.
+    from quadricdiff import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    good = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1", "--x0", "[0.1,0.2]",
+            "--T", "0.01", "--h", "1e-3", "--paths", "3", "--seed", "4"]
+    first = run(good)
+    assert first[0] == 0 and json.loads(first[1])["n_paths"] == 3
+    for bad in (["simulate", "--scheme", "ball", "--paths", "5", "--T", "soon"],
+                ["simulate", "--scheme", "bogus"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+    assert run(good) == first
+    # --paths takes its default again
+    assert run_json(good[:-4] + good[-2:])["n_paths"] == 1
+    assert run(good) == first

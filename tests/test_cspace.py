@@ -1,6 +1,7 @@
 import json
 from contextlib import redirect_stdout
 from io import StringIO
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -455,3 +456,28 @@ def test_a_negative_dimension_is_refused():
     for call in (lambda: cmap_from_h(np.eye(6), -3), lambda: trace_form(np.eye(6), -3)):
         with pytest.raises(ValueError, match="^d must be nonnegative, got -3"):
             call()
+
+
+def _k_matrix_by_pairs(quad, d):
+    """K_(i,j,k,l) entry by entry: +1 at (ij, kl) and (il, jk), -1 at (ik, jl), symmetric."""
+    i, j, k, l = quad
+    K = np.zeros((skew_dim(d), skew_dim(d)))
+    for (a, b), (c, e), sign in (((i, j), (k, l), 1.0), ((i, k), (j, l), -1.0),
+                                 ((i, l), (j, k), 1.0)):
+        p, q = pi_index(a, b, d) - 1, pi_index(c, e, d) - 1
+        K[p, q] = K[q, p] = sign
+    return K
+
+
+def test_k_matrix_is_the_kernel_operator_of_one_quad():
+    # k_matrix is _PluckerKernel's combine of a one-hot vector, with the
+    # bits of the entry-by-entry matrix, -0 nowhere
+    for d in range(4, 10):
+        for quad in combinations(range(1, d + 1), 4):
+            assert k_matrix(quad, d).tobytes() == _k_matrix_by_pairs(quad, d).tobytes(), quad
+    for quad in ((1, 2, 3, 3), (0, 1, 2, 3), (1, 2, 3, 7), (2, 1, 3, 4), (1.0, 2, 3, 4),
+                 (True, 2, 3, 4), (1, 2, 3, np.float64(4))):
+        with pytest.raises(ValueError, match="quad must be strictly increasing"):
+            k_matrix(quad, 6)
+    with pytest.raises(ValueError, match="quad must be strictly increasing"):
+        k_matrix((1, 2, 3, 4), 6.0)

@@ -970,3 +970,154 @@ def test_one_step_larger_than_a_chunk_caps_the_block(monkeypatch):
     assert kept.terminal.tobytes() == whole.terminal.tobytes()
     assert firsts == [(i, 1) for i in range(8) for _ in range(10)]
     assert alive == [1] * 80 and kept.stats["noise_bytes"] == 2 * 6 * 8
+
+
+def _doubles_near_one(ulps):
+    """Every double within ``ulps`` ulps of 1, in order (ulps of the double above)."""
+    one = np.array(1.0).view(np.int64)
+    return (one + np.arange(-ulps, ulps + 1)).view(np.float64)
+
+
+def test_clamp_threshold_is_the_rooted_test():
+    # The clamp compares |x|^2 with the double after 1 instead of rooting
+    # every path: the same verdict as sqrt(|x|^2) > 1 on every double near 1.
+    r2 = _doubles_near_one(4000)
+    assert np.array_equal(r2 > simulate._ABOVE_ONE, np.sqrt(r2) > 1.0)
+    # 1 + 2u roots to 1, 1 + 4u to 1 + 2u: the threshold is neither 1 nor 1 + 4u
+    assert simulate._ABOVE_ONE == 1.0 + 2.0 ** -52
+
+
+def test_chunk_radii_equal_the_rooted_step_maxima():
+    # Per-chunk roots of the largest and smallest |x|^2 give each path's
+    # largest radius and the largest deviation from the sphere of rooting
+    # every entry, with ties and entries a few ulps either side of 1.
+    gen = np.random.default_rng(97)
+    near = _doubles_near_one(6)
+    for k, B in ((1, 1), (1, 5), (7, 1), (40, 33)):
+        for spread in (0.0, 1e-15, 1e-9, 0.5):
+            for _ in range(20):
+                r2 = gen.choice(near, size=(k, B)) + spread * gen.standard_normal((k, B))
+                r2 = np.abs(r2)
+                r2[gen.random((k, B)) < 0.2] = r2.flat[0]    # ties
+                top, dev = simulate._radii(r2)
+                roots = np.sqrt(r2)
+                assert top.tobytes() == roots.max(axis=0).tobytes()
+                assert np.float64(dev).tobytes() == np.abs(roots - 1.0).max().tobytes()
+    # each side of the deviation decides once
+    assert simulate._radii(np.array([[1.0 - 2.0 ** -52, 1.0 + 2.0 ** -50]]).T)[1] == 2.0 ** -51
+    assert simulate._radii(np.array([[1.0 - 2.0 ** -50, 1.0 + 2.0 ** -51]]).T)[1] == 2.0 ** -51
+
+
+def test_stacked_half_turns_equal_one_call_each():
+    # _rot4_apply turns both eigen-planes by one call on a (2, B) stack.
+    gen = np.random.default_rng(41)
+    B = 3000
+    phi = gen.standard_normal((2, B)) * np.repeat([1e-8, 0.5, 3.0, 30.0, 1e6, 1e15], B // 6)
+    s = simulate._squarings(np.abs(phi).max(axis=0))
+    assert (s == 0).sum() > 1000 and (s > 0).sum() > 1000 and s.max() >= 45
+    for rows in (slice(None), s == 0, s > 0):
+        got = simulate._half_turn(phi[:, rows], s[rows])
+        for i in range(2):
+            want = simulate._half_turn(phi[i, rows], s[rows])
+            assert got[0][i].tobytes() == want[0].tobytes()
+            assert got[1][i].tobytes() == want[1].tobytes()
+
+
+def _clamp_heavy_cases():
+    """(name, drive, x0, ball arguments or None, n_paths, n_steps, h)."""
+    cases = []
+    for d in (1, 2, 3, 4):
+        # kappa / nu^2 = 0.05, from the sphere: most steps overshoot it
+        drive = SkewDrive.zero(1) if d == 1 else SkewDrive.elementary(
+            d, a0=0.4 * skew_basis(d)[-1])
+        cases.append((f"scalar ball d{d}", drive, np.eye(d)[-1],
+                      (np.zeros(d), -0.05 * np.eye(d), np.eye(d)), 48, 40, 1e-2))
+    for d in (2, 3, 4, 5, 6):
+        x0 = np.ones(d) / np.sqrt(d)
+        cases.append((f"sphere d{d}", SkewDrive.elementary(d, a0=0.3 * skew_basis(d)[0]),
+                       x0, None, 24, 30, 1e-2))
+    return cases
+
+
+@pytest.mark.parametrize("noise_values", [1 << 20, 97])
+def test_clamp_heavy_balls_and_spheres_match_reference_loop(monkeypatch, noise_values):
+    monkeypatch.setattr(simulate, "_NOISE_VALUES", noise_values)
+    for name, drive, x0, ball, n, steps, h in _clamp_heavy_cases():
+        radial = (None, None, None)
+        if ball is not None:
+            bhat, Bhat, sqa, x0 = simulate._ball_args(*ball, drive, x0)
+            radial = (bhat, Bhat, sqa)
+        x0s = np.tile(x0, (n, 1))
+        got_paths = np.empty((n, steps + 1, drive.d))
+        ref_paths = np.empty_like(got_paths)
+
+        def into(i, states):
+            got_paths[:, i:i + states.shape[1]] = states
+
+        stats = simulate._new_stats()
+        got = simulate._run_block(drive, x0s, steps, h, simulate._streams(5, range(n)),
+                                  *radial, into, stats)
+        ref = _reference_run_block(drive, x0s, steps, h, _reference_streams(5, range(n)),
+                                   *radial, ref_paths, noise_values)
+        for g, r in zip(got[:3], ref[:3]):
+            assert np.asarray(g).tobytes() == np.asarray(r).tobytes(), name
+        assert got[3] == ref[3] == stats["clamps"], name
+        assert got_paths.tobytes() == ref_paths.tobytes(), name
+        if ball is not None:
+            assert ref[3] > 0.1 * n * steps, f"{name} must clamp often"
+        else:
+            assert 0.0 < ref[2] < 1e-14, name
+
+
+def _gemm_product(M, B):
+    return lambda X: _gemm_times_paths(M, X)
+
+
+def test_block_products_have_gemm_bits(monkeypatch):
+    # The rule chosen once per block gives each product gemm's bits, call
+    # after call through its one buffer.
+    gen = np.random.default_rng(72)
+    for rows in (1, 3, 6):
+        for cols in (1, 3):
+            for paths in (1, 2, 4096):
+                M = gen.standard_normal((rows, cols))
+                M[gen.random(M.shape) < 0.3] = -0.0
+                prod = simulate._product(M, paths)
+                for _ in range(3):
+                    X = gen.standard_normal((cols, 2 * paths))[:, ::2]   # a strided view
+                    X[gen.random(X.shape) < 0.3] = gen.choice([0.0, -0.0])
+                    assert prod(X).tobytes() == _gemm_times_paths(M, X).tobytes()
+    # and end to end: ball, one-path and d = 2 (one upper entry) runs; the
+    # d = 1 ball from x0 = +-0 with b = 0, whose first radial product is
+    # Bhat x0 = -0 or +0; one-direction sphere drives at d = 2, 3, 4
+    drive, x0, ball = _clamping_ball(3, 8)
+    runs = [lambda: kept_run(ball_ensemble, *ball, drive, x0, 0.1, 1e-2, 5, 6),
+            lambda: kept_run(ball_ensemble, *ball, drive, x0, 0.1, 1e-2, 5, 1),
+            lambda: kept_run(sphere_ensemble, SkewDrive.elementary(2), [0.6, 0.8],
+                             0.05, 1e-3, 5, 4)]
+    jacobi = (np.zeros(1), -2.0 * np.eye(1), 0.49 * np.eye(1), SkewDrive.zero(1))
+    runs += [lambda x0=x0: kept_run(ball_ensemble, *jacobi, [x0], 0.05, 1e-3, 5, 9)
+             for x0 in (0.0, -0.0)]
+    runs += [lambda d=d: kept_run(sphere_ensemble, SkewDrive(np.zeros((d, d)), skew_basis(d)[:1]),
+                                  np.eye(d)[0], 0.05, 1e-3, 5, 9) for d in (2, 3, 4)]
+    got = [run() for run in runs]
+    monkeypatch.setattr(simulate, "_product", _gemm_product)
+    for (result, paths), run in zip(got, runs):
+        ref, ref_paths = run()
+        assert result.terminal.tobytes() == ref.terminal.tobytes()
+        assert paths.tobytes() == ref_paths.tobytes()
+
+
+def test_a_range_of_path_ids_is_checked_at_its_ends():
+    with pytest.raises(ValueError, match="^path_id must be an integer") as err:
+        simulate._streams(7, range(2 ** 64 - 1, 2 ** 64 + 1))
+    assert "18446744073709551616" in str(err.value)
+    with pytest.raises(ValueError, match="^path_id must be an integer"):
+        simulate._streams(7, range(-1, 2))
+    with pytest.raises(ValueError, match="^path_id must be an integer"):
+        simulate._streams(7, range(2 ** 64 + 2, 2 ** 64 - 2, -3))
+    assert simulate._streams(7, range(0)) == []
+    # a range's streams are those of its ids one by one
+    ids = range(2 ** 64 - 5, 2 ** 64, 2)
+    for a, b in zip(simulate._streams(7, ids), simulate._streams(7, list(ids))):
+        assert a.random(4).tobytes() == b.random(4).tobytes()

@@ -30,24 +30,42 @@ def _step_script(name):
     return textwrap.dedent("\n".join(body)) + "\n"
 
 
-def test_console_script_step_runs(tmp_path):
-    # The package is not installed here: a quadricdiff on PATH runs the CLI
-    # from the source tree in place of the step's editable install.
-    script = "".join(line + "\n" for line in _step_script("Console script").splitlines()
-                     if "pip install" not in line)
-    assert script.count("quadricdiff ") >= 6, script
-    shims = tmp_path / "bin"
-    shims.mkdir()
-    (shims / "quadricdiff").write_text(
-        f"#!{sys.executable}\nimport sys\nfrom quadricdiff.cli import main\nsys.exit(main())\n")
-    (shims / "quadricdiff").chmod(0o755)
-    (shims / "python").symlink_to(sys.executable)
-    env = dict(os.environ, RUNNER_TEMP=str(tmp_path),
+def _runnable_script(name):
+    """The step's script less its ``pip install`` lines: nothing is installed here."""
+    return "".join(line + "\n" for line in _step_script(name).splitlines()
+                   if "pip install" not in line)
+
+
+def _run_script(script, runner_temp, **run):
+    """Run a step's script as GitHub runs a bash step, in the source tree; a CompletedProcess.
+
+    A ``quadricdiff`` on PATH runs the CLI from ``src/`` in place of the
+    step's editable install, next to ``python`` and ``python3`` links to
+    this interpreter.  ``RUNNER_TEMP`` is ``runner_temp``; ``run`` goes to
+    ``subprocess.run``.
+    """
+    shims = os.path.join(runner_temp, "bin")
+    os.makedirs(shims, exist_ok=True)
+    cli = os.path.join(shims, "quadricdiff")
+    with open(cli, "w") as fh:
+        fh.write(f"#!{sys.executable}\nimport sys\nfrom quadricdiff.cli import main\n"
+                 "sys.exit(main())\n")
+    os.chmod(cli, 0o755)
+    for link in ("python", "python3"):
+        if not os.path.lexists(os.path.join(shims, link)):
+            os.symlink(sys.executable, os.path.join(shims, link))
+    env = dict(os.environ, RUNNER_TEMP=str(runner_temp),
                PATH=f"{shims}{os.pathsep}{os.environ.get('PATH', '')}",
                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                         os.environ.get("PYTHONPATH")])))
     # GitHub runs a bash step as: bash --noprofile --norc -eo pipefail {0}
-    r = subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
-                       cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run(["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
+                          cwd=ROOT, env=env, **run)
+
+
+def test_console_script_step_runs(tmp_path):
+    script = _runnable_script("Console script")
+    assert script.count("quadricdiff ") >= 6, script
+    r = _run_script(script, tmp_path, capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stdout + r.stderr
     assert (tmp_path / "p.csv").is_file()

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from . import generator, liealg, model as model_mod, simulate as sim, sos
-from .cspace import _check_h, _float_array, _symmetric_part
+from .cspace import _check_h, _float_array
 from .skew import skew_dim
 
 __all__ = ["main"]
@@ -84,23 +84,6 @@ def _load_model(path):
         return model_mod.model_from_json(json.load(fh))
 
 
-def _drive_from_model(mdl, tol):
-    """(skew drive (A_0; A_1..A_r), None) from a model, or (None, the JSON refusal).
-
-    A_0 is the skew part of B and A_1..A_r the SOS witness's factors.  The
-    drive drops B_sym, so the model's drift must first pass ``validate``'s check.
-    """
-    ok, drift = model_mod._drift_check(mdl, tol)
-    if not ok:
-        return None, {"error": f"the {mdl.space} model's drift fails validation",
-                      "drift": drift}
-    verdict = sos.sos_check(mdl.H, tol=tol)
-    if verdict.status != sos.FEASIBLE:
-        return None, {"error": "no sum-of-squares representation found",
-                      "sos_status": verdict.status}
-    return sim.SkewDrive(0.5 * (mdl.B - mdl.B.T), np.array(verdict.factors)), None
-
-
 def _cmd_dims(args):
     d = args.d
     return _json_out({
@@ -114,7 +97,7 @@ def _cmd_dims(args):
 def _cmd_validate(args):
     mdl = _load_model(args.model)
     ball = mdl.space == "ball"
-    tol = (1e-7 if ball else 1e-9) if args.tol is None else args.tol
+    tol = model_mod._DEFAULT_TOL[mdl.space] if args.tol is None else args.tol
     report = (model_mod.validate_ball if ball else model_mod.validate_sphere)(mdl, tol)
     out = dict(vars(report), space=mdl.space)
     if ball:
@@ -217,8 +200,8 @@ def _cmd_simulate(args):
         if args.scheme not in ("scalar", mdl.space):
             raise ValueError(f"--scheme {args.scheme} needs a {args.scheme} model, "
                              f"got a {mdl.space} model")
-        drive, refusal = _drive_from_model(mdl, args.tol)
-        if drive is None:
+        drive, Bhat, refusal = model_mod._simulator_drive(mdl, args.tol)
+        if refusal:
             return _json_out(refusal)
     with _CsvFile(args.out, len(x0)) as csv:
         # With --keep-paths the CSV writer is the ensemble's sink.
@@ -229,10 +212,6 @@ def _cmd_simulate(args):
         elif args.scheme == "sphere":
             result = sim.sphere_ensemble(drive, *run)
         else:
-            # The rotation substep contributes the Ito drift (A_0 + 1/2 sum A_p^2) x,
-            # with A_0 the skew part of B; the radial substep supplies the rest of b + Bx.
-            corr = sum(A.T @ A for A in drive.diffusion) if drive.n_diffusion else 0.0
-            Bhat = _symmetric_part(mdl.B) + 0.5 * corr
             result = sim.ball_ensemble(mdl.b, Bhat, mdl.alpha, drive, *run)
         if to_csv and not args.keep_paths:
             _write_paths(csv, 0, result.times[-1:], result.terminal[:, None, :])
@@ -268,13 +247,12 @@ def _cmd_twin(args):
 def _cmd_density(args):
     mdl = _load_model(args.model)
     x0 = _parse_vector(args.x0)
-    drive, refusal = _drive_from_model(mdl, args.tol)
-    if drive is None:
+    drive, _, refusal = model_mod._simulator_drive(mdl, args.tol)
+    if refusal:
         return _json_out(refusal)
-    if mdl.space == "sphere":
-        report = liealg.density_check_sphere(drive, x0, args.tol)
-    else:
-        report = liealg.density_check_ball(drive, mdl.alpha, x0, args.tol)
+    tol = 1e-9 if args.tol is None else args.tol
+    report = (liealg.density_check_sphere(drive, x0, tol) if mdl.space == "sphere" else
+              liealg.density_check_ball(drive, mdl.alpha, x0, tol))
     return _json_out(dict(vars(report), space=mdl.space))
 
 
@@ -294,6 +272,9 @@ def _build_parser():
         description="Polynomial diffusions on the unit ball and sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --tol of the commands that admit a model, as validate does
+    model_tol = dict(type=_tolerance, default=None, help="drift tolerance of the model's "
+                     "admission: default 1e-7 for a ball model, 1e-9 for a sphere model")
 
     p = sub.add_parser("dims", help="dimension formulas for the coefficient space")
     p.add_argument("--d", type=int, required=True)
@@ -301,8 +282,7 @@ def _build_parser():
 
     p = sub.add_parser("validate", help="admissibility checks for a model file")
     p.add_argument("--model", required=True)
-    p.add_argument("--tol", type=_tolerance, default=None,
-                   help="default 1e-7 for a ball model, 1e-9 for a sphere model")
+    p.add_argument("--tol", **model_tol)
     p.set_defaults(func=_cmd_validate)
 
     for name, fn in (("sos-check", _cmd_sos_check), ("decompose", _cmd_decompose)):
@@ -338,7 +318,7 @@ def _build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", **model_tol)
     p.add_argument("--keep-paths", action="store_true",
                    help="write every state, not only the terminal ones; needs a .csv --out")
     p.add_argument("--out", default=None)
@@ -358,7 +338,8 @@ def _build_parser():
     p = sub.add_parser("density", help="smooth-density criterion for a model")
     p.add_argument("--model", required=True)
     p.add_argument("--x0", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", **dict(model_tol, help=model_tol["help"] + ", and tolerance of "
+                                   "the membership test: default 1e-9"))
     p.set_defaults(func=_cmd_density)
     return parser
 

@@ -285,27 +285,23 @@ def _secular_max(M, b):
 
 
 def _positivity(H, d):
-    """Three-valued positivity of c_H: verified, refuted, or unverified."""
+    """(positivity, details, SOS verdict) of c_H; positivity is verified, refuted or unverified."""
     verdict = _sos.sos_check(H, max_iter=20000)
     if verdict.status == _sos.FEASIBLE:
-        return "verified", {"sos_status": verdict.status}
+        return "verified", {"sos_status": verdict.status}, verdict
     screen = _sos.nonneg_check(H)
     if screen.negative:
-        return "refuted", {
-            "sos_status": verdict.status,
-            "negative_value": screen.min_value,
-            "witness_x": screen.x,
-            "witness_y": screen.y,
-        }
+        return "refuted", {"sos_status": verdict.status, "negative_value": screen.min_value,
+                           "witness_x": screen.x, "witness_y": screen.y}, verdict
     if verdict.status == _sos.INFEASIBLE and d <= 4:
         # Below dimension five a nonnegative form is always a sum of squares,
         # so SOS infeasibility refutes positivity outright.
-        return "refuted", {"sos_status": verdict.status, "sos_complete_dim": True}
-    return "unverified", {"sos_status": verdict.status, "min_found": screen.min_value}
+        return "refuted", {"sos_status": verdict.status, "sos_complete_dim": True}, verdict
+    return "unverified", {"sos_status": verdict.status, "min_found": screen.min_value}, verdict
 
 
 def _drift_check(model, tol, boundary=False):
-    """(pass, details) of a model's drift condition, where tr c_H(x) = x.C.x.
+    """The report, with its "pass", of a model's drift condition, where tr c_H(x) = x.C.x.
 
     Ball: max over the unit sphere of ``b.x + x.(B_sym + C/2).x`` <= tol, with
     alpha added to the matrix for the ``boundary`` inequality.  Sphere: the
@@ -323,10 +319,9 @@ def _drift_check(model, tol, boundary=False):
     if not np.all(np.isfinite(value)):
         raise ValueError(f"the {condition} exceeds the float range")
     if sphere:
-        return value <= tol, {"pass": value <= tol, "residual": value}
+        return {"pass": value <= tol, "residual": value}
     quad = sphere_max_quadratic(M, model.b)
-    ok = quad.max_value <= tol
-    return ok, {"pass": ok, "max_value": quad.max_value, "argmax": quad.argmax}
+    return {"pass": quad.max_value <= tol, "max_value": quad.max_value, "argmax": quad.argmax}
 
 
 def validate_ball(model, tol=1e-7):
@@ -339,23 +334,7 @@ def validate_ball(model, tol=1e-7):
     ValueError naming the inequality if its matrix exceeds the float range,
     or ``tol`` if it is not a positive finite number.
     """
-    _check_number(tol, "tol")
-    d = model.d
-    w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if d else np.zeros(1)
-    alpha_ok = _alpha_psd(w)
-
-    positivity, pos_details = _positivity(model.H, d)
-    drift_ok, drift = _drift_check(model, tol)
-
-    return ValidationReport(
-        admissible=bool(alpha_ok and drift_ok and positivity != "refuted"),
-        positivity=positivity,
-        checks={
-            "alpha": {"pass": alpha_ok, "min_eig": float(w[0])},
-            "positivity": pos_details,
-            "drift": drift,
-        },
-    )
+    return _admission(model, tol)[0]
 
 
 def validate_sphere(model, tol=1e-9):
@@ -364,17 +343,51 @@ def validate_sphere(model, tol=1e-9):
     ``residual`` is twice the largest entry of B_sym + C/2, which does not
     overflow where B + B^T does; ValueError if it exceeds the float range, or
     naming ``tol`` if it is not a positive finite number."""
+    return _admission(model, tol)[0]
+
+
+# validate's drift tolerance for each space when none is given.
+_DEFAULT_TOL = {"ball": 1e-7, "sphere": 1e-9}
+
+
+def _admission(model, tol):
+    """(ValidationReport, SOS verdict) of a ball or sphere model, the one body of validate."""
     _check_number(tol, "tol")
-    identity_ok, identity = _drift_check(model, tol)
-    positivity, pos_details = _positivity(model.H, model.d)
-    return ValidationReport(
-        admissible=bool(identity_ok and positivity != "refuted"),
-        positivity=positivity,
-        checks={
-            "drift_identity": identity,
-            "positivity": pos_details,
-        },
-    )
+    drift = _drift_check(model, tol)
+    positivity, pos_details, verdict = _positivity(model.H, model.d)
+    admissible = drift["pass"] and positivity != "refuted"
+    if model.space == "sphere":
+        checks = {"drift_identity": drift, "positivity": pos_details}
+    else:
+        w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if model.d else np.zeros(1)
+        checks = {"alpha": {"pass": _alpha_psd(w), "min_eig": float(w[0])},
+                  "positivity": pos_details, "drift": drift}
+        admissible = admissible and checks["alpha"]["pass"]
+    return ValidationReport(bool(admissible), positivity, checks), verdict
+
+
+def _simulator_drive(model, tol=None):
+    """(SkewDrive, Bhat, None) that the simulators run for a model, or (None, None, refusal).
+
+    Admitted by :func:`_admission` at tol (None: validate's default).  The drive,
+    A_0 = skew(B) and the SOS witness A_1..A_r, drops B_sym: a failed drift check
+    or positivity short of "verified" is refused.  The rotation's Ito drift is
+    (A_0 + 1/2 sum A_p^2) x, so a ball's Bhat = B_sym + 1/2 sum A_p^T A_p.
+    """
+    from .simulate import SkewDrive  # simulate imports this module
+
+    report, verdict = _admission(model, _DEFAULT_TOL[model.space] if tol is None else tol)
+    drift = report.checks["drift_identity" if model.space == "sphere" else "drift"]
+    if not drift["pass"]:
+        return None, None, {"error": f"the {model.space} model's drift fails validation",
+                            "drift": drift}
+    if report.positivity != "verified":
+        return None, None, {"error": "no sum-of-squares representation found",
+                            "sos_status": verdict.status}
+    drive = SkewDrive(0.5 * (model.B - model.B.T), np.array(verdict.factors))
+    if model.space == "sphere":
+        return drive, None, None
+    return drive, _symmetric_part(model.B) + 0.5 * sum(A.T @ A for A in drive.diffusion), None
 
 
 def boundary_attainment(model, tol=1e-7):
@@ -394,8 +407,8 @@ def boundary_attainment(model, tol=1e-7):
 
 def _attainment(model, tol):
     """The sphere-maximum step of :func:`boundary_attainment`, for a validated model."""
-    ok, quad = _drift_check(model, tol, boundary=True)
-    status = "InteriorInvariant" if ok else "MayAttainBoundary"
+    quad = _drift_check(model, tol, boundary=True)
+    status = "InteriorInvariant" if quad["pass"] else "MayAttainBoundary"
     return AttainmentReport(status, float(quad["max_value"]), quad["argmax"])
 
 

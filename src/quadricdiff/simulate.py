@@ -18,10 +18,10 @@ closed form, path by path, without forming matrices (:func:`_rot2_apply`,
 :func:`_rot3_apply`, :func:`_rot4_apply`), by the angles it turns the
 eigen-planes by (:func:`_half_turn`); every d above 4 goes through
 :func:`expm_skew`.  Every rotation refuses a step whose 1-norm needs more than
-52 squarings (:func:`_squarings`).  Ball schemes interleave that rotation with
-an Euler-Maruyama radial substep, whose |x|^2, like every norm, is one
-left-to-right sum of squares (:func:`_sq_norms`).  Noise is
-counter-based: each path owns a Philox stream whose key is the uint64 pair
+52 squarings (:func:`_squarings`), an expm_skew one more than 3.  Ball schemes
+interleave that rotation with an Euler-Maruyama radial substep, whose |x|^2,
+like every norm, is one left-to-right sum of squares (:func:`_sq_norms`).
+Noise is counter-based: each path owns a Philox stream whose key is the uint64 pair
 (seed, path_id) and whose counter starts at 0, handed to Philox by one shared
 seed-sequence object rather than built from OS entropy (:func:`_streams`); the
 top 53 bits k of each draw give the midpoint (k + 1/2) * 2**-53 of a uniform
@@ -182,15 +182,17 @@ _PADE = {
           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0],
          5.371920351148152),
 }
+# Past 3 squarings |expm_skew(M) x| misses 1 by over 16 u: the simulator refuses them.
+_EXPM_SQUARINGS = 3
 
 
-def _squarings(norm1):
+def _squarings(norm1, most=52):
     """Squaring count for each 1-norm: 0 up to theta_13, else ceil(log2(norm1 / theta_13)).
 
-    ValueError unless every 1-norm is finite and at most theta_13 * 2**52: s
+    ValueError unless every 1-norm is finite and at most theta_13 * 2**most: s
     squarings multiply the roundoff by 2**s, and past 52 no digit is left.
     """
-    top = _PADE[13][1] * 2.0 ** 52
+    top = _PADE[13][1] * 2.0 ** most
     if not np.all(norm1 <= top):
         raise ValueError(f"M must be finite with a 1-norm of at most {top:.3g}, "
                          f"got a 1-norm of {np.max(norm1):.3g}")
@@ -379,12 +381,14 @@ def _rot_expm(w, X):
     """expm_skew(M) X, path by path, for the skew M with upper entries w (d >= 5).
 
     einsum multiplies a contiguous (B, d) copy of X, so it keeps its order.
+    ValueError if a path's M needs more than ``_EXPM_SQUARINGS`` squarings.
     """
     d = len(X)
     rows, cols = _upper_indices(d)
     M = np.zeros((X.shape[1], d, d))
     M[:, rows, cols] = w.T
     M[:, cols, rows] = -w.T
+    _squarings(np.abs(M).sum(axis=1).max(axis=1), _EXPM_SQUARINGS)
     return np.einsum("bij,bj->bi", expm_skew(M), X.T.copy()).T.copy()
 
 
@@ -555,12 +559,13 @@ def _rotation(drive, h):
     by them is applied in closed form at d = 2, 3 and 4, every path with the
     degree-13 approximant and expm_skew's squaring count, and by
     :func:`_rot_expm` at d >= 5.  Each refuses a path whose 1-norm
-    :func:`_squarings` refuses.
+    :func:`_squarings` refuses, expm_skew past ``_EXPM_SQUARINGS``.
     """
     d, m = drive.d, drive.n_diffusion
     if m == 0:
         if not np.abs(drive.a0).max() > 0:
             return None
+        _squarings(np.abs(drive.a0 * h).sum(axis=0).max(keepdims=True), _EXPM_SQUARINGS)
         Q = expm_skew(drive.a0 * h)
         return lambda dW, X: _times_paths(Q, X)
     Avec = np.array([skew_to_vec(A) for A in drive.diffusion]).T

@@ -517,6 +517,54 @@ def test_simulate_with_model_runs_one_sos_check(model_files, monkeypatch, scheme
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name,x0,tol", [("sphere", "[1,0,0]", []), ("ball", "[0.5,0]", []),
+                                         ("ball", "[0.5,0]", ["--tol", "1e-3"])])
+def test_density_with_model_runs_one_sos_check_as_validate_does(model_files, monkeypatch,
+                                                                name, x0, tol):
+    # density admits the model as validate does: one sos_check, with validate's
+    # arguments, whatever --tol says
+    from quadricdiff import sos
+
+    calls = []
+    original = sos.sos_check
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sos, "sos_check", counting)
+    j = run_json(["density", "--model", str(model_files[name]), "--x0", x0] + tol)
+    assert j["has_smooth_density"] and j["space"] == name
+    assert calls == [{"max_iter": 20000}]
+
+
+def test_simulate_and_density_admit_the_models_that_validate_admits(model_files):
+    # The drift maximum over the sphere is 5e-8: admissible at validate's ball
+    # default 1e-7, which simulate and density now share.
+    mdl = BallModel(alpha=np.eye(2), H=[[1.0]], b=np.zeros(2), B=(-0.5 + 5e-8) * np.eye(2))
+    path = str(model_files["tmp"] / "edge_ball.json")
+    with open(path, "w") as fh:
+        fh.write(json.dumps(model_to_json(mdl)))
+    j = run_json(["validate", "--model", path])
+    assert j["admissible"] is True and j["positivity"] == "verified"
+    assert j["checks"]["drift"]["max_value"] == pytest.approx(5e-8)
+    j = run_json(["density", "--model", path, "--x0", "[0,0]"])
+    assert "error" not in j and j["has_smooth_density"] is True
+    # Admitted, the ball scheme's Bhat = B_sym + 1/2 A^T A = 5e-8 I is past the
+    # simulator's roundoff floor, and ball_ensemble refuses it itself.
+    run = ["--model", path, "--x0", "[0,0]", "--T", "0.1", "--h", "0.01", "--seed", "0"]
+    j = run_json(["simulate", "--scheme", "ball"] + run)
+    assert j == {"error": "Bhat must be negative semidefinite (max eig 5.00e-08)"}
+    j = run_json(["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + run)
+    assert j["scheme"] == "scalar"
+    # a --tol below the maximum refuses the model at admission, as validate does
+    assert run_json(["validate", "--model", path, "--tol", "1e-9"])["admissible"] is False
+    for argv in (["density", "--model", path, "--x0", "[0,0]"],
+                 ["simulate", "--scheme", "ball"] + run):
+        j = run_json(argv + ["--tol", "1e-9"])
+        assert j["error"] == "the ball model's drift fails validation", argv
+
+
 def test_simulate_ball_model_mean_matches_exact_moment(model_files):
     # The CLI maps the model's Ito drift b + Bx to the simulator's drive and
     # (bhat, Bhat); a wrong correction or a dropped skew part moves the mean by

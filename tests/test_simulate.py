@@ -887,7 +887,8 @@ def test_closed_form_rotation_matches_expm_skew(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_every_rotation_refuses_a_norm_past_52_squarings(d):
     # One refusal, in _squarings, for every kernel and for expm_skew: a row
-    # whose 1-norm is past theta_13 * 2**52, infinite or NaN.
+    # whose 1-norm is past theta_13 * 2**52, infinite or NaN.  The d >= 5
+    # kernel's expm_skew refuses past _EXPM_SQUARINGS already, by the same rule.
     kernel = _KERNELS.get(d, simulate._rot_expm)
     m = skew_dim(d)
     w = np.random.default_rng(d).standard_normal((4, m))
@@ -903,7 +904,46 @@ def test_every_rotation_refuses_a_norm_past_52_squarings(d):
             expm_skew(M)
         with pytest.raises(ValueError) as got:
             kernel(bad.T, X.T)
-        assert str(got.value) == str(want.value)
+        if d in _KERNELS:
+            assert str(got.value) == str(want.value)
+        else:
+            assert str(got.value).startswith("M must be finite with a 1-norm of at most 43, ")
+
+
+def _turning_ensemble(d, scale, diffusion, T=1.0):
+    G = np.random.default_rng(1).standard_normal((d, d))
+    noise = 0.1 * np.array(skew_basis(d)) if diffusion else np.zeros((0, d, d))
+    return sphere_ensemble(SkewDrive(scale * (G - G.T), noise), np.eye(d)[0], T, 0.1, 0, 64)
+
+
+def test_expm_rotations_refuse_past_the_norm_bound():
+    # expm_skew's norm drifts by about 2**s u after s squarings.  Without a cap,
+    # d = 5 with h A_0 of 1-norm 4.5e5 (17 squarings) read max_norm_dev 4.6e-11,
+    # and the drift-only Q at d = 3 (1-norm 3.0e5) 4.1e-11 by T = 10, against the
+    # 1e-12 sphere_ensemble keeps.  Both are refused now; the closed forms at
+    # d = 3 and 4 keep the sphere at the same sizes.
+    cap = "M must be finite with a 1-norm of at most 43, got a 1-norm of"
+    for d, scale, diffusion, T in ((5, 1e6, True, 1.0), (5, 1e9, True, 1.0),
+                                   (3, 1e6, False, 10.0)):
+        with pytest.raises(ValueError, match=cap):
+            _turning_ensemble(d, scale, diffusion, T)
+    for d in (3, 4):
+        assert _turning_ensemble(d, 1e6, True).max_norm_dev <= 1e-14
+    # The cap is theta_13 * 2**3: a 1-norm on it takes 3 squarings, one above it is refused.
+    top = simulate._PADE[13][1] * 2.0 ** simulate._EXPM_SQUARINGS
+    X = np.tile(np.eye(5)[0], (2, 1)).T
+    for norm1, ok in ((top, True), (np.nextafter(top, np.inf), False)):
+        w = np.zeros((skew_dim(5), 2))
+        w[0] = norm1
+        if ok:
+            assert np.abs(np.linalg.norm(simulate._rot_expm(w, X), axis=0) - 1).max() <= 1e-15
+            Q = simulate._rotation(SkewDrive(vec_to_skew(w[:, 0], 5), []), 1.0)
+            assert Q is not None
+        else:
+            with pytest.raises(ValueError, match=cap):
+                simulate._rot_expm(w, X)
+            with pytest.raises(ValueError, match=cap):
+                simulate._rotation(SkewDrive(vec_to_skew(w[:, 0], 5), []), 1.0)
 
 
 def test_expm_skew_refuses_a_norm_past_52_squarings():

@@ -11,7 +11,6 @@ import numpy as np
 from quadricdiff import (
     BallModel,
     SkewDrive,
-    boundary_attainment,
     scalar_ball_ensemble,
     twin_path_experiment,
     validate_ball,
@@ -22,8 +21,9 @@ drive = SkewDrive.zero(1)
 print("terminal boundary proximity, |X_T| > 1 - 1e-3, T = 5, 10^4 paths:")
 for kappa, nu in ((2.0, 1.0), (1.0, 1.0), (0.2, 1.0)):
     model = BallModel(alpha=[[nu ** 2]], H=np.zeros((0, 0)), b=[0.0], B=[[-kappa]])
-    assert validate_ball(model).admissible
-    att = boundary_attainment(model)
+    report = validate_ball(model)
+    assert report.admissible
+    att = report.boundary
     ens = scalar_ball_ensemble(kappa, nu, drive, np.array([0.0]), T=5.0, h=5e-3,
                                seed=11, n_paths=10_000)
     frac = np.mean(np.abs(ens.terminal[:, 0]) > 1 - 1e-3)

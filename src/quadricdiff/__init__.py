@@ -43,7 +43,6 @@ from .sos import (
 from .model import (
     BallModel,
     SphereModel,
-    boundary_attainment,
     model_from_json,
     sphere_max_quadratic,
     validate_ball,

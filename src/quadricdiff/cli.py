@@ -96,13 +96,8 @@ def _cmd_dims(args):
 
 def _cmd_validate(args):
     mdl = _load_model(args.model)
-    ball = mdl.space == "ball"
-    tol = model_mod._DEFAULT_TOL[mdl.space] if args.tol is None else args.tol
-    report = (model_mod.validate_ball if ball else model_mod.validate_sphere)(mdl, tol)
-    out = dict(vars(report), space=mdl.space)
-    if ball:
-        out["boundary"] = model_mod._attainment(mdl, tol) if report.admissible else None
-    return _json_out(out)
+    report, _ = model_mod._admission(mdl, args.tol)
+    return _json_out(dict(vars(report), space=mdl.space))
 
 
 def _cmd_sos_check(args):

@@ -22,7 +22,6 @@ __all__ = [
     "sphere_max_quadratic",
     "validate_ball",
     "validate_sphere",
-    "boundary_attainment",
     "model_from_json",
 ]
 
@@ -119,17 +118,18 @@ class SphereQuadReport:
 
 
 @dataclass
-class ValidationReport:
-    admissible: bool
-    positivity: str           # "verified" | "refuted" | "unverified"
-    checks: dict = field(default_factory=dict)
-
-
-@dataclass
 class AttainmentReport:
     status: str               # "InteriorInvariant" | "MayAttainBoundary"
     margin: float
     argmax: np.ndarray
+
+
+@dataclass
+class ValidationReport:
+    admissible: bool
+    positivity: str           # "verified" | "refuted" | "unverified"
+    checks: dict = field(default_factory=dict)
+    boundary: AttainmentReport | None = None   # an admissible ball model's; else None
 
 
 def a_eval(model, x):
@@ -324,59 +324,68 @@ def _drift_check(model, tol, boundary=False):
     return {"pass": quad.max_value <= tol, "max_value": quad.max_value, "argmax": quad.argmax}
 
 
-def validate_ball(model, tol=1e-7):
-    """Check admissibility of a ball model.
+def validate_ball(model, tol=None):
+    """Check admissibility of a ball model and, if it is admissible, boundary attainment.
 
     Conditions: alpha PSD by the simulators' floor (see ``_alpha_psd``); c_H
     positive semidefinite (three-valued, via the SOS check with a one-sided
     numerical screen as fallback); and the drift inequality max over the unit sphere of
-    ``b.x + x.(B_sym + C/2).x`` nonpositive, where tr c_H(x) = x.C.x.
-    ValueError naming the inequality if its matrix exceeds the float range,
-    or ``tol`` if it is not a positive finite number.
+    ``b.x + x.(B_sym + C/2).x`` <= tol (None: 1e-7), where tr c_H(x) = x.C.x.
+    ``boundary`` is InteriorInvariant iff the same maximum with alpha added to
+    the matrix is <= tol.  ValueError naming the inequality if its matrix
+    exceeds the float range, or ``tol`` if it is not a positive finite number.
     """
     return _admission(model, tol)[0]
 
 
-def validate_sphere(model, tol=1e-9):
+def validate_sphere(model, tol=None):
     """Check the sphere drift identity B + B^T + C = 0 and positivity of c_H.
 
     ``residual`` is twice the largest entry of B_sym + C/2, which does not
-    overflow where B + B^T does; ValueError if it exceeds the float range, or
-    naming ``tol`` if it is not a positive finite number."""
+    overflow where B + B^T does, against tol (None: 1e-9); ValueError if it
+    exceeds the float range, or naming ``tol`` if it is not a positive finite number."""
     return _admission(model, tol)[0]
 
 
-# validate's drift tolerance for each space when none is given.
 _DEFAULT_TOL = {"ball": 1e-7, "sphere": 1e-9}
 
 
-def _admission(model, tol):
-    """(ValidationReport, SOS verdict) of a ball or sphere model, the one body of validate."""
+def _admission(model, tol=None):
+    """(ValidationReport, SOS verdict) of a model, tol None taking its space's default.
+
+    The one body of validate: one SOS check, and an admissible ball model's boundary step.
+    """
+    tol = _DEFAULT_TOL[model.space] if tol is None else tol
     _check_number(tol, "tol")
     drift = _drift_check(model, tol)
     positivity, pos_details, verdict = _positivity(model.H, model.d)
     admissible = drift["pass"] and positivity != "refuted"
     if model.space == "sphere":
         checks = {"drift_identity": drift, "positivity": pos_details}
-    else:
-        w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if model.d else np.zeros(1)
-        checks = {"alpha": {"pass": _alpha_psd(w), "min_eig": float(w[0])},
-                  "positivity": pos_details, "drift": drift}
-        admissible = admissible and checks["alpha"]["pass"]
-    return ValidationReport(bool(admissible), positivity, checks), verdict
+        return ValidationReport(bool(admissible), positivity, checks), verdict
+    w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if model.d else np.zeros(1)
+    checks = {"alpha": {"pass": _alpha_psd(w), "min_eig": float(w[0])},
+              "positivity": pos_details, "drift": drift}
+    report = ValidationReport(bool(admissible and checks["alpha"]["pass"]), positivity, checks)
+    if report.admissible:
+        quad = _drift_check(model, tol, boundary=True)
+        status = "InteriorInvariant" if quad["pass"] else "MayAttainBoundary"
+        report.boundary = AttainmentReport(status, float(quad["max_value"]), quad["argmax"])
+    return report, verdict
 
 
 def _simulator_drive(model, tol=None):
     """(SkewDrive, Bhat, None) that the simulators run for a model, or (None, None, refusal).
 
-    Admitted by :func:`_admission` at tol (None: validate's default).  The drive,
-    A_0 = skew(B) and the SOS witness A_1..A_r, drops B_sym: a failed drift check
-    or positivity short of "verified" is refused.  The rotation's Ito drift is
-    (A_0 + 1/2 sum A_p^2) x, so a ball's Bhat = B_sym + 1/2 sum A_p^T A_p.
+    Admitted by :func:`_admission` at tol.  The drive, A_0 = skew(B) and the
+    SOS witness A_1..A_r, drops B_sym: a failed drift check or positivity
+    short of "verified" is refused.  The rotation's Ito drift is
+    (A_0 + 1/2 sum A_p^2) x, so a ball's Bhat = B_sym + 1/2 sum A_p^T A_p.  Admission
+    bounds its eigenvalues by tol, not 0: the positive ones are clipped to 0.
     """
     from .simulate import SkewDrive  # simulate imports this module
 
-    report, verdict = _admission(model, _DEFAULT_TOL[model.space] if tol is None else tol)
+    report, verdict = _admission(model, tol)
     drift = report.checks["drift_identity" if model.space == "sphere" else "drift"]
     if not drift["pass"]:
         return None, None, {"error": f"the {model.space} model's drift fails validation",
@@ -387,29 +396,10 @@ def _simulator_drive(model, tol=None):
     drive = SkewDrive(0.5 * (model.B - model.B.T), np.array(verdict.factors))
     if model.space == "sphere":
         return drive, None, None
-    return drive, _symmetric_part(model.B) + 0.5 * sum(A.T @ A for A in drive.diffusion), None
-
-
-def boundary_attainment(model, tol=1e-7):
-    """Decide whether the open ball is invariant for an admissible ball model.
-
-    InteriorInvariant iff max over the unit sphere of
-    ``b.x + x.(B + alpha)_sym.x + tr(c_H(x))/2`` is nonpositive.
-
-    Raises ValueError if the model fails validation first, or if ``tol`` is
-    not a positive finite number.
-    """
-    report = validate_ball(model, tol)
-    if not report.admissible:
-        raise ValueError("model is not admissible; run validate_ball for details")
-    return _attainment(model, tol)
-
-
-def _attainment(model, tol):
-    """The sphere-maximum step of :func:`boundary_attainment`, for a validated model."""
-    quad = _drift_check(model, tol, boundary=True)
-    status = "InteriorInvariant" if quad["pass"] else "MayAttainBoundary"
-    return AttainmentReport(status, float(quad["max_value"]), quad["argmax"])
+    Bhat = _symmetric_part(model.B) + 0.5 * sum(A.T @ A for A in drive.diffusion)
+    w, V = np.linalg.eigh(Bhat)
+    up = w > 0.0   # none: Bhat - 0 keeps its bits
+    return drive, Bhat - (V[:, up] * w[up]) @ V[:, up].T, None
 
 
 def model_to_json(model):

@@ -477,17 +477,30 @@ def reconstruct_cmap(factors, d):
     return C
 
 
-def nonneg_check(H, restarts=25):
-    """Multistart alternating eigenvector descent of the biquadratic form.
+def _bottom_orthogonal(C, x):
+    """A unit y in x-perp minimizing y.C.y, for a unit x, in the basis of x-perp: the last
+    d - 1 columns of the Householder reflection taking e_1 to -sign(x_1) x."""
+    v = x.copy()
+    v[0] += 1.0 if x[0] >= 0.0 else -1.0
+    Q = np.eye(len(x))[:, 1:] - np.outer(v, v[1:] / (0.5 * (v @ v)))
+    _, V = np.linalg.eigh(Q.T @ C @ Q)
+    return Q @ V[:, 0]
 
-    For fixed x the best unit y is the bottom eigenvector of c_H(x), and by
-    the symmetry of the form in (x, y) the same holds with roles swapped, so
-    each alternation is monotone.  One-sided: a negative value below -1e-9
-    yields a witness, otherwise only the smallest value found is reported.
-    ``restarts``, the number of random starts, must be a positive integer.
+
+def nonneg_check(H, restarts=25):
+    """Multistart alternating eigenvector descent of the biquadratic form over orthonormal pairs.
+
+    The form depends only on x ^ y, so orthonormal pairs reach its minimum, and
+    the descent cannot stop at y = x, where every tangential form vanishes.  For
+    fixed x the best y is the bottom eigenvector of c_H(x) on x-perp, and
+    likewise with roles swapped, so each alternation is monotone.  One-sided: a
+    value below -1e-9 yields a witness, otherwise only the smallest value found
+    is reported.  ``restarts``, the number of random starts, must be a positive integer.
     """
     H, d = _check_h(H)
     _check_number(restarts, "restarts", integer=True)
+    if d < 2:   # no orthonormal pair; the form of the empty H is zero
+        return NonnegReport(False, 0.0, np.ones(d), np.ones(d))
     rng = np.random.default_rng(0)
     best_val = np.inf
     best_xy = (np.zeros(d), np.zeros(d))
@@ -497,10 +510,8 @@ def nonneg_check(H, restarts=25):
         val_prev = np.inf
         y = None
         for _ in range(100):
-            _, Vx = np.linalg.eigh(c_H_eval(H, x))
-            y = Vx[:, 0]
-            _, Vy = np.linalg.eigh(c_H_eval(H, y))
-            x = Vy[:, 0]
+            y = _bottom_orthogonal(c_H_eval(H, x), x)
+            x = _bottom_orthogonal(c_H_eval(H, y), y)
             val = biquadratic_eval(H, x, y)
             if val_prev - val <= 1e-15 * max(1.0, abs(val)):
                 break

@@ -11,7 +11,7 @@ import numpy as np
 from quadricdiff.cspace import c_space_basis, cmap_eval, cmap_from_h
 from quadricdiff.generator import build_Gk, moment
 from quadricdiff.liealg import density_check_sphere, g_ideal
-from quadricdiff.model import BallModel, SphereModel, boundary_attainment
+from quadricdiff.model import BallModel, SphereModel, validate_ball
 from quadricdiff.simulate import (
     SkewDrive,
     ball_ensemble,
@@ -216,7 +216,7 @@ def test_criterion_8_boundary_dichotomy():
     results = {}
     for kappa, nu in ((2.0, 1.0), (0.2, 1.0)):
         model = BallModel(alpha=[[nu ** 2]], H=np.zeros((0, 0)), b=[0.0], B=[[-kappa]])
-        att = boundary_attainment(model)
+        att = validate_ball(model).boundary
         ens = scalar_ball_ensemble(kappa, nu, drive, np.array([0.0]), T=5.0,
                                    h=5e-3, seed=20609, n_paths=10_000)
         frac = float(np.mean(np.abs(ens.terminal[:, 0]) > 1.0 - 1e-3))

@@ -124,7 +124,7 @@ def test_counterexample_report():
 
 def test_validate_sphere_and_ball(model_files):
     j = run_json(["validate", "--model", str(model_files["sphere"])])
-    assert j["admissible"] and j["space"] == "sphere"
+    assert j["admissible"] and j["space"] == "sphere" and j["boundary"] is None
     j = run_json(["validate", "--model", str(model_files["jacobi"])])
     assert j["admissible"]
     assert j["boundary"]["status"] == "InteriorInvariant"
@@ -146,9 +146,14 @@ def test_tol_is_a_positive_finite_number(model_files, monkeypatch):
     from quadricdiff import model
 
     seen = []
-    for name in ("validate_ball", "validate_sphere"):
-        monkeypatch.setattr(model, name, lambda mdl, tol, f=getattr(model, name):
-                            seen.append(tol) or f(mdl, tol=tol))
+    original = model._drift_check
+
+    def drift_check(mdl, tol, boundary=False):
+        if not boundary:
+            seen.append(tol)
+        return original(mdl, tol, boundary)
+
+    monkeypatch.setattr(model, "_drift_check", drift_check)
     for name, tol in (("jacobi", []), ("sphere", []), ("jacobi", ["--tol", "1e-5"])):
         run_json(["validate", "--model", str(model_files[name])] + tol)
     assert seen == [1e-7, 1e-9, 1e-5]
@@ -550,11 +555,11 @@ def test_simulate_and_density_admit_the_models_that_validate_admits(model_files)
     assert j["checks"]["drift"]["max_value"] == pytest.approx(5e-8)
     j = run_json(["density", "--model", path, "--x0", "[0,0]"])
     assert "error" not in j and j["has_smooth_density"] is True
-    # Admitted, the ball scheme's Bhat = B_sym + 1/2 A^T A = 5e-8 I is past the
-    # simulator's roundoff floor, and ball_ensemble refuses it itself.
+    # Admitted, the ball scheme's Bhat = B_sym + 1/2 A^T A = 5e-8 I is clipped
+    # to 0, within the drift tolerance, and the ball scheme runs.
     run = ["--model", path, "--x0", "[0,0]", "--T", "0.1", "--h", "0.01", "--seed", "0"]
     j = run_json(["simulate", "--scheme", "ball"] + run)
-    assert j == {"error": "Bhat must be negative semidefinite (max eig 5.00e-08)"}
+    assert "error" not in j and j["scheme"] == "ball"
     j = run_json(["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + run)
     assert j["scheme"] == "scalar"
     # a --tol below the maximum refuses the model at admission, as validate does
@@ -563,6 +568,50 @@ def test_simulate_and_density_admit_the_models_that_validate_admits(model_files)
                  ["simulate", "--scheme", "ball"] + run):
         j = run_json(argv + ["--tol", "1e-9"])
         assert j["error"] == "the ball model's drift fails validation", argv
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_validate_simulate_and_density_agree_on_ball_models_at_the_drift_edge(model_files, d):
+    # B = -C/2 + s I puts the drift maximum at s: validate admits exactly s <= 1e-7,
+    # and every model it admits simulates and has a density verdict.
+    from quadricdiff.cspace import trace_form
+
+    m = d * (d - 1) // 2
+    x0 = json.dumps([0.0] * d)
+    for s in (-1e-3, 0.0, 5e-8, 9e-8, 2e-7):
+        mdl = BallModel(alpha=np.eye(d), H=np.eye(m), b=np.zeros(d),
+                        B=-0.5 * trace_form(np.eye(m), d) + s * np.eye(d))
+        path = model_files["tmp"] / f"edge_{d}_{s}.json"
+        path.write_text(json.dumps(model_to_json(mdl)))
+        admitted = run_json(["validate", "--model", str(path)])["admissible"]
+        assert admitted is (s <= 1e-7), s
+        outs = [run_json(["simulate", "--scheme", "ball", "--model", str(path), "--x0", x0,
+                          "--T", "0.02", "--h", "0.01", "--paths", "4", "--seed", "0"]),
+                run_json(["density", "--model", str(path), "--x0", x0])]
+        for j in outs:
+            if admitted:
+                assert "error" not in j, (s, j)
+            else:
+                assert j["error"] == "the ball model's drift fails validation", (s, j)
+
+
+def test_simulate_and_density_refuse_an_unverified_model(model_files):
+    # admissible with positivity "unverified": there is no SOS witness to drive with
+    from quadricdiff.cspace import trace_form
+    from quadricdiff.sos import counterexample_d6
+
+    H = counterexample_d6().h
+    mdl = BallModel(alpha=np.eye(6), H=H, b=np.zeros(6), B=-0.5 * trace_form(H, 6) - np.eye(6))
+    path = model_files["tmp"] / "unverified.json"
+    path.write_text(json.dumps(model_to_json(mdl)))
+    j = run_json(["validate", "--model", str(path)])
+    assert j["admissible"] is True and j["positivity"] == "unverified"
+    x0 = json.dumps([0.0] * 6)
+    for argv in (["simulate", "--scheme", "ball", "--model", str(path), "--x0", x0, "--T", "0.02",
+                  "--h", "0.01", "--seed", "0"],
+                 ["density", "--model", str(path), "--x0", x0]):
+        assert run_json(argv) == {"error": "no sum-of-squares representation found",
+                                  "sos_status": "Infeasible"}, argv
 
 
 def test_simulate_ball_model_mean_matches_exact_moment(model_files):
@@ -656,7 +705,7 @@ def test_exit_codes():
 
 def test_validate_tol_reaches_the_boundary_step(tmp_path):
     # the boundary margin is 1e-5: MayAttainBoundary at 1e-7, InteriorInvariant at 1e-3
-    from quadricdiff.model import boundary_attainment
+    from quadricdiff.model import validate_ball
 
     mdl = BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[-1.0 + 1e-5]])
     path = tmp_path / "edge.json"
@@ -664,7 +713,7 @@ def test_validate_tol_reaches_the_boundary_step(tmp_path):
     statuses = []
     for tol in (1e-7, 1e-3):
         j = run_json(["validate", "--model", str(path), "--tol", str(tol)])
-        report = boundary_attainment(mdl, tol=tol)
+        report = validate_ball(mdl, tol=tol).boundary
         assert j["boundary"] == {"status": report.status, "margin": report.margin,
                                  "argmax": report.argmax.tolist()}
         statuses.append(j["boundary"]["status"])

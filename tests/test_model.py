@@ -8,7 +8,6 @@ from quadricdiff.model import (
     BallModel,
     SphereModel,
     a_eval,
-    boundary_attainment,
     drift_eval,
     model_from_json,
     model_to_json,
@@ -163,13 +162,13 @@ def test_boundary_attainment_scalar_dichotomy():
     for kap, expect in ((2.0, "InteriorInvariant"), (0.2, "MayAttainBoundary")):
         mdl = BallModel(alpha=np.eye(2), H=np.zeros((1, 1)), b=np.zeros(2),
                         B=-kap * np.eye(2))
-        assert boundary_attainment(mdl).status == expect
+        assert validate_ball(mdl).boundary.status == expect
 
 
 def test_boundary_attainment_jacobi_margin():
     s2 = 0.8
     mdl = BallModel(alpha=[[s2]], H=np.zeros((0, 0)), b=[0.0], B=[[-s2 / 2]])
-    rep = boundary_attainment(mdl)
+    rep = validate_ball(mdl).boundary
     assert rep.status == "MayAttainBoundary"
     assert rep.margin == pytest.approx(s2 / 2, abs=1e-9)
 
@@ -178,14 +177,80 @@ def test_boundary_attainment_strong_reversion():
     for d in (2, 3, 6):
         mdl = BallModel(alpha=np.eye(d), H=np.eye(skew_dim(d)), b=np.zeros(d),
                         B=-10.0 * np.eye(d))
-        assert boundary_attainment(mdl).status == "InteriorInvariant"
+        assert validate_ball(mdl).boundary.status == "InteriorInvariant"
 
 
 def test_boundary_attainment_requires_admissibility():
     bad = BallModel(alpha=np.eye(3), H=np.zeros((3, 3)), b=np.array([2.0, 0, 0]),
                     B=np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        boundary_attainment(bad)
+    rep = validate_ball(bad)
+    assert not rep.admissible and rep.boundary is None
+    assert validate_sphere(sphere_bm(3)).boundary is None
+
+
+# The models of the boundary tests above, with the tolerance each is validated at.
+BOUNDARY_MODELS = (
+    [(BallModel(alpha=np.eye(2), H=np.zeros((1, 1)), b=np.zeros(2), B=-kap * np.eye(2)), 1e-7)
+     for kap in (2.0, 0.2)]
+    + [(BallModel(alpha=[[0.8]], H=np.zeros((0, 0)), b=[0.0], B=[[-0.4]]), 1e-7)]
+    + [(BallModel(alpha=np.eye(d), H=np.eye(skew_dim(d)), b=np.zeros(d), B=-10.0 * np.eye(d)),
+        1e-7) for d in (2, 3, 6)]
+    + [(BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[-1.0 + 1e-5]]), tol)
+       for tol in (1e-7, 1e-3)]
+    + [(BallModel(alpha=[[nu ** 2]], H=np.zeros((0, 0)), b=[0.0], B=[[-kappa]]), 1e-7)
+       for kappa, nu in ((2.0, 1.0), (1.0, 1.0), (0.2, 1.0))]
+    + [(BallModel(alpha=[[0.49]], H=np.zeros((0, 0)), b=[0.0], B=[[-1.0]]), 1e-7),
+       (BallModel(alpha=0.5 * np.eye(3), H=np.eye(3), b=np.zeros(3), B=-2 * np.eye(3)), 1e-7)]
+)
+
+
+@pytest.mark.parametrize("case", range(len(BOUNDARY_MODELS)))
+def test_validate_ball_boundary_is_one_sphere_maximum_after_one_sos_check(case, monkeypatch):
+    # The boundary step is the maximum of b.x + x.((B_sym + alpha) + C/2).x over
+    # the unit sphere, in that operand order, and validate_ball reaches it with
+    # the one sos_check of its admission.
+    from quadricdiff import sos
+    from quadricdiff.cspace import _symmetric_part
+
+    mdl, tol = BOUNDARY_MODELS[case]
+    calls = []
+    original = sos.sos_check
+    monkeypatch.setattr(sos, "sos_check", lambda *a, **k: calls.append(1) or original(*a, **k))
+    rep = validate_ball(mdl, tol)
+    assert rep.admissible and len(calls) == 1
+    quad = sphere_max_quadratic((_symmetric_part(mdl.B) + mdl.alpha)
+                                + 0.5 * trace_form(mdl.H, mdl.d), mdl.b)
+    assert rep.boundary.status == ("InteriorInvariant" if quad.max_value <= tol
+                                   else "MayAttainBoundary")
+    assert rep.boundary.margin == quad.max_value
+    assert np.array_equal(rep.boundary.argmax, quad.argmax)
+
+
+def test_positivity_refuted_with_a_witness():
+    # SOS-infeasible at d = 5 (<H, B> = -0.045), with a negative value the screen finds
+    from quadricdiff.cspace import biquadratic_eval
+
+    G = np.random.default_rng(0).standard_normal((10, 10))
+    H = (G + G.T) / 2 + 2 * np.eye(10)
+    rep = validate_ball(BallModel(alpha=np.zeros((5, 5)), H=H, b=np.zeros(5), B=-10 * np.eye(5)))
+    assert rep.positivity == "refuted" and not rep.admissible and rep.boundary is None
+    pos = rep.checks["positivity"]
+    assert pos["sos_status"] == "Infeasible" and pos["negative_value"] < -1e-9
+    assert biquadratic_eval(H, pos["witness_x"], pos["witness_y"]) == pos["negative_value"]
+
+
+def test_positivity_unverified_on_a_nonnegative_form_that_is_not_sos():
+    # counterexample_d6 is nonnegative and not SOS: no witness either way
+    from quadricdiff.sos import counterexample_d6
+
+    H = counterexample_d6().h
+    mdl = BallModel(alpha=np.eye(6), H=H, b=np.zeros(6),
+                    B=-0.5 * trace_form(H, 6) - np.eye(6))
+    rep = validate_ball(mdl)
+    assert rep.admissible and rep.positivity == "unverified"
+    pos = rep.checks["positivity"]
+    assert pos["sos_status"] == "Infeasible" and pos["min_found"] >= -1e-9
+    assert rep.boundary.status == "InteriorInvariant"
 
 
 def test_a_eval_psd_on_ball_when_admissible():
@@ -238,8 +303,7 @@ def test_models_refuse_non_finite_or_misshapen_coefficients():
             cls(**coeffs)
     # and the validators refuse a tolerance that is not a positive finite number
     for check, mdl in ((validate_ball, BallModel(**ball)),
-                       (validate_sphere, SphereModel(**sphere)),
-                       (boundary_attainment, BallModel(**ball))):
+                       (validate_sphere, SphereModel(**sphere))):
         for tol in (-1.0, 0.0, np.nan, np.inf, "1e-9"):
             with pytest.raises(ValueError, match="^tol must be a positive finite number"):
                 check(mdl, tol)

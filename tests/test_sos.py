@@ -193,6 +193,43 @@ def test_nonneg_check_cases():
     assert not r.negative and r.min_value >= -1e-9
 
 
+def _shifted_gaussian_form(d, seed):
+    """H = (G + G^T)/2 + 2 I with G standard normal from default_rng(seed)."""
+    m = skew_dim(d)
+    G = np.random.default_rng(seed).standard_normal((m, m))
+    return (G + G.T) / 2 + 2 * np.eye(m)
+
+
+# The SOS-infeasible forms of that family, seeds 0-399, on which a screen that
+# let y run along x stopped at the trivial zero of the form.
+TRAPPED_FORMS = ([(4, seed) for seed in (38, 71, 72, 83, 114, 118, 174, 187, 191, 260, 296,
+                                         320, 351, 362, 367, 394)]
+                 + [(5, seed) for seed in (0, 71, 74, 77, 79, 253, 328, 371, 383)])
+
+
+@pytest.mark.parametrize("d,seed", TRAPPED_FORMS)
+def test_nonneg_check_searches_orthonormal_pairs(d, seed):
+    # The form vanishes at y = x; searching y in x-perp finds its negative values.
+    H = _shifted_gaussian_form(d, seed)
+    r = nonneg_check(H)
+    assert r.negative and r.min_value < -1e-9
+    from quadricdiff.cspace import biquadratic_eval
+
+    assert biquadratic_eval(H, r.x, r.y) == r.min_value
+    assert abs(r.x @ r.y) <= 1e-12
+    assert np.linalg.norm(r.x) == pytest.approx(1.0) and np.linalg.norm(r.y) == pytest.approx(1.0)
+
+
+def test_nonneg_check_reports_the_minimum_over_orthonormal_pairs():
+    # c_I(x) on x-perp is the identity there: the minimum over orthonormal pairs is 1
+    r = nonneg_check(np.eye(3))
+    assert r.min_value == pytest.approx(1.0, abs=1e-12)
+    assert abs(r.x @ r.y) <= 1e-12
+    # the empty form of d = 1 has no orthonormal pair and reads 0
+    r = nonneg_check(np.zeros((0, 0)))
+    assert not r.negative and r.min_value == 0.0
+
+
 def test_d3_infeasible_certificates():
     # no kernel at d = 3: indefinite matrices get certificates from Pi_-(H)
     for _ in range(20):

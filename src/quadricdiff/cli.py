@@ -245,7 +245,7 @@ def _cmd_density(args):
     drive, _, refusal = model_mod._simulator_drive(mdl, args.tol)
     if refusal:
         return _json_out(refusal)
-    tol = 1e-9 if args.tol is None else args.tol
+    tol = liealg._DEFAULT_TOL if args.tol is None else args.tol
     report = (liealg.density_check_sphere(drive, x0, tol) if mdl.space == "sphere" else
               liealg.density_check_ball(drive, mdl.alpha, x0, tol))
     return _json_out(dict(vars(report), space=mdl.space))
@@ -269,7 +269,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     # --tol of the commands that admit a model, as validate does
     model_tol = dict(type=_tolerance, default=None, help="drift tolerance of the model's "
-                     "admission: default 1e-7 for a ball model, 1e-9 for a sphere model")
+                     "admission: default {ball:g} for a ball model, {sphere:g} for a sphere "
+                     "model".format(**model_mod._DEFAULT_TOL))
 
     p = sub.add_parser("dims", help="dimension formulas for the coefficient space")
     p.add_argument("--d", type=int, required=True)
@@ -334,7 +335,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--tol", **dict(model_tol, help=model_tol["help"] + ", and tolerance of "
-                                   "the membership test: default 1e-9"))
+                                   f"the membership test: default {liealg._DEFAULT_TOL:g}"))
     p.set_defaults(func=_cmd_density)
     return parser
 

@@ -23,6 +23,8 @@ __all__ = [
     "lift_drive",
 ]
 
+_DEFAULT_TOL = 1e-9   # of the membership test in both density checks
+
 
 @dataclass(frozen=True)
 class LieSubspace:
@@ -146,7 +148,7 @@ def _density_report(drive, x0, tol, ball):
     )
 
 
-def density_check_sphere(drive, x0, tol=1e-9):
+def density_check_sphere(drive, x0, tol=_DEFAULT_TOL):
     """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
 
     Membership is tested by least-squares projection of A_0 x_0 onto
@@ -185,7 +187,7 @@ def lift_drive(drive, alpha):
     return SkewDrive(embed(drive.a0), np.array(diffusion))
 
 
-def density_check_ball(drive, alpha, x0, tol=1e-9):
+def density_check_ball(drive, alpha, x0, tol=_DEFAULT_TOL):
     """Smooth-density criterion for the mean-reverting ball dynamics.
 
     Lifts the drive to the sphere in dimension d + 1 and reports a smooth

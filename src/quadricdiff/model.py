@@ -4,7 +4,9 @@ A ball model has diffusion ``a(x) = (1 - |x|^2) alpha + c_H(x)`` and drift
 ``b + B x``; a sphere model has ``a = c_H`` and drift ``B x`` subject to the
 coefficient identity ``2 x^T B x + tr(c_H(x)) = 0``.  The admissibility and
 boundary-attainment inequalities over the unit sphere are decided exactly by
-a secular-equation maximizer, never by sampling.
+a secular-equation maximizer, never by sampling: Newton's method on the
+Lagrange multiplier's offset above the top eigenvalue, after an exact
+power-of-two scaling that makes its every tolerance relative.
 """
 
 from dataclasses import dataclass, field
@@ -50,9 +52,9 @@ def _alpha_psd(w):
 
 
 def _square_dim(A, name):
-    """d of a (d, d) matrix A; ValueError if A is not two-dimensional."""
-    if np.ndim(A) != 2:
-        raise ValueError(f"{name} must be a (d, d) matrix, got shape {np.shape(A)}")
+    """d of a (d, d) matrix A; ValueError if A is not two-dimensional with d >= 1."""
+    if np.ndim(A) != 2 or not np.shape(A)[0]:
+        raise ValueError(f"{name} must be a (d, d) matrix with d >= 1, got shape {np.shape(A)}")
     return np.shape(A)[0]
 
 
@@ -60,8 +62,8 @@ def _square_dim(A, name):
 class BallModel:
     """Unit-ball diffusion coefficients (alpha, H, b, B).
 
-    Raises ValueError unless alpha and B are finite (d, d), b finite (d,) and
-    H finite (m, m), m = C(d, 2), and alpha is symmetric to roundoff.
+    Raises ValueError unless alpha and B are finite (d, d) with d >= 1, b finite
+    (d,) and H finite (m, m), m = C(d, 2), and alpha is symmetric to roundoff.
     """
 
     alpha: np.ndarray
@@ -88,7 +90,8 @@ class BallModel:
 class SphereModel:
     """Unit-sphere diffusion coefficients (H, B).
 
-    Raises ValueError unless B is finite (d, d) and H finite (m, m), m = C(d, 2).
+    Raises ValueError unless B is finite (d, d) with d >= 1 and H finite (m, m),
+    m = C(d, 2).
     """
 
     H: np.ndarray
@@ -132,11 +135,19 @@ class ValidationReport:
     boundary: AttainmentReport | None = None   # an admissible ball model's; else None
 
 
-def a_eval(model, x):
-    """Diffusion matrix a(x) of a ball or sphere model."""
+def _point(model, x):
+    """x as d finite floats for a model of dimension d; ValueError naming x otherwise."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.d,):
         raise ValueError(f"x must have dimension {model.d}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
+    return x
+
+
+def a_eval(model, x):
+    """Diffusion matrix a(x) of a ball or sphere model; x must be d finite numbers."""
+    x = _point(model, x)
     c = c_H_eval(model.H, x)
     if model.space == "ball":
         return (1.0 - float(x @ x)) * model.alpha + c
@@ -144,59 +155,24 @@ def a_eval(model, x):
 
 
 def drift_eval(model, x):
-    """Drift vector of a ball (b + Bx) or sphere (Bx) model."""
-    x = np.asarray(x, dtype=float)
+    """Drift vector of a ball (b + Bx) or sphere (Bx) model; x must be d finite numbers."""
+    x = _point(model, x)
     if model.space == "ball":
         return model.b + model.B @ x
     return model.B @ x
 
 
-def _bracketed_root(f, lo, hi, xtol, rtol):
-    """A root of f in [lo, hi], where f(lo) >= 0 >= f(hi).
-
-    Illinois false position: the secant point of the bracket, with the
-    retained end's value halved when the same end is kept twice in a row.  A
-    secant point that is not finite, or any step after two steps that did not
-    halve the bracket, is replaced by the midpoint, and every point keeps
-    half the tolerance away from both ends, so a bracket end that has reached
-    the root is crossed at once.  Stops once the bracket is no wider than
-    xtol + rtol |x| (the tolerance of scipy's brentq) and returns its
-    midpoint, or the end where f is exactly 0.
-    """
-    flo, fhi = f(lo), f(hi)
-    kept, widths = 0, [np.inf, np.inf]
-    while flo != 0.0 and fhi != 0.0:
-        tol = xtol + rtol * max(abs(lo), abs(hi))
-        if hi - lo <= tol:
-            break
-        with np.errstate(invalid="ignore"):
-            x = lo + (hi - lo) * (flo / (flo - fhi))
-        if not np.isfinite(x) or hi - lo > 0.5 * widths[0]:
-            x = 0.5 * (lo + hi)
-        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        widths = [widths[1], hi - lo]
-        fx = f(x)
-        if fx >= 0.0:
-            lo, flo = x, fx
-            fhi = 0.5 * fhi if kept == 1 else fhi
-            kept = 1
-        else:
-            hi, fhi = x, fx
-            flo = 0.5 * flo if kept == -1 else flo
-            kept = -1
-    return lo if flo == 0.0 else hi if fhi == 0.0 else 0.5 * (lo + hi)
-
-
 def sphere_max_quadratic(M, b):
     """Global maximum of x^T M x + b^T x over the unit sphere, by secular equation.
 
-    Eigendecomposes M and root-finds the Lagrange multiplier of
-    ``2 M x + b = 2 lam x`` on the interval above the top eigenvalue, with the
-    standard hard-case branch when b is orthogonal to the leading eigenspace.
-    When an entry of M or b exceeds 2**500, so that a squared norm could
-    overflow, (M, b) is first scaled by a power of two, which is exact; the
-    value and the multiplier are scaled back and the argmax does not move.
-    Raises ValueError unless M is a finite (d, d) matrix and b d finite numbers.
+    (M, b) is first scaled by the power of two that brings its largest entry
+    into [1/2, 1), which is exact, and the value and the multiplier are scaled
+    back, so every tolerance inside is relative: scaling (M, b) by 2**k scales
+    both by 2**k and leaves the argmax's bits alone.  The multiplier lam of
+    ``2 M x + b = 2 lam x`` is found by Newton's method on its offset above
+    the top eigenvalue of M (see ``_secular_max``), which also covers the
+    hard case, b orthogonal to the leading eigenspace.  Raises ValueError
+    unless M is a finite (d, d) matrix with d >= 1 and b d finite numbers.
 
     Returns
     -------
@@ -205,83 +181,64 @@ def sphere_max_quadratic(M, b):
         residual ``|2 M x + b - 2 lam x|`` is at roundoff level.
     """
     M, b = np.asarray(M, dtype=float), np.asarray(b, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be a square (d, d) matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not len(M):
+        raise ValueError(f"M must be a square (d, d) matrix with d >= 1, got shape {M.shape}")
     if b.size != len(M):
         raise ValueError(f"b must hold {len(M)} numbers, got shape {b.shape}")
     b = b.reshape(len(M))
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(b))):
         raise ValueError("M and b must be finite")
     M = _symmetric_part(M)
-    big = max(np.abs(M).max(initial=0.0), np.abs(b).max(initial=0.0))
-    shift = int(np.frexp(big)[1]) if big > 2.0 ** 500 else 0
+    shift = int(np.frexp(max(np.abs(M).max(), np.abs(b).max()))[1])   # 0 for all zeros
     value, x, lam = _secular_max(np.ldexp(M, -shift), np.ldexp(b, -shift))
     return SphereQuadReport(float(np.ldexp(value, shift)), x, float(np.ldexp(lam, shift)))
 
 
 def _secular_max(M, b):
-    """(max value, argmax, multiplier) of :func:`sphere_max_quadratic` for a symmetric M."""
-    d = M.shape[0]
-    lam_all, V = np.linalg.eigh(M)
-    lam_top = lam_all[-1]
-    bt = V.T @ b
-    bnorm = np.linalg.norm(b)
+    """(max value, argmax, multiplier) of :func:`sphere_max_quadratic` for a symmetric M.
 
-    def value(x):
-        return float(x @ M @ x + b @ x)
-
-    if bnorm == 0.0:
-        x = V[:, -1]
-        return value(x), x, lam_top
-
-    scale = max(abs(lam_all).max(), bnorm, 1.0)
-    top = np.abs(lam_all - lam_top) <= 1e-12 * scale
-    b_top = np.linalg.norm(bt[top])
-
-    def x_of(lam, skip_top=False):
-        denom = 2.0 * (lam - lam_all)
-        coeff = np.zeros(d)
-        mask = ~top if skip_top else np.ones(d, dtype=bool)
-        with np.errstate(divide="ignore"):
-            coeff[mask] = bt[mask] / denom[mask]
-        return V @ coeff, coeff
-
-    hard = b_top <= 1e-13 * bnorm
-
-    def secular(lam):
-        # 1 - 1/|x(lam)| has the sign of |x(lam)|^2 - 1 and is nearly linear
-        # in lam near its root, where false position converges fast.
-        _, coeff = x_of(lam, skip_top=hard)
-        if not np.all(np.isfinite(coeff)):
-            return 1.0
-        with np.errstate(divide="ignore"):
-            return float(1.0 - 1.0 / np.sqrt(coeff @ coeff))
-
-    if hard:
-        # Hard case: b has no weight on the leading eigenspace.
-        x_perp, coeff = x_of(lam_top, skip_top=True)
-        nrm = np.linalg.norm(coeff)
-        if nrm <= 1.0:
-            tau = np.sqrt(max(0.0, 1.0 - nrm ** 2))
-            vtop = V[:, np.nonzero(top)[0][0]]
-            x = x_perp + tau * vtop
-            return value(x), x, lam_top
-        # |x(lam_top)| > 1: the secular root lies strictly above lam_top.
-        lo = lam_top
-    else:
-        # |x(lam)| blows up at lam_top and decreases to 0.
-        lo = max(lam_top + 0.5 * b_top * (1.0 - 1e-12), np.nextafter(lam_top, np.inf))
-        while secular(lo) < 0.0:
-            lo = max(lam_top + 0.5 * (lo - lam_top), np.nextafter(lam_top, np.inf))
-            if lo == np.nextafter(lam_top, np.inf):
-                break
-    hi = lam_top + 0.5 * bnorm * (1.0 + 1e-12) + 1e-30
-    while secular(hi) > 0.0:
-        hi = lam_top + 2.0 * (hi - lam_top)
-    lam = _bracketed_root(secular, lo, hi, xtol=1e-15 * max(1.0, abs(lam_top)), rtol=8.9e-16)
-    x, _ = x_of(lam, skip_top=hard)
-    x = x / np.linalg.norm(x)
-    return value(x), x, lam
+    In M's eigenbasis, c = V^T b; the eigenvalues equal to the top one form
+    its eigenspace, and each other one lies a gap g_i > 0 below it, however
+    small: a pole of its own costs no accuracy, where merging it into the top
+    one would.  The unknown is the offset mu = lam - lam_top >= 0, a root of
+    w(mu) = 1 with w(mu) = sum_rest c_i^2 / (4 (mu + g_i)^2) + (|c_top| / (2 mu))^2,
+    the last term left out when c_top = 0.  1/sqrt(w) - 1 is increasing and
+    concave (Cauchy-Schwarz), so Newton's method on it from mu = |c_top| / 2,
+    where w >= 1, rises to the root without overshooting; when c_top = 0 and
+    w(0) <= 1 (the hard case) mu stays 0.  The argmax's top part, of length
+    tau, lies along c_top (or the last top eigenvector when c_top = 0) and is
+    what |x| = 1 leaves.  The value is the Lagrange dual
+    lam + sum_i c_i^2 / (4 (lam - lam_i)), which is stationary in lam at the
+    root and so keeps the digits that the objective at the argmax loses; its
+    top term |c_top|^2 / (4 mu) is taken as |c_top| tau / 2, equal at the root
+    and 0 in the hard case.
+    """
+    lam, V = np.linalg.eigh(M)
+    c = V.T @ b
+    top = lam == lam[-1]
+    c_top = np.linalg.norm(c[top])
+    gap = lam[-1] - lam[~top]
+    # w(mu) = |y|^2 with y = half / (mu + poles); zero weights, the top one's 0/0, left out
+    half = 0.5 * np.append(c[~top], c_top)
+    keep = half != 0.0
+    half, poles = half[keep], np.append(gap, 0.0)[keep]
+    mu = 0.5 * c_top
+    while True:
+        y = half / (mu + poles)
+        w = y @ y
+        if not w > 1.0:
+            break
+        step = w * (np.sqrt(w) - 1.0) / (y @ (y / (mu + poles)))
+        if not mu + step > mu:
+            break
+        mu += step
+    rest = 0.5 * c[~top] / (mu + gap)
+    tau = np.sqrt(max(0.0, 1.0 - rest @ rest))
+    along = c[top] / c_top if c_top > 0.0 else np.eye(top.sum())[-1]
+    x = V[:, ~top] @ rest + V[:, top] @ (tau * along)
+    x /= np.linalg.norm(x)   # V is orthogonal to roundoff
+    value = lam[-1] + mu + 0.5 * (c[~top] @ rest) + 0.5 * c_top * tau
+    return float(value), x, float(lam[-1] + mu)
 
 
 def _positivity(H, d):
@@ -363,7 +320,7 @@ def _admission(model, tol=None):
     if model.space == "sphere":
         checks = {"drift_identity": drift, "positivity": pos_details}
         return ValidationReport(bool(admissible), positivity, checks), verdict
-    w = np.linalg.eigvalsh(_symmetric_part(model.alpha)) if model.d else np.zeros(1)
+    w = np.linalg.eigvalsh(_symmetric_part(model.alpha))
     checks = {"alpha": {"pass": _alpha_psd(w), "min_eig": float(w[0])},
               "positivity": pos_details, "drift": drift}
     report = ValidationReport(bool(admissible and checks["alpha"]["pass"]), positivity, checks)

@@ -159,6 +159,38 @@ def test_tol_is_a_positive_finite_number(model_files, monkeypatch):
     assert seen == [1e-7, 1e-9, 1e-5]
 
 
+def test_tol_defaults_are_read_from_the_library(model_files, monkeypatch, capsys):
+    # the help text of --tol and density's membership tolerance have one home each
+    import inspect
+
+    from quadricdiff import cli, liealg, model
+
+    for check in (liealg.density_check_sphere, liealg.density_check_ball):
+        assert inspect.signature(check).parameters["tol"].default == liealg._DEFAULT_TOL
+    monkeypatch.setitem(model._DEFAULT_TOL, "ball", 2.5e-6)
+    monkeypatch.setitem(model._DEFAULT_TOL, "sphere", 3.5e-8)
+    monkeypatch.setattr(liealg, "_DEFAULT_TOL", 4.5e-10)
+    seen = []
+    original = liealg.density_check_sphere
+    monkeypatch.setattr(liealg, "density_check_sphere",
+                        lambda drive, x0, tol: seen.append(tol) or original(drive, x0, tol))
+    run_json(["density", "--model", str(model_files["sphere"]), "--x0", "[1,0,0]"])
+    assert seen == [4.5e-10]
+    cli._build_parser.cache_clear()
+    try:
+        helps = {}
+        for command in ("validate", "density"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            helps[command] = " ".join(capsys.readouterr().out.split())
+    finally:
+        cli._build_parser.cache_clear()
+    admission = "default 2.5e-06 for a ball model, 3.5e-08 for a sphere model"
+    assert all(admission in text for text in helps.values()), helps
+    assert "membership test: default 4.5e-10" in helps["density"], helps
+
+
 def test_moments_and_domain_error(model_files):
     q = json.dumps({"terms": [{"exp": [1, 0, 0], "coef": 1.0}]})
     j = run_json(["moments", "--model", str(model_files["sphere"]), "--q", q,

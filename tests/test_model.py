@@ -309,6 +309,28 @@ def test_models_refuse_non_finite_or_misshapen_coefficients():
                 check(mdl, tol)
 
 
+def test_dimension_zero_is_refused_by_name():
+    # the unit sphere of R^0 is empty: it has no maximum, and no model lives on it
+    with pytest.raises(ValueError, match=r"^M must be a square \(d, d\) matrix with d >= 1"):
+        sphere_max_quadratic(np.zeros((0, 0)), np.zeros(0))
+    with pytest.raises(ValueError, match=r"^alpha must be a \(d, d\) matrix with d >= 1"):
+        BallModel(alpha=np.zeros((0, 0)), H=np.zeros((0, 0)), b=np.zeros(0), B=np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"^B must be a \(d, d\) matrix with d >= 1"):
+        SphereModel(H=np.zeros((0, 0)), B=np.zeros((0, 0)))
+
+
+def test_a_eval_and_drift_eval_refuse_a_misshapen_or_non_finite_x():
+    ball = BallModel(alpha=np.eye(3), H=np.eye(3), b=np.zeros(3), B=-np.eye(3))
+    for mdl in (ball, sphere_bm(3)):
+        for evaluate in (a_eval, drift_eval):
+            for x in (np.ones(4), np.ones(2), np.ones((3, 1))):
+                with pytest.raises(ValueError, match="^x must have dimension 3"):
+                    evaluate(mdl, x)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match="^x must be finite"):
+                    evaluate(mdl, [0.5, bad, 0.0])
+
+
 def test_sphere_max_quadratic_rescales_huge_coefficients():
     r = sphere_max_quadratic(np.diag([1.0, 2.0]), np.array([1e200, 1e200]))
     assert r.max_value == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-12)

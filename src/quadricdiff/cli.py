@@ -245,9 +245,8 @@ def _cmd_density(args):
     drive, _, refusal = model_mod._simulator_drive(mdl, args.tol)
     if refusal:
         return _json_out(refusal)
-    tol = liealg._DEFAULT_TOL if args.tol is None else args.tol
-    report = (liealg.density_check_sphere(drive, x0, tol) if mdl.space == "sphere" else
-              liealg.density_check_ball(drive, mdl.alpha, x0, tol))
+    report = (liealg.density_check_sphere(drive, x0, args.tol) if mdl.space == "sphere" else
+              liealg.density_check_ball(drive, mdl.alpha, x0, args.tol))
     return _json_out(dict(vars(report), space=mdl.space))
 
 

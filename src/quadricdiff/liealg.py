@@ -121,8 +121,10 @@ def _density_report(drive, x0, tol, ball):
 
     That membership decides, unless ``ball`` says the drive is a ball drive
     lifted to the sphere; then the closure being all of Skew(d) decides.
-    ValueError unless ``tol`` is a positive finite number.
+    ``tol`` None takes ``_DEFAULT_TOL``; ValueError unless it is then a
+    positive finite number.
     """
+    tol = _DEFAULT_TOL if tol is None else tol
     _check_number(tol, "tol")
     g, h = g_ideal(drive, max(tol, 1e-12))
     a0x0 = drive.a0 @ x0
@@ -148,13 +150,13 @@ def _density_report(drive, x0, tol, ball):
     )
 
 
-def density_check_sphere(drive, x0, tol=_DEFAULT_TOL):
+def density_check_sphere(drive, x0, tol=None):
     """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
 
     Membership is tested by least-squares projection of A_0 x_0 onto
     span{B x_0} over the closure basis, with tolerance ``tol`` relative to
     |A_0 x_0| and an absolute floor of 1e-12; ``tol`` must be a positive
-    finite number.  x0 must be d finite numbers with |x0| = 1 to 1e-9.
+    finite number (None: 1e-9).  x0 must be d finite numbers with |x0| = 1 to 1e-9.
     """
     return _density_report(drive, _start_point(x0, drive.d, "sphere", 1e-9), tol, ball=False)
 
@@ -187,12 +189,13 @@ def lift_drive(drive, alpha):
     return SkewDrive(embed(drive.a0), np.array(diffusion))
 
 
-def density_check_ball(drive, alpha, x0, tol=_DEFAULT_TOL):
+def density_check_ball(drive, alpha, x0, tol=None):
     """Smooth-density criterion for the mean-reverting ball dynamics.
 
     Lifts the drive to the sphere in dimension d + 1 and reports a smooth
     interior density iff the lifted closure is all of Skew(d + 1).  x0 must be
-    d finite numbers with |x0| <= 1 + 1e-9, and ``tol`` a positive finite number.
+    d finite numbers with |x0| <= 1 + 1e-9, and ``tol`` a positive finite
+    number (None: 1e-9).
     """
     x0 = _start_point(x0, drive.d, "ball", 1e-9)
     lifted = lift_drive(drive, alpha)

@@ -203,8 +203,11 @@ def _secular_max(M, b):
     one would.  The unknown is the offset mu = lam - lam_top >= 0, a root of
     w(mu) = 1 with w(mu) = sum_rest c_i^2 / (4 (mu + g_i)^2) + (|c_top| / (2 mu))^2,
     the last term left out when c_top = 0.  1/sqrt(w) - 1 is increasing and
-    concave (Cauchy-Schwarz), so Newton's method on it from mu = |c_top| / 2,
-    where w >= 1, rises to the root without overshooting; when c_top = 0 and
+    concave (Cauchy-Schwarz), so Newton's method on it rises to the root
+    without overshooting from any mu below it.  It starts at the largest lower
+    bound that one term gives, max(0, max_i(|c_i| / 2 - g_i)) with g_top = 0:
+    there the largest term is 1, so w >= 1 unless mu = 0, and no term exceeds
+    1, so w cannot overflow however close a pole lies to the top.  When c_top = 0 and
     w(0) <= 1 (the hard case) mu stays 0.  The argmax's top part, of length
     tau, lies along c_top (or the last top eigenvector when c_top = 0) and is
     what |x| = 1 leaves.  The value is the Lagrange dual
@@ -222,16 +225,19 @@ def _secular_max(M, b):
     half = 0.5 * np.append(c[~top], c_top)
     keep = half != 0.0
     half, poles = half[keep], np.append(gap, 0.0)[keep]
-    mu = 0.5 * c_top
-    while True:
-        y = half / (mu + poles)
-        w = y @ y
-        if not w > 1.0:
-            break
-        step = w * (np.sqrt(w) - 1.0) / (y @ (y / (mu + poles)))
-        if not mu + step > mu:
-            break
-        mu += step
+    mu = float((np.abs(half) - poles).max(initial=0.0))
+    # w' overflows only beside a pole closer than 1e-308, where the step it
+    # would give is of that order, far below the scaled problem's roundoff
+    with np.errstate(over="ignore"):
+        while True:
+            y = half / (mu + poles)
+            w = y @ y
+            if not w > 1.0:
+                break
+            step = w * (np.sqrt(w) - 1.0) / (y @ (y / (mu + poles)))
+            if not mu + step > mu:
+                break
+            mu += step
     rest = 0.5 * c[~top] / (mu + gap)
     tau = np.sqrt(max(0.0, 1.0 - rest @ rest))
     along = c[top] / c_top if c_top > 0.0 else np.eye(top.sum())[-1]

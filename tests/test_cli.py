@@ -166,16 +166,17 @@ def test_tol_defaults_are_read_from_the_library(model_files, monkeypatch, capsys
     from quadricdiff import cli, liealg, model
 
     for check in (liealg.density_check_sphere, liealg.density_check_ball):
-        assert inspect.signature(check).parameters["tol"].default == liealg._DEFAULT_TOL
+        assert inspect.signature(check).parameters["tol"].default is None
     monkeypatch.setitem(model._DEFAULT_TOL, "ball", 2.5e-6)
     monkeypatch.setitem(model._DEFAULT_TOL, "sphere", 3.5e-8)
     monkeypatch.setattr(liealg, "_DEFAULT_TOL", 4.5e-10)
     seen = []
-    original = liealg.density_check_sphere
-    monkeypatch.setattr(liealg, "density_check_sphere",
-                        lambda drive, x0, tol: seen.append(tol) or original(drive, x0, tol))
-    run_json(["density", "--model", str(model_files["sphere"]), "--x0", "[1,0,0]"])
-    assert seen == [4.5e-10]
+    original = liealg.g_ideal
+    monkeypatch.setattr(liealg, "g_ideal",
+                        lambda drive, tol: seen.append(tol) or original(drive, tol))
+    for name, x0 in (("sphere", "[1,0,0]"), ("jacobi", "[0]")):
+        run_json(["density", "--model", str(model_files[name]), "--x0", x0])
+    assert seen == [4.5e-10, 4.5e-10]   # the library resolves density's default
     cli._build_parser.cache_clear()
     try:
         helps = {}

@@ -208,7 +208,12 @@ def test_sphere_max_quadratic_matches_the_40_digit_secular_root(kind):
     (np.diag([1e-150, 2e-150]), np.array([1e-150, 1e-150])),   # a top pair 1e-150 apart
     (np.array([[-0.0332384019616665]]), np.array([-0.002037407223881694])),
     (np.diag([1.0 - 5e-13, 1.0]), np.array([0.1, 0.0])),   # b on the lower of two close tops
-], ids=["tiny_scale", "one_dim", "split_top"])
+    # M far smaller than b: a pole 1e-200 below the top, with c_top 0 and 1e-250
+    (np.diag([1e-200, 2e-200]), np.array([1.0, 0.0])),
+    (np.diag([1e-200, 2e-200]), np.array([1.0, 1e-250])),
+    # poles closer to the top than the smallest normal number
+    (np.diag([-0.5, 1e-310, 2e-310, 4e-310]), np.array([0.0, 5.4e-310, 3.6e-310, 0.0])),
+], ids=["tiny_scale", "one_dim", "split_top", "tiny_M", "tiny_M_tiny_c_top", "subnormal_poles"])
 def test_sphere_max_quadratic_pinned_cases_match_the_40_digit_secular_root(M, b):
     errors = _quad_case_errors(M, b)
     assert max(errors["value"], errors["multiplier"], errors["gap"]) <= QUAD_U, errors

@@ -9,7 +9,6 @@ criteria.
 """
 
 from .skew import (
-    elementary_skew,
     pair_from_index,
     pi_index,
     plucker_eval,

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import inspect
 import json
 import sys
 from math import comb
@@ -21,6 +22,8 @@ import numpy as np
 from . import generator, liealg, model as model_mod, simulate as sim, sos
 from .cspace import _check_h, _float_array
 from .skew import skew_dim
+# The function itself, for its defaults: a caller may wrap sos.sos_check.
+from .sos import sos_check as _sos_check
 
 __all__ = ["main"]
 
@@ -100,9 +103,16 @@ def _cmd_validate(args):
     return _json_out(dict(vars(report), space=mdl.space))
 
 
+def _sos_options(args):
+    """The keyword arguments of ``sos_check`` given on the command line; the library
+    holds the defaults of the rest."""
+    return {name: getattr(args, name) for name in ("tol", "max_iter")
+            if getattr(args, name, None) is not None}
+
+
 def _cmd_sos_check(args):
     H = _parse_matrix(args.H, args.d)
-    verdict = sos.sos_check(H, tol=args.tol, max_iter=args.max_iter)
+    verdict = sos.sos_check(H, **_sos_options(args))
     witness = {name: getattr(verdict, name) for name in ("h_star", "factors", "certificate")
                if getattr(verdict, name) is not None}
     return _json_out({"status": verdict.status, "iterations": verdict.iterations,
@@ -111,7 +121,7 @@ def _cmd_sos_check(args):
 
 def _cmd_decompose(args):
     H = _parse_matrix(args.H, args.d)
-    verdict = sos.sos_check(H, tol=args.tol, max_iter=args.max_iter)
+    verdict = sos.sos_check(H, **_sos_options(args))
     out = {"status": verdict.status}
     if verdict.status == sos.FEASIBLE:
         out["factors"] = verdict.factors
@@ -123,7 +133,7 @@ def _cmd_decompose(args):
 
 def _cmd_counterexample(args):
     ce = sos.counterexample_d6()
-    verdict = sos.sos_check(ce.h, tol=args.tol)
+    verdict = sos.sos_check(ce.h, **_sos_options(args))
     return _json_out(dict(ce.report, H=ce.h, certificate=ce.certificate,
                           sos_status=verdict.status))
 
@@ -270,6 +280,11 @@ def _build_parser():
     model_tol = dict(type=_tolerance, default=None, help="drift tolerance of the model's "
                      "admission: default {ball:g} for a ball model, {sphere:g} for a sphere "
                      "model".format(**model_mod._DEFAULT_TOL))
+    # --tol and --max-iter of the commands that run sos_check; unset, its defaults hold
+    sos_default = {name: p.default for name, p in
+                   inspect.signature(_sos_check).parameters.items()}
+    sos_tol = dict(type=_tolerance, default=None, help="acceptance tolerance of the SOS "
+                   f"witnesses: default {sos_default['tol']:g}")
 
     p = sub.add_parser("dims", help="dimension formulas for the coefficient space")
     p.add_argument("--d", type=int, required=True)
@@ -284,13 +299,14 @@ def _build_parser():
         p = sub.add_parser(name, help=f"{name} for an m x m coefficient matrix")
         p.add_argument("--H", required=True, help="'id', 'zero', inline JSON, or @file")
         p.add_argument("--d", type=int, required=True)
-        p.add_argument("--tol", type=_tolerance, default=1e-9)
-        p.add_argument("--max-iter", type=int, default=50000,
-                       help="iteration budget: Newton and face steps of the SOS solver")
+        p.add_argument("--tol", **sos_tol)
+        p.add_argument("--max-iter", type=int, default=None,
+                       help="iteration budget: Newton and face steps of the SOS solver; "
+                            f"default {sos_default['max_iter']}")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("counterexample", help="dimension-six non-SOS construction report")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", **sos_tol)
     p.set_defaults(func=_cmd_counterexample)
 
     p = sub.add_parser("moments", help="exact conditional moment of a polynomial")

@@ -19,7 +19,7 @@ Together they take 4.8 kB at d = 8 and 242 kB at d = 20, besides the
 """
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -165,13 +165,6 @@ def cmap_from_h(H, d):
     return _symmetric_part(T)
 
 
-def cmap_eval(C, x):
-    """Evaluate a coefficient tensor at a point: the matrix with entries x^T C[i,j] x."""
-    C = np.asarray(C, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return np.einsum("uvab,a,b->uv", C, x, x)
-
-
 def trace_form(H, d):
     """Symmetric matrix C with trace(c_H(x)) = x^T C x: the partial trace of c_H's tensor."""
     return np.einsum("iiab->ab", cmap_from_h(H, d))
@@ -301,43 +294,6 @@ def h_from_c(C):
             f"map is not tangential: best-fit residual {residual:.3e}", residual
         )
     return H
-
-
-def c_from_biquadratic(Q):
-    """Coefficient tensor of c from the quartic tensor of a biquadratic form.
-
-    ``Q`` has shape (2d, 2d, 2d, 2d) and represents the quartic form
-    ``BQ(z) = sum Q[i,j,k,l] z_i z_j z_k z_l`` in z = (x, y).  After full
-    symmetrization the form must be biquadratic (every monomial of degree two
-    in x and two in y); the returned c satisfies y^T c(x) y = BQ(x, y)
-    identically.
-
-    Raises ValueError if a non-biquadratic coefficient exceeds 1e-12 max(1, max |Q_sym|).
-    """
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    if Q.shape != (n, n, n, n) or n % 2 != 0 or not np.all(np.isfinite(Q)):
-        raise ValueError(f"Q must be a finite (2d, 2d, 2d, 2d) tensor, got shape {Q.shape}")
-    d = n // 2
-    sym = np.zeros_like(Q)
-    for perm in permutations(range(4)):
-        sym += Q.transpose(perm)
-    sym /= 24.0
-
-    is_x = np.arange(n) < d
-    count_x = (
-        is_x[:, None, None, None].astype(int)
-        + is_x[None, :, None, None]
-        + is_x[None, None, :, None]
-        + is_x[None, None, None, :]
-    )
-    off = np.abs(sym)[count_x != 2].max() if n > 0 else 0.0
-    scale = max(np.abs(sym).max(), 1.0)
-    if off > 1e-12 * scale:
-        raise ValueError(f"form is not biquadratic: off-pattern coefficient {off:.3e}")
-
-    # y^T c(x) y = sum c_ab(x) y_a y_b with c_ab(x) = 6 * x^T sym[d+a, d+b] x.
-    return np.ascontiguousarray(6.0 * sym[d:, d:, :d, :d])
 
 
 def h_to_json(H, d):

@@ -208,18 +208,6 @@ def _images(model, basis, exps):
     return G
 
 
-def apply_generator(model, exponent):
-    """Apply the generator to a monomial, exactly.
-
-    Returns the coefficient vector of the image on the monomial basis of the
-    same degree.  The image degree never exceeds the input degree because the
-    quadratic part of a(x) is tangential and the drift is affine.
-    """
-    exponent = _exponent(exponent, model.d)
-    basis = monomial_basis(model.d, sum(exponent))
-    return _images(model, basis, [exponent]).toarray()[:, 0]
-
-
 def build_Gk(model, k):
     """Sparse generator matrix on the degree <= k monomial basis; columns are exact images."""
     basis = monomial_basis(model.d, k)

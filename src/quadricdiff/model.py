@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cspace import (_float_array, _symmetric, _symmetric_part,
-                     c_H_eval, h_from_json, h_to_json, trace_form)
+from .cspace import _float_array, _symmetric, _symmetric_part, h_from_json, trace_form
 from .skew import _check_number, skew_dim
 from . import sos as _sos
 
@@ -135,33 +134,6 @@ class ValidationReport:
     boundary: AttainmentReport | None = None   # an admissible ball model's; else None
 
 
-def _point(model, x):
-    """x as d finite floats for a model of dimension d; ValueError naming x otherwise."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"x must have dimension {model.d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    return x
-
-
-def a_eval(model, x):
-    """Diffusion matrix a(x) of a ball or sphere model; x must be d finite numbers."""
-    x = _point(model, x)
-    c = c_H_eval(model.H, x)
-    if model.space == "ball":
-        return (1.0 - float(x @ x)) * model.alpha + c
-    return c
-
-
-def drift_eval(model, x):
-    """Drift vector of a ball (b + Bx) or sphere (Bx) model; x must be d finite numbers."""
-    x = _point(model, x)
-    if model.space == "ball":
-        return model.b + model.B @ x
-    return model.B @ x
-
-
 def sphere_max_quadratic(M, b):
     """Global maximum of x^T M x + b^T x over the unit sphere, by secular equation.
 
@@ -172,7 +144,8 @@ def sphere_max_quadratic(M, b):
     ``2 M x + b = 2 lam x`` is found by Newton's method on its offset above
     the top eigenvalue of M (see ``_secular_max``), which also covers the
     hard case, b orthogonal to the leading eigenspace.  Raises ValueError
-    unless M is a finite (d, d) matrix with d >= 1 and b d finite numbers.
+    unless M is a finite (d, d) matrix with d >= 1 and b d finite numbers, and
+    if the maximum or the multiplier exceeds the float range.
 
     Returns
     -------
@@ -191,7 +164,12 @@ def sphere_max_quadratic(M, b):
     M = _symmetric_part(M)
     shift = int(np.frexp(max(np.abs(M).max(), np.abs(b).max()))[1])   # 0 for all zeros
     value, x, lam = _secular_max(np.ldexp(M, -shift), np.ldexp(b, -shift))
-    return SphereQuadReport(float(np.ldexp(value, shift)), x, float(np.ldexp(lam, shift)))
+    with np.errstate(over="ignore"):
+        value, lam = np.ldexp([value, lam], shift).tolist()
+    if not (np.isfinite(value) and np.isfinite(lam)):
+        raise ValueError("the maximum of x.M.x + b.x over the unit sphere, or its "
+                         "multiplier, exceeds the float range")
+    return SphereQuadReport(value, x, lam)
 
 
 def _secular_max(M, b):
@@ -269,7 +247,8 @@ def _drift_check(model, tol, boundary=False):
     Ball: max over the unit sphere of ``b.x + x.(B_sym + C/2).x`` <= tol, with
     alpha added to the matrix for the ``boundary`` inequality.  Sphere: the
     identity B + B^T + C = 0, checked as ``residual`` = 2 max |B_sym + C/2|.
-    ValueError naming the condition if its matrix or residual overflows.
+    ValueError naming the condition if its matrix or residual overflows, and
+    from :func:`sphere_max_quadratic` if the ball's maximum does.
     """
     sphere = model.space == "sphere"
     condition = ("residual of the sphere drift identity B + B^T + C = 0" if sphere else
@@ -296,7 +275,8 @@ def validate_ball(model, tol=None):
     ``b.x + x.(B_sym + C/2).x`` <= tol (None: 1e-7), where tr c_H(x) = x.C.x.
     ``boundary`` is InteriorInvariant iff the same maximum with alpha added to
     the matrix is <= tol.  ValueError naming the inequality if its matrix
-    exceeds the float range, or ``tol`` if it is not a positive finite number.
+    exceeds the float range, if its maximum does, or naming ``tol`` if it is
+    not a positive finite number.
     """
     return _admission(model, tol)[0]
 
@@ -363,17 +343,6 @@ def _simulator_drive(model, tol=None):
     w, V = np.linalg.eigh(Bhat)
     up = w > 0.0   # none: Bhat - 0 keeps its bits
     return drive, Bhat - (V[:, up] * w[up]) @ V[:, up].T, None
-
-
-def model_to_json(model):
-    """Serialize a model to the {"space", "d", "alpha", "H", "b", "B"} schema."""
-    out = {"space": model.space, "d": int(model.d)}
-    out.update(h_to_json(model.H, model.d))
-    out["B"] = model.B.tolist()
-    if model.space == "ball":
-        out["alpha"] = model.alpha.tolist()
-        out["b"] = model.b.tolist()
-    return out
 
 
 def model_from_json(obj):

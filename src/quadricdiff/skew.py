@@ -16,24 +16,11 @@ __all__ = [
     "skew_dim",
     "pi_index",
     "pair_from_index",
-    "elementary_skew",
     "skew_basis",
     "skew_to_vec",
     "vec_to_skew",
     "plucker_eval",
 ]
-
-
-class RankError(ValueError):
-    """Numerical rank of the input is not what the operation requires.
-
-    Carries the singular values that led to the rejection in
-    ``self.singular_values``.
-    """
-
-    def __init__(self, message, singular_values):
-        super().__init__(message)
-        self.singular_values = np.asarray(singular_values)
 
 
 def _integer(value):
@@ -89,12 +76,6 @@ def pair_from_index(p, d):
         raise ValueError(f"basis index {p} out of range 1..{m} for d = {d}")
     rows, cols = _upper_indices(d)
     return int(rows[p - 1]) + 1, int(cols[p - 1]) + 1
-
-
-def elementary_skew(p, d):
-    """Elementary skew basis matrix with +1 above the diagonal at pair number p."""
-    pair_from_index(p, d)  # the index checks
-    return skew_basis(d)[p - 1].copy()
 
 
 @lru_cache(maxsize=None)
@@ -183,26 +164,3 @@ def plucker_eval(A, quad):
     a = lambda r, s: A[r - 1, s - 1]
     return a(i, j) * a(k, l) - a(i, k) * a(j, l) + a(i, l) * a(j, k)
 
-
-def rank2_factor(A):
-    """Factor a numerically rank-two skew matrix as x y^T - y x^T.
-
-    Uses an orthonormal basis (u1, u2) of the range and gamma = u1^T A u2,
-    returning (gamma*u1, u2).  Numerical rank counts singular values above
-    1e-10 times the largest one.
-
-    Raises
-    ------
-    RankError
-        If the numerical rank is not exactly two; carries the singular values.
-    """
-    A = np.asarray(A, dtype=float)
-    U, s, _ = np.linalg.svd(A)
-    if s[0] == 0.0:
-        raise RankError("matrix is zero, expected rank two", s)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank != 2:
-        raise RankError(f"numerical rank is {rank}, expected two", s)
-    u1, u2 = U[:, 0], U[:, 1]
-    gamma = u1 @ A @ u2
-    return gamma * u1, u2

@@ -37,7 +37,7 @@ import numpy as np
 
 from .cspace import (_check_h, _kernel, _symmetric, biquadratic_eval,
                      c_H_eval, cmap_from_h, cmap_from_pair, k_matrix)
-from .skew import _check_number, pi_index, skew_dim, vec_to_skew
+from .skew import _check_number, _upper_indices, pi_index, skew_dim
 
 __all__ = [
     "sos_check",
@@ -364,12 +364,12 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     accept_tol = min(tol, 1e-10 * scale)
     kernel = _kernel(d)
 
-    def feasible_verdict(h_star, used):
+    def feasible_verdict(h_star, lam, V, used):
         report, ok = _verify_feasible(H, h_star, kernel, tol)
         if not ok:
             return None
         return verdict_of(FEASIBLE, "feasible point found", used, h_star=h_star,
-                          factors=sos_decompose(h_star, tol), residuals=report)
+                          factors=_factors(h_star, lam, V, d, tol), residuals=report)
 
     def infeasible_verdict(B, used):
         ok, report = verify_certificate(H, B, tol)
@@ -384,7 +384,8 @@ def sos_check(H, tol=1e-9, max_iter=50000):
             return verdict
 
     # phi(t) = 1/2 ||Pi_-(Z)||_F^2, Z = H + sum_q t_q K_q.  ``best`` keeps the
-    # first evaluated Z that is PSD up to accept_tol, and the point of least phi.
+    # first evaluated Z that is PSD up to accept_tol, with its eigendecomposition
+    # for the factors, and the point of least phi.
     best = {"phi": np.inf, "Z": None}
 
     def phi(t):
@@ -395,7 +396,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         f = 0.5 * float(lam[:k] @ lam[:k])
         g = kernel.inner(N)
         if lam[0] >= -accept_tol and best["Z"] is None:
-            best["Z"] = Z
+            best.update(Z=Z, eig=(lam, V))
         if f < best["phi"] and k:
             best.update(phi=f, eig_min=float(lam[0]), N=N, g=g)
         return f, g, lam, V
@@ -422,7 +423,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
         used, stats["cg_products"], stop, stats["face"] = _newton_cg(
             phi, kernel, t, state, max_iter, halt, accept_tol)
     if best["Z"] is not None:
-        verdict = feasible_verdict(best["Z"], used)
+        verdict = feasible_verdict(best["Z"], *best["eig"], used)
         if verdict is not None:
             return verdict
     B = _repaired(best["N"], best["g"], kernel)
@@ -449,24 +450,32 @@ def sos_decompose(H_star, tol=1e-9):
     """
     _check_number(tol, "tol")
     H_star, d = _check_h(H_star, name="H_star")
-    m = H_star.shape[0]
-    if m == 0:
+    if H_star.size == 0:
         return []
+    return _factors(H_star, *np.linalg.eigh(H_star), d, tol)
+
+
+def _factors(H_star, lam, V, d, tol):
+    """The factors of :func:`sos_decompose` from eigh(H_star) = (lam, V), H_star symmetric.
+
+    Largest eigenvalue first, each factor is the skew matrix of the eigenvector
+    scaled by the root of its eigenvalue, all r of them scattered into one
+    (r, d, d) stack.  An infinite eigenvalue makes H_star / 4^e be decomposed.
+    """
     e = 0
-    lam, V = np.linalg.eigh(H_star)
     while not np.all(np.isfinite(lam)):
         e += 1
         lam, V = np.linalg.eigh(np.ldexp(H_star, -2 * e))
     if lam[0] < -tol:
         raise ValueError(f"matrix is indefinite beyond tolerance: min eigenvalue {lam[0]:.3e}")
     lam = np.clip(lam, 0.0, None)
-    cutoff = tol * max(lam[-1], 1.0)
-    factors = []
-    for p in range(m - 1, -1, -1):
-        if lam[p] <= cutoff:
-            break
-        factors.append(vec_to_skew(np.ldexp(np.sqrt(lam[p]) * V[:, p], e), d))
-    return factors
+    # lam ascends, so the eigenvalues above the cutoff are its last r
+    r = int(np.count_nonzero(lam > tol * max(lam[-1], 1.0)))
+    top = np.ldexp(np.sqrt(lam[::-1][:r]) * V[:, ::-1][:, :r], e)
+    rows, cols = _upper_indices(d)
+    A = np.zeros((r, d, d))
+    A[:, rows, cols] = top.T
+    return list(A - np.swapaxes(A, 1, 2))
 
 
 def reconstruct_cmap(factors, d):

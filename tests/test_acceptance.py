@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from quadricdiff.cspace import c_space_basis, cmap_eval, cmap_from_h
+from quadricdiff.cspace import c_space_basis, cmap_from_h
 from quadricdiff.generator import build_Gk, moment
 from quadricdiff.liealg import density_check_sphere, g_ideal
 from quadricdiff.model import BallModel, SphereModel, validate_ball
@@ -29,6 +29,7 @@ from quadricdiff.sos import (
 )
 
 from kbasis import k_basis
+from refs import cmap_eval
 
 
 def _report(criterion, ok, detail=""):

@@ -10,9 +10,10 @@ import pytest
 
 from kept import Kept, kept_run
 from quadricdiff.cli import _jsonable, main
-from quadricdiff.model import BallModel, SphereModel, model_to_json
+from quadricdiff.model import BallModel, SphereModel
 from quadricdiff.skew import skew_dim
 from quadricdiff.sos import counterexample_d6
+from refs import model_to_json
 
 
 def run(argv):
@@ -190,6 +191,43 @@ def test_tol_defaults_are_read_from_the_library(model_files, monkeypatch, capsys
     admission = "default 2.5e-06 for a ball model, 3.5e-08 for a sphere model"
     assert all(admission in text for text in helps.values()), helps
     assert "membership test: default 4.5e-10" in helps["density"], helps
+
+
+def test_sos_defaults_are_read_from_the_library(model_files, monkeypatch, capsys):
+    import inspect
+
+    from quadricdiff import cli, sos
+
+    # omitting the flags is passing the library's defaults
+    assert cli._sos_check is sos.sos_check
+    defaults = inspect.signature(sos.sos_check).parameters
+    tol = ["--tol", repr(defaults["tol"].default)]
+    budget = tol + ["--max-iter", str(defaults["max_iter"].default)]
+    ce = model_files["tmp"] / "ce_defaults.json"
+    ce.write_text(json.dumps(counterexample_d6().h.tolist()))
+    for argv, given in ((["sos-check", "--H", "id", "--d", "4"], budget),
+                        (["sos-check", "--H", f"@{ce}", "--d", "6"], budget),
+                        (["decompose", "--H", "id", "--d", "4"], budget),
+                        (["counterexample"], tol)):
+        assert run(argv) == run(argv + given), argv
+
+    # and --help prints the defaults of the function that the parser reads
+    def sos_check(H, tol=2.5e-8, max_iter=123):
+        raise AssertionError("only the parser reads it here")
+
+    monkeypatch.setattr(cli, "_sos_check", sos_check)
+    cli._build_parser.cache_clear()
+    try:
+        helps = {}
+        for command in ("sos-check", "decompose", "counterexample"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            helps[command] = " ".join(capsys.readouterr().out.split())
+    finally:
+        cli._build_parser.cache_clear()
+    assert all("witnesses: default 2.5e-08" in text for text in helps.values()), helps
+    assert all("default 123" in helps[command] for command in ("sos-check", "decompose"))
 
 
 def test_moments_and_domain_error(model_files):

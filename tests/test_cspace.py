@@ -12,9 +12,7 @@ from quadricdiff.cspace import (
     _kernel,
     biquadratic_eval,
     c_H_eval,
-    c_from_biquadratic,
     c_space_basis,
-    cmap_eval,
     cmap_from_h,
     h_action,
     h_from_c,
@@ -28,6 +26,7 @@ from quadricdiff.skew import (_pair_signs, _upper_indices, pi_index, plucker_eva
 from quadricdiff.sos import nonneg_check, sos_check, sos_decompose, verify_certificate
 
 from kbasis import k_basis
+from refs import c_from_biquadratic, cmap_eval
 
 rng = np.random.default_rng(77)
 

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 from scipy.sparse import csr_array
 
 from quadricdiff.generator import (
-    apply_generator,
     build_Gk,
     moment,
     monomial_basis,
@@ -14,8 +13,10 @@ from quadricdiff.generator import (
     poly_from_json,
     poly_to_json,
 )
-from quadricdiff.model import BallModel, SphereModel, a_eval, drift_eval
+from quadricdiff.model import BallModel, SphereModel
 from quadricdiff.skew import skew_dim
+
+from refs import a_eval, apply_generator, drift_eval
 
 rng = np.random.default_rng(99)
 

@@ -9,7 +9,9 @@ from quadricdiff.liealg import (
     lift_drive,
 )
 from quadricdiff.simulate import SkewDrive
-from quadricdiff.skew import elementary_skew, skew_dim
+from quadricdiff.skew import skew_dim
+
+from refs import elementary_skew
 
 rng = np.random.default_rng(808)
 

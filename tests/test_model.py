@@ -7,15 +7,14 @@ from quadricdiff.cspace import trace_form
 from quadricdiff.model import (
     BallModel,
     SphereModel,
-    a_eval,
-    drift_eval,
     model_from_json,
-    model_to_json,
     sphere_max_quadratic,
     validate_ball,
     validate_sphere,
 )
 from quadricdiff.skew import skew_dim
+
+from refs import a_eval, drift_eval, model_to_json
 
 rng = np.random.default_rng(55)
 
@@ -340,7 +339,8 @@ def test_sphere_max_quadratic_rescales_huge_coefficients():
                        (np.eye(2), np.array([np.inf, 0.0]), "finite"),
                        (np.eye(3), [1.0, 2.0], "b must hold 3 numbers"),
                        (np.ones((2, 3)), [1.0, 2.0], "M must be a square"),
-                       (np.ones(3), [1.0, 2.0, 3.0], "M must be a square")):
+                       (np.ones(3), [1.0, 2.0, 3.0], "M must be a square"),
+                       (1e308 * np.eye(2), [1e308, 1e308], "exceeds the float range")):
         with pytest.raises(ValueError, match=name):
             sphere_max_quadratic(M, b)
 

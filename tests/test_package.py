@@ -1,4 +1,5 @@
-"""The exports are the layers' ``__all__``, the demos run, and scipy loads only where used."""
+"""The exports are the layers' ``__all__``, every definition and import in src/ is used,
+the demos run, and scipy loads only where used."""
 
 import ast
 import glob
@@ -28,13 +29,57 @@ def test_package_exports_the_union_of_the_layers_all():
             assert name not in declared, (name, layer.__name__, declared[name])
             declared[name] = layer
     assert exported_names == declared.keys()
-    assert len(exported_names) <= 52
+    assert len(exported_names) <= 51
     for name, layer in declared.items():
         assert getattr(quadricdiff, name) is getattr(layer, name), name
 
 
 SRC = os.path.dirname(os.path.dirname(quadricdiff.__file__))
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+# Module-level definitions that nothing in src/ references, each with its reason.
+UNREFERENCED = {
+    "generator.__getattr__": "serves only the benchmark's tracer, which wraps generator.expm",
+}
+
+
+def _names(node):
+    """The names that node references: Name ids, Attribute attrs and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_src_definition_and_import_is_used():
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "quadricdiff", "*.py"))):
+        with open(path) as fh:
+            trees[os.path.basename(path)[:-3]] = ast.parse(fh.read(), path)
+    # A definition is referenced from another module, or from its own module
+    # outside its own body: __init__'s re-exports and the CLI's
+    # set_defaults(func=...) count like any call.
+    unreferenced, unused = set(), []
+    for module, tree in trees.items():
+        elsewhere = {name for other, t in trees.items() if other != module for name in _names(t)}
+        stmts = [(stmt, set(_names(stmt))) for stmt in tree.body]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not (
+                    node.name in elsewhere
+                    or any(node.name in names for stmt, names in stmts if stmt is not node)):
+                unreferenced.add(f"{module}.{node.name}")
+        # Every name a module imports is used there; __init__'s imports are the exports.
+        if module == "__init__":
+            continue
+        loaded = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in loaded]
+    assert unreferenced == UNREFERENCED.keys(), sorted(unreferenced ^ UNREFERENCED.keys())
+    assert not unused, unused
 
 
 def test_every_name_a_demo_imports_is_exported():

@@ -57,7 +57,7 @@ def test_sos_decompose_identity_d3():
     assert len(factors) == 3
     C = reconstruct_cmap(factors, 3)
     x = rng.standard_normal(3)
-    from quadricdiff.cspace import cmap_eval
+    from refs import cmap_eval
 
     assert np.allclose(cmap_eval(C, x), (x @ x) * np.eye(3) - np.outer(x, x), atol=1e-10)
 
@@ -643,6 +643,27 @@ def test_sos_decompose_prescales_a_spectrum_that_overflows():
     lam, V = np.linalg.eigh(P)
     for p, A in zip((2, 1, 0), sos_decompose(P)):
         assert np.array_equal(A, vec_to_skew(np.sqrt(lam[p]) * V[:, p], 3))
+
+
+def test_sos_check_factors_its_witness_as_sos_decompose_does():
+    # sos_check factors its witness from the eigendecomposition that phi made of
+    # it; sos_decompose makes its own, and the bytes agree, the overflow path too
+    r = np.random.default_rng(31)
+    cases = [np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])]
+    for d in (3, 4, 6, 8):
+        m = skew_dim(d)
+        for cols in (m, m // 2, m):
+            G = r.standard_normal((m, cols))
+            cases.append(G @ G.T / m + sum((r.uniform(-0.5, 0.5) * el.matrix
+                                            for el in k_basis(d)), np.zeros((m, m))))
+    feasible = 0
+    for H in cases:
+        v = sos_check(H)
+        if v.status == "Feasible":
+            feasible += 1
+            factors, again = np.array(v.factors), np.array(sos_decompose(v.h_star))
+            assert factors.shape == again.shape and factors.tobytes() == again.tobytes()
+    assert feasible == len(cases)
 
 
 def test_sos_check_symmetrizes_without_overflow():

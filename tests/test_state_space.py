@@ -19,7 +19,7 @@ import pytest
 from quadricdiff.cli import main
 from quadricdiff.generator import moment
 from quadricdiff.liealg import density_check_ball, density_check_sphere
-from quadricdiff.model import BallModel, SphereModel, model_to_json, validate_ball, validate_sphere
+from quadricdiff.model import BallModel, SphereModel, validate_ball, validate_sphere
 from quadricdiff.simulate import (
     SkewDrive,
     ball_ensemble,
@@ -27,6 +27,8 @@ from quadricdiff.simulate import (
     sphere_ensemble,
     twin_path_experiment,
 )
+
+from refs import model_to_json
 
 NAN, INF = float("nan"), float("inf")
 # Not three finite numbers; the first four are not d finite numbers for any d.
@@ -273,6 +275,18 @@ def test_ball_drift_overflow_is_a_named_error(tmp_path):
     assert out == {"error": "the matrix B_sym + C/2 of the drift inequality exceeds the "
                             "float range"}, out
     with pytest.raises(ValueError, match="drift inequality"):
+        validate_ball(mdl)
+
+
+def test_ball_drift_maximum_overflow_is_a_named_error(tmp_path):
+    # B_sym + C/2 = 1e308 I is finite, but its maximum 1e308 (1 + sqrt 2) over the sphere is not
+    mdl = BallModel(alpha=np.eye(2), H=[[0.0]], b=[1e308, 1e308], B=1e308 * np.eye(2))
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps(model_to_json(mdl)))
+    error = ("the maximum of x.M.x + b.x over the unit sphere, or its multiplier, exceeds "
+             "the float range")
+    assert cli(["validate", "--model", str(path)]) == {"error": error}
+    with pytest.raises(ValueError, match=re.escape(error)):
         validate_ball(mdl)
 
 

@@ -246,7 +246,7 @@ def _cmd_twin(args):
     drive = sim.SkewDrive.zero(d)
     report = sim.twin_path_experiment(args.kappa, args.nu, drive, x0, args.T, args.h,
                                       args.seeds, seed=args.seed, eps=args.eps)
-    return _json_out(dict(vars(report), threshold=np.sqrt(2.0) - 1.0))
+    return _json_out(vars(report))
 
 
 def _cmd_density(args):
@@ -260,12 +260,15 @@ def _cmd_density(args):
     return _json_out(dict(vars(report), space=mdl.space))
 
 
-def _tolerance(text):
-    """argparse type of --tol: a positive finite float, or a usage error."""
-    value = float(text)
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
+def _positive(kind):
+    """argparse type of --tol and --max-iter: a positive finite ``kind``, or a usage error."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__   # argparse's "invalid <name> value" message
+    return parse
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,13 +280,13 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # --tol of the commands that admit a model, as validate does
-    model_tol = dict(type=_tolerance, default=None, help="drift tolerance of the model's "
+    model_tol = dict(type=_positive(float), default=None, help="drift tolerance of the model's "
                      "admission: default {ball:g} for a ball model, {sphere:g} for a sphere "
                      "model".format(**model_mod._DEFAULT_TOL))
     # --tol and --max-iter of the commands that run sos_check; unset, its defaults hold
     sos_default = {name: p.default for name, p in
                    inspect.signature(_sos_check).parameters.items()}
-    sos_tol = dict(type=_tolerance, default=None, help="acceptance tolerance of the SOS "
+    sos_tol = dict(type=_positive(float), default=None, help="acceptance tolerance of the SOS "
                    f"witnesses: default {sos_default['tol']:g}")
 
     p = sub.add_parser("dims", help="dimension formulas for the coefficient space")
@@ -300,7 +303,7 @@ def _build_parser():
         p.add_argument("--H", required=True, help="'id', 'zero', inline JSON, or @file")
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--tol", **sos_tol)
-        p.add_argument("--max-iter", type=int, default=None,
+        p.add_argument("--max-iter", type=_positive(int), default=None,
                        help="iteration budget: Newton and face steps of the SOS solver; "
                             f"default {sos_default['max_iter']}")
         p.set_defaults(func=fn)

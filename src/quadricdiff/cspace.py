@@ -74,7 +74,7 @@ def _symmetric_part(A):
 def _symmetric(A, message):
     """The symmetric part of A; ValueError(message) unless A is symmetric to roundoff."""
     S = _symmetric_part(A)
-    if np.abs(A - S).max(initial=0.0) > 1e-10 * (1.0 + np.abs(A).max(initial=0.0)):
+    if np.abs(A - S).max(initial=0.0) > 1e-10 * np.abs(A).max(initial=0.0):
         raise ValueError(message)
     return S
 
@@ -276,7 +276,7 @@ def h_from_c(C):
     ------
     TangencyError
         If the Frobenius distance between C and its best c_H fit, which the
-        error carries, exceeds 1e-10 max(1, ||C||).
+        error carries, exceeds 1e-10 ||C||.
     """
     C = np.asarray(C, dtype=float)
     d = C.shape[0]
@@ -288,8 +288,7 @@ def h_from_c(C):
          - Ct[j[:, None], i, i[:, None], j] + Ct[j[:, None], j, i[:, None], i])
     H = (M + M.T) / 6.0
     residual = np.linalg.norm(cmap_from_h(H, d) - C)
-    scale = max(np.linalg.norm(C), 1.0)
-    if residual > 1e-10 * scale:
+    if residual > 1e-10 * np.linalg.norm(C):
         raise TangencyError(
             f"map is not tangential: best-fit residual {residual:.3e}", residual
         )

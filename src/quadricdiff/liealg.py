@@ -86,12 +86,17 @@ def g_ideal(drive, tol=1e-10):
     C(d, 2) rounds since the dimension strictly grows.  Also returns the
     extension by A_0 and verifies the ideal property (brackets of the closure
     with every drive matrix stay inside the closure, up to tol, a positive
-    finite number).
+    finite number).  Nonzero A_p enter at unit Frobenius norm: no test depends on scale.
     """
     _check_number(tol, "tol")
     d = drive.d
-    gens = [drive.a0] + list(drive.diffusion)
-    basis = _orthonormal_rows(drive.diffusion, tol)
+
+    def unit(As):
+        return np.array([A / n for A in As if (n := np.linalg.norm(A))]).reshape(-1, d, d)
+
+    a0, diffusion = unit([drive.a0]), unit(drive.diffusion)
+    gens = np.concatenate([a0, diffusion])
+    basis = _orthonormal_rows(diffusion, tol)
     changed = len(basis) > 0
     while changed:
         new = [bracket(B, A) for B in basis for A in gens]
@@ -102,12 +107,10 @@ def g_ideal(drive, tol=1e-10):
     ideal_residual = 0.0
     for B in basis:
         for A in gens:
-            com = bracket(B, A)
-            scale = max(1.0, np.linalg.norm(com))
-            ideal_residual = max(ideal_residual, _project_residual(com, basis) / scale)
+            ideal_residual = max(ideal_residual, _project_residual(bracket(B, A), basis))
     g = LieSubspace(d, basis, basis.shape[0], ideal_residual)
 
-    h_basis = _orthonormal_rows(np.concatenate([basis, [drive.a0]]), tol)
+    h_basis = _orthonormal_rows(np.concatenate([basis, a0]), tol)
     h = LieSubspace(d, h_basis, h_basis.shape[0])
     if ideal_residual > tol:
         raise ArithmeticError(
@@ -136,7 +139,7 @@ def _density_report(drive, x0, tol, ball):
     else:
         coeffs, _, _, _ = np.linalg.lstsq(gx0.T, a0x0, rcond=None)
         resid = float(np.linalg.norm(gx0.T @ coeffs - a0x0))
-        member = resid <= max(tol * np.linalg.norm(a0x0), 1e-12)
+        member = resid <= tol * np.linalg.norm(a0x0)
     full = g.dim == skew_dim(drive.d)
     return DensityReport(
         has_smooth_density=full if ball else member,
@@ -154,9 +157,8 @@ def density_check_sphere(drive, x0, tol=None):
     """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
 
     Membership is tested by least-squares projection of A_0 x_0 onto
-    span{B x_0} over the closure basis, with tolerance ``tol`` relative to
-    |A_0 x_0| and an absolute floor of 1e-12; ``tol`` must be a positive
-    finite number (None: 1e-9).  x0 must be d finite numbers with |x0| = 1 to 1e-9.
+    span{B x_0} over the closure basis, with tolerance ``tol`` relative to |A_0 x_0|, a
+    positive finite number (None: 1e-9).  x0 must be d finite numbers with |x0| = 1 to 1e-9.
     """
     return _density_report(drive, _start_point(x0, drive.d, "sphere", 1e-9), tol, ball=False)
 
@@ -166,13 +168,13 @@ def lift_drive(drive, alpha):
 
     Each drive matrix becomes its block-diagonal extension, and every factor
     a_i of alpha = sum a_i a_i^T (eigenvectors scaled by root eigenvalues,
-    eigenvalues up to 1e-12 dropped) contributes a generator rotating into the
-    extra coordinate.  alpha must be a finite, symmetric, positive semidefinite
-    d x d matrix.
+    eigenvalues up to 1e-12 times the largest dropped) contributes a generator
+    rotating into the extra coordinate.  alpha must be a finite, symmetric,
+    positive semidefinite d x d matrix.
     """
     d = drive.d
     w, V = _alpha_eigh(alpha, d)
-    factors = [np.sqrt(wi) * V[:, i] for i, wi in enumerate(w) if wi > 1e-12]
+    factors = [np.sqrt(wi) * V[:, i] for i, wi in enumerate(w) if wi > 1e-12 * w[-1]]
 
     def embed(A):
         out = np.zeros((d + 1, d + 1))

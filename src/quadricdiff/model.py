@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cspace import _float_array, _symmetric, _symmetric_part, h_from_json, trace_form
+from .simulate import SkewDrive, _alpha_psd
 from .skew import _check_number, skew_dim
 from . import sos as _sos
 
@@ -43,11 +44,6 @@ def _coefficients(model, **shapes):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
         object.__setattr__(model, name, value)
-
-
-def _alpha_psd(w):
-    """Whether alpha, with ascending eigenvalues w, is PSD: w_min >= -1e-10 max(1, w_max)."""
-    return bool(w[0] >= -1e-10 * max(1.0, w[-1]))
 
 
 def _square_dim(A, name):
@@ -269,7 +265,7 @@ def _drift_check(model, tol, boundary=False):
 def validate_ball(model, tol=None):
     """Check admissibility of a ball model and, if it is admissible, boundary attainment.
 
-    Conditions: alpha PSD by the simulators' floor (see ``_alpha_psd``); c_H
+    Conditions: alpha PSD by the simulators' rule (see ``simulate._alpha_psd``); c_H
     positive semidefinite (three-valued, via the SOS check with a one-sided
     numerical screen as fallback); and the drift inequality max over the unit sphere of
     ``b.x + x.(B_sym + C/2).x`` <= tol (None: 1e-7), where tr c_H(x) = x.C.x.
@@ -326,8 +322,6 @@ def _simulator_drive(model, tol=None):
     (A_0 + 1/2 sum A_p^2) x, so a ball's Bhat = B_sym + 1/2 sum A_p^T A_p.  Admission
     bounds its eigenvalues by tol, not 0: the positive ones are clipped to 0.
     """
-    from .simulate import SkewDrive  # simulate imports this module
-
     report, verdict = _admission(model, tol)
     drift = report.checks["drift_identity" if model.space == "sphere" else "drift"]
     if not drift["pass"]:

@@ -48,7 +48,6 @@ import numpy as np
 
 from .cspace import _symmetric
 from .generator import _exponent, _start_point
-from .model import _alpha_psd
 from .skew import _check_number, _integer, _upper_indices, skew_basis, skew_to_vec
 
 __all__ = [
@@ -108,7 +107,7 @@ class SkewDrive:
             if A.size == 0:
                 continue
             dev = np.abs(A + A.transpose(0, 2, 1)).max()
-            if dev > 1e-12 * (1.0 + np.abs(A).max()):
+            if dev > 1e-12 * np.abs(A).max():
                 raise ValueError(f"{name} is not skew-symmetric (deviation {dev:.2e})")
         object.__setattr__(self, "a0", 0.5 * (a0 - a0.T))
         object.__setattr__(self, "diffusion", 0.5 * (diff - diff.transpose(0, 2, 1)))
@@ -166,7 +165,8 @@ class TwinPathReport:
     max_divergence: np.ndarray
     eps: float
     kappa_nu_ratio: float
-    uniqueness_condition: bool   # kappa/nu^2 > sqrt(2) - 1
+    uniqueness_condition: bool   # kappa/nu^2 > threshold
+    threshold: float             # sqrt(2) - 1
     T: float
     h: float
 
@@ -485,6 +485,11 @@ def _grid(T, h, n_paths, name="n_paths"):
     return n_steps, T / n_steps
 
 
+def _alpha_psd(w):
+    """Whether alpha, with ascending eigenvalues w, is PSD: w_min >= -1e-10 w_max."""
+    return bool(w[0] >= -1e-10 * w[-1])
+
+
 def _alpha_eigh(alpha, d):
     """Eigenpairs of alpha; ValueError unless alpha is a finite, symmetric, PSD (d, d)."""
     alpha = np.asarray(alpha, dtype=float)
@@ -773,7 +778,7 @@ def _ball_args(bhat, Bhat, alpha, drive, x0):
         raise ValueError("bhat and Bhat must be finite")
     Bsym = _symmetric(Bhat, "Bhat must be symmetric; put the skew part into the drive")
     top = float(np.linalg.eigvalsh(Bsym)[-1])
-    if top > 1e-12 * max(1.0, np.abs(Bsym).max()):
+    if top > 1e-12 * np.abs(Bsym).max():
         raise ValueError(f"Bhat must be negative semidefinite (max eig {top:.2e})")
     return bhat, Bsym, _psd_sqrt(alpha, d), _start_point(x0, d, "ball", _X0_TOL)
 
@@ -848,12 +853,13 @@ def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
 
     _run_block(drive, np.tile(starts, (n_seeds, 1)), n_steps, h_eff,
                _streams(seed, np.repeat(range(n_seeds), 2)), bhat, Bhat, sqa, fold)
-    ratio = kappa / nu ** 2
+    ratio, threshold = kappa / nu ** 2, np.sqrt(2.0) - 1.0
     return TwinPathReport(
         max_divergence=gap,
         eps=eps,
         kappa_nu_ratio=ratio,
-        uniqueness_condition=bool(ratio > np.sqrt(2.0) - 1.0),
+        uniqueness_condition=bool(ratio > threshold),
+        threshold=threshold,
         T=T,
         h=h_eff,
     )

@@ -109,14 +109,13 @@ def _eig_min(X):
 
 
 def _verify_feasible(H, h_star, kernel, tol):
-    scale = max(1.0, np.linalg.norm(H))
     shift = h_star - H
     member = float(np.linalg.norm(shift - kernel.project(shift)))
     eig_min = _eig_min(h_star)
     return {
         "eig_min": eig_min,
         "membership_residual": member,
-    }, eig_min >= -tol and member <= tol * scale
+    }, eig_min >= -tol and member <= tol * np.linalg.norm(H)
 
 
 def verify_certificate(H, B, tol=1e-9):
@@ -359,7 +358,7 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     if m == 0:
         return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H, factors=[],
                           residuals={"eig_min": 0.0})
-    scale = max(1.0, float(np.linalg.norm(H)))
+    scale = float(np.linalg.norm(H))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
     kernel = _kernel(d)
@@ -470,7 +469,7 @@ def _factors(H_star, lam, V, d, tol):
         raise ValueError(f"matrix is indefinite beyond tolerance: min eigenvalue {lam[0]:.3e}")
     lam = np.clip(lam, 0.0, None)
     # lam ascends, so the eigenvalues above the cutoff are its last r
-    r = int(np.count_nonzero(lam > tol * max(lam[-1], 1.0)))
+    r = int(np.count_nonzero(lam > tol * lam[-1]))
     top = np.ldexp(np.sqrt(lam[::-1][:r]) * V[:, ::-1][:, :r], e)
     rows, cols = _upper_indices(d)
     A = np.zeros((r, d, d))

@@ -160,6 +160,17 @@ def test_tol_is_a_positive_finite_number(model_files, monkeypatch):
     assert seen == [1e-7, 1e-9, 1e-5]
 
 
+def test_max_iter_is_a_positive_integer(capsys):
+    # a usage error, as a bad --tol is, not an {"error": ...} document
+    for command in ("sos-check", "decompose"):
+        for budget in ("0", "-5", "2.5"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--H", "id", "--d", "3", "--max-iter", budget])
+            assert exc.value.code == 2, (command, budget)
+            assert "--max-iter" in capsys.readouterr().err
+        assert run_json([command, "--H", "id", "--d", "3", "--max-iter", "1"])
+
+
 def test_tol_defaults_are_read_from_the_library(model_files, monkeypatch, capsys):
     # the help text of --tol and density's membership tolerance have one home each
     import inspect

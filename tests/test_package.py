@@ -82,6 +82,21 @@ def test_every_src_definition_and_import_is_used():
     assert not unused, unused
 
 
+def test_package_modules_import_each_other_at_module_level():
+    # A function-local import of a package module hides an import cycle; the
+    # function-local scipy and stdlib imports are intended (they load on first use).
+    local = []
+    for path in sorted(glob.glob(os.path.join(SRC, "quadricdiff", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{os.path.basename(path)}:{node.lineno} {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not local, local
+
+
 def test_every_name_a_demo_imports_is_exported():
     exported_names = exported()
     for path in sorted(glob.glob(os.path.join(DEMOS, "*.py"))):

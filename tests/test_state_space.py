@@ -214,7 +214,8 @@ def test_non_finite_results_are_errors_in_strict_json(models, tmp_path):
 
 
 # alpha: (validate's verdict, and whether the engines accept it).  Inside the engines'
-# floor -1e-10 max(1, w_max), outside it, and asymmetric beyond roundoff.
+# rule w_min >= -1e-10 w_max, at a wide spectrum and at a tiny negative eigenvalue,
+# and outside it.
 ALPHAS = {
     "wide_spectrum": (np.diag([1e6, 1.0, -5e-6]), True),
     "tiny_negative": (np.diag([1.0, 1.0, -5e-11]), True),

@@ -13,7 +13,7 @@ from quadricdiff import (
     SkewDrive,
     scalar_ball_ensemble,
     twin_path_experiment,
-    validate_ball,
+    validate,
 )
 
 drive = SkewDrive.zero(1)
@@ -21,7 +21,7 @@ drive = SkewDrive.zero(1)
 print("terminal boundary proximity, |X_T| > 1 - 1e-3, T = 5, 10^4 paths:")
 for kappa, nu in ((2.0, 1.0), (1.0, 1.0), (0.2, 1.0)):
     model = BallModel(alpha=[[nu ** 2]], H=np.zeros((0, 0)), b=[0.0], B=[[-kappa]])
-    report = validate_ball(model)
+    report = validate(model)
     assert report.admissible
     att = report.boundary
     ens = scalar_ball_ensemble(kappa, nu, drive, np.array([0.0]), T=5.0, h=5e-3,

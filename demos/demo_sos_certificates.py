@@ -52,7 +52,7 @@ print("solver verdict       :", verdict.status)
 ok, margins = verify_certificate(ce.h, verdict.certificate)
 print("certificate verifies :", ok, margins)
 
-screen = nonneg_check(ce.h, restarts=15)
+screen = nonneg_check(ce.h)
 print("numerical screen     :", screen.status, " min found:", screen.min_value)
 
 print("\ncomponent functions of the counterexample map:")

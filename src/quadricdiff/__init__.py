@@ -44,8 +44,7 @@ from .model import (
     SphereModel,
     model_from_json,
     sphere_max_quadratic,
-    validate_ball,
-    validate_sphere,
+    validate,
 )
 from .generator import (
     build_Gk,
@@ -68,8 +67,7 @@ from .simulate import (
 )
 from .liealg import (
     bracket,
-    density_check_ball,
-    density_check_sphere,
+    density_check,
     g_ideal,
     lift_drive,
 )

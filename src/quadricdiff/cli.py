@@ -99,8 +99,7 @@ def _cmd_dims(args):
 
 def _cmd_validate(args):
     mdl = _load_model(args.model)
-    report, _ = model_mod._admission(mdl, args.tol)
-    return _json_out(dict(vars(report), space=mdl.space))
+    return _json_out(dict(vars(model_mod.validate(mdl, args.tol)), space=mdl.space))
 
 
 def _sos_options(args):
@@ -205,9 +204,7 @@ def _cmd_simulate(args):
         if args.scheme not in ("scalar", mdl.space):
             raise ValueError(f"--scheme {args.scheme} needs a {args.scheme} model, "
                              f"got a {mdl.space} model")
-        drive, Bhat, refusal = model_mod._simulator_drive(mdl, args.tol)
-        if refusal:
-            return _json_out(refusal)
+        drive, Bhat = model_mod._simulator_drive(mdl, args.tol)
     with _CsvFile(args.out, len(x0)) as csv:
         # With --keep-paths the CSV writer is the ensemble's sink.
         sink = functools.partial(_write_paths, csv) if args.keep_paths else None
@@ -242,8 +239,7 @@ def _cmd_simulate(args):
 
 def _cmd_twin(args):
     x0 = _parse_vector(args.x0)
-    d = len(x0)
-    drive = sim.SkewDrive.zero(d)
+    drive = sim.SkewDrive.zero(len(x0))
     report = sim.twin_path_experiment(args.kappa, args.nu, drive, x0, args.T, args.h,
                                       args.seeds, seed=args.seed, eps=args.eps)
     return _json_out(vars(report))
@@ -251,12 +247,7 @@ def _cmd_twin(args):
 
 def _cmd_density(args):
     mdl = _load_model(args.model)
-    x0 = _parse_vector(args.x0)
-    drive, _, refusal = model_mod._simulator_drive(mdl, args.tol)
-    if refusal:
-        return _json_out(refusal)
-    report = (liealg.density_check_sphere(drive, x0, args.tol) if mdl.space == "sphere" else
-              liealg.density_check_ball(drive, mdl.alpha, x0, args.tol))
+    report = liealg.density_check(mdl, _parse_vector(args.x0), args.tol)
     return _json_out(dict(vars(report), space=mdl.space))
 
 
@@ -366,6 +357,8 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except model_mod.ModelRefused as exc:
+        return _json_out(exc.report)
     except ValueError as exc:
         # Domain errors are part of the computed output, not process failures.
         return _json_out({"error": str(exc)})

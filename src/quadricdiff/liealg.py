@@ -2,9 +2,10 @@
 
 The bracket-generated subspace of a drive (A_0; A_1..A_m) starts from the
 diffusion directions and closes under commutators with every drive matrix.
-Smooth transition densities on the sphere exist iff A_0 x_0 lies in the
-closure applied to x_0; for the ball the test lifts to dimension d + 1 with
-border generators built from a factorization of alpha.
+A model's drive is A_0 = skew(B) with the diffusion directions of its SOS
+representation.  Smooth transition densities on the sphere exist iff A_0 x_0
+lies in the closure applied to x_0; for the ball the test lifts to dimension
+d + 1 with border generators built from a factorization of alpha.
 """
 
 from dataclasses import dataclass
@@ -12,18 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import _start_point
+from .model import _simulator_drive
 from .simulate import SkewDrive, _alpha_eigh
 from .skew import _check_number, skew_dim
 
 __all__ = [
     "bracket",
     "g_ideal",
-    "density_check_sphere",
-    "density_check_ball",
+    "density_check",
     "lift_drive",
 ]
 
-_DEFAULT_TOL = 1e-9   # of the membership test in both density checks
+_DEFAULT_TOL = 1e-9   # of the membership test on either space
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,13 @@ def _orthonormal_rows(rows, tol):
     return Vt[:rank].reshape(rank, *rows.shape[1:])
 
 
+def _norm(a):
+    """``np.linalg.norm(a)`` after an exact power-of-two prescale by the largest entry, so
+    that no square underflows or overflows; the same bits wherever neither happens."""
+    shift = int(np.frexp(np.abs(a).max(initial=0.0))[1])   # 0 for all zeros
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -shift)), shift))
+
+
 def _project_residual(A, basis):
     """Frobenius distance from A to the span of an orthonormal matrix basis."""
     if basis.shape[0] == 0:
@@ -92,7 +100,7 @@ def g_ideal(drive, tol=1e-10):
     d = drive.d
 
     def unit(As):
-        return np.array([A / n for A in As if (n := np.linalg.norm(A))]).reshape(-1, d, d)
+        return np.array([A / n for A in As if (n := _norm(A))]).reshape(-1, d, d)
 
     a0, diffusion = unit([drive.a0]), unit(drive.diffusion)
     gens = np.concatenate([a0, diffusion])
@@ -131,15 +139,16 @@ def _density_report(drive, x0, tol, ball):
     _check_number(tol, "tol")
     g, h = g_ideal(drive, max(tol, 1e-12))
     a0x0 = drive.a0 @ x0
+    size = _norm(a0x0)
     gx0 = g.basis @ x0
-    if np.linalg.norm(a0x0) == 0.0:
+    if size == 0.0:
         member, resid = True, 0.0
     elif g.dim == 0:
-        member, resid = False, float(np.linalg.norm(a0x0))
+        member, resid = False, size
     else:
         coeffs, _, _, _ = np.linalg.lstsq(gx0.T, a0x0, rcond=None)
-        resid = float(np.linalg.norm(gx0.T @ coeffs - a0x0))
-        member = resid <= tol * np.linalg.norm(a0x0)
+        resid = _norm(gx0.T @ coeffs - a0x0)
+        member = resid <= tol * size
     full = g.dim == skew_dim(drive.d)
     return DensityReport(
         has_smooth_density=full if ball else member,
@@ -153,12 +162,25 @@ def _density_report(drive, x0, tol, ball):
     )
 
 
-def density_check_sphere(drive, x0, tol=None):
-    """Smooth-density criterion on the sphere: is A_0 x_0 in the closure applied to x_0?
+def density_check(model, x0, tol=None):
+    """Smooth-density criterion of a ball or sphere model at x0, in its state space.
 
-    Membership is tested by least-squares projection of A_0 x_0 onto
-    span{B x_0} over the closure basis, with tolerance ``tol`` relative to |A_0 x_0|, a
-    positive finite number (None: 1e-9).  x0 must be d finite numbers with |x0| = 1 to 1e-9.
+    The model is admitted once, as ``model.validate`` admits it at ``tol``, or
+    ``model.ModelRefused`` is raised; its drive is A_0 = skew(B) with the
+    diffusion directions of its SOS witness.  ``tol`` None takes the model's
+    drift default at admission and 1e-9 for the membership test.
+    """
+    drive, _ = _simulator_drive(model, tol)
+    if model.space == "sphere":
+        return _density_check_sphere(drive, x0, tol)
+    return _density_check_ball(drive, model.alpha, x0, tol)
+
+
+def _density_check_sphere(drive, x0, tol=None):
+    """Sphere: is A_0 x_0 in the closure applied to x_0, span{B x_0} over its basis?
+
+    Tested by least-squares projection, with ``tol`` relative to |A_0 x_0|, a positive
+    finite number (None: 1e-9).  x0 must be d finite numbers with |x0| = 1 to 1e-9.
     """
     return _density_report(drive, _start_point(x0, drive.d, "sphere", 1e-9), tol, ball=False)
 
@@ -172,36 +194,23 @@ def lift_drive(drive, alpha):
     rotating into the extra coordinate.  alpha must be a finite, symmetric,
     positive semidefinite d x d matrix.
     """
-    d = drive.d
+    d, m = drive.d, drive.n_diffusion
     w, V = _alpha_eigh(alpha, d)
-    factors = [np.sqrt(wi) * V[:, i] for i, wi in enumerate(w) if wi > 1e-12 * w[-1]]
-
-    def embed(A):
-        out = np.zeros((d + 1, d + 1))
-        out[:d, :d] = A
-        return out
-
-    def border(a):
-        out = np.zeros((d + 1, d + 1))
-        out[:d, d] = a
-        out[d, :d] = -a
-        return out
-
-    diffusion = [embed(A) for A in drive.diffusion] + [border(a) for a in factors]
-    return SkewDrive(embed(drive.a0), np.array(diffusion))
+    keep = w > 1e-12 * w[-1]
+    factors = (V[:, keep] * np.sqrt(w[keep])).T
+    lifted = np.zeros((1 + m + len(factors), d + 1, d + 1))   # A_0, the A_p, the borders
+    lifted[:1 + m, :d, :d] = np.concatenate([drive.a0[None], drive.diffusion])
+    lifted[1 + m:, :d, d] = factors
+    lifted[1 + m:, d, :d] = -factors
+    return SkewDrive(lifted[0], lifted[1:])
 
 
-def density_check_ball(drive, alpha, x0, tol=None):
-    """Smooth-density criterion for the mean-reverting ball dynamics.
+def _density_check_ball(drive, alpha, x0, tol=None):
+    """Ball: is the closure of the drive lifted to dimension d + 1 all of Skew(d + 1)?
 
-    Lifts the drive to the sphere in dimension d + 1 and reports a smooth
-    interior density iff the lifted closure is all of Skew(d + 1).  x0 must be
-    d finite numbers with |x0| <= 1 + 1e-9, and ``tol`` a positive finite
-    number (None: 1e-9).
-    """
+    x0 must be d finite numbers with |x0| <= 1 + 1e-9, and ``tol`` a positive finite
+    number (None: 1e-9)."""
     x0 = _start_point(x0, drive.d, "ball", 1e-9)
     lifted = lift_drive(drive, alpha)
     z0 = np.concatenate([x0, [np.sqrt(max(0.0, 1.0 - float(x0 @ x0)))]])
-    nz = np.linalg.norm(z0)
-    z0 = z0 / nz if nz > 0 else z0
-    return _density_report(lifted, z0, tol, ball=True)
+    return _density_report(lifted, z0 / np.linalg.norm(z0), tol, ball=True)

@@ -22,8 +22,7 @@ __all__ = [
     "BallModel",
     "SphereModel",
     "sphere_max_quadratic",
-    "validate_ball",
-    "validate_sphere",
+    "validate",
     "model_from_json",
 ]
 
@@ -65,6 +64,7 @@ class BallModel:
     H: np.ndarray
     b: np.ndarray
     B: np.ndarray
+    space = "ball"   # a class constant, not a field
 
     def __post_init__(self):
         d = _square_dim(self.alpha, "alpha")
@@ -75,10 +75,6 @@ class BallModel:
     @property
     def d(self):
         return np.asarray(self.alpha).shape[0]
-
-    @property
-    def space(self):
-        return "ball"
 
 
 @dataclass(frozen=True)
@@ -91,6 +87,7 @@ class SphereModel:
 
     H: np.ndarray
     B: np.ndarray
+    space = "sphere"   # a class constant, not a field
 
     def __post_init__(self):
         d = _square_dim(self.B, "B")
@@ -100,10 +97,6 @@ class SphereModel:
     @property
     def d(self):
         return np.asarray(self.B).shape[0]
-
-    @property
-    def space(self):
-        return "sphere"
 
 
 @dataclass
@@ -262,29 +255,31 @@ def _drift_check(model, tol, boundary=False):
     return {"pass": quad.max_value <= tol, "max_value": quad.max_value, "argmax": quad.argmax}
 
 
-def validate_ball(model, tol=None):
-    """Check admissibility of a ball model and, if it is admissible, boundary attainment.
+class ModelRefused(ValueError):
+    """A model that admission refuses to drive; ``report`` is what the CLI prints: the
+    ``error`` with the failed ``drift`` check, or with the ``sos_status`` short of Feasible."""
 
-    Conditions: alpha PSD by the simulators' rule (see ``simulate._alpha_psd``); c_H
-    positive semidefinite (three-valued, via the SOS check with a one-sided
-    numerical screen as fallback); and the drift inequality max over the unit sphere of
-    ``b.x + x.(B_sym + C/2).x`` <= tol (None: 1e-7), where tr c_H(x) = x.C.x.
-    ``boundary`` is InteriorInvariant iff the same maximum with alpha added to
-    the matrix is <= tol.  ValueError naming the inequality if its matrix
-    exceeds the float range, if its maximum does, or naming ``tol`` if it is
-    not a positive finite number.
+    def __init__(self, report):
+        super().__init__(report["error"])
+        self.report = report
+
+
+def validate(model, tol=None):
+    """Admissibility of a ball or sphere model, and an admissible ball model's boundary step.
+
+    c_H positive semidefinite is three-valued: verified by the SOS check, else
+    refuted by the numerical screen or, at d <= 4, by SOS infeasibility, else
+    unverified.  The drift checks are :func:`_drift_check`'s at tol (None: 1e-7
+    for a ball model, 1e-9 for a sphere model), and a ball model's alpha is PSD
+    by the simulators' rule (see ``simulate._alpha_psd``).  ``boundary`` is
+    InteriorInvariant iff the drift maximum with alpha added is <= tol.
+    ValueError naming ``tol`` unless it is a positive finite number.
     """
     return _admission(model, tol)[0]
 
 
-def validate_sphere(model, tol=None):
-    """Check the sphere drift identity B + B^T + C = 0 and positivity of c_H.
-
-    ``residual`` is twice the largest entry of B_sym + C/2, which does not
-    overflow where B + B^T does, against tol (None: 1e-9); ValueError if it
-    exceeds the float range, or naming ``tol`` if it is not a positive finite number."""
-    return _admission(model, tol)[0]
-
+# The benchmark's two names for validate: bench/workloads.py is their only caller.
+validate_ball = validate_sphere = validate
 
 _DEFAULT_TOL = {"ball": 1e-7, "sphere": 1e-9}
 
@@ -314,29 +309,29 @@ def _admission(model, tol=None):
 
 
 def _simulator_drive(model, tol=None):
-    """(SkewDrive, Bhat, None) that the simulators run for a model, or (None, None, refusal).
+    """(SkewDrive, Bhat) that the simulators run for a model; Bhat None for a sphere model.
 
     Admitted by :func:`_admission` at tol.  The drive, A_0 = skew(B) and the
     SOS witness A_1..A_r, drops B_sym: a failed drift check or positivity
-    short of "verified" is refused.  The rotation's Ito drift is
+    short of "verified" raises :class:`ModelRefused`.  The rotation's Ito drift is
     (A_0 + 1/2 sum A_p^2) x, so a ball's Bhat = B_sym + 1/2 sum A_p^T A_p.  Admission
     bounds its eigenvalues by tol, not 0: the positive ones are clipped to 0.
     """
     report, verdict = _admission(model, tol)
     drift = report.checks["drift_identity" if model.space == "sphere" else "drift"]
     if not drift["pass"]:
-        return None, None, {"error": f"the {model.space} model's drift fails validation",
-                            "drift": drift}
+        raise ModelRefused({"error": f"the {model.space} model's drift fails validation",
+                            "drift": drift})
     if report.positivity != "verified":
-        return None, None, {"error": "no sum-of-squares representation found",
-                            "sos_status": verdict.status}
+        raise ModelRefused({"error": "no sum-of-squares representation found",
+                            "sos_status": verdict.status})
     drive = SkewDrive(0.5 * (model.B - model.B.T), np.array(verdict.factors))
     if model.space == "sphere":
-        return drive, None, None
+        return drive, None
     Bhat = _symmetric_part(model.B) + 0.5 * sum(A.T @ A for A in drive.diffusion)
     w, V = np.linalg.eigh(Bhat)
     up = w > 0.0   # none: Bhat - 0 keeps its bits
-    return drive, Bhat - (V[:, up] * w[up]) @ V[:, up].T, None
+    return drive, Bhat - (V[:, up] * w[up]) @ V[:, up].T
 
 
 def model_from_json(obj):

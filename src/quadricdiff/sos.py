@@ -60,6 +60,8 @@ STEP_FLOOR = 1e-6
 FACE_GAP = 2.0
 FACE_STEPS = 8
 FACE_CG = 0.01
+_RESTARTS = 25           # nonneg_check's seeded random starts
+_COMPONENT_TOL = 1e-12   # component_strings: a coefficient this near 0 or an integer is one
 
 
 @dataclass
@@ -495,7 +497,7 @@ def _bottom_orthogonal(C, x):
     return Q @ V[:, 0]
 
 
-def nonneg_check(H, restarts=25):
+def nonneg_check(H):
     """Multistart alternating eigenvector descent of the biquadratic form over orthonormal pairs.
 
     The form depends only on x ^ y, so orthonormal pairs reach its minimum, and
@@ -503,16 +505,15 @@ def nonneg_check(H, restarts=25):
     fixed x the best y is the bottom eigenvector of c_H(x) on x-perp, and
     likewise with roles swapped, so each alternation is monotone.  One-sided: a
     value below -1e-9 yields a witness, otherwise only the smallest value found
-    is reported.  ``restarts``, the number of random starts, must be a positive integer.
+    over ``_RESTARTS`` seeded random starts is reported.
     """
     H, d = _check_h(H)
-    _check_number(restarts, "restarts", integer=True)
     if d < 2:   # no orthonormal pair; the form of the empty H is zero
         return NonnegReport(False, 0.0, np.ones(d), np.ones(d))
     rng = np.random.default_rng(0)
     best_val = np.inf
     best_xy = (np.zeros(d), np.zeros(d))
-    for _ in range(restarts):
+    for _ in range(_RESTARTS):
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)
         val_prev = np.inf
@@ -622,7 +623,7 @@ def counterexample_d6():
     return Counterexample(H, B, report)
 
 
-def component_strings(C, tol=1e-12):
+def component_strings(C):
     """Readable component functions of a coefficient tensor, e.g. 'x1^2 + 2 x2 x3'."""
     C = np.asarray(C)
     d = C.shape[0]
@@ -634,11 +635,12 @@ def component_strings(C, tol=1e-12):
             for a in range(d):
                 for b in range(a, d):
                     coef = M[a, a] if a == b else 2.0 * M[a, b]
-                    if abs(coef) <= tol:
+                    if abs(coef) <= _COMPONENT_TOL:
                         continue
                     mono = f"x{a + 1}^2" if a == b else f"x{a + 1} x{b + 1}"
                     mag = abs(coef)
-                    mag_s = str(int(round(mag))) if abs(mag - round(mag)) < tol else f"{mag:g}"
+                    mag_s = (str(int(round(mag))) if abs(mag - round(mag)) < _COMPONENT_TOL
+                             else f"{mag:g}")
                     head = "-" if coef < 0 else ("+" if terms else "")
                     body = mono if mag_s == "1" else f"{mag_s} {mono}"
                     terms.append(f"{head}{body}" if not terms else f"{head} {body}")

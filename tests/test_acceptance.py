@@ -10,8 +10,8 @@ import numpy as np
 
 from quadricdiff.cspace import c_space_basis, cmap_from_h
 from quadricdiff.generator import build_Gk, moment
-from quadricdiff.liealg import density_check_sphere, g_ideal
-from quadricdiff.model import BallModel, SphereModel, validate_ball
+from quadricdiff.liealg import _density_check_sphere, g_ideal
+from quadricdiff.model import BallModel, SphereModel, validate
 from quadricdiff.simulate import (
     SkewDrive,
     ball_ensemble,
@@ -217,7 +217,7 @@ def test_criterion_8_boundary_dichotomy():
     results = {}
     for kappa, nu in ((2.0, 1.0), (0.2, 1.0)):
         model = BallModel(alpha=[[nu ** 2]], H=np.zeros((0, 0)), b=[0.0], B=[[-kappa]])
-        att = validate_ball(model).boundary
+        att = validate(model).boundary
         ens = scalar_ball_ensemble(kappa, nu, drive, np.array([0.0]), T=5.0,
                                    h=5e-3, seed=20609, n_paths=10_000)
         frac = float(np.mean(np.abs(ens.terminal[:, 0]) > 1.0 - 1e-3))
@@ -236,7 +236,7 @@ def test_criterion_9_density_checker():
     for d in range(3, 7):
         x0 = np.zeros(d)
         x0[0] = 1.0
-        rep = density_check_sphere(SkewDrive.elementary(d), x0)
+        rep = _density_check_sphere(SkewDrive.elementary(d), x0)
         ok = ok and rep.dim_g == skew_dim(d) and rep.has_smooth_density
         details.append(f"d={d}:g={rep.dim_g}")
     A0 = np.zeros((4, 4))
@@ -247,8 +247,8 @@ def test_criterion_9_density_checker():
     g, h = g_ideal(drive)
     ok = ok and (g.dim, h.dim) == (1, 2)
     generic = np.array([0.5, 0.5, 0.5, 0.5])
-    rep_generic = density_check_sphere(drive, generic)
-    rep_kernel = density_check_sphere(drive, np.array([0.0, 0.0, 1.0, 0.0]))
+    rep_generic = _density_check_sphere(drive, generic)
+    rep_kernel = _density_check_sphere(drive, np.array([0.0, 0.0, 1.0, 0.0]))
     ok = ok and not rep_generic.has_smooth_density and rep_kernel.has_smooth_density
     _report(9, ok, f"{' '.join(details)}; block example (1,2), generic=False, e3=True")
 

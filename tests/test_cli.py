@@ -177,7 +177,8 @@ def test_tol_defaults_are_read_from_the_library(model_files, monkeypatch, capsys
 
     from quadricdiff import cli, liealg, model
 
-    for check in (liealg.density_check_sphere, liealg.density_check_ball):
+    for check in (liealg.density_check, liealg._density_check_sphere,
+                  liealg._density_check_ball):
         assert inspect.signature(check).parameters["tol"].default is None
     monkeypatch.setitem(model._DEFAULT_TOL, "ball", 2.5e-6)
     monkeypatch.setitem(model._DEFAULT_TOL, "sphere", 3.5e-8)
@@ -702,7 +703,7 @@ def test_simulate_ball_model_mean_matches_exact_moment(model_files):
     # about 10 standard errors at this size.
     from quadricdiff.cspace import trace_form
     from quadricdiff.generator import moment
-    from quadricdiff.model import validate_ball
+    from quadricdiff.model import validate
 
     r = np.random.default_rng(3)
     G = r.standard_normal((3, 3))
@@ -712,7 +713,7 @@ def test_simulate_ball_model_mean_matches_exact_moment(model_files):
     skew = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 0.8], [0.5, -0.8, 0.0]])
     B = -0.5 * trace_form(H, 3) - (np.linalg.norm(b) + 0.1) * np.eye(3) + skew
     mdl = BallModel(alpha=A @ A.T / 6, H=H, b=b, B=B)
-    assert validate_ball(mdl).admissible
+    assert validate(mdl).admissible
     path = model_files["tmp"] / "ball_drift.json"
     path.write_text(json.dumps(model_to_json(mdl)))
     x0, T = np.array([0.6, 0.0, 0.0]), 0.5
@@ -773,6 +774,71 @@ def test_density_command(model_files):
         assert set(j) == {"error"}, (name, x0)
 
 
+@pytest.mark.parametrize("name,x0", [("sphere", [1.0, 0.0, 0.0]), ("ball", [0.5, 0.0])])
+def test_density_check_is_the_drive_level_check_on_the_admitted_drive(model_files, name, x0):
+    from quadricdiff import liealg
+    from quadricdiff.model import _simulator_drive, model_from_json
+
+    mdl = model_from_json(json.loads(model_files[name].read_text()))
+    for tol in (None, 1e-3):
+        drive, _ = _simulator_drive(mdl, tol)
+        expected = (liealg._density_check_sphere(drive, x0, tol) if name == "sphere" else
+                    liealg._density_check_ball(drive, mdl.alpha, x0, tol))
+        report = liealg.density_check(mdl, x0, tol)
+        assert report == expected, tol
+        flags = ["--tol", repr(tol)] if tol else []
+        j = run_json(["density", "--model", str(model_files[name]), "--x0", json.dumps(x0)]
+                     + flags)
+        assert j == dict(_jsonable(report), space=name)
+
+
+def test_refused_models_raise_the_report_that_the_cli_prints(model_files):
+    # one ValueError subclass carries the refusal: a failed drift check, or no SOS witness
+    from quadricdiff.cspace import trace_form
+    from quadricdiff.liealg import density_check
+    from quadricdiff.model import ModelRefused
+
+    H = counterexample_d6().h
+    cases = {
+        "outward": (BallModel(alpha=np.eye(2), H=[[1.0]], b=np.zeros(2), B=np.eye(2)),
+                    [0.0, 0.0], "drift"),
+        "unverified": (BallModel(alpha=np.eye(6), H=H, b=np.zeros(6),
+                                 B=-0.5 * trace_form(H, 6) - np.eye(6)), [0.0] * 6, "sos_status"),
+    }
+    for name, (mdl, x0, key) in cases.items():
+        with pytest.raises(ModelRefused) as exc:
+            density_check(mdl, x0)
+        assert isinstance(exc.value, ValueError) and str(exc.value) == exc.value.report["error"]
+        assert set(exc.value.report) == {"error", key}, name
+        path = model_files["tmp"] / f"refused_{name}.json"
+        path.write_text(json.dumps(model_to_json(mdl)))
+        for argv in (["density"], ["simulate", "--scheme", "ball", "--T", "0.02", "--h", "0.01",
+                                   "--seed", "0"]):
+            j = run_json(argv + ["--model", str(path), "--x0", json.dumps(x0)])
+            assert j == _jsonable(exc.value.report), (name, argv)
+
+
+def test_every_readme_command_parses():
+    # README's command-line block lists no flag or command that the parser refuses
+    import os
+    import shlex
+
+    from quadricdiff.cli import _build_parser
+
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("quadricdiff ")]
+    assert {argv[1] for argv in commands} == {"dims", "sos-check", "decompose", "counterexample",
+                                              "validate", "moments", "simulate", "twin",
+                                              "density"}
+    for argv in commands:
+        assert _build_parser().parse_args(argv[1:]).func, argv
+
+
 def test_exit_codes():
     r = subprocess.run([sys.executable, "-m", "quadricdiff.cli", "dims", "--d", "4"],
                        capture_output=True, text=True)
@@ -787,7 +853,7 @@ def test_exit_codes():
 
 def test_validate_tol_reaches_the_boundary_step(tmp_path):
     # the boundary margin is 1e-5: MayAttainBoundary at 1e-7, InteriorInvariant at 1e-3
-    from quadricdiff.model import validate_ball
+    from quadricdiff.model import validate
 
     mdl = BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[-1.0 + 1e-5]])
     path = tmp_path / "edge.json"
@@ -795,7 +861,7 @@ def test_validate_tol_reaches_the_boundary_step(tmp_path):
     statuses = []
     for tol in (1e-7, 1e-3):
         j = run_json(["validate", "--model", str(path), "--tol", str(tol)])
-        report = validate_ball(mdl, tol=tol).boundary
+        report = validate(mdl, tol=tol).boundary
         assert j["boundary"] == {"status": report.status, "margin": report.margin,
                                  "argmax": report.argmax.tolist()}
         statuses.append(j["boundary"]["status"])

@@ -432,7 +432,7 @@ H_ENTRIES = {
     "cli_sos_check": ("H", _cli_sos_check, True),
     "sos_check": ("H", sos_check, False),
     "sos_decompose": ("H_star", sos_decompose, False),
-    "nonneg_check": ("H", lambda H: nonneg_check(H, restarts=1), False),
+    "nonneg_check": ("H", nonneg_check, False),
     "verify_certificate_H": ("H", lambda H: verify_certificate(H, np.eye(3)), False),
     "verify_certificate_B": ("B", lambda B: verify_certificate(np.eye(3), B), True),
 }

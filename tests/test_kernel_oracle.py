@@ -38,6 +38,15 @@ Its bounds, with S = |M|_2 + |b|, were written down before the first run:
 The maximizer scales (M, b) by a power of two before it solves, so scaling
 them by 2**k must scale the maximum and the multiplier by exactly 2**k and
 leave the argmax's bits alone.
+
+``simulate._normals_from_uniforms``, the Gaussian map of every noise stream,
+is compared at grid uniforms u = k 2**-53 with sqrt(2) erfinv(2u' - 1) at the
+midpoint u' = (k + 1/2) 2**-53, at ``mp.dps = 40``: the ends k = 0 (about
+-8.3 sigma) and 2**53 - 1, the median 2**52 and its neighbour, 100 seeded
+central k and 100 seeded tail k, half of them reflected to the top.  Its
+bound, written down before the first run: a relative error of at most 8 u.
+Below the median every midpoint is a double and the map meets the bound;
+above it no midpoint is, and that half is a strict xfail (see its reason).
 """
 
 import mpmath
@@ -233,3 +242,47 @@ def test_sphere_max_quadratic_is_exact_under_powers_of_two(d):
             assert scaled.max_value == np.ldexp(rep.max_value, k), (k, M, b)
             assert scaled.multiplier == np.ldexp(rep.multiplier, k), (k, M, b)
             assert np.array_equal(scaled.argmax, rep.argmax), (k, M, b)
+
+
+GAUSS_U = 8
+
+
+def _gauss_grid():
+    """Grid indices k of uniforms k * 2**-53: the two ends, the median and its neighbour,
+    100 seeded central ones (|z| below about 0.3) and 100 tail ones (u' below 2**-10,
+    half of them reflected to the top)."""
+    gen = np.random.default_rng(53)
+    central = 2 ** 52 + gen.integers(-2 ** 50, 2 ** 50, 100)
+    tail = np.exp(gen.uniform(0.0, 43.0 * np.log(2.0), 100)).astype(np.int64)
+    ks = [0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 1] + central.tolist() + tail[:50].tolist()
+    return np.array(ks + (2 ** 53 - 1 - tail[50:]).tolist(), dtype=np.int64)
+
+
+def _gauss_errors(ks):
+    """|z - z'| / |z'| in u, z the map's normal of k * 2**-53 and z' = sqrt(2) erfinv(2u' - 1)
+    at the midpoint u' = (k + 1/2) 2**-53, to 40 digits."""
+    from scipy.special import ndtri
+
+    z = ks * 2.0 ** -53
+    simulate._normals_from_uniforms(z, ndtri)
+    errors = []
+    with mpmath.workdps(40):
+        for k, zk in zip(ks.tolist(), z.tolist()):
+            exact = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf(2 * k + 1) / 2 ** 53 - 1)
+            errors.append(float(abs(zk - exact) / abs(exact)) / U)
+    return np.array(errors)
+
+
+def test_gaussian_map_matches_40_digits_below_the_median():
+    ks = _gauss_grid()
+    errors = _gauss_errors(ks[ks < 2 ** 52])
+    assert errors.max() <= GAUSS_U, errors.max()
+
+
+@pytest.mark.xfail(strict=True, reason="above the median (k + 1/2) 2**-53 is no double: "
+                   "u + 2**-54 ties to the even grid point, so k = 2**52 maps to 0, "
+                   "k = 2**53 - 1 to +inf, and the upper tail is off by up to half a cell")
+def test_gaussian_map_matches_40_digits_above_the_median():
+    ks = _gauss_grid()
+    errors = _gauss_errors(ks[ks >= 2 ** 52])
+    assert errors.max() <= GAUSS_U, errors.max()

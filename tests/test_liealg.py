@@ -3,8 +3,8 @@ import pytest
 
 from quadricdiff.liealg import (
     bracket,
-    density_check_ball,
-    density_check_sphere,
+    _density_check_ball,
+    _density_check_sphere,
     g_ideal,
     lift_drive,
 )
@@ -76,7 +76,7 @@ def test_density_sphere_full_rotation():
     for d in (3, 4, 5, 6):
         x0 = np.zeros(d)
         x0[0] = 1.0
-        rep = density_check_sphere(SkewDrive.elementary(d), x0)
+        rep = _density_check_sphere(SkewDrive.elementary(d), x0)
         assert rep.has_smooth_density and rep.full_rotation
         assert rep.dim_g == skew_dim(d)
 
@@ -85,17 +85,17 @@ def test_density_sphere_block_example():
     A0, A1 = block_example()
     drive = SkewDrive(A0, A1[None])
     generic = np.array([0.5, 0.5, 0.5, 0.5])
-    rep = density_check_sphere(drive, generic)
+    rep = _density_check_sphere(drive, generic)
     assert not rep.has_smooth_density
     assert (rep.dim_g, rep.dim_h) == (1, 2)
     # starting point in the kernel of the drift rotation: A0 x0 = 0
-    rep = density_check_sphere(drive, np.array([0.0, 0.0, 1.0, 0.0]))
+    rep = _density_check_sphere(drive, np.array([0.0, 0.0, 1.0, 0.0]))
     assert rep.has_smooth_density and rep.a0x0_in_gx0
 
 
 def test_density_sphere_rejects_off_sphere():
     with pytest.raises(ValueError):
-        density_check_sphere(SkewDrive.elementary(3), np.array([0.5, 0, 0]))
+        _density_check_sphere(SkewDrive.elementary(3), np.array([0.5, 0, 0]))
 
 
 def test_density_checks_reject_a_bad_x0():
@@ -104,19 +104,19 @@ def test_density_checks_reject_a_bad_x0():
            [[1.0, 0.0, 0.0]])
     for x0 in bad + ([5.0, 0.0, 0.0], [1.0 + 1e-6, 0.0, 0.0]):
         with pytest.raises(ValueError):
-            density_check_ball(drive, np.eye(3), x0)
+            _density_check_ball(drive, np.eye(3), x0)
         with pytest.raises(ValueError):
-            density_check_sphere(drive, x0)
+            _density_check_sphere(drive, x0)
     with pytest.raises(ValueError):
-        density_check_sphere(drive, [1.0 - 1e-6, 0.0, 0.0])
+        _density_check_sphere(drive, [1.0 - 1e-6, 0.0, 0.0])
     # the closed ball is the ball's state space, the boundary included
     for x0 in ([0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]):
-        assert density_check_ball(drive, np.eye(3), x0).has_smooth_density
+        assert _density_check_ball(drive, np.eye(3), x0).has_smooth_density
     # a tolerance is a positive finite number
     x0 = [1.0, 0.0, 0.0]
     for tol in (-1.0, 0.0, np.nan, np.inf):
-        for check in (lambda: density_check_sphere(drive, x0, tol),
-                      lambda: density_check_ball(drive, np.eye(3), x0, tol),
+        for check in (lambda: _density_check_sphere(drive, x0, tol),
+                      lambda: _density_check_ball(drive, np.eye(3), x0, tol),
                       lambda: g_ideal(drive, tol)):
             with pytest.raises(ValueError, match="^tol must be a positive finite number"):
                 check()
@@ -132,10 +132,10 @@ def test_density_invariant_under_orthogonal_conjugation():
         drive = SkewDrive(A0, As)
         x0 = rng.standard_normal(d)
         x0 /= np.linalg.norm(x0)
-        r1 = density_check_sphere(drive, x0)
+        r1 = _density_check_sphere(drive, x0)
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         conj = SkewDrive(Q @ A0 @ Q.T, np.einsum("ij,pjk,lk->pil", Q, As, Q))
-        r2 = density_check_sphere(conj, Q @ x0)
+        r2 = _density_check_sphere(conj, Q @ x0)
         assert r1.has_smooth_density == r2.has_smooth_density
         assert (r1.dim_g, r1.dim_h) == (r2.dim_g, r2.dim_h)
 
@@ -151,13 +151,13 @@ def test_lift_drive_shapes():
 
 
 def test_density_ball_isotropic_alpha_fills():
-    rep = density_check_ball(SkewDrive.zero(2), np.eye(2), np.array([1.0, 0.0]))
+    rep = _density_check_ball(SkewDrive.zero(2), np.eye(2), np.array([1.0, 0.0]))
     assert rep.has_smooth_density and rep.dim_g == skew_dim(3)
 
 
 def test_density_ball_degenerate_alpha_blocked():
     # without radial noise the lift never reaches the extra coordinate
-    rep = density_check_ball(SkewDrive.elementary(2), np.zeros((2, 2)),
+    rep = _density_check_ball(SkewDrive.elementary(2), np.zeros((2, 2)),
                              np.array([1.0, 0.0]))
     assert not rep.has_smooth_density
     assert rep.dim_g == skew_dim(2)
@@ -165,7 +165,7 @@ def test_density_ball_degenerate_alpha_blocked():
 
 def test_density_ball_block_example_embedded():
     A0, A1 = block_example()
-    rep = density_check_ball(SkewDrive(A0, A1[None]), np.zeros((4, 4)),
+    rep = _density_check_ball(SkewDrive(A0, A1[None]), np.zeros((4, 4)),
                              np.array([0.0, 0.0, 1.0, 0.0]))
     assert not rep.has_smooth_density
 
@@ -175,7 +175,7 @@ def test_density_ball_reports_lifted_h_and_residual():
     # closure is span{E34}, and A_0 adds the commuting E12 to h alone
     drive = SkewDrive(elementary_skew(1, 3), np.zeros((0, 3, 3)))
     x0 = np.array([0.3, 0.4, 0.5])
-    rep = density_check_ball(drive, np.diag([0.0, 0.0, 1.0]), x0)
+    rep = _density_check_ball(drive, np.diag([0.0, 0.0, 1.0]), x0)
     assert (rep.dim_g, rep.dim_h) == (1, 2)
     assert (rep.dim_gx0, rep.dim_hx0) == (1, 2)
     z0 = np.append(x0, np.sqrt(1.0 - x0 @ x0))

@@ -9,8 +9,7 @@ from quadricdiff.model import (
     SphereModel,
     model_from_json,
     sphere_max_quadratic,
-    validate_ball,
-    validate_sphere,
+    validate,
 )
 from quadricdiff.skew import skew_dim
 
@@ -119,10 +118,10 @@ def test_sphere_max_quadratic_grid_oracle_d2_d3():
 def test_validate_ball_jacobi():
     # the two endpoint inequalities b + B <= 0 and -b + B <= 0
     ok = BallModel(alpha=[[0.64]], H=np.zeros((0, 0)), b=[0.2], B=[[-1.0]])
-    rep = validate_ball(ok)
+    rep = validate(ok)
     assert rep.admissible
     bad = BallModel(alpha=[[0.64]], H=np.zeros((0, 0)), b=[1.2], B=[[-1.0]])
-    assert not validate_ball(bad).admissible
+    assert not validate(bad).admissible
 
 
 def test_validate_ball_isotropic_threshold():
@@ -132,42 +131,42 @@ def test_validate_ball_isotropic_threshold():
         lam = 0.5 * (d - 1)
         m = skew_dim(d)
         good = BallModel(alpha=np.eye(d), H=np.eye(m), b=np.zeros(d), B=-lam * np.eye(d))
-        rep = validate_ball(good)
+        rep = validate(good)
         assert rep.admissible and rep.positivity == "verified"
         C = trace_form(np.eye(m), d)
         assert np.allclose(C, (d - 1) * np.eye(d), atol=1e-12)
         bad = BallModel(alpha=np.eye(d), H=np.eye(m), b=np.zeros(d),
                         B=-(lam - 0.2) * np.eye(d))
-        assert not validate_ball(bad).admissible
+        assert not validate(bad).admissible
 
 
 def test_validate_ball_drift_violation_margin():
     mdl = BallModel(alpha=np.eye(3), H=np.zeros((3, 3)), b=np.array([2.0, 0, 0]),
                     B=np.zeros((3, 3)))
-    rep = validate_ball(mdl)
+    rep = validate(mdl)
     assert not rep.admissible
     assert rep.checks["drift"]["max_value"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_validate_sphere_cases():
-    assert validate_sphere(sphere_bm(3)).admissible
+    assert validate(sphere_bm(3)).admissible
     skew = np.array([[0.0, 1.0, 0], [-1.0, 0, 0], [0, 0, 0]])
-    assert validate_sphere(SphereModel(H=np.zeros((3, 3)), B=skew)).admissible
+    assert validate(SphereModel(H=np.zeros((3, 3)), B=skew)).admissible
     bad = SphereModel(H=np.zeros((3, 3)), B=np.eye(3))
-    assert not validate_sphere(bad).admissible
+    assert not validate(bad).admissible
 
 
 def test_boundary_attainment_scalar_dichotomy():
     for kap, expect in ((2.0, "InteriorInvariant"), (0.2, "MayAttainBoundary")):
         mdl = BallModel(alpha=np.eye(2), H=np.zeros((1, 1)), b=np.zeros(2),
                         B=-kap * np.eye(2))
-        assert validate_ball(mdl).boundary.status == expect
+        assert validate(mdl).boundary.status == expect
 
 
 def test_boundary_attainment_jacobi_margin():
     s2 = 0.8
     mdl = BallModel(alpha=[[s2]], H=np.zeros((0, 0)), b=[0.0], B=[[-s2 / 2]])
-    rep = validate_ball(mdl).boundary
+    rep = validate(mdl).boundary
     assert rep.status == "MayAttainBoundary"
     assert rep.margin == pytest.approx(s2 / 2, abs=1e-9)
 
@@ -176,15 +175,15 @@ def test_boundary_attainment_strong_reversion():
     for d in (2, 3, 6):
         mdl = BallModel(alpha=np.eye(d), H=np.eye(skew_dim(d)), b=np.zeros(d),
                         B=-10.0 * np.eye(d))
-        assert validate_ball(mdl).boundary.status == "InteriorInvariant"
+        assert validate(mdl).boundary.status == "InteriorInvariant"
 
 
 def test_boundary_attainment_requires_admissibility():
     bad = BallModel(alpha=np.eye(3), H=np.zeros((3, 3)), b=np.array([2.0, 0, 0]),
                     B=np.zeros((3, 3)))
-    rep = validate_ball(bad)
+    rep = validate(bad)
     assert not rep.admissible and rep.boundary is None
-    assert validate_sphere(sphere_bm(3)).boundary is None
+    assert validate(sphere_bm(3)).boundary is None
 
 
 # The models of the boundary tests above, with the tolerance each is validated at.
@@ -206,7 +205,7 @@ BOUNDARY_MODELS = (
 @pytest.mark.parametrize("case", range(len(BOUNDARY_MODELS)))
 def test_validate_ball_boundary_is_one_sphere_maximum_after_one_sos_check(case, monkeypatch):
     # The boundary step is the maximum of b.x + x.((B_sym + alpha) + C/2).x over
-    # the unit sphere, in that operand order, and validate_ball reaches it with
+    # the unit sphere, in that operand order, and validate reaches it with
     # the one sos_check of its admission.
     from quadricdiff import sos
     from quadricdiff.cspace import _symmetric_part
@@ -215,7 +214,7 @@ def test_validate_ball_boundary_is_one_sphere_maximum_after_one_sos_check(case, 
     calls = []
     original = sos.sos_check
     monkeypatch.setattr(sos, "sos_check", lambda *a, **k: calls.append(1) or original(*a, **k))
-    rep = validate_ball(mdl, tol)
+    rep = validate(mdl, tol)
     assert rep.admissible and len(calls) == 1
     quad = sphere_max_quadratic((_symmetric_part(mdl.B) + mdl.alpha)
                                 + 0.5 * trace_form(mdl.H, mdl.d), mdl.b)
@@ -231,7 +230,7 @@ def test_positivity_refuted_with_a_witness():
 
     G = np.random.default_rng(0).standard_normal((10, 10))
     H = (G + G.T) / 2 + 2 * np.eye(10)
-    rep = validate_ball(BallModel(alpha=np.zeros((5, 5)), H=H, b=np.zeros(5), B=-10 * np.eye(5)))
+    rep = validate(BallModel(alpha=np.zeros((5, 5)), H=H, b=np.zeros(5), B=-10 * np.eye(5)))
     assert rep.positivity == "refuted" and not rep.admissible and rep.boundary is None
     pos = rep.checks["positivity"]
     assert pos["sos_status"] == "Infeasible" and pos["negative_value"] < -1e-9
@@ -245,7 +244,7 @@ def test_positivity_unverified_on_a_nonnegative_form_that_is_not_sos():
     H = counterexample_d6().h
     mdl = BallModel(alpha=np.eye(6), H=H, b=np.zeros(6),
                     B=-0.5 * trace_form(H, 6) - np.eye(6))
-    rep = validate_ball(mdl)
+    rep = validate(mdl)
     assert rep.admissible and rep.positivity == "unverified"
     pos = rep.checks["positivity"]
     assert pos["sos_status"] == "Infeasible" and pos["min_found"] >= -1e-9
@@ -256,7 +255,7 @@ def test_a_eval_psd_on_ball_when_admissible():
     for d in (2, 3):
         mdl = BallModel(alpha=np.eye(d), H=np.eye(skew_dim(d)), b=np.zeros(d),
                         B=-d * np.eye(d))
-        rep = validate_ball(mdl)
+        rep = validate(mdl)
         assert rep.admissible and rep.positivity == "verified"
         for _ in range(500):
             x = rng.standard_normal(d)
@@ -300,12 +299,11 @@ def test_models_refuse_non_finite_or_misshapen_coefficients():
     for cls, coeffs in misshapen:
         with pytest.raises(ValueError, match="shape"):
             cls(**coeffs)
-    # and the validators refuse a tolerance that is not a positive finite number
-    for check, mdl in ((validate_ball, BallModel(**ball)),
-                       (validate_sphere, SphereModel(**sphere))):
+    # and validate refuses a tolerance that is not a positive finite number
+    for mdl in (BallModel(**ball), SphereModel(**sphere)):
         for tol in (-1.0, 0.0, np.nan, np.inf, "1e-9"):
             with pytest.raises(ValueError, match="^tol must be a positive finite number"):
-                check(mdl, tol)
+                validate(mdl, tol)
 
 
 def test_dimension_zero_is_refused_by_name():
@@ -356,7 +354,7 @@ def test_validate_returns_on_huge_finite_coefficients():
     previous = signal.signal(signal.SIGALRM, stuck)
     signal.alarm(20)
     try:
-        rep = validate_ball(mdl)
+        rep = validate(mdl)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from quadricdiff.cspace import h_from_c
-from quadricdiff.liealg import density_check_ball, density_check_sphere, lift_drive
-from quadricdiff.model import BallModel, SphereModel, _simulator_drive, validate_ball
+from quadricdiff.liealg import _density_check_ball, _density_check_sphere, lift_drive
+from quadricdiff.model import BallModel, SphereModel, _simulator_drive, validate
 from quadricdiff.simulate import SkewDrive, _ball_args
 from quadricdiff.skew import skew_dim
 from quadricdiff.sos import sos_check
@@ -50,22 +50,23 @@ def test_sos_check_feasible_only_if_feasible_at_scale_one(k):
 def test_slowed_sphere_brownian_motion_keeps_its_noise(k):
     c = 2.0 ** k
     mdl = SphereModel(H=c * np.eye(3), B=-c * np.eye(3))
-    drive, _, refusal = _simulator_drive(mdl)
-    assert refusal is None
+    drive, _ = _simulator_drive(mdl)   # a refused model raises
     assert drive.n_diffusion == 3
 
 
-@pytest.mark.parametrize("k", KS)
+# Below about 2^-512 the squares of A_0's entries leave the normal range, and below
+# about 2^-537 they are 0: every norm is taken after a power-of-two prescale.
+@pytest.mark.parametrize("k", KS + (-520, -540, -600))
 def test_density_verdicts_do_not_depend_on_speed(k):
     c = 2.0 ** k
     # commuting blocks: A_0 x_0 leaves the closure at a generic point
     A0 = c * elementary_skew(1, 4)
     A1 = np.sqrt(c) * elementary_skew(6, 4)
-    rep = density_check_sphere(SkewDrive(A0, A1[None]), np.full(4, 0.5))
+    rep = _density_check_sphere(SkewDrive(A0, A1[None]), np.full(4, 0.5))
     assert not rep.has_smooth_density and (rep.dim_g, rep.dim_h) == (1, 2)
     # a rotation drift and radial noise along e3 only, lifted to the sphere
     drive = SkewDrive(c * elementary_skew(1, 3), np.zeros((0, 3, 3)))
-    rep = density_check_ball(drive, c * np.diag([0.0, 0.0, 1.0]), [0.3, 0.4, 0.5])
+    rep = _density_check_ball(drive, c * np.diag([0.0, 0.0, 1.0]), [0.3, 0.4, 0.5])
     assert (rep.dim_g, rep.dim_h, rep.dim_gx0, rep.dim_hx0) == (1, 2, 1, 2)
     assert not rep.has_smooth_density
 
@@ -78,7 +79,7 @@ def test_bad_inputs_are_refused_at_every_scale(k):
     alpha = c * np.diag([1.0, -1e-6])
     with pytest.raises(ValueError, match="not positive semidefinite"):
         lift_drive(SkewDrive.zero(2), alpha)
-    report = validate_ball(BallModel(alpha=alpha, H=np.zeros((1, 1)), b=np.zeros(2),
+    report = validate(BallModel(alpha=alpha, H=np.zeros((1, 1)), b=np.zeros(2),
                                      B=-np.eye(2)))
     assert not report.checks["alpha"]["pass"] and not report.admissible
     with pytest.raises(ValueError, match="symmetric"):
@@ -93,11 +94,11 @@ def test_zero_inputs_pass_every_relative_test():
         assert v.status == "Feasible" and v.factors == []
         assert np.array_equal(h_from_c(np.zeros((d,) * 4)), np.zeros((m, m)))
     zero = np.zeros((2, 2))
-    report = validate_ball(BallModel(alpha=zero, H=np.zeros((1, 1)), b=np.zeros(2), B=zero))
+    report = validate(BallModel(alpha=zero, H=np.zeros((1, 1)), b=np.zeros(2), B=zero))
     assert report.checks["alpha"]["pass"]
     assert lift_drive(SkewDrive.zero(2), zero).n_diffusion == 0
     bhat, Bhat, sqa, _ = _ball_args(np.zeros(2), zero, zero, SkewDrive.zero(2), np.zeros(2))
     assert not (bhat.any() or Bhat.any() or sqa.any())
     drive = SkewDrive(np.zeros((3, 3)), np.zeros((2, 3, 3)))
-    rep = density_check_sphere(drive, [1.0, 0.0, 0.0])
+    rep = _density_check_sphere(drive, [1.0, 0.0, 0.0])
     assert rep.dim_g == 0 and rep.has_smooth_density   # A_0 x_0 = 0 is in the closure

@@ -189,7 +189,7 @@ def test_nonneg_check_cases():
 
     assert biquadratic_eval(-np.eye(3), r.x, r.y) == pytest.approx(r.min_value)
     ce = counterexample_d6()
-    r = nonneg_check(ce.h, restarts=10)
+    r = nonneg_check(ce.h)
     assert not r.negative and r.min_value >= -1e-9
 
 
@@ -360,7 +360,6 @@ def test_max_iter_must_be_positive():
     bad += [(sos_decompose, (np.eye(6),), "tol", t) for t in (-1, np.nan, np.inf)]
     bad += [(verify_certificate, (np.eye(6), -np.eye(6) / 6), "tol", t)
             for t in (-1, np.nan, np.inf)]
-    bad += [(nonneg_check, (np.eye(6),), "restarts", n) for n in (0, 2.5, True)]
     for fn, args, name, value in bad:
         with pytest.raises(ValueError, match=f"^{name} must be a positive"):
             fn(*args, **{name: value})

@@ -18,8 +18,8 @@ import pytest
 
 from quadricdiff.cli import main
 from quadricdiff.generator import moment
-from quadricdiff.liealg import density_check_ball, density_check_sphere
-from quadricdiff.model import BallModel, SphereModel, validate_ball, validate_sphere
+from quadricdiff.liealg import _density_check_ball, _density_check_sphere
+from quadricdiff.model import BallModel, SphereModel, validate
 from quadricdiff.simulate import (
     SkewDrive,
     ball_ensemble,
@@ -79,10 +79,10 @@ LIBRARY = {
         [lambda: twin_path_experiment(INF, 1.0, DRIVE, [1.0, 0.0, 0.0], *RUN[:2], 2)]),
     "moment_sphere": ("sphere", 1e-9, lambda x0: moment(SPHERE, {(1, 0, 0): 1.0}, x0, 0.5), []),
     "moment_ball": ("ball", 1e-9, lambda x0: moment(BALL, {(1, 0, 0): 1.0}, x0, 0.5), []),
-    "density_check_sphere": ("sphere", 1e-9, lambda x0: density_check_sphere(DRIVE, x0), []),
+    "density_check_sphere": ("sphere", 1e-9, lambda x0: _density_check_sphere(DRIVE, x0), []),
     "density_check_ball": (
-        "ball", 1e-9, lambda x0: density_check_ball(DRIVE, np.eye(3), x0),
-        [lambda: density_check_ball(DRIVE, nan_at(np.eye(3)), [0.5, 0.0, 0.0])]),
+        "ball", 1e-9, lambda x0: _density_check_ball(DRIVE, np.eye(3), x0),
+        [lambda: _density_check_ball(DRIVE, nan_at(np.eye(3)), [0.5, 0.0, 0.0])]),
 }
 
 
@@ -226,12 +226,12 @@ ALPHAS = {
 @pytest.mark.parametrize("name", sorted(ALPHAS))
 def test_validate_and_the_engines_agree_on_alpha(name):
     alpha, psd = ALPHAS[name]
-    report = validate_ball(BallModel(alpha=alpha, H=np.zeros((3, 3)), b=np.zeros(3),
+    report = validate(BallModel(alpha=alpha, H=np.zeros((3, 3)), b=np.zeros(3),
                                      B=-np.eye(3)))
     assert report.checks["alpha"] == {"pass": psd, "min_eig": np.linalg.eigvalsh(alpha)[0]}
     assert report.admissible == psd
     engines = (ball_from_zero(alpha=alpha),
-               lambda: density_check_ball(SkewDrive.zero(3), alpha, np.zeros(3)))
+               lambda: _density_check_ball(SkewDrive.zero(3), alpha, np.zeros(3)))
     for engine in engines:
         if psd:
             engine()
@@ -245,7 +245,7 @@ def test_asymmetric_alpha_is_refused_everywhere():
     with pytest.raises(ValueError, match="alpha must be symmetric"):
         BallModel(alpha=alpha, H=np.zeros((3, 3)), b=np.zeros(3), B=-np.eye(3))
     for engine in (ball_from_zero(alpha=alpha),
-                   lambda: density_check_ball(SkewDrive.zero(3), alpha, np.zeros(3))):
+                   lambda: _density_check_ball(SkewDrive.zero(3), alpha, np.zeros(3))):
         with pytest.raises(ValueError, match="alpha must be symmetric"):
             engine()
     # an asymmetry at roundoff passes, as it does for Bhat
@@ -260,9 +260,9 @@ def test_sphere_identity_overflow_is_a_named_error(tmp_path):
     out = cli(["validate", "--model", str(path)])
     assert set(out) == {"error"} and "sphere drift identity" in out["error"], out
     with pytest.raises(ValueError, match="sphere drift identity"):
-        validate_sphere(SphereModel(H=[[1.0]], B=-1e308 * np.eye(2)))
+        validate(SphereModel(H=[[1.0]], B=-1e308 * np.eye(2)))
     # twice the largest entry of B_sym + C/2 = -0.5e308 I + I/2, the bits of |B + B^T + C|
-    report = validate_sphere(SphereModel(H=[[1.0]], B=-0.5e308 * np.eye(2)))
+    report = validate(SphereModel(H=[[1.0]], B=-0.5e308 * np.eye(2)))
     assert not report.admissible
     assert report.checks["drift_identity"]["residual"] == 2.0 * 0.5e308
 
@@ -276,7 +276,7 @@ def test_ball_drift_overflow_is_a_named_error(tmp_path):
     assert out == {"error": "the matrix B_sym + C/2 of the drift inequality exceeds the "
                             "float range"}, out
     with pytest.raises(ValueError, match="drift inequality"):
-        validate_ball(mdl)
+        validate(mdl)
 
 
 def test_ball_drift_maximum_overflow_is_a_named_error(tmp_path):
@@ -288,7 +288,7 @@ def test_ball_drift_maximum_overflow_is_a_named_error(tmp_path):
              "the float range")
     assert cli(["validate", "--model", str(path)]) == {"error": error}
     with pytest.raises(ValueError, match=re.escape(error)):
-        validate_ball(mdl)
+        validate(mdl)
 
 
 # Models whose drift validate rejects: (model, x0, the drift check's key and value).
@@ -305,7 +305,7 @@ BAD_DRIFT = {
 def test_simulate_and_density_refuse_a_drift_that_validate_rejects(tmp_path, space):
     # the drive keeps only skew(B) and the SOS factors, so B_sym would be dropped
     mdl, x0, key, value = BAD_DRIFT[space]
-    assert not (validate_sphere if space == "sphere" else validate_ball)(mdl).admissible
+    assert not validate(mdl).admissible
     path = tmp_path / f"{space}.json"
     path.write_text(json.dumps(model_to_json(mdl)))
     for argv in (["simulate", "--model", str(path), "--scheme", space] + SIM,

@@ -42,8 +42,10 @@ from .sos import (
 from .model import (
     BallModel,
     SphereModel,
+    ensemble,
     model_from_json,
     sphere_max_quadratic,
+    twin_path_experiment,
     validate,
 )
 from .generator import (
@@ -57,13 +59,10 @@ from .generator import (
 from .simulate import (
     SkewDrive,
     ball_ensemble,
-    eval_poly,
     expm_skew,
     mc_moment,
     path_normals,
-    scalar_ball_ensemble,
     sphere_ensemble,
-    twin_path_experiment,
 )
 from .liealg import (
     bracket,

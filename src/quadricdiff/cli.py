@@ -190,6 +190,9 @@ def _cmd_simulate(args):
     if args.keep_paths and not to_csv:
         raise SystemExit("--keep-paths requires a .csv --out")
     if args.scheme == "scalar":
+        if args.model:
+            args.parser.error("argument --model: not allowed with --scheme scalar, which "
+                              "simulates BallModel.scalar(--kappa, --nu, d)")
         if args.kappa is None or args.nu is None:
             raise SystemExit("scalar scheme requires --kappa and --nu")
     elif not args.model:
@@ -198,27 +201,22 @@ def _cmd_simulate(args):
         raise SystemExit(f"{args.scheme} scheme takes no --kappa or --nu; its drift "
                          "comes from --model")
     x0 = _parse_vector(args.x0)
-    drive = sim.SkewDrive.zero(len(x0))
-    if args.model:
+    if args.scheme == "scalar":
+        mdl = model_mod.BallModel.scalar(args.kappa, args.nu, len(x0))
+    else:
         mdl = _load_model(args.model)
-        if args.scheme not in ("scalar", mdl.space):
+        if args.scheme != mdl.space:
             raise ValueError(f"--scheme {args.scheme} needs a {args.scheme} model, "
                              f"got a {mdl.space} model")
-        drive, Bhat = model_mod._simulator_drive(mdl, args.tol)
     with _CsvFile(args.out, len(x0)) as csv:
         # With --keep-paths the CSV writer is the ensemble's sink.
         sink = functools.partial(_write_paths, csv) if args.keep_paths else None
-        run = (x0, args.T, args.h, args.seed, args.paths, sink)
-        if args.scheme == "scalar":
-            result = sim.scalar_ball_ensemble(args.kappa, args.nu, drive, *run)
-        elif args.scheme == "sphere":
-            result = sim.sphere_ensemble(drive, *run)
-        else:
-            result = sim.ball_ensemble(mdl.b, Bhat, mdl.alpha, drive, *run)
+        result = model_mod.ensemble(mdl, x0, args.T, args.h, args.seed, args.paths, sink,
+                                    args.tol)
         if to_csv and not args.keep_paths:
             _write_paths(csv, 0, result.times[-1:], result.terminal[:, None, :])
     out = {
-        "scheme": result.scheme,
+        "scheme": args.scheme,
         "n_paths": result.n_paths,
         "T": args.T,
         "h": result.times[1] - result.times[0],
@@ -240,7 +238,7 @@ def _cmd_simulate(args):
 def _cmd_twin(args):
     x0 = _parse_vector(args.x0)
     drive = sim.SkewDrive.zero(len(x0))
-    report = sim.twin_path_experiment(args.kappa, args.nu, drive, x0, args.T, args.h,
+    report = model_mod.twin_path_experiment(args.kappa, args.nu, drive, x0, args.T, args.h,
                                       args.seeds, seed=args.seed, eps=args.eps)
     return _json_out(vars(report))
 
@@ -272,8 +270,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     # --tol of the commands that admit a model, as validate does
     model_tol = dict(type=_positive(float), default=None, help="drift tolerance of the model's "
-                     "admission: default {ball:g} for a ball model, {sphere:g} for a sphere "
-                     "model".format(**model_mod._DEFAULT_TOL))
+                     "admission, relative to the size of the drift's terms (the sum of the "
+                     "largest entries of B_sym, C/2 and b): default {ball:g} for a ball model, "
+                     "{sphere:g} for a sphere model".format(**model_mod._DEFAULT_TOL))
     # --tol and --max-iter of the commands that run sos_check; unset, its defaults hold
     sos_default = {name: p.default for name, p in
                    inspect.signature(_sos_check).parameters.items()}
@@ -314,7 +313,8 @@ def _build_parser():
     p = sub.add_parser("simulate", help="ensemble simulation")
     p.add_argument("--model", default=None,
                    help="model file; required by sphere and ball, whose space it must "
-                        "match; the scalar scheme takes only its tangential drive")
+                        "match; the scalar scheme takes none and simulates "
+                        "BallModel.scalar(--kappa, --nu, d)")
     p.add_argument("--scheme", choices=["sphere", "ball", "scalar"], required=True)
     p.add_argument("--x0", required=True)
     p.add_argument("--T", type=float, required=True)
@@ -327,7 +327,7 @@ def _build_parser():
     p.add_argument("--keep-paths", action="store_true",
                    help="write every state, not only the terminal ones; needs a .csv --out")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("twin", help="same-noise twin-path divergence experiment")
     p.add_argument("--kappa", type=float, required=True)

@@ -166,8 +166,19 @@ def cmap_from_h(H, d):
 
 
 def trace_form(H, d):
-    """Symmetric matrix C with trace(c_H(x)) = x^T C x: the partial trace of c_H's tensor."""
-    return np.einsum("iiab->ab", cmap_from_h(H, d))
+    """Symmetric matrix C with trace(c_H(x)) = x^T C x: the partial trace of c_H's tensor.
+
+    Only the (d, d, d) diagonal u = v of :func:`cmap_from_h`'s tensor is
+    gathered, entry for entry as there, so C keeps the bits of the full
+    tensor's trace without its d^4 entries.
+    """
+    H, d = _check_h(H, d)
+    if H.size == 0:
+        return np.zeros((d, d))
+    P, S = _pair_signs(d)
+    T = (S[:, :, None] * S[:, None, :]) * H[P[:, :, None], P[:, None, :]]
+    T += 0.0
+    return np.einsum("iab->ab", _symmetric_part(T))
 
 
 def c_space_basis(d):

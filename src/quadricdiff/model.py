@@ -1,4 +1,4 @@
-"""Coefficient bundles for ball and sphere diffusions and their validators.
+"""Ball and sphere models, their validators, and :func:`ensemble`, which simulates them.
 
 A ball model has diffusion ``a(x) = (1 - |x|^2) alpha + c_H(x)`` and drift
 ``b + B x``; a sphere model has ``a = c_H`` and drift ``B x`` subject to the
@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cspace import _float_array, _symmetric, _symmetric_part, h_from_json, trace_form
-from .simulate import SkewDrive, _alpha_psd
+from .generator import _start_point
+from .simulate import (_X0_TOL, SkewDrive, _alpha_psd, _ball_args, _drift_contracts, _grid,
+                       _run_block, _streams, ball_ensemble, sphere_ensemble)
 from .skew import _check_number, skew_dim
 from . import sos as _sos
 
@@ -23,6 +25,8 @@ __all__ = [
     "SphereModel",
     "sphere_max_quadratic",
     "validate",
+    "ensemble",
+    "twin_path_experiment",
     "model_from_json",
 ]
 
@@ -76,6 +80,24 @@ class BallModel:
     def d(self):
         return np.asarray(self.alpha).shape[0]
 
+    @classmethod
+    def scalar(cls, kappa, nu, d):
+        """dX = -kappa X dt + nu sqrt(1 - |X|^2) dW: alpha = nu^2 Id, H = 0, b = 0, B = -kappa Id.
+
+        ValueError unless kappa, nu and nu^2 are positive and finite; ``nu ** 2``
+        (not ``nu * nu``, which rounds otherwise) raises OverflowError on a float.
+        """
+        if not (0 < kappa < np.inf and 0 < nu < np.inf):
+            raise ValueError(f"kappa and nu must be positive and finite, got {kappa}, {nu}")
+        try:
+            nu2 = nu ** 2
+        except OverflowError:
+            nu2 = np.inf
+        if not 0 < nu2 < np.inf:
+            raise ValueError(f"nu^2 must be positive and finite, got {nu2} for nu = {nu}")
+        m = skew_dim(d)
+        return cls(alpha=nu2 * np.eye(d), H=np.zeros((m, m)), b=np.zeros(d), B=-kappa * np.eye(d))
+
 
 @dataclass(frozen=True)
 class SphereModel:
@@ -97,6 +119,19 @@ class SphereModel:
     @property
     def d(self):
         return np.asarray(self.B).shape[0]
+
+
+@dataclass
+class TwinPathReport:
+    """Divergence of same-noise path pairs started eps apart."""
+
+    max_divergence: np.ndarray
+    eps: float
+    kappa_nu_ratio: float
+    uniqueness_condition: bool   # kappa/nu^2 > threshold
+    threshold: float             # sqrt(2) - 1
+    T: float
+    h: float
 
 
 @dataclass
@@ -233,11 +268,15 @@ def _positivity(H, d):
 def _drift_check(model, tol, boundary=False):
     """The report, with its "pass", of a model's drift condition, where tr c_H(x) = x.C.x.
 
-    Ball: max over the unit sphere of ``b.x + x.(B_sym + C/2).x`` <= tol, with
+    Ball: max over the unit sphere of ``b.x + x.(B_sym + C/2).x`` <= tol S, with
     alpha added to the matrix for the ``boundary`` inequality.  Sphere: the
-    identity B + B^T + C = 0, checked as ``residual`` = 2 max |B_sym + C/2|.
-    ValueError naming the condition if its matrix or residual overflows, and
-    from :func:`sphere_max_quadratic` if the ball's maximum does.
+    identity B + B^T + C = 0, checked as ``residual`` = 2 max |B_sym + C/2| <= tol S.
+    S is the sum of the largest entries of the terms, |B_sym| + |C|/2 + |b|
+    (+ |alpha| for the boundary step): a sum of sizes, not the size of the sum,
+    which the sphere identity cancels.  So scaling every coefficient by c > 0
+    leaves the verdict alone.  ValueError naming the condition if its matrix
+    or residual overflows, and from :func:`sphere_max_quadratic` if the ball's
+    maximum does.
     """
     sphere = model.space == "sphere"
     condition = ("residual of the sphere drift identity B + B^T + C = 0" if sphere else
@@ -245,14 +284,18 @@ def _drift_check(model, tol, boundary=False):
                  "matrix B_sym + C/2 of the drift inequality")
     with np.errstate(over="ignore", invalid="ignore"):
         S = _symmetric_part(model.B)
-        M = (S + model.alpha if boundary else S) + 0.5 * trace_form(model.H, model.d)
+        half_C = 0.5 * trace_form(model.H, model.d)
+        M = (S + model.alpha if boundary else S) + half_C
         value = 2.0 * float(np.abs(M).max()) if sphere else M
     if not np.all(np.isfinite(value)):
         raise ValueError(f"the {condition} exceeds the float range")
+    terms = (S, half_C) if sphere else (S, half_C, model.b) + ((model.alpha,) if boundary else ())
+    # Python floats add to inf without a warning; past the float range S is its top
+    bound = tol * min(sum(float(np.abs(t).max(initial=0.0)) for t in terms), np.finfo(float).max)
     if sphere:
-        return {"pass": value <= tol, "residual": value}
+        return {"pass": value <= bound, "residual": value}
     quad = sphere_max_quadratic(M, model.b)
-    return {"pass": quad.max_value <= tol, "max_value": quad.max_value, "argmax": quad.argmax}
+    return {"pass": quad.max_value <= bound, "max_value": quad.max_value, "argmax": quad.argmax}
 
 
 class ModelRefused(ValueError):
@@ -271,8 +314,9 @@ def validate(model, tol=None):
     refuted by the numerical screen or, at d <= 4, by SOS infeasibility, else
     unverified.  The drift checks are :func:`_drift_check`'s at tol (None: 1e-7
     for a ball model, 1e-9 for a sphere model), and a ball model's alpha is PSD
-    by the simulators' rule (see ``simulate._alpha_psd``).  ``boundary`` is
-    InteriorInvariant iff the drift maximum with alpha added is <= tol.
+    by the simulators' rule (see ``simulate._alpha_psd``).  tol is relative to
+    the size of the drift's terms.  ``boundary`` is InteriorInvariant iff the
+    drift maximum with alpha added passes the same test.
     ValueError naming ``tol`` unless it is a positive finite number.
     """
     return _admission(model, tol)[0]
@@ -315,7 +359,8 @@ def _simulator_drive(model, tol=None):
     SOS witness A_1..A_r, drops B_sym: a failed drift check or positivity
     short of "verified" raises :class:`ModelRefused`.  The rotation's Ito drift is
     (A_0 + 1/2 sum A_p^2) x, so a ball's Bhat = B_sym + 1/2 sum A_p^T A_p.  Admission
-    bounds its eigenvalues by tol, not 0: the positive ones are clipped to 0.
+    bounds its eigenvalues by tol S (see :func:`_drift_check`), not 0: the positive
+    ones are clipped to 0.
     """
     report, verdict = _admission(model, tol)
     drift = report.checks["drift_identity" if model.space == "sphere" else "drift"]
@@ -332,6 +377,45 @@ def _simulator_drive(model, tol=None):
     w, V = np.linalg.eigh(Bhat)
     up = w > 0.0   # none: Bhat - 0 keeps its bits
     return drive, Bhat - (V[:, up] * w[up]) @ V[:, up].T
+
+
+def ensemble(model, x0, T, h, seed, n_paths, sink=None, tol=None):
+    """The ``EnsembleResult`` of a model, admitted once at tol by :func:`_simulator_drive`
+    (:class:`ModelRefused` if it is not), from ``sphere_ensemble`` or ``ball_ensemble``
+    on the admitted drive; the other arguments are theirs."""
+    drive, Bhat = _simulator_drive(model, tol)
+    if model.space == "sphere":
+        return sphere_ensemble(drive, x0, T, h, seed, n_paths, sink)
+    return ball_ensemble(model.b, Bhat, model.alpha, drive, x0, T, h, seed, n_paths, sink)
+
+
+def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
+    """Same-noise path pairs of ``BallModel.scalar(kappa, nu, d)`` rotated by ``drive``.
+
+    For each of ``n_seeds`` independent noise streams, simulates X from x0 on
+    the sphere and X~ from (1 - eps) x0 with the identical stream and records
+    the largest gap sup_t |X_t - X~_t| (0 for eps = 0, bitwise), with the
+    pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.  All pairs run side
+    by side in one block of 2 n_seeds rows, keeping only the running maxima;
+    its two noise buffers hold about ``simulate._NOISE_VALUES`` values each,
+    or one step each if one step's noise of all the rows is larger.
+    """
+    x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
+    scalar = BallModel.scalar(kappa, nu, drive.d)
+    bhat, Bhat, sqa, x0 = _ball_args(scalar.b, scalar.B, scalar.alpha, drive, x0)
+    starts = np.stack([x0, _start_point((1.0 - eps) * x0, drive.d, "ball", _X0_TOL)])
+    n_steps, h_eff = _grid(T, h, n_seeds, "n_seeds")
+    _drift_contracts(Bhat, h_eff)
+    gap = np.zeros(n_seeds)
+
+    def fold(i, states):
+        np.maximum(gap, np.linalg.norm(states[0::2] - states[1::2], axis=2).max(axis=1),
+                   out=gap)
+
+    _run_block(drive, np.tile(starts, (n_seeds, 1)), n_steps, h_eff,
+               _streams(seed, np.repeat(range(n_seeds), 2)), bhat, Bhat, sqa, fold)
+    ratio, threshold = kappa / nu ** 2, np.sqrt(2.0) - 1.0
+    return TwinPathReport(gap, eps, ratio, bool(ratio > threshold), threshold, T, h_eff)
 
 
 def model_from_json(obj):

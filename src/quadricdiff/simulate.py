@@ -1,12 +1,12 @@
 """Structure-preserving simulation on the ball and sphere, and Monte Carlo moments.
 
-Each state space has one entry, an ensemble: :func:`sphere_ensemble`,
-:func:`ball_ensemble` and :func:`scalar_ball_ensemble`.  Path k of an ensemble
-is driven by the noise stream of path id k alone, so it is bit-identical to
-row k of any larger ensemble with the same arguments, whatever the block it
-runs in.  Kept states leave through a ``sink`` in path-major pieces of whole
-paths or of one path, none larger than a noise chunk; one path is
-``n_paths=1`` with a sink (see :func:`sphere_ensemble`).
+Each state space has one entry, an ensemble of a drive: :func:`sphere_ensemble`
+and :func:`ball_ensemble` (``model.ensemble`` runs a model through them).  Path
+k of an ensemble is driven by the noise stream of path id k alone, so it is
+bit-identical to row k of any larger ensemble with the same arguments, whatever
+the block it runs in.  Kept states leave through a ``sink`` in path-major
+pieces of whole paths or of one path, none larger than a noise chunk; one path
+is ``n_paths=1`` with a sink (see :func:`sphere_ensemble`).
 
 The tangential part of the dynamics is integrated by a geometric exponential
 step ``X <- expm(A_0 h + sum_p A_p dW_p) X``: diagonal Pade approximants of a
@@ -56,10 +56,7 @@ __all__ = [
     "path_normals",
     "sphere_ensemble",
     "ball_ensemble",
-    "scalar_ball_ensemble",
-    "twin_path_experiment",
     "mc_moment",
-    "eval_poly",
 ]
 
 _BLOCK = 4096
@@ -156,19 +153,6 @@ class MCMoment:
     estimate: float
     stderr: float
     n: int
-
-
-@dataclass
-class TwinPathReport:
-    """Divergence of same-noise path pairs started eps apart."""
-
-    max_divergence: np.ndarray
-    eps: float
-    kappa_nu_ratio: float
-    uniqueness_condition: bool   # kappa/nu^2 > threshold
-    threshold: float             # sqrt(2) - 1
-    T: float
-    h: float
 
 
 # Pade coefficients and 1-norm thresholds for the scaling-and-squaring
@@ -718,9 +702,26 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     return X.T, max_radius, max_norm_dev, clamps
 
 
+def _drift_contracts(Bhat, h):
+    """ValueError unless h rho(Bhat) < 2, rho the largest |eigenvalue| of Bhat.
+
+    The radial drift step multiplies x by I + h Bhat, whose eigenvalues
+    1 + h lam lie in (-1, 1] only then: past it the step overshoots and
+    inflates its modes, the clamp holds most states at the sphere, and
+    |x|^2 may overflow.
+    """
+    # Python floats: a product past the float range is inf, without a warning
+    step = float(h) * float(np.abs(np.linalg.eigvalsh(Bhat)).max(initial=0.0))
+    if not step < 2.0:
+        raise ValueError(f"the drift step does not contract: h * rho(Bhat) = {step:.3g} "
+                         f"for h = {h:.3g}; it must be below 2")
+
+
 def _ensemble(scheme, drive, x0, T, h, seed, n_paths, bhat=None, Bhat=None,
               sqrt_alpha=None, sink=None):
     n_steps, h_eff = _grid(T, h, n_paths)
+    if Bhat is not None:
+        _drift_contracts(Bhat, h_eff)
     times = np.linspace(0.0, T, n_steps + 1)
     # One step's noise of every path of a block fits in a chunk; a kept block's
     # whole paths do, so its pieces are path-major.
@@ -789,10 +790,12 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, sink=None):
     The radial substep adds ``(bhat + Bhat x) h`` and
     ``sqrt(max(0, 1 - |x|^2)) alpha^(1/2) dW``; ``Bhat`` is symmetric negative
     semidefinite and the skew part of the drift is the drive's A_0
-    (``quadricdiff simulate --scheme ball`` maps a model to these arguments).
+    (``model.ensemble`` maps a model to these arguments).
     States that overshoot the sphere are pulled back just inside it, and
     ``clamp_fraction`` reports how often.  Requires finite coefficients, alpha
-    positive semidefinite, and d finite numbers x0 with |x0| <= 1 + 1e-12.
+    positive semidefinite, a step h with h |lam| < 2 for every eigenvalue lam
+    of Bhat (:func:`_drift_contracts`), and d finite numbers x0 with
+    |x0| <= 1 + 1e-12.
     ``sink`` is that of :func:`sphere_ensemble`.
     """
     bhat, Bhat, sqa, x0 = _ball_args(bhat, Bhat, alpha, drive, x0)
@@ -800,72 +803,7 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, sink=None):
                      sqrt_alpha=sqa, sink=sink)
 
 
-def _scalar_args(kappa, nu, d):
-    """(bhat, Bhat, alpha) = (0, -kappa Id, nu^2 Id) of the scalar mean-reverting ball.
-
-    ``nu * nu`` rounds differently from ``nu ** 2`` for some doubles, and
-    ``nu ** 2`` raises OverflowError on a Python float, so the overflow is
-    caught: an nu^2 that is not positive and finite is a ValueError.
-    """
-    if not (0 < kappa < np.inf and 0 < nu < np.inf):
-        raise ValueError(f"kappa and nu must be positive and finite, got {kappa}, {nu}")
-    try:
-        nu2 = nu ** 2
-    except OverflowError:
-        nu2 = np.inf
-    if not 0 < nu2 < np.inf:
-        raise ValueError(f"nu^2 must be positive and finite, got {nu2} for nu = {nu}")
-    return np.zeros(d), -kappa * np.eye(d), nu2 * np.eye(d)
-
-
-def scalar_ball_ensemble(kappa, nu, drive, x0, T, h, seed, n_paths, sink=None):
-    """:func:`ball_ensemble` with Bhat = -kappa Id and alpha = nu^2 Id, and bhat = 0.
-
-    Y = 1 - |X|^2 then has the closed drift ``2 kappa |X|^2 - d nu^2 Y``.
-    """
-    result = ball_ensemble(*_scalar_args(kappa, nu, drive.d), drive, x0, T, h, seed,
-                           n_paths, sink)
-    result.scheme = "scalar"
-    return result
-
-
-def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
-    """Same-noise path pairs started eps apart, from a boundary point.
-
-    For each of ``n_seeds`` independent noise streams, simulates X from x0 and
-    X~ from (1 - eps) x0 with the identical stream and records the largest
-    gap sup_t |X_t - X~_t|.  With eps = 0 the pairs coincide bitwise.  The
-    report carries the pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.
-    All pairs run side by side in one block of 2 n_seeds rows, and only the
-    running maxima are kept.  Its two noise buffers hold about
-    ``_NOISE_VALUES`` values each, or one step each if one step's noise of
-    all the rows is larger.
-    """
-    x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
-    bhat, Bhat, sqa, x0 = _ball_args(*_scalar_args(kappa, nu, drive.d), drive, x0)
-    starts = np.stack([x0, _start_point((1.0 - eps) * x0, drive.d, "ball", _X0_TOL)])
-    n_steps, h_eff = _grid(T, h, n_seeds, "n_seeds")
-    gap = np.zeros(n_seeds)
-
-    def fold(i, states):
-        np.maximum(gap, np.linalg.norm(states[0::2] - states[1::2], axis=2).max(axis=1),
-                   out=gap)
-
-    _run_block(drive, np.tile(starts, (n_seeds, 1)), n_steps, h_eff,
-               _streams(seed, np.repeat(range(n_seeds), 2)), bhat, Bhat, sqa, fold)
-    ratio, threshold = kappa / nu ** 2, np.sqrt(2.0) - 1.0
-    return TwinPathReport(
-        max_divergence=gap,
-        eps=eps,
-        kappa_nu_ratio=ratio,
-        uniqueness_condition=bool(ratio > threshold),
-        threshold=threshold,
-        T=T,
-        h=h_eff,
-    )
-
-
-def eval_poly(q, states):
+def _eval_poly(q, states):
     """Evaluate an exponent-dict polynomial at each row of ``states``.
 
     Raises ValueError unless every exponent is d nonnegative integers, d the
@@ -885,7 +823,7 @@ def eval_poly(q, states):
 
 def mc_moment(states, q):
     """Sample mean and standard error of q(X) over terminal states."""
-    vals = eval_poly(q, states)
+    vals = _eval_poly(q, states)
     n = len(vals)
     if n == 0:
         raise ValueError("states must hold at least one row")

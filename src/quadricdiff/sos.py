@@ -360,6 +360,10 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     if m == 0:
         return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H, factors=[],
                           residuals={"eig_min": 0.0})
+    if not H.any():
+        # c_H = 0 is the empty sum of squares: the verdict of phi(0), without the kernel
+        return verdict_of(FEASIBLE, "feasible point found", 1, h_star=np.zeros((m, m)),
+                          factors=[], residuals={"eig_min": 0.0, "membership_residual": 0.0})
     scale = float(np.linalg.norm(H))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)

@@ -11,12 +11,11 @@ import numpy as np
 from quadricdiff.cspace import c_space_basis, cmap_from_h
 from quadricdiff.generator import build_Gk, moment
 from quadricdiff.liealg import _density_check_sphere, g_ideal
-from quadricdiff.model import BallModel, SphereModel, validate
+from quadricdiff.model import BallModel, SphereModel, ensemble, validate
 from quadricdiff.simulate import (
     SkewDrive,
     ball_ensemble,
     mc_moment,
-    scalar_ball_ensemble,
     sphere_ensemble,
 )
 from quadricdiff.skew import pi_index, skew_dim
@@ -213,13 +212,12 @@ def test_criterion_7_sphere_norm_preservation():
 
 
 def test_criterion_8_boundary_dichotomy():
-    drive = SkewDrive.zero(1)
     results = {}
     for kappa, nu in ((2.0, 1.0), (0.2, 1.0)):
         model = BallModel(alpha=[[nu ** 2]], H=np.zeros((0, 0)), b=[0.0], B=[[-kappa]])
         att = validate(model).boundary
-        ens = scalar_ball_ensemble(kappa, nu, drive, np.array([0.0]), T=5.0,
-                                   h=5e-3, seed=20609, n_paths=10_000)
+        ens = ensemble(BallModel.scalar(kappa, nu, 1), np.array([0.0]), T=5.0,
+                       h=5e-3, seed=20609, n_paths=10_000)
         frac = float(np.mean(np.abs(ens.terminal[:, 0]) > 1.0 - 1e-3))
         results[kappa / nu ** 2] = (att.status, frac)
     hi_status, hi_frac = results[2.0]

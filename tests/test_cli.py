@@ -310,10 +310,10 @@ def _read_csv(path):
 
 
 def test_simulate_csv_values_round_trip(model_files):
-    from quadricdiff.simulate import SkewDrive, scalar_ball_ensemble
+    from quadricdiff.model import ensemble
 
     x0, T, h, seed, n = [0.1, -0.2, 0.3], 0.05, 0.01, 7, 4
-    ens, paths = kept_run(scalar_ball_ensemble, 2.0, 1.0, SkewDrive.zero(3), x0, T, h, seed, n)
+    ens, paths = kept_run(ensemble, BallModel.scalar(2.0, 1.0, 3), x0, T, h, seed, n)
     argv = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
             "--x0", json.dumps(x0), "--T", str(T), "--h", str(h), "--paths", str(n),
             "--seed", str(seed)]
@@ -433,13 +433,13 @@ def test_csv_terminal_export_is_savetxt_in_blocks(model_files, monkeypatch):
 
 def test_keep_paths_csv_in_pieces_is_savetxt(model_files, monkeypatch):
     from quadricdiff import simulate
-    from quadricdiff.simulate import SkewDrive, scalar_ball_ensemble
+    from quadricdiff.model import ensemble
 
     # 50 noise values: blocks of one path, pieces of 16 steps, 7 pieces a path
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 50)
     x0, T, h, seed, n = [0.2, -0.1, 0.4], 0.1, 1e-3, 9, 3
     sink = Kept()
-    ens = scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), x0, T, h, seed, n, sink=sink)
+    ens = ensemble(BallModel.scalar(2.0, 1.0, 3), x0, T, h, seed, n, sink=sink)
     assert len(sink.pieces) == 7 * n
     out = model_files["tmp"] / "pieces.csv"
     run_json(["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
@@ -545,7 +545,8 @@ def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no ensemble may run on a usage error")
 
-    for name in ("sphere_ensemble", "ball_ensemble", "scalar_ball_ensemble"):
+    monkeypatch.setattr(cli.model_mod, "ensemble", refuse)
+    for name in ("sphere_ensemble", "ball_ensemble"):
         monkeypatch.setattr(cli.sim, name, refuse)
     common = ["--x0", "[0.5,0,0]", "--T", "0.1", "--h", "0.01", "--paths", "4", "--seed", "0"]
     scalar = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + common
@@ -576,17 +577,18 @@ def test_simulate_scheme_must_match_the_model_space(model_files):
     j = run_json(["simulate", "--model", str(model_files["ball"]), "--scheme", "sphere",
                   "--x0", "[1,0]", "--T", "0.1", "--h", "0.01", "--seed", "0"])
     assert j == {"error": "--scheme sphere needs a sphere model, got a ball model"}
-    # the scalar scheme takes only the tangential drive, from either space
+    # the scalar scheme simulates BallModel.scalar: a --model of either space is a usage error
     for name, x0 in (("sphere", "[0.5,0,0]"), ("ball", "[0.5,0]")):
-        j = run_json(["simulate", "--model", str(model_files[name]), "--scheme", "scalar",
-                      "--kappa", "2", "--nu", "1", "--x0", x0, "--T", "0.1", "--h", "0.01",
-                      "--seed", "0"])
-        assert j["scheme"] == "scalar"
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--model", str(model_files[name]), "--scheme", "scalar",
+                 "--kappa", "2", "--nu", "1", "--x0", x0, "--T", "0.1", "--h", "0.01",
+                 "--seed", "0"])
+        assert exc.value.code == 2, name
 
 
 @pytest.mark.parametrize("scheme,name,x0", [("sphere", "sphere", "[1,0,0]"),
                                             ("ball", "ball", "[0.5,0]"),
-                                            ("scalar", "ball", "[0.5,0]")])
+                                            ("scalar", None, "[0.5,0]")])
 def test_simulate_with_model_runs_one_sos_check(model_files, monkeypatch, scheme, name, x0):
     from quadricdiff import sos
 
@@ -598,11 +600,44 @@ def test_simulate_with_model_runs_one_sos_check(model_files, monkeypatch, scheme
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sos, "sos_check", counting)
-    rates = ["--kappa", "2", "--nu", "1"] if scheme == "scalar" else []
-    j = run_json(["simulate", "--model", str(model_files[name]), "--scheme", scheme, *rates,
-                  "--x0", x0, "--T", "0.1", "--h", "0.01", "--paths", "3", "--seed", "0"])
+    # the scalar scheme admits BallModel.scalar(--kappa, --nu, d) as the others admit --model
+    given = ["--kappa", "2", "--nu", "1"] if name is None else ["--model", str(model_files[name])]
+    j = run_json(["simulate", "--scheme", scheme, *given, "--x0", x0, "--T", "0.1", "--h", "0.01",
+                  "--paths", "3", "--seed", "0"])
     assert j["scheme"] == scheme
     assert len(calls) == 1
+
+
+def _result_bytes(result, paths):
+    return [np.asarray(v).tobytes() for v in (result.times, result.terminal, result.max_radius,
+                                              result.max_norm_dev, result.clamp_fraction, paths)]
+
+
+def test_ensemble_is_the_drive_level_ensemble_of_the_admitted_model(model_files):
+    # one path from a model to a run: admission, then the ensemble of its space
+    from quadricdiff.model import _simulator_drive, ensemble, model_from_json
+    from quadricdiff.simulate import SkewDrive, ball_ensemble, sphere_ensemble
+
+    files = [(model_from_json(json.loads(model_files[name].read_text())), x0, False)
+             for name, x0 in (("sphere", [0.6, 0.8, 0.0]), ("jacobi", [0.3]),
+                              ("ball", [0.5, -0.1]))]
+    scalars = [(BallModel.scalar(2.0, 1.0, d), x0, True) for d in (1, 2, 3)
+               for x0 in (np.zeros(d), np.full(d, 0.4))]
+    for mdl, x0, scalar in files + scalars:
+        run = (x0, 0.05, 1e-2, 3, 5)
+        drive, Bhat = _simulator_drive(mdl)
+        if mdl.space == "sphere":
+            ref = kept_run(sphere_ensemble, drive, *run)
+        else:
+            ref = kept_run(ball_ensemble, mdl.b, Bhat, mdl.alpha, drive, *run)
+        got = kept_run(ensemble, mdl, *run)
+        assert _result_bytes(*got) == _result_bytes(*ref), (mdl, x0)
+        if scalar:
+            # the coefficients that the scalar ball's own entry ran, in their bits
+            d = mdl.d
+            old = kept_run(ball_ensemble, np.zeros(d), -2.0 * np.eye(d), np.eye(d),
+                           SkewDrive.zero(d), *run)
+            assert _result_bytes(*got) == _result_bytes(*old), (d, x0)
 
 
 @pytest.mark.parametrize("name,x0,tol", [("sphere", "[1,0,0]", []), ("ball", "[0.5,0]", []),
@@ -643,7 +678,7 @@ def test_simulate_and_density_admit_the_models_that_validate_admits(model_files)
     run = ["--model", path, "--x0", "[0,0]", "--T", "0.1", "--h", "0.01", "--seed", "0"]
     j = run_json(["simulate", "--scheme", "ball"] + run)
     assert "error" not in j and j["scheme"] == "ball"
-    j = run_json(["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + run)
+    j = run_json(["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + run[2:])
     assert j["scheme"] == "scalar"
     # a --tol below the maximum refuses the model at admission, as validate does
     assert run_json(["validate", "--model", path, "--tol", "1e-9"])["admissible"] is False

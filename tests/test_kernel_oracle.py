@@ -47,14 +47,44 @@ central k and 100 seeded tail k, half of them reflected to the top.  Its
 bound, written down before the first run: a relative error of at most 8 u.
 Below the median every midpoint is a double and the map meets the bound;
 above it no midpoint is, and that half is a strict xfail (see its reason).
+
+``generator.moment`` is compared with h(x)^T exp(t G_b) q_b summed over the
+blocks G_b of G_k that it exponentiates, where G_k is the double matrix that
+``build_Gk`` returns, exp is ``mpmath.expm`` at ``mp.dps = 50`` and the
+monomials h(x) are taken at 50 digits too, on sphere and ball models at
+d = 2 and 3 and degrees up to 4.  Its bound, written down before the first
+run: |moment - exact| <= 64 u (1 + t max_b |G_b|_1) S, with
+S = sum_b |h_b|^T |exp(t G_b)| |q_b|.  The exponential's action sums about
+t |G_b|_1 Taylor steps, each rounding at a few u of S.
+
+``sos.counterexample_d6`` is compared with its closed forms at ``mp.dps = 50``:
+lam = (1 - sqrt 3) / 2, mu the negative root of 4 s^3 - 16 s^2 + 14 s + 1,
+the certificate's <H, B> from lam, mu and the three vectors, and the
+characteristic polynomial 2^-5 (s - 2)^7 (2 s^2 - 2 s - 1)(4 s^3 - 16 s^2 + 14 s + 1)^2,
+which first must be det(s I - H) at 50 digits (to 1e-40 relative, at s = 0..15).
+Its bounds, written down before the first run:
+- lam within 4 u |lam| (one rounded sqrt, a subtraction without cancellation);
+- mu within 32 u max_i |a_i / a_0| = 128 u: a backward-stable eigensolve of
+  the companion matrix perturbs it by a few u of its norm, and the roots lie
+  more than 1 apart;
+- <H, B> (the report's ``inner_hb`` and ``inner_formula``) within 64 u sum |H_ij B_ij|;
+- each coefficient c_k of ``np.poly(H)`` within 16 u n (rho e_{k-1} + e_k), n = 15,
+  e_k the k-th elementary symmetric function of the exact |eigenvalues| and rho the
+  largest: each computed eigenvalue of the symmetric H moves by a few u rho,
+  and the product over the n roots rounds at a few u e_k.
 """
+
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
 from quadricdiff import simulate
-from quadricdiff.model import sphere_max_quadratic
+from quadricdiff.cspace import trace_form
+from quadricdiff.generator import build_Gk, moment, poly_degree
+from quadricdiff.model import BallModel, SphereModel, sphere_max_quadratic
+from quadricdiff.sos import counterexample_d6
 from quadricdiff.simulate import expm_skew
 
 U = 2.0 ** -53
@@ -286,3 +316,124 @@ def test_gaussian_map_matches_40_digits_above_the_median():
     ks = _gauss_grid()
     errors = _gauss_errors(ks[ks >= 2 ** 52])
     assert errors.max() <= GAUSS_U, errors.max()
+
+
+MOMENT_U = 64
+
+
+def _moment_cases():
+    """(name, model, q, x, t): every monomial of degree <= k with a seeded coefficient."""
+    gen = np.random.default_rng(35)
+    G = gen.standard_normal((3, 3))
+    H = G @ G.T / 3
+    skew = np.array([[0.0, 0.7, -0.2], [-0.7, 0.0, 0.4], [0.2, -0.4, 0.0]])
+    A = gen.standard_normal((2, 2))
+    models = [
+        ("sphere_bm_d3", SphereModel(H=np.eye(3), B=-np.eye(3)), 4),
+        ("sphere_generic_d3", SphereModel(H=H, B=-0.5 * trace_form(H, 3) + skew), 3),
+        ("ball_generic_d2", BallModel(alpha=A @ A.T / 2, H=[[0.8]], b=[0.2, -0.1],
+                                      B=[[-1.5, 0.4], [-0.2, -1.1]]), 4),
+        ("ball_scalar_d3", BallModel.scalar(2.0, 1.0, 3), 3),
+    ]
+    cases = []
+    for name, mdl, k in models:
+        q = {e: float(c) for e, c in zip(build_Gk(mdl, k).basis.exponents,
+                                         gen.uniform(-1.0, 1.0, 100))}
+        x = gen.standard_normal(mdl.d)
+        x /= np.linalg.norm(x)
+        if mdl.space == "ball":
+            x *= 0.7
+        cases += [(f"{name}_t{t}", mdl, q, x, t) for t in (0.5, 2.0)]
+    return cases
+
+
+MOMENT_CASES = _moment_cases()
+
+
+@pytest.mark.parametrize("name, mdl, q, x, t", MOMENT_CASES, ids=[c[0] for c in MOMENT_CASES])
+def test_moment_matches_a_50_digit_exponential(name, mdl, q, x, t):
+    gk = build_Gk(mdl, poly_degree(q))
+    got = moment(mdl, q, x, t, gk=gk)
+    d, vec = mdl.d, gk.basis.vector(q)
+    if mdl.space == "sphere":
+        degrees = sorted({sum(e) for e in q})
+        blocks = [(math.comb(d + j - 1, d), math.comb(d + j, d)) for j in degrees]
+    else:
+        blocks = [(0, len(gk.basis))]
+    G = gk.G.toarray()
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(v) for v in x.tolist()]
+        h = [mpmath.fprod(xi ** ei for xi, ei in zip(xs, e)) for e in gk.basis.exponents]
+        exact = scale = mpmath.mpf(0)
+        for lo, hi in blocks:
+            E = mpmath.expm(t * mpmath.matrix(G[lo:hi, lo:hi].tolist()))
+            for i in range(hi - lo):
+                for j in range(hi - lo):
+                    exact += h[lo + i] * E[i, j] * vec[lo + j]
+                    scale += abs(h[lo + i] * E[i, j] * vec[lo + j])
+        error = float(abs(got - exact))
+    norm1 = max(np.abs(G[lo:hi, lo:hi]).sum(axis=0).max() for lo, hi in blocks)
+    bound = MOMENT_U * U * (1.0 + t * norm1) * float(scale)
+    assert error <= bound, (error, bound, error / (U * float(scale)))
+
+
+def _poly_mul(a, b):
+    out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def test_counterexample_d6_matches_its_50_digit_closed_forms():
+    ce = counterexample_d6()
+    H, B, report = ce.h, ce.certificate, ce.report
+    n = len(H)
+    with mpmath.workdps(50):
+        lam = (1 - mpmath.sqrt(3)) / 2
+        cubic = [4, -16, 14, 1]
+        mu = min((r for r in mpmath.polyroots(cubic, maxsteps=200, extraprec=200)),
+                 key=lambda r: mpmath.re(r)).real
+        # the characteristic polynomial, leading first, and det(s I - H) at 50 digits
+        charpoly = [mpmath.mpf(1)]
+        for factor in [[1, -2]] * 7 + [[2, -2, -1], cubic, cubic]:
+            charpoly = _poly_mul(charpoly, [mpmath.mpf(c) for c in factor])
+        charpoly = [c / 32 for c in charpoly]
+        Hm = mpmath.matrix(H.tolist())
+        for s in range(16):
+            det = mpmath.det(s * mpmath.eye(n) - Hm)
+            value = mpmath.polyval(charpoly, s)
+            size = mpmath.polyval([abs(c) for c in charpoly], s)
+            assert abs(det - value) <= mpmath.mpf(10) ** -40 * size, s
+        # the certificate B from the exact lam and mu
+        e = mpmath.eye(n)
+        v1 = 0.5 * e[:, 1] - lam * e[:, 6] + 0.5 * e[:, 10]
+        v2 = (mu / 2) * e[:, 2] + mu * (2 - mu) * e[:, 5] + 0.5 * (mu - 1) * e[:, 12] \
+            + 0.5 * e[:, 13]
+        v3 = 0.5 * (1 - mu) * e[:, 0] - (mu / 2) * e[:, 7] + 0.5 * e[:, 8] \
+            + mu * (mu - 2) * e[:, 9]
+        delta = mu * (mu - 2) * (2 * mu - 1) / lam
+        Bm = delta * v1 * v1.T + v2 * v2.T + v3 * v3.T
+        inner = mpmath.fsum(Hm[i, j] * Bm[i, j] for i in range(n) for j in range(n))
+        inner_size = mpmath.fsum(abs(Hm[i, j] * Bm[i, j]) for i in range(n) for j in range(n))
+        # the elementary symmetric functions of the exact |eigenvalues|
+        roots = [mpmath.mpf(2)] * 7 + [(1 + mpmath.sqrt(3)) / 2, lam]
+        roots += 2 * [r.real for r in mpmath.polyroots(cubic, maxsteps=200, extraprec=200)]
+        sym = [mpmath.mpf(1)]
+        for r in roots:
+            sym = _poly_mul(sym, [mpmath.mpf(1), abs(r)])
+        rho = max(abs(r) for r in roots)
+        errors = {
+            "lambda": (abs(report["lambda"] - lam), 4 * U * abs(lam)),
+            "mu": (abs(report["mu"] - mu), 32 * U * 4),
+            "inner_hb": (abs(report["inner_hb"] - inner), 64 * U * inner_size),
+            "inner_formula": (abs(report["inner_formula"] - inner), 64 * U * inner_size),
+            "vdot": (abs(float(np.vdot(H, B)) - inner), 64 * U * inner_size),
+        }
+        got = np.poly(H)
+        for k in range(1, n + 1):
+            bound = 16 * U * n * (rho * sym[k - 1] + sym[k])
+            errors[f"charpoly_{k}"] = (abs(got[k] - charpoly[k]), bound)
+        errors = {key: (float(err), float(bound)) for key, (err, bound) in errors.items()}
+    over = {key: value for key, value in errors.items() if not value[0] <= value[1]}
+    assert not over, over

@@ -29,7 +29,7 @@ def test_package_exports_the_union_of_the_layers_all():
             assert name not in declared, (name, layer.__name__, declared[name])
             declared[name] = layer
     assert exported_names == declared.keys()
-    assert len(exported_names) <= 49
+    assert len(exported_names) <= 48
     for name, layer in declared.items():
         assert getattr(quadricdiff, name) is getattr(layer, name), name
 

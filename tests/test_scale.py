@@ -72,6 +72,21 @@ def test_density_verdicts_do_not_depend_on_speed(k):
 
 
 @pytest.mark.parametrize("k", KS)
+def test_drift_verdicts_do_not_depend_on_speed(k):
+    c = 2.0 ** k
+    # drift pointing outward everywhere, maximum 1.5 c over the sphere: refused
+    outward = validate(BallModel(alpha=c * np.eye(2), H=[[c]], b=np.zeros(2), B=c * np.eye(2)))
+    assert not outward.checks["drift"]["pass"] and not outward.admissible
+    # maximum 5e-8 c against terms of size c: admitted, and the boundary may be reached
+    edge = validate(BallModel(alpha=c * np.eye(2), H=[[c]], b=np.zeros(2),
+                              B=-0.49999995 * c * np.eye(2)))
+    assert edge.admissible and edge.boundary.status == "MayAttainBoundary"
+    # a sphere drift identity missed by 2e-3 c, against terms of size about c
+    skewed = validate(SphereModel(H=c * np.eye(3), B=-0.999 * c * np.eye(3)))
+    assert not skewed.checks["drift_identity"]["pass"] and not skewed.admissible
+
+
+@pytest.mark.parametrize("k", KS)
 def test_bad_inputs_are_refused_at_every_scale(k):
     c = 2.0 ** k
     with pytest.raises(ValueError, match="skew"):

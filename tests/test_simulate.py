@@ -10,17 +10,15 @@ from scipy.special import ndtri
 from kept import Kept, kept_run
 from quadricdiff import simulate
 from quadricdiff.generator import moment
-from quadricdiff.model import BallModel, SphereModel
+from quadricdiff.model import BallModel, SphereModel, ensemble, twin_path_experiment
 from quadricdiff.simulate import (
     SkewDrive,
+    _eval_poly as eval_poly,
     ball_ensemble,
-    eval_poly,
     expm_skew,
     mc_moment,
     path_normals,
-    scalar_ball_ensemble,
     sphere_ensemble,
-    twin_path_experiment,
 )
 from quadricdiff.skew import skew_basis, skew_dim, vec_to_skew
 
@@ -113,8 +111,7 @@ def _block_runs(n_paths):
         kept_run(sphere_ensemble, e3, x3, 0.03, 1e-3, 5, n_paths),
         kept_run(ball_ensemble, np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
                  0.5 * x3, 0.03, 1e-3, 6, n_paths),
-        kept_run(scalar_ball_ensemble, 0.2, 1.0, SkewDrive.zero(2), [0.6, 0.79], 0.05, 1e-2, 7,
-                 n_paths),
+        kept_run(ensemble, BallModel.scalar(0.2, 1.0, 2), [0.6, 0.79], 0.05, 1e-2, 7, n_paths),
         kept_run(sphere_ensemble, SkewDrive(np.array([[0.0, 1.5], [-1.5, 0.0]]),
                                             np.zeros((0, 2, 2))),
                  [0.6, 0.8], 0.02, 1e-3, 5, n_paths),
@@ -183,16 +180,14 @@ def test_ball_rejects_bad_arguments():
 
 def test_clamp_rarely_fires_when_interior_invariant():
     # strong reversion keeps paths off the boundary; the clamp is a rare event
-    drive = SkewDrive.zero(1)
-    ens = scalar_ball_ensemble(2.0, 1.0, drive, np.array([0.0]), T=2.0, h=2e-3,
-                               seed=23, n_paths=2000)
+    ens = ensemble(BallModel.scalar(2.0, 1.0, 1), np.array([0.0]), T=2.0, h=2e-3,
+                   seed=23, n_paths=2000)
     assert ens.clamp_fraction < 0.01
 
 
 def test_scalar_ball_reduces_to_jacobi():
-    drive = SkewDrive.zero(1)
-    ens = scalar_ball_ensemble(2.0, 1.0, drive, np.array([0.5]), T=1.0, h=1e-3,
-                               seed=5, n_paths=20000)
+    ens = ensemble(BallModel.scalar(2.0, 1.0, 1), np.array([0.5]), T=1.0, h=1e-3,
+                   seed=5, n_paths=20000)
     est = mc_moment(ens.terminal, {(1,): 1.0})
     mdl = BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[-2.0]])
     target = moment(mdl, {(1,): 1.0}, np.array([0.5]), 1.0)
@@ -201,8 +196,7 @@ def test_scalar_ball_reduces_to_jacobi():
 
 def test_scalar_ball_y_diagnostics():
     kappa, nu, d = 2.0, 1.0, 2
-    drive = SkewDrive.zero(d)
-    s, paths = kept_run(scalar_ball_ensemble, kappa, nu, drive, np.array([0.5, 0.0]), T=1.0,
+    s, paths = kept_run(ensemble, BallModel.scalar(kappa, nu, d), np.array([0.5, 0.0]), T=1.0,
                         h=1e-3, seed=5, n_paths=1)
     r2 = np.einsum("ni,ni->n", paths[0], paths[0])
     y = 1.0 - r2
@@ -212,21 +206,40 @@ def test_scalar_ball_y_diagnostics():
     assert abs(resid) < 5e-3
     for bad in ((-1.0, 1.0), (1.0, 0.0)):
         with pytest.raises(ValueError):
-            scalar_ball_ensemble(*bad, drive, np.array([0.5, 0.0]), 1.0, 1e-3, 0, 1)
+            ensemble(BallModel.scalar(*bad, d), np.array([0.5, 0.0]), 1.0, 1e-3, 0, 1)
 
 
 def test_weak_consistency_richardson():
     # halving h once bounds the time-discretization bias
-    drive = SkewDrive.zero(1)
     mdl = BallModel(alpha=[[1.0]], H=np.zeros((0, 0)), b=[0.0], B=[[-2.0]])
     target = moment(mdl, {(1,): 1.0}, np.array([0.5]), 1.0)
     ests = []
     for h in (4e-3, 2e-3):
-        ens = scalar_ball_ensemble(2.0, 1.0, drive, np.array([0.5]), T=1.0, h=h,
-                                   seed=17, n_paths=40000)
+        ens = ensemble(BallModel.scalar(2.0, 1.0, 1), np.array([0.5]), T=1.0, h=h,
+                       seed=17, n_paths=40000)
         ests.append(mc_moment(ens.terminal, {(1,): 1.0}))
     bias_scale = abs(ests[0].estimate - ests[1].estimate) + ests[0].stderr
     assert abs(ests[1].estimate - target) <= 3 * ests[1].stderr + 2 * bias_scale + 1e-3
+
+
+def test_a_drift_step_that_cannot_contract_is_refused():
+    # x <- (I + h Bhat) x contracts only while h rho(Bhat) < 2: at kappa h = 2.1 most
+    # steps were clamped, and at kappa = 1e308 |x|^2 overflowed with a warning
+    below = np.nextafter(8.0, 0.0)   # kappa h just below 2 at h = 0.25
+    for kappa, h, runs in ((below, 0.25, True), (8.0, 0.25, False), (1e308, 0.01, False)):
+        for d in (1, 3):
+            x0 = np.full(d, 0.5 / np.sqrt(d))
+            calls = [lambda: ensemble(BallModel.scalar(kappa, 1.0, d), x0, 0.5, h, 0, 4),
+                     lambda: ball_ensemble(np.zeros(d), -kappa * np.eye(d), np.eye(d),
+                                           SkewDrive.elementary(d), x0, 0.5, h, 0, 4),
+                     lambda: twin_path_experiment(kappa, 1.0, SkewDrive.zero(d),
+                                                  np.eye(d)[0], 0.5, h, 2, eps=0.5)]
+            for call in calls:
+                if runs:
+                    call()
+                else:
+                    with pytest.raises(ValueError, match="drift step does not contract"):
+                        call()
 
 
 def test_twin_paths_identical_with_zero_eps():
@@ -293,9 +306,9 @@ def _chunk_runs():
         sphere_ensemble(turn, np.array([0.6, 0.8]), 0.02, 1e-3, 5, 2),  # constant
         ball_ensemble(np.array([0.1, 0.0, -0.2]), -np.eye(3), 0.5 * np.eye(3), e3,
                       0.5 * x3, 0.03, 1e-3, 6, 4),                       # radial + drive
-        scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(1), [0.5], 0.05, 1e-3, 7, 3),
+        ensemble(BallModel.scalar(2.0, 1.0, 1), [0.5], 0.05, 1e-3, 7, 3),
     ]
-    last, last_paths = kept_run(scalar_ball_ensemble, 1.0, 0.5, SkewDrive.zero(2), [0.3, 0.1],
+    last, last_paths = kept_run(ensemble, BallModel.scalar(1.0, 0.5, 2), [0.3, 0.1],
                                 0.041, 1e-3, 8, 3)
     ens.append(last)
     out = [np.concatenate([r.terminal.ravel(), r.max_radius,
@@ -425,7 +438,7 @@ def test_simulation_rejects_bad_inputs():
 def test_block_noise_memory_is_bounded():
     tracemalloc.start()
     try:
-        scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), np.zeros(3), 2.0, 1e-3, 1, 1024)
+        ensemble(BallModel.scalar(2.0, 1.0, 3), np.zeros(3), 2.0, 1e-3, 1, 1024)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -438,8 +451,8 @@ def test_sink_pieces_are_path_major_and_no_larger_than_a_noise_chunk(monkeypatch
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 300)
     for n_paths, T, n_pieces in ((12, 0.02, 3), (3, 0.5, 15)):
         kept = Kept()
-        ens = scalar_ball_ensemble(2.0, 1.0, SkewDrive.zero(3), np.zeros(3), T, 1e-3, 1,
-                                   n_paths, sink=kept)
+        ens = ensemble(BallModel.scalar(2.0, 1.0, 3), np.zeros(3), T, 1e-3, 1,
+                       n_paths, sink=kept)
         assert kept.paths.shape == (n_paths, len(ens.times), 3)
         assert kept.times.tobytes() == ens.times.tobytes()
         assert len(kept.pieces) == n_pieces
@@ -451,8 +464,9 @@ def test_sink_pieces_are_path_major_and_no_larger_than_a_noise_chunk(monkeypatch
 def _twin_from_two_ensembles(kappa, nu, drive, x0, T, h, n_seeds, seed, eps):
     """max_divergence from two whole kept ensembles, X from x0 and X~ from (1 - eps) x0."""
     run = (T, h, seed, n_seeds)
-    _, a = kept_run(scalar_ball_ensemble, kappa, nu, drive, x0, *run)
-    _, b = kept_run(scalar_ball_ensemble, kappa, nu, drive, (1.0 - eps) * x0, *run)
+    coefficients = (np.zeros(drive.d), -kappa * np.eye(drive.d), nu ** 2 * np.eye(drive.d))
+    _, a = kept_run(ball_ensemble, *coefficients, drive, x0, *run)
+    _, b = kept_run(ball_ensemble, *coefficients, drive, (1.0 - eps) * x0, *run)
     return np.linalg.norm(a - b, axis=2).max(axis=1)
 
 
@@ -774,13 +788,13 @@ def test_noise_helper_thread_ends_with_its_block(monkeypatch):
         mapped_on.append(threading.current_thread().name)
         normals_from_uniforms(out, ndtri, scale)
 
-    run = (2.0, 1.0, SkewDrive.zero(3), np.zeros(3), 0.5, 1e-3, 1, 3)
-    short = run[:4] + (0.02,) + run[5:]
+    run = (BallModel.scalar(2.0, 1.0, 3), np.zeros(3), 0.5, 1e-3, 1, 3)
+    short = run[:2] + (0.02,) + run[3:]
     for args, chunks in ((run, 15), (short, 1)):
         alive, mapped_on[:] = [], []
         with monkeypatch.context() as patch:
             patch.setattr(simulate, "_normals_from_uniforms", recorded)
-            result = scalar_ball_ensemble(
+            result = ensemble(
                 *args, sink=lambda *piece: alive.append(len(_noise_threads())))
         assert result.stats["chunks"] == chunks
         assert alive == [1] * chunks, "each block's helper is alive while it is stepped"
@@ -797,7 +811,7 @@ def test_noise_helper_thread_ends_with_its_block(monkeypatch):
             raise Refused
 
     with pytest.raises(Refused):
-        scalar_ball_ensemble(*run, sink=refuse)
+        ensemble(*run, sink=refuse)
     assert _noise_threads() == []
 
     def broken(out, ndtri, scale=1.0):
@@ -807,7 +821,7 @@ def test_noise_helper_thread_ends_with_its_block(monkeypatch):
 
     monkeypatch.setattr(simulate, "_normals_from_uniforms", broken)
     with pytest.raises(FloatingPointError, match="noise thread"):
-        scalar_ball_ensemble(*run)
+        ensemble(*run)
     assert _noise_threads() == []
 
 
@@ -815,13 +829,14 @@ def test_chunks_in_flight_under_thread_contention(monkeypatch):
     # Three ensembles at once, each with its noise helper: six threads on fewer
     # cores, switching every microsecond, and chunks of one step, so the two
     # noise buffers change hands at every step.
-    run = (0.2, 1.0, SkewDrive.elementary(3), np.array([0.5, 0.5, 0.5]), 0.1, 1e-3)
-    ref = [scalar_ball_ensemble(*run, seed, 8).terminal for seed in range(3)]
+    run = (np.zeros(3), -0.2 * np.eye(3), np.eye(3), SkewDrive.elementary(3),
+           np.array([0.5, 0.5, 0.5]), 0.1, 1e-3)
+    ref = [ball_ensemble(*run, seed, 8).terminal for seed in range(3)]
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 8 * 6)
     got = [None] * 3
 
     def work(i):
-        got[i] = scalar_ball_ensemble(*run, i, 8)
+        got[i] = ball_ensemble(*run, i, 8)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -992,10 +1007,11 @@ def test_one_step_larger_than_a_chunk_caps_the_block(monkeypatch):
     # chunk of 4: every block holds one path, whether or not it is kept, its
     # chunks are one step long, and the helper maps them into two one-step
     # buffers in turn.
-    run = (0.2, 1.0, SkewDrive.elementary(3), np.array([0.5, 0.5, 0.5]), 0.01, 1e-3, 5, 8)
-    whole = scalar_ball_ensemble(*run)
+    run = (np.zeros(3), -0.2 * np.eye(3), np.eye(3), SkewDrive.elementary(3),
+           np.array([0.5, 0.5, 0.5]), 0.01, 1e-3, 5, 8)
+    whole = ball_ensemble(*run)
     monkeypatch.setattr(simulate, "_NOISE_VALUES", 4)
-    ens = scalar_ball_ensemble(*run)
+    ens = ball_ensemble(*run)
     assert ens.terminal.tobytes() == whole.terminal.tobytes()
     # 8 one-path blocks of ten one-step chunks
     assert (ens.stats["chunks"], ens.stats["chunk_steps"]) == (80, 1)
@@ -1006,7 +1022,7 @@ def test_one_step_larger_than_a_chunk_caps_the_block(monkeypatch):
         alive.append(len(_noise_threads()))
         firsts.append((first, len(states)))
 
-    kept = scalar_ball_ensemble(*run, sink=sink)
+    kept = ball_ensemble(*run, sink=sink)
     assert kept.terminal.tobytes() == whole.terminal.tobytes()
     assert firsts == [(i, 1) for i in range(8) for _ in range(10)]
     assert alive == [1] * 80 and kept.stats["noise_bytes"] == 2 * 6 * 8

@@ -19,14 +19,8 @@ import pytest
 from quadricdiff.cli import main
 from quadricdiff.generator import moment
 from quadricdiff.liealg import _density_check_ball, _density_check_sphere
-from quadricdiff.model import BallModel, SphereModel, validate
-from quadricdiff.simulate import (
-    SkewDrive,
-    ball_ensemble,
-    scalar_ball_ensemble,
-    sphere_ensemble,
-    twin_path_experiment,
-)
+from quadricdiff.model import BallModel, SphereModel, ensemble, twin_path_experiment, validate
+from quadricdiff.simulate import SkewDrive, ball_ensemble, sphere_ensemble
 
 from refs import model_to_json
 
@@ -69,11 +63,13 @@ LIBRARY = {
                                                 *RUN),
         [ball_from_zero(bhat=nan_at(np.zeros(3), 0)), ball_from_zero(Bhat=nan_at(-np.eye(3))),
          ball_from_zero(alpha=nan_at(np.eye(3))), ball_from_zero(alpha=np.diag([INF, 1, 1]))]),
-    "scalar_ball_ensemble": (
-        "ball", 1e-12, lambda x0: scalar_ball_ensemble(2.0, 1.0, DRIVE, x0, *RUN),
-        [lambda: scalar_ball_ensemble(INF, 1.0, DRIVE, np.zeros(3), *RUN),
-         lambda: scalar_ball_ensemble(2.0, INF, DRIVE, np.zeros(3), *RUN),
-         lambda: scalar_ball_ensemble(NAN, 1.0, DRIVE, np.zeros(3), *RUN)]),
+    "ensemble_scalar_ball": (
+        "ball", 1e-12, lambda x0: ensemble(BallModel.scalar(2.0, 1.0, 3), x0, *RUN),
+        [lambda: ensemble(BallModel.scalar(INF, 1.0, 3), np.zeros(3), *RUN),
+         lambda: ensemble(BallModel.scalar(2.0, INF, 3), np.zeros(3), *RUN),
+         lambda: ensemble(BallModel.scalar(NAN, 1.0, 3), np.zeros(3), *RUN)]),
+    "ensemble_sphere": ("sphere", 1e-12, lambda x0: ensemble(SPHERE, x0, *RUN), []),
+    "ensemble_ball": ("ball", 1e-12, lambda x0: ensemble(BALL, x0, *RUN), []),
     "twin_path_experiment": (
         "sphere", 1e-12, lambda x0: twin_path_experiment(1.0, 1.0, DRIVE, x0, *RUN[:2], 2),
         [lambda: twin_path_experiment(INF, 1.0, DRIVE, [1.0, 0.0, 0.0], *RUN[:2], 2)]),

@@ -9,25 +9,19 @@ criteria.
 """
 
 from .skew import (
-    pair_from_index,
-    pi_index,
     plucker_eval,
-    skew_basis,
     skew_dim,
     skew_to_vec,
     vec_to_skew,
 )
 from .cspace import (
-    TangencyError,
     biquadratic_eval,
     c_H_eval,
     c_space_basis,
     cmap_from_h,
-    cmap_from_pair,
     h_action,
     h_from_c,
     h_from_json,
-    h_to_json,
     k_matrix,
     trace_form,
 )
@@ -43,7 +37,6 @@ from .model import (
     BallModel,
     SphereModel,
     ensemble,
-    model_from_json,
     sphere_max_quadratic,
     twin_path_experiment,
     validate,
@@ -51,10 +44,6 @@ from .model import (
 from .generator import (
     build_Gk,
     moment,
-    monomial_basis,
-    poly_degree,
-    poly_from_json,
-    poly_to_json,
 )
 from .simulate import (
     SkewDrive,

@@ -2,10 +2,10 @@
 
 Every command writes one JSON document to stdout and exits 0 whenever the
 computation ran, even if the verdict is negative; nonzero exit codes are
-reserved for usage and IO errors.  Stochastic commands require an explicit
---seed so identical invocations are byte-identical.  The argument parser is
-built once per process, on the first call of :func:`main`, and serves every
-later call.
+reserved for usage errors (2) and IO errors (1).  Stochastic commands
+require an explicit --seed so identical invocations are byte-identical.  The
+argument parser is built once per process, on the first call of
+:func:`main`, and serves every later call.
 """
 
 import argparse
@@ -79,6 +79,8 @@ def _parse_vector(text):
     x0 = _float_array(data)
     if x0 is None or x0.ndim != 1:
         raise ValueError(f"x0 must be a list of numbers, got {data!r:.80}")
+    if not x0.size:
+        raise ValueError("x0 must hold at least one number, got []")
     return x0
 
 
@@ -188,18 +190,18 @@ def _write_paths(fh, first_id, times, states):
 def _cmd_simulate(args):
     to_csv = (args.out or "").endswith(".csv")
     if args.keep_paths and not to_csv:
-        raise SystemExit("--keep-paths requires a .csv --out")
+        args.parser.error("--keep-paths requires a .csv --out")
     if args.scheme == "scalar":
         if args.model:
             args.parser.error("argument --model: not allowed with --scheme scalar, which "
                               "simulates BallModel.scalar(--kappa, --nu, d)")
         if args.kappa is None or args.nu is None:
-            raise SystemExit("scalar scheme requires --kappa and --nu")
+            args.parser.error("scalar scheme requires --kappa and --nu")
     elif not args.model:
-        raise SystemExit(f"{args.scheme} scheme requires --model")
+        args.parser.error(f"{args.scheme} scheme requires --model")
     elif args.kappa is not None or args.nu is not None:
-        raise SystemExit(f"{args.scheme} scheme takes no --kappa or --nu; its drift "
-                         "comes from --model")
+        args.parser.error(f"{args.scheme} scheme takes no --kappa or --nu; its drift "
+                          "comes from --model")
     x0 = _parse_vector(args.x0)
     if args.scheme == "scalar":
         mdl = model_mod.BallModel.scalar(args.kappa, args.nu, len(x0))

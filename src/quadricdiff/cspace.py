@@ -28,17 +28,14 @@ from .skew import (_integer, _pair_signs, _upper_indices, skew_basis, skew_dim, 
                    vec_to_skew)
 
 __all__ = [
-    "TangencyError",
     "c_H_eval",
     "biquadratic_eval",
     "h_action",
     "cmap_from_h",
-    "cmap_from_pair",
     "trace_form",
     "c_space_basis",
     "k_matrix",
     "h_from_c",
-    "h_to_json",
     "h_from_json",
 ]
 
@@ -306,13 +303,11 @@ def h_from_c(C):
     return H
 
 
-def h_to_json(H, d):
-    """JSON-ready dict {"d": d, "H": [[...]]} for a symmetric m x m matrix."""
-    return {"d": int(d), "H": np.asarray(H, dtype=float).tolist()}
-
-
 def h_from_json(obj):
-    """Inverse of :func:`h_to_json`; returns (H, d).  ValueError unless d is an integer >= 0."""
+    """(H, d) from the JSON form {"d": d, "H": [[...]]}, H a symmetric m x m matrix.
+
+    ValueError unless d is an integer >= 0 and H such a matrix for it.
+    """
     d = obj["d"]
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r:.80}")

@@ -27,12 +27,8 @@ from .cspace import _float_array, cmap_from_h
 from .skew import _check_number
 
 __all__ = [
-    "monomial_basis",
     "build_Gk",
     "moment",
-    "poly_to_json",
-    "poly_from_json",
-    "poly_degree",
 ]
 
 
@@ -276,13 +272,11 @@ def moment(model, q, x, t, k=None, gk=None):
     return value
 
 
-def poly_to_json(q):
-    """{"terms": [{"exp": [...], "coef": c}]} form of an exponent-dict polynomial."""
-    return {"terms": [{"exp": list(e), "coef": float(c)} for e, c in sorted(q.items())]}
-
-
 def poly_from_json(obj):
-    """Inverse of :func:`poly_to_json`; ValueError if obj does not have its form."""
+    """Exponent-dict polynomial from {"terms": [{"exp": [...], "coef": c}, ...]}.
+
+    Terms with the same exponent add up; ValueError if obj does not have that form.
+    """
     out = {}
     try:
         for term in obj["terms"]:

@@ -27,7 +27,6 @@ __all__ = [
     "validate",
     "ensemble",
     "twin_path_experiment",
-    "model_from_json",
 ]
 
 

@@ -3,8 +3,9 @@
 Skew matrices are plain dense ndarrays.  The library-wide convention is the
 m-vector of strictly upper-triangular entries in lexicographic order,
 m = d*(d-1)/2, with ``vec_to_skew`` as the structural constructor: anything
-built through it is exactly skew, no runtime tolerance involved.  Positions
-and basis indices are 1-based in the public API.
+built through it is exactly skew, no runtime tolerance involved.  The index
+helper ``pi_index`` and the Plucker 4-tuples count positions from 1, as the
+paper does.
 """
 
 import numbers
@@ -14,9 +15,6 @@ import numpy as np
 
 __all__ = [
     "skew_dim",
-    "pi_index",
-    "pair_from_index",
-    "skew_basis",
     "skew_to_vec",
     "vec_to_skew",
     "plucker_eval",
@@ -61,21 +59,6 @@ def pi_index(i, j, d):
     if not (all(map(_integer, (i, j, d))) and 1 <= i < j <= d):
         raise ValueError(f"need integers 1 <= i < j <= d, got (i, j, d) = ({i}, {j}, {d})")
     return (i - 1) * (2 * d - i) // 2 + (j - i)
-
-
-def pair_from_index(p, d):
-    """Inverse of :func:`pi_index`: the pair (i, j), i < j, with index p.
-
-    ValueError unless d is a nonnegative integer and p an integer in 1..C(d, 2).
-    """
-    if not _integer(p):
-        raise ValueError(f"p must be an integer, got {p!r:.80}")
-    # A negative d has no basis index, like d = 0 and 1.
-    m = 0 if _integer(d) and d < 0 else skew_dim(d)
-    if not 1 <= p <= m:
-        raise ValueError(f"basis index {p} out of range 1..{m} for d = {d}")
-    rows, cols = _upper_indices(d)
-    return int(rows[p - 1]) + 1, int(cols[p - 1]) + 1
 
 
 @lru_cache(maxsize=None)

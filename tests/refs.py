@@ -1,7 +1,7 @@
 """Statements of the paper's facts that the tests check the package against.
 
 Nothing in the package calls them: each states one fact of the paper, evaluates
-a coefficient at a point, or writes a test input.
+a coefficient at a point, inverts an index, or writes a test input.
 
 - :func:`rank2_factor`: a rank-two skew matrix is x ^ y = x y^T - y x^T.
 - :func:`c_from_biquadratic`: y^T c(x) y equals the biquadratic form.
@@ -13,9 +13,9 @@ from itertools import permutations
 
 import numpy as np
 
-from quadricdiff.cspace import c_H_eval, h_to_json
+from quadricdiff.cspace import c_H_eval
 from quadricdiff.generator import _exponent, _images, monomial_basis
-from quadricdiff.skew import pair_from_index, skew_basis
+from quadricdiff.skew import _integer, _upper_indices, skew_basis, skew_dim
 
 
 class RankError(ValueError):
@@ -28,6 +28,21 @@ class RankError(ValueError):
     def __init__(self, message, singular_values):
         super().__init__(message)
         self.singular_values = np.asarray(singular_values)
+
+
+def pair_from_index(p, d):
+    """Inverse of ``skew.pi_index``: the pair (i, j), i < j, with 1-based index p.
+
+    ValueError unless d is a nonnegative integer and p an integer in 1..C(d, 2).
+    """
+    if not _integer(p):
+        raise ValueError(f"p must be an integer, got {p!r:.80}")
+    # A negative d has no basis index, like d = 0 and 1.
+    m = 0 if _integer(d) and d < 0 else skew_dim(d)
+    if not 1 <= p <= m:
+        raise ValueError(f"basis index {p} out of range 1..{m} for d = {d}")
+    rows, cols = _upper_indices(d)
+    return int(rows[p - 1]) + 1, int(cols[p - 1]) + 1
 
 
 def elementary_skew(p, d):
@@ -143,6 +158,18 @@ def drift_eval(model, x):
     if model.space == "ball":
         return model.b + model.B @ x
     return model.B @ x
+
+
+def h_to_json(H, d):
+    """JSON-ready dict {"d": d, "H": [[...]]} for a symmetric m x m matrix; the form
+    that ``cspace.h_from_json`` reads."""
+    return {"d": int(d), "H": np.asarray(H, dtype=float).tolist()}
+
+
+def poly_to_json(q):
+    """{"terms": [{"exp": [...], "coef": c}]} form of an exponent-dict polynomial; the
+    form that ``generator.poly_from_json`` reads."""
+    return {"terms": [{"exp": list(e), "coef": float(c)} for e, c in sorted(q.items())]}
 
 
 def model_to_json(model):

@@ -466,6 +466,9 @@ def test_keep_paths_memory_does_not_grow_with_steps(model_files, monkeypatch):
         argv = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1",
                 "--x0", json.dumps([0.0] * 16), "--T", "1", "--h", str(1.0 / steps),
                 "--paths", "4", "--seed", "3", "--keep-paths", "--out", str(out)]
+        # untraced first: the first simulation of a process imports scipy.special
+        # and concurrent.futures, whatever tests ran before this one
+        run_json(argv)
         tracemalloc.start()
         try:
             run_json(argv)
@@ -539,7 +542,7 @@ def test_refused_keep_paths_run_leaves_no_file(model_files):
         assert not out.exists(), bad
 
 
-def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch):
+def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch, capsys):
     from quadricdiff import cli
 
     def refuse(*args, **kwargs):
@@ -566,7 +569,9 @@ def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch):
     for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert message in str(exc.value.code), argv
+        # argparse's usage error: the usage line and the message on stderr, exit 2
+        assert exc.value.code == 2, argv
+        assert message in capsys.readouterr().err, argv
     assert not (model_files["tmp"] / "kept.json").exists()
 
 

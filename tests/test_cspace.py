@@ -17,7 +17,6 @@ from quadricdiff.cspace import (
     h_action,
     h_from_c,
     h_from_json,
-    h_to_json,
     k_matrix,
     trace_form,
 )
@@ -26,7 +25,7 @@ from quadricdiff.skew import (_pair_signs, _upper_indices, pi_index, plucker_eva
 from quadricdiff.sos import nonneg_check, sos_check, sos_decompose, verify_certificate
 
 from kbasis import k_basis
-from refs import c_from_biquadratic, cmap_eval
+from refs import c_from_biquadratic, cmap_eval, h_to_json
 
 rng = np.random.default_rng(77)
 

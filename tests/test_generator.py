@@ -11,12 +11,11 @@ from quadricdiff.generator import (
     monomial_basis,
     poly_degree,
     poly_from_json,
-    poly_to_json,
 )
 from quadricdiff.model import BallModel, SphereModel
 from quadricdiff.skew import skew_dim
 
-from refs import a_eval, apply_generator, drift_eval
+from refs import a_eval, apply_generator, drift_eval, poly_to_json
 
 rng = np.random.default_rng(99)
 

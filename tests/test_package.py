@@ -1,9 +1,10 @@
-"""The exports are the layers' ``__all__``, every definition and import in src/ is used,
-the demos run, and scipy loads only where used."""
+"""The exports are the layers' ``__all__``, each named in the README or a demo, every
+definition and import in src/ is used, the demos run, and scipy loads only where used."""
 
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 import types
@@ -29,7 +30,7 @@ def test_package_exports_the_union_of_the_layers_all():
             assert name not in declared, (name, layer.__name__, declared[name])
             declared[name] = layer
     assert exported_names == declared.keys()
-    assert len(exported_names) <= 48
+    assert len(exported_names) <= 37
     for name, layer in declared.items():
         assert getattr(quadricdiff, name) is getattr(layer, name), name
 
@@ -101,6 +102,19 @@ def test_package_modules_import_each_other_at_module_level():
                           for node in ast.walk(func)
                           if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert not local, local
+
+
+def test_every_export_is_named_in_the_readme_or_a_demo():
+    # The README and the demos are the package's usage: a name neither of them
+    # gives is a layer-level helper, imported from its layer.
+    texts = []
+    for path in [os.path.join(os.path.dirname(DEMOS), "README.md"),
+                 *sorted(glob.glob(os.path.join(DEMOS, "*.py")))]:
+        with open(path) as fh:
+            texts.append(fh.read())
+    text = "\n".join(texts)
+    unnamed = sorted(name for name in exported() if not re.search(rf"\b{name}\b", text))
+    assert not unnamed, unnamed
 
 
 def test_every_name_a_demo_imports_is_exported():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from quadricdiff.skew import (
-    pair_from_index,
     pi_index,
     plucker_eval,
     skew_basis,
@@ -11,7 +10,7 @@ from quadricdiff.skew import (
     vec_to_skew,
 )
 
-from refs import RankError, elementary_skew, rank2_factor
+from refs import RankError, elementary_skew, pair_from_index, rank2_factor
 
 rng = np.random.default_rng(1234)
 

@@ -178,6 +178,8 @@ def test_cli_command_keeps_the_state_space_contract(models, name):
     for x in malformed + tuple([r, 0.0, 0.0] for r in refused):
         out = cli(argv(models) + x0_flag(x))
         assert set(out) == {"error"} and re.match(CLI_X0_ERROR, out["error"]), (x, out)
+    # no dimension is 0: an empty --x0 is refused by its own name, not a coefficient's
+    assert cli(argv(models) + x0_flag([])) == {"error": "x0 must hold at least one number, got []"}
     for bad in bad_coefficients:
         out = cli(bad(models) + x0_flag([0.5, 0.0, 0.0] if space == "ball" else [1.0, 0.0, 0.0]))
         assert set(out) == {"error"} and "finite" in out["error"], out

@@ -10,7 +10,6 @@ import numpy as np
 
 from quadricdiff import (
     BallModel,
-    SkewDrive,
     ensemble,
     twin_path_experiment,
     validate,
@@ -29,15 +28,14 @@ for kappa, nu in ((2.0, 1.0), (1.0, 1.0), (0.2, 1.0)):
 
 # Twin paths: two solutions driven by the *same* noise, started a distance
 # eps apart on the boundary.  With eps = 0 the arithmetic is identical; tiny
-# eps stays tiny when the uniqueness condition holds.  The twins run the
-# scalar model with a rotation drive, here none.
-drive = SkewDrive.zero(1)
+# eps stays tiny when the uniqueness condition holds.  The twins run
+# BallModel.scalar(kappa, nu, d), here at d = 1, admitted like every model.
 print("\ntwin paths from the boundary, kappa/nu^2 = 1.0 > sqrt(2)-1 = 0.414:")
 for eps in (0.0, 1e-10, 1e-6):
-    rep = twin_path_experiment(1.0, 1.0, drive, np.array([1.0]), T=1.0, h=1e-4,
+    rep = twin_path_experiment(1.0, 1.0, 1, np.array([1.0]), T=1.0, h=1e-4,
                                n_seeds=4, eps=eps)
     print(f"  eps = {eps:7.0e}: max divergence per seed = "
           + np.array2string(rep.max_divergence, formatter={'float': '{:9.2e}'.format}))
 print("uniqueness condition satisfied:",
-      twin_path_experiment(1.0, 1.0, drive, np.array([1.0]), T=0.01, h=1e-3,
+      twin_path_experiment(1.0, 1.0, 1, np.array([1.0]), T=0.01, h=1e-3,
                            n_seeds=1).uniqueness_condition)

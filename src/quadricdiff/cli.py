@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from . import generator, liealg, model as model_mod, simulate as sim, sos
+from . import generator, liealg, model as model_mod, sos
 from .cspace import _check_h, _float_array
 from .skew import skew_dim
 # The function itself, for its defaults: a caller may wrap sos.sos_check.
@@ -239,9 +239,8 @@ def _cmd_simulate(args):
 
 def _cmd_twin(args):
     x0 = _parse_vector(args.x0)
-    drive = sim.SkewDrive.zero(len(x0))
-    report = model_mod.twin_path_experiment(args.kappa, args.nu, drive, x0, args.T, args.h,
-                                      args.seeds, seed=args.seed, eps=args.eps)
+    report = model_mod.twin_path_experiment(args.kappa, args.nu, len(x0), x0, args.T, args.h,
+                                            args.seeds, seed=args.seed, eps=args.eps)
     return _json_out(vars(report))
 
 

@@ -216,40 +216,32 @@ def _as_poly_dict(q, d):
     raise TypeError("polynomials are exponent-dicts; use poly_from_json for the JSON form")
 
 
-def moment(model, q, x, t, k=None, gk=None):
+def moment(model, q, x, t, k=None):
     """Conditional moment E[q(X_t) | X_0 = x] via the action of the matrix exponential.
 
-    ``q`` is an exponent-dict polynomial.  The exponential acts on the
-    invariant block of degrees <= deg q alone, or on a sphere on the diagonal
-    block of each homogeneous degree that q has terms in, so the value does
-    not depend on ``k``: it is checked (passing a k below deg q is an error
-    rather than a silent truncation) and then costs nothing.  Without ``gk``,
-    G is built at degree deg q; a prebuilt GeneratorMatrix of any degree
-    >= deg q amortizes construction.
+    ``q`` is an exponent-dict polynomial.  G is built at degree deg q, and the
+    exponential acts on the invariant block of degrees <= deg q alone, or on a
+    sphere on the diagonal block of each homogeneous degree that q has terms
+    in, so the value does not depend on ``k``: it is checked (passing a k
+    below deg q is an error rather than a silent truncation) and then costs
+    nothing.
 
     Raises ValueError for a malformed exponent in q, an x that is not d finite
     numbers within 1e-9 of the state space, a non-finite t or t < 0, a k that
-    is not a nonnegative integer, deg q > k, a prebuilt G_k of another
-    dimension, or an action of the exponential that overflows or is not
-    finite.
+    is not a nonnegative integer, deg q > k, or an action of the exponential
+    that overflows or is not finite.
     """
     d = model.d
     q = _as_poly_dict(q, d)
     deg = poly_degree(q)
-    if k is None:
-        k = deg if gk is None else gk.basis.k
+    k = deg if k is None else k
     _check_number(k, "k", integer=True, zero=True)
     if deg > k:
         raise ValueError(f"polynomial degree {deg} exceeds k = {k}")
     if not np.isfinite(t) or t < 0:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     x = _start_point(x, d, model.space, 1e-9)
-    if gk is None:
-        gk = build_Gk(model, deg)
-    elif gk.basis.d != d:
-        raise ValueError(f"prebuilt generator matrix has d = {gk.basis.d}, model has d = {d}")
-    elif gk.basis.k < deg:
-        raise ValueError("prebuilt generator matrix has too small a degree bound")
+    gk = build_Gk(model, deg)
     from scipy.sparse.linalg import expm_multiply
 
     # Basis positions [lo, hi) of each invariant block that q has terms in:

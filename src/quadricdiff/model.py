@@ -388,21 +388,26 @@ def ensemble(model, x0, T, h, seed, n_paths, sink=None, tol=None):
     return ball_ensemble(model.b, Bhat, model.alpha, drive, x0, T, h, seed, n_paths, sink)
 
 
-def twin_path_experiment(kappa, nu, drive, x0, T, h, n_seeds, seed=0, eps=0.0):
-    """Same-noise path pairs of ``BallModel.scalar(kappa, nu, d)`` rotated by ``drive``.
+def twin_path_experiment(kappa, nu, d, x0, T, h, n_seeds, seed=0, eps=0.0):
+    """Same-noise path pairs of ``BallModel.scalar(kappa, nu, d)``, admitted like every model.
 
     For each of ``n_seeds`` independent noise streams, simulates X from x0 on
     the sphere and X~ from (1 - eps) x0 with the identical stream and records
     the largest gap sup_t |X_t - X~_t| (0 for eps = 0, bitwise), with the
-    pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.  All pairs run side
-    by side in one block of 2 n_seeds rows, keeping only the running maxima;
-    its two noise buffers hold about ``simulate._NOISE_VALUES`` values each,
-    or one step each if one step's noise of all the rows is larger.
+    pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.  The drive and Bhat
+    are :func:`ensemble`'s for the model, so path k of X is path k of its
+    ensemble from x0 at ``seed``.  All pairs run side by side in one block of
+    2 n_seeds rows, keeping only the running maxima; its two noise buffers
+    hold about ``simulate._NOISE_VALUES`` values each, or one step each if
+    one step's noise of all the rows is larger.  ValueError naming d unless
+    it is a positive integer, then for x0, then for kappa and nu.
     """
-    x0 = _start_point(x0, drive.d, "sphere", _X0_TOL)
-    scalar = BallModel.scalar(kappa, nu, drive.d)
-    bhat, Bhat, sqa, x0 = _ball_args(scalar.b, scalar.B, scalar.alpha, drive, x0)
-    starts = np.stack([x0, _start_point((1.0 - eps) * x0, drive.d, "ball", _X0_TOL)])
+    _check_number(d, "d", integer=True)
+    x0 = _start_point(x0, d, "sphere", _X0_TOL)
+    scalar = BallModel.scalar(kappa, nu, d)
+    drive, Bhat = _simulator_drive(scalar)
+    bhat, Bhat, sqa, x0 = _ball_args(scalar.b, Bhat, scalar.alpha, drive, x0)
+    starts = np.stack([x0, _start_point((1.0 - eps) * x0, d, "ball", _X0_TOL)])
     n_steps, h_eff = _grid(T, h, n_seeds, "n_seeds")
     _drift_contracts(Bhat, h_eff)
     gap = np.zeros(n_seeds)

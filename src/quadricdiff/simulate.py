@@ -35,10 +35,11 @@ block: one whole path's) into a chunk.  The streams are those of
 :func:`path_normals` whatever the chunk length.  The calling thread draws the
 uniforms of chunk k + 1 before it steps chunk k, and a helper thread maps
 every chunk to normals (the inverse CDF releases the interpreter lock).  A
-block chooses each radial product's rule once and writes the products into
-buffers it reuses; each step stores its squared norms in the chunk's rows, and norm
-bookkeeping (largest radius, largest deviation from the sphere) roots them
-once per chunk.  Seeds and path ids are integers in [0, 2**64).
+block chooses the rule of each product of its step, the rotation's and the
+radial substep's, once and writes the products into buffers it reuses; each
+step stores its squared norms in the chunk's rows, and norm bookkeeping
+(largest radius, largest deviation from the sphere) roots them once per
+chunk.  Seeds and path ids are integers in [0, 2**64).
 """
 
 from dataclasses import dataclass, field
@@ -122,10 +123,9 @@ class SkewDrive:
         return cls(np.zeros((d, d)), np.zeros((0, d, d)))
 
     @classmethod
-    def elementary(cls, d, a0=None):
-        """Drive whose diffusion directions are all elementary skew matrices."""
-        a0 = np.zeros((d, d)) if a0 is None else a0
-        return cls(a0, np.array(skew_basis(d)))
+    def elementary(cls, d):
+        """Drive without drift whose diffusion directions are all elementary skew matrices."""
+        return cls(np.zeros((d, d)), np.array(skew_basis(d)))
 
 
 @dataclass
@@ -533,36 +533,38 @@ def _product(M, B):
     return lambda X: np.matmul(M, X, out=out)[:rows]
 
 
-def _times_paths(M, X):
-    """M @ X by the rule of :func:`_product`, in a new array."""
-    return _product(M, X.shape[1])(X)
-
-
-def _rotation(drive, h):
+def _rotation(drive, h, B):
     """The rotation substep as ``f(dW, X)``, dW one step's (m, B) scaled noise; None if none.
 
     X holds a path per column, (d, B).  A drift-only drive multiplies by one
-    precomputed expm(h A_0).  Otherwise the upper entries w of
+    precomputed expm(h A_0), in place in X.  Otherwise the upper entries w of
     h A_0 + sum_p dW_p A_p, a column per path, come from one product
     Avec @ dW (h vec(A_0) added only if A_0 is not zero), and the rotation
     by them is applied in closed form at d = 2, 3 and 4, every path with the
     degree-13 approximant and expm_skew's squaring count, and by
-    :func:`_rot_expm` at d >= 5.  Each refuses a path whose 1-norm
-    :func:`_squarings` refuses, expm_skew past ``_EXPM_SQUARINGS``.
+    :func:`_rot_expm` at d >= 5.  The product, expm(h A_0) X or Avec @ dW,
+    chooses its rule once, for B paths (:func:`_product`).  Each refuses a
+    path whose 1-norm :func:`_squarings` refuses, expm_skew past
+    ``_EXPM_SQUARINGS``.
     """
     d, m = drive.d, drive.n_diffusion
     if m == 0:
         if not np.abs(drive.a0).max() > 0:
             return None
         _squarings(np.abs(drive.a0 * h).sum(axis=0).max(keepdims=True), _EXPM_SQUARINGS)
-        Q = expm_skew(drive.a0 * h)
-        return lambda dW, X: _times_paths(Q, X)
-    Avec = np.array([skew_to_vec(A) for A in drive.diffusion]).T
+        turn = _product(expm_skew(drive.a0 * h), B)
+
+        def turn_in_place(dW, X):
+            # turn writes into one buffer that every call reuses: X must not become it
+            X[...] = turn(X)
+            return X
+        return turn_in_place
+    upper = _product(np.array([skew_to_vec(A) for A in drive.diffusion]).T, B)
     h_a0vec = h * skew_to_vec(drive.a0)[:, None]
     apply = {2: _rot2_apply, 3: _rot3_apply, 4: _rot4_apply}.get(d, _rot_expm)
     if not h_a0vec.any():
-        return lambda dW, X: apply(_times_paths(Avec, dW), X)
-    return lambda dW, X: apply(_times_paths(Avec, dW) + h_a0vec, X)
+        return lambda dW, X: apply(upper(dW), X)
+    return lambda dW, X: apply(upper(dW) + h_a0vec, X)
 
 
 def _new_stats():
@@ -626,14 +628,14 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     states X are (d, B), a path per column; steps read the path-major noise
     chunks, already scaled by sqrt(h) (see :func:`_noise_chunks`), through
     transposed views, and |X|^2 is not recomputed where X did not move.  The
-    radial substep's two products choose their rule once per block and write
-    into a buffer each (:func:`_product`).  Every step stores its |X|^2 in a row of the
-    chunk's norms, rooted once per chunk (:func:`_radii`); the clamp compares
-    |x|^2 with the double after 1, which is the test sqrt(|x|^2) > 1
-    (``_ABOVE_ONE``), so only clamped paths are rooted.  ``sink(i, states)``,
-    if given, receives each chunk's states from grid point i on, a new
-    (B, k, d) array with x0 leading the first.  Counts and times are added
-    to ``stats`` (see :class:`EnsembleResult`).
+    rotation's product and the radial substep's two choose their rule once per
+    block and write into a buffer each (:func:`_product`).  Every step stores
+    its |X|^2 in a row of the chunk's norms, rooted once per chunk
+    (:func:`_radii`); the clamp compares |x|^2 with the double after 1, which
+    is the test sqrt(|x|^2) > 1 (``_ABOVE_ONE``), so only clamped paths are
+    rooted.  ``sink(i, states)``, if given, receives each chunk's states from
+    grid point i on, a new (B, k, d) array with x0 leading the first.  Counts
+    and times are added to ``stats`` (see :class:`EnsembleResult`).
     """
     stats = _new_stats() if stats is None else stats
     d = drive.d
@@ -649,7 +651,7 @@ def _run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha, sink, st
     norms = np.empty((chunk, B))
 
     X = np.array(np.asarray(x0s, dtype=float).T, order="C")
-    rotate = _rotation(drive, h)
+    rotate = _rotation(drive, h, B)
     r2 = _sq_norms(X)
     max_radius, max_norm_dev = _radii(r2[None])
     max_norm_dev = 0.0 if radial else max_norm_dev

@@ -441,23 +441,22 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     return verdict_of(UNDECIDED, stop, used, residuals=residuals)
 
 
-def sos_decompose(H_star, tol=1e-9):
+def sos_decompose(H_star):
     """Skew factors A_1..A_r with sum_p A_p x x^T A_p^T = c_{H_star}(x).
 
     H_star is a finite (m, m) matrix, m = C(d, 2), and its symmetric part is
-    factored.  ``r`` is the numerical rank of that part; eigenvalues below
-    -tol raise a ValueError, small negatives are clipped.  Where an eigenvalue
-    of H_star would overflow, H_star / 4^e is factored instead, e the least
-    integer that keeps its spectrum finite, and every factor is scaled by
-    2^e: both are exact, the rank and the tolerances are taken in those
-    scaled units, and e = 0 for any H_star whose spectrum is finite.  tol
-    must be a positive finite number.
+    factored.  ``r`` is the number of eigenvalues of that part above 1e-9
+    times the largest; eigenvalues below -1e-9 raise a ValueError, small
+    negatives are clipped.  Where an eigenvalue of H_star would overflow,
+    H_star / 4^e is factored instead, e the least integer that keeps its
+    spectrum finite, and every factor is scaled by 2^e: both are exact, the
+    rank and the tolerances are taken in those scaled units, and e = 0 for
+    any H_star whose spectrum is finite.
     """
-    _check_number(tol, "tol")
     H_star, d = _check_h(H_star, name="H_star")
     if H_star.size == 0:
         return []
-    return _factors(H_star, *np.linalg.eigh(H_star), d, tol)
+    return _factors(H_star, *np.linalg.eigh(H_star), d, 1e-9)
 
 
 def _factors(H_star, lam, V, d, tol):

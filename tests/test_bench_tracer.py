@@ -32,7 +32,7 @@ def test_tracer_records_generator_spans():
     tr.install()
     try:
         gk = generator.build_Gk(mdl, 2)
-        generator.moment(mdl, {(1, 0, 0): 1.0}, [1.0, 0.0, 0.0], 0.5, gk=gk)
+        generator.moment(mdl, {(2, 0, 0): 1.0}, [1.0, 0.0, 0.0], 0.5)
     finally:
         tr.uninstall()
     spans = {s[0]: s for s in tr.spans}

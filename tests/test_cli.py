@@ -543,14 +543,14 @@ def test_refused_keep_paths_run_leaves_no_file(model_files):
 
 
 def test_simulate_usage_errors_exit_before_simulating(model_files, monkeypatch, capsys):
-    from quadricdiff import cli
+    from quadricdiff import cli, simulate
 
     def refuse(*args, **kwargs):
         raise AssertionError("no ensemble may run on a usage error")
 
     monkeypatch.setattr(cli.model_mod, "ensemble", refuse)
     for name in ("sphere_ensemble", "ball_ensemble"):
-        monkeypatch.setattr(cli.sim, name, refuse)
+        monkeypatch.setattr(simulate, name, refuse)
     common = ["--x0", "[0.5,0,0]", "--T", "0.1", "--h", "0.01", "--paths", "4", "--seed", "0"]
     scalar = ["simulate", "--scheme", "scalar", "--kappa", "2", "--nu", "1"] + common
     cases = [

@@ -159,15 +159,6 @@ def test_moment_argument_errors():
         moment(mdl, q, np.array([1.0, 0, 0]), np.inf)         # infinite time
 
 
-def test_moment_prebuilt_generator_consistency():
-    mdl = jacobi()
-    gk = build_Gk(mdl, 2)
-    q = {(2,): 1.0}
-    direct = moment(mdl, q, np.array([0.3]), 0.8)
-    cached = moment(mdl, q, np.array([0.3]), 0.8, gk=gk)
-    assert direct == pytest.approx(cached, abs=1e-14)
-
-
 def test_poly_json_roundtrip_and_degree():
     q = {(1, 0, 0): 1.0, (0, 2, 0): -0.5}
     assert poly_from_json(poly_to_json(q)) == q
@@ -237,7 +228,7 @@ def test_moment_d6_k6_matches_dense_expm():
     x /= np.linalg.norm(x)
     t = 0.3
     dense = gk.basis.eval_at(x) @ expm(t * gk.G.toarray()) @ gk.basis.vector(q)
-    assert moment(mdl, q, x, t, gk=gk) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+    assert moment(mdl, q, x, t) == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
 
 def test_malformed_polynomials_raise_value_error():
@@ -246,8 +237,6 @@ def test_malformed_polynomials_raise_value_error():
     for bad in ((1, 0), (1, 0, 0, 0), (-1, 0, 0), (1.5, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             moment(mdl, {bad: 1.0}, x, 1.0)
-    with pytest.raises(ValueError, match="d = 2"):
-        moment(mdl, {(1, 0, 0): 1.0}, x, 1.0, gk=build_Gk(sphere_bm(2), 2))
     with pytest.raises(ValueError):
         poly_from_json({"terms": [{"exp": [0.5, 1], "coef": 1.0}]})
     with pytest.raises(ValueError):
@@ -294,8 +283,6 @@ def test_moment_does_not_depend_on_k():
         at_deg = moment(mdl, q, x, 0.7)
         for k in (deg, deg + 2):
             assert moment(mdl, q, x, 0.7, k=k) == pytest.approx(at_deg, rel=1e-14, abs=0)
-            assert moment(mdl, q, x, 0.7, gk=build_Gk(mdl, k)) == pytest.approx(
-                at_deg, rel=1e-14, abs=0)
 
 
 def test_mixed_degree_sphere_moment_matches_dense_expm():

@@ -1,8 +1,11 @@
 """The exports are the layers' ``__all__``, each named in the README or a demo, every
-definition and import in src/ is used, the demos run, and scipy loads only where used."""
+option of theirs has a caller outside the tests, every definition and import in src/ is
+used, the demos run, and scipy loads only where used."""
 
+import argparse
 import ast
 import glob
+import inspect
 import os
 import re
 import subprocess
@@ -12,7 +15,7 @@ import types
 import pytest
 
 import quadricdiff
-from quadricdiff import cspace, generator, liealg, model, simulate, skew, sos
+from quadricdiff import cli, cspace, generator, liealg, model, simulate, skew, sos
 
 LAYERS = (skew, cspace, sos, model, generator, simulate, liealg)
 
@@ -33,6 +36,59 @@ def test_package_exports_the_union_of_the_layers_all():
     assert len(exported_names) <= 37
     for name, layer in declared.items():
         assert getattr(quadricdiff, name) is getattr(layer, name), name
+
+
+# Every public parameter with a default, and its callers outside the tests: the
+# library function that passes it, or the CLI options that set it.  A value that
+# only tests set is a constant, not an option.
+OPTIONS = {
+    "ball_ensemble.sink": ("model.ensemble",),
+    "density_check.tol": ("density --tol",),
+    "ensemble.sink": ("simulate --keep-paths",),
+    "ensemble.tol": ("simulate --tol",),
+    "g_ideal.tol": ("liealg._density_report",),
+    "moment.k": ("moments --k",),
+    "sos_check.max_iter": ("model._positivity", "sos-check --max-iter", "decompose --max-iter"),
+    "sos_check.tol": ("sos-check --tol", "decompose --tol", "counterexample --tol"),
+    "sphere_ensemble.sink": ("model.ensemble",),
+    "twin_path_experiment.eps": ("twin --eps",),
+    "twin_path_experiment.seed": ("twin --seed",),
+    "validate.tol": ("validate --tol",),
+    "verify_certificate.tol": ("sos.sos_check",),
+}
+
+
+def _defaulted_parameters():
+    """"export.parameter" for each parameter with a default of every exported function,
+    and of every public method and classmethod of an exported class."""
+    for name in exported():
+        value = getattr(quadricdiff, name)
+        members = [(name, value)]
+        if isinstance(value, type):
+            members = [(f"{name}.{attr}", getattr(value, attr))
+                       for attr, raw in vars(value).items() if not attr.startswith("_")
+                       and isinstance(raw, (classmethod, staticmethod, types.FunctionType))]
+        for qualified, fn in members:
+            for param in inspect.signature(fn).parameters.values():
+                if param.default is not param.empty:
+                    yield f"{qualified}.{param.name}"
+
+
+def test_every_option_has_a_caller_outside_the_tests():
+    assert sorted(_defaulted_parameters()) == sorted(OPTIONS)
+    parser = cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for option, callers in OPTIONS.items():
+        function = option.split(".")[-2]
+        for caller in callers:
+            if " --" in caller:
+                command, flag = caller.split(" ")
+                assert flag in commands[command]._option_string_actions, caller
+            else:
+                layer, name = caller.split(".")
+                source = inspect.getsource(getattr(sys.modules[f"quadricdiff.{layer}"], name))
+                assert re.search(rf"\b{function}\(", source), (option, caller)
 
 
 def test_the_benchmark_names_of_validate_are_validate():

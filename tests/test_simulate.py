@@ -102,7 +102,7 @@ def _block_runs(n_paths):
     """(result, paths) of sphere, ball with a drive, scalar, drift-only sphere and
     drift-only ball ensembles of n_paths; the last ball's Bhat and alpha are not
     diagonal, so its products of a state with them round."""
-    e3 = SkewDrive.elementary(3, a0=0.7 * skew_basis(3)[0])
+    e3 = SkewDrive(0.7 * skew_basis(3)[0], skew_basis(3))
     x3 = np.array([0.0, 0.6, 0.8])
     a4 = sum(c * A for c, A in zip((0.9, -0.3, 0.5, 0.2, -1.1, 0.4), skew_basis(4)))
     drift4 = SkewDrive(a4, np.zeros((0, 4, 4)))
@@ -232,8 +232,8 @@ def test_a_drift_step_that_cannot_contract_is_refused():
             calls = [lambda: ensemble(BallModel.scalar(kappa, 1.0, d), x0, 0.5, h, 0, 4),
                      lambda: ball_ensemble(np.zeros(d), -kappa * np.eye(d), np.eye(d),
                                            SkewDrive.elementary(d), x0, 0.5, h, 0, 4),
-                     lambda: twin_path_experiment(kappa, 1.0, SkewDrive.zero(d),
-                                                  np.eye(d)[0], 0.5, h, 2, eps=0.5)]
+                     lambda: twin_path_experiment(kappa, 1.0, d, np.eye(d)[0], 0.5, h, 2,
+                                                  eps=0.5)]
             for call in calls:
                 if runs:
                     call()
@@ -243,32 +243,35 @@ def test_a_drift_step_that_cannot_contract_is_refused():
 
 
 def test_twin_paths_identical_with_zero_eps():
-    drive = SkewDrive.zero(1)
-    rep = twin_path_experiment(1.0, 1.0, drive, np.array([1.0]), T=0.5, h=1e-3,
+    rep = twin_path_experiment(1.0, 1.0, 1, np.array([1.0]), T=0.5, h=1e-3,
                                n_seeds=4, eps=0.0)
     assert np.all(rep.max_divergence == 0.0)
     assert rep.uniqueness_condition  # 1.0 > sqrt(2) - 1
 
 
 def test_twin_paths_small_eps_stays_small():
-    drive = SkewDrive.zero(1)
-    rep = twin_path_experiment(1.0, 1.0, drive, np.array([1.0]), T=1.0, h=1e-4,
+    rep = twin_path_experiment(1.0, 1.0, 1, np.array([1.0]), T=1.0, h=1e-4,
                                n_seeds=3, eps=1e-10)
     assert np.all(rep.max_divergence <= 1e-4)
     assert rep.kappa_nu_ratio == pytest.approx(1.0)
 
 
 def test_twin_condition_flag():
-    drive = SkewDrive.zero(1)
-    rep = twin_path_experiment(0.3, 1.0, drive, np.array([1.0]), T=0.1, h=1e-3,
+    rep = twin_path_experiment(0.3, 1.0, 1, np.array([1.0]), T=0.1, h=1e-3,
                                n_seeds=2, eps=0.0)
     assert not rep.uniqueness_condition  # 0.3 < sqrt(2) - 1 = 0.41421...
     with pytest.raises(ValueError):
-        twin_path_experiment(1.0, 1.0, drive, np.array([0.5]), 0.1, 1e-3, 2)
+        twin_path_experiment(1.0, 1.0, 1, np.array([0.5]), 0.1, 1e-3, 2)
     # the second start (1 - eps) x0 must lie in the closed ball too
     for eps in (-0.5, 2.5):
         with pytest.raises(ValueError):
-            twin_path_experiment(1.0, 1.0, drive, np.array([1.0]), 0.1, 1e-3, 2, eps=eps)
+            twin_path_experiment(1.0, 1.0, 1, np.array([1.0]), 0.1, 1e-3, 2, eps=eps)
+    # d is refused by name before x0 is read, and x0 before kappa and nu
+    for d in (0, -1, 2.5, True, "1"):
+        with pytest.raises(ValueError, match="^d must be a positive integer"):
+            twin_path_experiment(np.inf, 1.0, d, [], 0.1, 1e-3, 2)
+    with pytest.raises(ValueError, match="^x0 must be 2 finite numbers"):
+        twin_path_experiment(np.inf, 1.0, 2, [1.0], 0.1, 1e-3, 2)
 
 
 def test_mc_moment_and_eval_poly():
@@ -296,7 +299,7 @@ def test_eval_poly_rejects_malformed_exponents():
 
 def _chunk_runs():
     """Every _run_block branch, on a few paths and steps; returns all outputs."""
-    e3 = SkewDrive.elementary(3, a0=0.7 * skew_basis(3)[0])
+    e3 = SkewDrive(0.7 * skew_basis(3)[0], skew_basis(3))
     e5 = SkewDrive.elementary(5)
     turn = SkewDrive(np.array([[0.0, 1.5], [-1.5, 0.0]]), np.zeros((0, 2, 2)))
     x3 = np.array([0.0, 0.6, 0.8])
@@ -318,8 +321,8 @@ def _chunk_runs():
                         SkewDrive.elementary(2), np.array([0.2, 0.1]), 0.037, 1e-3, 9,
                         1)[1][0].ravel())
     out.append(kept_run(sphere_ensemble, e3, x3, 0.031, 1e-3, 10, 8)[1][7].ravel())
-    out.append(twin_path_experiment(1.0, 1.0, SkewDrive.zero(2), np.array([0.6, 0.8]),
-                                    0.03, 1e-3, 3, seed=11, eps=1e-3).max_divergence)
+    out.append(twin_path_experiment(1.0, 1.0, 2, np.array([0.6, 0.8]), 0.03, 1e-3, 3,
+                                    seed=11, eps=1e-3).max_divergence)
     return out
 
 
@@ -421,7 +424,7 @@ def test_simulation_rejects_bad_inputs():
         with pytest.raises(ValueError, match="n_paths"):
             sphere_ensemble(drive, x0, 0.1, 1e-2, 0, n)
     with pytest.raises(ValueError, match="n_seeds"):
-        twin_path_experiment(1.0, 1.0, SkewDrive.zero(1), np.array([1.0]), 0.1, 1e-2, 0)
+        twin_path_experiment(1.0, 1.0, 1, np.array([1.0]), 0.1, 1e-2, 0)
     for a0 in (np.zeros((3, 2)), np.zeros(3)):
         with pytest.raises(ValueError, match="a0"):
             SkewDrive(a0, np.zeros((0, 3, 3)))
@@ -461,27 +464,28 @@ def test_sink_pieces_are_path_major_and_no_larger_than_a_noise_chunk(monkeypatch
             assert n * (k - (times[0] == 0.0)) * 3 <= 300
 
 
-def _twin_from_two_ensembles(kappa, nu, drive, x0, T, h, n_seeds, seed, eps):
-    """max_divergence from two whole kept ensembles, X from x0 and X~ from (1 - eps) x0."""
-    run = (T, h, seed, n_seeds)
-    coefficients = (np.zeros(drive.d), -kappa * np.eye(drive.d), nu ** 2 * np.eye(drive.d))
-    _, a = kept_run(ball_ensemble, *coefficients, drive, x0, *run)
-    _, b = kept_run(ball_ensemble, *coefficients, drive, (1.0 - eps) * x0, *run)
+def _twin_from_two_ensembles(kappa, nu, d, x0, T, h, n_seeds, seed, eps):
+    """max_divergence from two whole kept ensembles of the model, X from x0 and X~ from
+    (1 - eps) x0."""
+    model, run = BallModel.scalar(kappa, nu, d), (T, h, seed, n_seeds)
+    _, a = kept_run(ensemble, model, x0, *run)
+    _, b = kept_run(ensemble, model, (1.0 - eps) * x0, *run)
     return np.linalg.norm(a - b, axis=2).max(axis=1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_twin_divergence_matches_two_ensembles(monkeypatch, d):
-    drive = SkewDrive.elementary(3, a0=0.5 * skew_basis(3)[1]) if d == 3 else SkewDrive.zero(d)
     x0 = np.ones(d) / np.sqrt(d)
     for eps in (0.0, 1e-3, 1e-8):
         for seed in range(5):
-            args = (1.0, 0.7, drive, x0, 0.05, 1e-3, 5, seed, eps)
+            args = (1.0, 0.7, d, x0, 0.05, 1e-3, 5, seed, eps)
             ref = _twin_from_two_ensembles(*args)
             with monkeypatch.context() as patch:
-                # blocks of two pairs and one, chunks of two and four steps
+                # The twin runs its pairs as one block of 10 rows, which _BLOCK = 5
+                # does not split; 8 d noise values step it in chunks of one step,
+                # where unpatched it takes all 50 steps in one chunk.
                 patch.setattr(simulate, "_BLOCK", 5)
-                patch.setattr(simulate, "_NOISE_VALUES", 8 * (d + drive.n_diffusion))
+                patch.setattr(simulate, "_NOISE_VALUES", 8 * d)
                 split = twin_path_experiment(*args[:7], seed=seed, eps=eps).max_divergence
             whole = twin_path_experiment(*args[:7], seed=seed, eps=eps).max_divergence
             assert whole.tobytes() == ref.tobytes(), (eps, seed)
@@ -494,7 +498,7 @@ def test_twin_memory_does_not_grow_with_steps(monkeypatch):
     for steps in (1000, 4000):
         tracemalloc.start()
         try:
-            twin_path_experiment(1.0, 1.0, SkewDrive.zero(2), np.array([0.6, 0.8]), 1.0,
+            twin_path_experiment(1.0, 1.0, 2, np.array([0.6, 0.8]), 1.0,
                                  1.0 / steps, 16, seed=1, eps=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -568,7 +572,7 @@ def _reference_run_block(drive, x0s, n_steps, h, streams, bhat, Bhat, sqrt_alpha
                 X = X @ Q_const.T
             elif closed:
                 dW = noise[:, j, :m] * sqh
-                # A lone column goes in twice, for gemm, as in simulate._times_paths.
+                # A lone column goes in twice, for gemm, as in simulate._product.
                 w = (dW @ np.tile(Avec, 1 + (Avec.shape[1] == 1)))[:, :Avec.shape[1]]
                 X = _KERNELS[d]((w if h_a0vec is None else w + h_a0vec).T, X.T).T
             else:
@@ -611,12 +615,12 @@ def _reference_cases():
     return [
         ("sphere d2 two directions", d2, np.array([0.6, 0.8]), None, 5, 37, 1e-3),
         ("sphere d3 one path", SkewDrive.elementary(3), e3, None, 1, 37, 1e-3),
-        ("ball d3 drive, clamps, one path", SkewDrive.elementary(3, a0=a3), 0.999 * e3,
+        ("ball d3 drive, clamps, one path", SkewDrive(a3, skew_basis(3)), 0.999 * e3,
          scalar(3, 0.2, 1.0), 1, 60, 1e-2),
         ("sphere d3", SkewDrive.elementary(3), e3, None, 5, 37, 1e-3),
-        ("sphere d3 A0", SkewDrive.elementary(3, a0=a3), e3, None, 5, 37, 1e-3),
-        ("sphere d4 A0", SkewDrive.elementary(4, a0=a4), e4, None, 4, 23, 2e-3),
-        ("ball d3 drive, clamps", SkewDrive.elementary(3, a0=a3), 0.999 * e3,
+        ("sphere d3 A0", SkewDrive(a3, skew_basis(3)), e3, None, 5, 37, 1e-3),
+        ("sphere d4 A0", SkewDrive(a4, skew_basis(4)), e4, None, 4, 23, 2e-3),
+        ("ball d3 drive, clamps", SkewDrive(a3, skew_basis(3)), 0.999 * e3,
          scalar(3, 0.2, 1.0), 6, 60, 1e-2),
         ("jacobi d1", SkewDrive.zero(1), np.array([0.5]), scalar(1, 2.0, 1.0), 7, 41, 1e-3),
         ("constant-rotation ball", SkewDrive(np.array([[0.0, 1.5], [-1.5, 0.0]]),
@@ -661,34 +665,9 @@ def test_run_block_matches_reference_loop(monkeypatch, noise_values):
 
 
 def _gemm_times_paths(M, X):
-    """simulate._times_paths with every product, one-column ones included, through gemm."""
+    """M @ X with every product, one-column ones included, through gemm."""
     rows, paths = len(M), X.shape[1]
     return (np.tile(M, (1 + (rows == 1), 1)) @ np.tile(X, 1 + (paths == 1)))[:rows, :paths]
-
-
-def test_one_column_products_have_gemm_bits(monkeypatch):
-    gen = np.random.default_rng(71)
-    for rows in (1, 3, 6):
-        for paths in (1, 2, 4096):
-            M, X = gen.standard_normal((rows, 1)), gen.standard_normal((1, paths))
-            # gemm adds each product to 0, so a -0 product comes out +0
-            M[gen.random(M.shape) < 0.3] = gen.choice([0.0, -0.0])
-            X[gen.random(X.shape) < 0.3] = gen.choice([0.0, -0.0])
-            want = _gemm_times_paths(M, X).tobytes()
-            assert simulate._times_paths(M, X).tobytes() == want, (rows, paths)
-    # End to end: the d = 1 ball from x0 = +-0 with b = 0, whose first radial
-    # product is Bhat x0 = -0 or +0, and one-direction sphere drives at d = 2, 3, 4.
-    jacobi = (np.zeros(1), -2.0 * np.eye(1), 0.49 * np.eye(1), SkewDrive.zero(1))
-    runs = [lambda x0=x0: kept_run(ball_ensemble, *jacobi, [x0], 0.05, 1e-3, 5, 9)
-            for x0 in (0.0, -0.0)]
-    runs += [lambda d=d: kept_run(sphere_ensemble, SkewDrive(np.zeros((d, d)), skew_basis(d)[:1]),
-                                  np.eye(d)[0], 0.05, 1e-3, 5, 9) for d in (2, 3, 4)]
-    got = [run() for run in runs]
-    monkeypatch.setattr(simulate, "_times_paths", _gemm_times_paths)
-    for (result, paths), run in zip(got, runs):
-        ref, ref_paths = run()
-        assert result.terminal.tobytes() == ref.terminal.tobytes()
-        assert paths.tobytes() == ref_paths.tobytes()
 
 
 def _left_to_right(x):
@@ -737,7 +716,7 @@ def _clamping_ball(d, seed):
     G = rng.standard_normal((d, d))
     Bhat = -0.05 * (G @ G.T) / d - 0.02 * np.eye(d)
     bhat = rng.uniform(-0.2, 0.2, d)
-    drive = SkewDrive.zero(1) if d == 1 else SkewDrive.elementary(d, a0=0.7 * skew_basis(d)[0])
+    drive = SkewDrive.zero(1) if d == 1 else SkewDrive(0.7 * skew_basis(d)[0], skew_basis(d))
     x0 = rng.standard_normal(d)
     return drive, 0.995 * x0 / np.linalg.norm(x0), (bhat, Bhat, alpha)
 
@@ -889,11 +868,11 @@ def test_closed_form_rotation_matches_expm_skew(d):
     RX = kernel((w + h_a0).T, X.T).T
     for i in range(0, n, 97):
         assert RX[i].tobytes() == kernel((w[i:i + 1] + h_a0).T, X[i:i + 1].T).T.tobytes()
-    rotate = simulate._rotation(SkewDrive.elementary(d, a0=vec_to_skew(h_a0, d)), 1.0)
+    rotate = simulate._rotation(SkewDrive(vec_to_skew(h_a0, d), skew_basis(d)), 1.0, n)
     assert rotate(w.T, X.T).T.tobytes() == RX.tobytes()
     # and a path does not depend on the other paths of its ensemble
     x0 = np.ones(d) / np.sqrt(d)
-    drive = SkewDrive.elementary(d, a0=0.5 * skew_basis(d)[-1])
+    drive = SkewDrive(0.5 * skew_basis(d)[-1], skew_basis(d))
     _, one = kept_run(sphere_ensemble, drive, x0, 0.02, 1e-3, 4, 1)
     _, five = kept_run(sphere_ensemble, drive, x0, 0.02, 1e-3, 4, 5)
     assert one[0].tobytes() == five[0].tobytes()
@@ -952,13 +931,13 @@ def test_expm_rotations_refuse_past_the_norm_bound():
         w[0] = norm1
         if ok:
             assert np.abs(np.linalg.norm(simulate._rot_expm(w, X), axis=0) - 1).max() <= 1e-15
-            Q = simulate._rotation(SkewDrive(vec_to_skew(w[:, 0], 5), []), 1.0)
+            Q = simulate._rotation(SkewDrive(vec_to_skew(w[:, 0], 5), []), 1.0, 2)
             assert Q is not None
         else:
             with pytest.raises(ValueError, match=cap):
                 simulate._rot_expm(w, X)
             with pytest.raises(ValueError, match=cap):
-                simulate._rotation(SkewDrive(vec_to_skew(w[:, 0], 5), []), 1.0)
+                simulate._rotation(SkewDrive(vec_to_skew(w[:, 0], 5), []), 1.0, 2)
 
 
 def test_expm_skew_refuses_a_norm_past_52_squarings():
@@ -1084,13 +1063,13 @@ def _clamp_heavy_cases():
     cases = []
     for d in (1, 2, 3, 4):
         # kappa / nu^2 = 0.05, from the sphere: most steps overshoot it
-        drive = SkewDrive.zero(1) if d == 1 else SkewDrive.elementary(
-            d, a0=0.4 * skew_basis(d)[-1])
+        drive = (SkewDrive.zero(1) if d == 1
+                 else SkewDrive(0.4 * skew_basis(d)[-1], skew_basis(d)))
         cases.append((f"scalar ball d{d}", drive, np.eye(d)[-1],
                       (np.zeros(d), -0.05 * np.eye(d), np.eye(d)), 48, 40, 1e-2))
     for d in (2, 3, 4, 5, 6):
         x0 = np.ones(d) / np.sqrt(d)
-        cases.append((f"sphere d{d}", SkewDrive.elementary(d, a0=0.3 * skew_basis(d)[0]),
+        cases.append((f"sphere d{d}", SkewDrive(0.3 * skew_basis(d)[0], skew_basis(d)),
                        x0, None, 24, 30, 1e-2))
     return cases
 

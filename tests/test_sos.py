@@ -357,7 +357,6 @@ def test_max_iter_must_be_positive():
     bad = [(sos_check, (H,), "tol", t) for H in (np.eye(6), -np.eye(6))
            for t in (-1, 0.0, np.nan, np.inf, True)]
     bad += [(sos_check, (np.eye(6),), "max_iter", n) for n in (0, -3, 2.5, True)]
-    bad += [(sos_decompose, (np.eye(6),), "tol", t) for t in (-1, np.nan, np.inf)]
     bad += [(verify_certificate, (np.eye(6), -np.eye(6) / 6), "tol", t)
             for t in (-1, np.nan, np.inf)]
     for fn, args, name, value in bad:

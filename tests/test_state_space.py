@@ -71,8 +71,8 @@ LIBRARY = {
     "ensemble_sphere": ("sphere", 1e-12, lambda x0: ensemble(SPHERE, x0, *RUN), []),
     "ensemble_ball": ("ball", 1e-12, lambda x0: ensemble(BALL, x0, *RUN), []),
     "twin_path_experiment": (
-        "sphere", 1e-12, lambda x0: twin_path_experiment(1.0, 1.0, DRIVE, x0, *RUN[:2], 2),
-        [lambda: twin_path_experiment(INF, 1.0, DRIVE, [1.0, 0.0, 0.0], *RUN[:2], 2)]),
+        "sphere", 1e-12, lambda x0: twin_path_experiment(1.0, 1.0, 3, x0, *RUN[:2], 2),
+        [lambda: twin_path_experiment(INF, 1.0, 3, [1.0, 0.0, 0.0], *RUN[:2], 2)]),
     "moment_sphere": ("sphere", 1e-9, lambda x0: moment(SPHERE, {(1, 0, 0): 1.0}, x0, 0.5), []),
     "moment_ball": ("ball", 1e-9, lambda x0: moment(BALL, {(1, 0, 0): 1.0}, x0, 0.5), []),
     "density_check_sphere": ("sphere", 1e-9, lambda x0: _density_check_sphere(DRIVE, x0), []),

@@ -30,7 +30,6 @@ from .sos import (
     nonneg_check,
     reconstruct_cmap,
     sos_check,
-    sos_decompose,
     verify_certificate,
 )
 from .model import (

@@ -120,18 +120,6 @@ def _cmd_sos_check(args):
                       "margins": verdict.residuals, "witness": witness})
 
 
-def _cmd_decompose(args):
-    H = _parse_matrix(args.H, args.d)
-    verdict = sos.sos_check(H, **_sos_options(args))
-    out = {"status": verdict.status}
-    if verdict.status == sos.FEASIBLE:
-        out["factors"] = verdict.factors
-        out["rank"] = len(verdict.factors)
-    else:
-        out["margins"] = verdict.residuals
-    return _json_out(out)
-
-
 def _cmd_counterexample(args):
     ce = sos.counterexample_d6()
     verdict = sos.sos_check(ce.h, **_sos_options(args))
@@ -289,15 +277,15 @@ def _build_parser():
     p.add_argument("--tol", **model_tol)
     p.set_defaults(func=_cmd_validate)
 
-    for name, fn in (("sos-check", _cmd_sos_check), ("decompose", _cmd_decompose)):
-        p = sub.add_parser(name, help=f"{name} for an m x m coefficient matrix")
-        p.add_argument("--H", required=True, help="'id', 'zero', inline JSON, or @file")
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--tol", **sos_tol)
-        p.add_argument("--max-iter", type=_positive(int), default=None,
-                       help="iteration budget: Newton and face steps of the SOS solver; "
-                            f"default {sos_default['max_iter']}")
-        p.set_defaults(func=fn)
+    p = sub.add_parser("sos-check", help="SOS verdict and witness for an m x m coefficient "
+                       "matrix")
+    p.add_argument("--H", required=True, help="'id', 'zero', inline JSON, or @file")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--tol", **sos_tol)
+    p.add_argument("--max-iter", type=_positive(int), default=None,
+                   help="iteration budget: Newton and face steps of the SOS solver; "
+                        f"default {sos_default['max_iter']}")
+    p.set_defaults(func=_cmd_sos_check)
 
     p = sub.add_parser("counterexample", help="dimension-six non-SOS construction report")
     p.add_argument("--tol", **sos_tol)

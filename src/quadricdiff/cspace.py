@@ -137,14 +137,6 @@ def h_action(H, A):
     return vec_to_skew(H @ skew_to_vec(A), d)
 
 
-def cmap_from_pair(P, Q):
-    """Coefficient tensor of x -> P x x^T Q^T + Q x x^T P^T for skew P, Q."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    T = np.einsum("ua,vb->uvab", P, Q) + np.einsum("ua,vb->uvab", Q, P)
-    return _symmetric_part(T)
-
-
 def cmap_from_h(H, d):
     """Coefficient tensor of c_H, symmetrized in its last two indices.
 
@@ -185,21 +177,27 @@ def c_space_basis(d):
     two indexed by increasing 4-tuples, three by increasing triples, and the
     squares S_ab x x^T S_ab^T doubled, for a total of
     2*C(d,4) + 3*C(d,3) + C(d,2) = d^2 (d^2 - 1) / 12 linearly independent maps.
+    The member x -> P x x^T Q^T + Q x x^T P^T of a pair (P, Q) is c_H for
+    H = p q^T + q p^T, with p and q the vectors of P and Q.
     """
     if d < 2:
         raise ValueError("need d >= 2")
 
-    S = dict(zip(combinations(range(1, d + 1), 2), skew_basis(d)))
+    S = dict(zip(combinations(range(1, d + 1), 2), np.eye(skew_dim(d))))
+
+    def pair(p, q):
+        return cmap_from_h(np.outer(p, q) + np.outer(q, p), d)
+
     out = []
     for i, j, k, l in combinations(range(1, d + 1), 4):
-        out.append(cmap_from_pair(S[i, j], S[k, l]))
-        out.append(cmap_from_pair(S[i, k], S[j, l]))
+        out.append(pair(S[i, j], S[k, l]))
+        out.append(pair(S[i, k], S[j, l]))
     for i, j, k in combinations(range(1, d + 1), 3):
-        out.append(cmap_from_pair(S[i, j], S[i, k]))
-        out.append(cmap_from_pair(S[i, j], S[j, k]))
-        out.append(cmap_from_pair(S[i, k], S[j, k]))
+        out.append(pair(S[i, j], S[i, k]))
+        out.append(pair(S[i, j], S[j, k]))
+        out.append(pair(S[i, k], S[j, k]))
     for i, j in combinations(range(1, d + 1), 2):
-        out.append(cmap_from_pair(S[i, j], S[i, j]))
+        out.append(pair(S[i, j], S[i, j]))
     return out
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .cspace import _float_array, _symmetric, _symmetric_part, h_from_json, trace_form
 from .generator import _start_point
-from .simulate import (_X0_TOL, SkewDrive, _alpha_psd, _ball_args, _drift_contracts, _grid,
-                       _run_block, _streams, ball_ensemble, sphere_ensemble)
+from .simulate import _X0_TOL, SkewDrive, _alpha_psd, _twin_gaps, ball_ensemble, sphere_ensemble
 from .skew import _check_number, skew_dim
 from . import sos as _sos
 
@@ -396,28 +395,18 @@ def twin_path_experiment(kappa, nu, d, x0, T, h, n_seeds, seed=0, eps=0.0):
     the largest gap sup_t |X_t - X~_t| (0 for eps = 0, bitwise), with the
     pathwise-uniqueness condition kappa/nu^2 > sqrt(2)-1.  The drive and Bhat
     are :func:`ensemble`'s for the model, so path k of X is path k of its
-    ensemble from x0 at ``seed``.  All pairs run side by side in one block of
-    2 n_seeds rows, keeping only the running maxima; its two noise buffers
-    hold about ``simulate._NOISE_VALUES`` values each, or one step each if
-    one step's noise of all the rows is larger.  ValueError naming d unless
+    ensemble from x0 at ``seed``.  ``simulate._twin_gaps`` runs all pairs
+    side by side in one block of 2 n_seeds rows, keeping only the running
+    maxima; its two noise buffers hold about ``simulate._NOISE_VALUES``
+    values each, or one step each if one step's noise of all the rows is
+    larger.  ValueError naming d unless
     it is a positive integer, then for x0, then for kappa and nu.
     """
     _check_number(d, "d", integer=True)
     x0 = _start_point(x0, d, "sphere", _X0_TOL)
     scalar = BallModel.scalar(kappa, nu, d)
     drive, Bhat = _simulator_drive(scalar)
-    bhat, Bhat, sqa, x0 = _ball_args(scalar.b, Bhat, scalar.alpha, drive, x0)
-    starts = np.stack([x0, _start_point((1.0 - eps) * x0, d, "ball", _X0_TOL)])
-    n_steps, h_eff = _grid(T, h, n_seeds, "n_seeds")
-    _drift_contracts(Bhat, h_eff)
-    gap = np.zeros(n_seeds)
-
-    def fold(i, states):
-        np.maximum(gap, np.linalg.norm(states[0::2] - states[1::2], axis=2).max(axis=1),
-                   out=gap)
-
-    _run_block(drive, np.tile(starts, (n_seeds, 1)), n_steps, h_eff,
-               _streams(seed, np.repeat(range(n_seeds), 2)), bhat, Bhat, sqa, fold)
+    gap, h_eff = _twin_gaps(drive, Bhat, scalar.alpha, x0, eps, T, h, n_seeds, seed)
     ratio, threshold = kappa / nu ** 2, np.sqrt(2.0) - 1.0
     return TwinPathReport(gap, eps, ratio, bool(ratio > threshold), threshold, T, h_eff)
 

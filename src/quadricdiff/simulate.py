@@ -805,6 +805,30 @@ def ball_ensemble(bhat, Bhat, alpha, drive, x0, T, h, seed, n_paths, sink=None):
                      sqrt_alpha=sqa, sink=sink)
 
 
+def _twin_gaps(drive, Bhat, alpha, x0, eps, T, h, n_seeds, seed):
+    """(gaps, h_eff): sup_t |X_t - X~_t| of each of ``n_seeds`` same-noise ball path pairs.
+
+    X starts at x0 and X~ at (1 - eps) x0, both on the noise stream of path
+    id k at ``seed`` for pair k, with the radial drift Bhat x (no constant
+    term) and the steps of :func:`ball_ensemble`, so X is path k of that
+    ensemble.  All pairs run side by side in one block of 2 n_seeds rows,
+    keeping only the running maxima.
+    """
+    bhat, Bhat, sqa, x0 = _ball_args(np.zeros(drive.d), Bhat, alpha, drive, x0)
+    starts = np.stack([x0, _start_point((1.0 - eps) * x0, drive.d, "ball", _X0_TOL)])
+    n_steps, h_eff = _grid(T, h, n_seeds, "n_seeds")
+    _drift_contracts(Bhat, h_eff)
+    gap = np.zeros(n_seeds)
+
+    def fold(i, states):
+        np.maximum(gap, np.linalg.norm(states[0::2] - states[1::2], axis=2).max(axis=1),
+                   out=gap)
+
+    _run_block(drive, np.tile(starts, (n_seeds, 1)), n_steps, h_eff,
+               _streams(seed, np.repeat(range(n_seeds), 2)), bhat, Bhat, sqa, fold)
+    return gap, h_eff
+
+
 def _eval_poly(q, states):
     """Evaluate an exponent-dict polynomial at each row of ``states``.
 

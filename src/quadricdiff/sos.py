@@ -36,12 +36,11 @@ from time import perf_counter
 import numpy as np
 
 from .cspace import (_check_h, _kernel, _symmetric, biquadratic_eval,
-                     c_H_eval, cmap_from_h, cmap_from_pair, k_matrix)
-from .skew import _check_number, _upper_indices, pi_index, skew_dim
+                     c_H_eval, cmap_from_h, k_matrix)
+from .skew import _check_number, _upper_indices, pi_index, skew_dim, skew_to_vec
 
 __all__ = [
     "sos_check",
-    "sos_decompose",
     "verify_certificate",
     "counterexample_d6",
     "nonneg_check",
@@ -309,13 +308,14 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     """Decide whether H + (kernel shift) meets the PSD cone.
 
     One decision path: after the trace pre-check, phi is evaluated at t = 0,
-    where Z = H.  If H is PSD up to tolerance it is the witness; otherwise a
-    semismooth Newton-CG minimizes phi when there is a kernel (d >= 4), and
-    at d <= 3, where the affine set is the single point H, that first
-    evaluation is the whole problem.  The Newton-CG stops at the first Z
-    that is PSD up to tolerance, at the first verified certificate, when its
-    line search stalls, or when the budget is spent.  Every verdict is
-    re-verified on the way out.
+    where Z = H.  If H is PSD up to tolerance it is the witness, factored by
+    ``_factors`` from the eigendecomposition phi made of it; H = 0 is decided
+    there too, with no factor.  Otherwise a semismooth Newton-CG minimizes
+    phi when there is a kernel (d >= 4), and at d <= 3, where the affine set
+    is the single point H, that first evaluation is the whole problem.  The
+    Newton-CG stops at the first Z that is PSD up to tolerance, at the first
+    verified certificate, when its line search stalls, or when the budget is
+    spent.  Every verdict is re-verified on the way out.
 
     Parameters
     ----------
@@ -360,10 +360,6 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     if m == 0:
         return verdict_of(FEASIBLE, "feasible point found", 0, h_star=H, factors=[],
                           residuals={"eig_min": 0.0})
-    if not H.any():
-        # c_H = 0 is the empty sum of squares: the verdict of phi(0), without the kernel
-        return verdict_of(FEASIBLE, "feasible point found", 1, h_star=np.zeros((m, m)),
-                          factors=[], residuals={"eig_min": 0.0, "membership_residual": 0.0})
     scale = float(np.linalg.norm(H))
     margin = 1e-6 * scale
     accept_tol = min(tol, 1e-10 * scale)
@@ -441,30 +437,19 @@ def sos_check(H, tol=1e-9, max_iter=50000):
     return verdict_of(UNDECIDED, stop, used, residuals=residuals)
 
 
-def sos_decompose(H_star):
-    """Skew factors A_1..A_r with sum_p A_p x x^T A_p^T = c_{H_star}(x).
-
-    H_star is a finite (m, m) matrix, m = C(d, 2), and its symmetric part is
-    factored.  ``r`` is the number of eigenvalues of that part above 1e-9
-    times the largest; eigenvalues below -1e-9 raise a ValueError, small
-    negatives are clipped.  Where an eigenvalue of H_star would overflow,
-    H_star / 4^e is factored instead, e the least integer that keeps its
-    spectrum finite, and every factor is scaled by 2^e: both are exact, the
-    rank and the tolerances are taken in those scaled units, and e = 0 for
-    any H_star whose spectrum is finite.
-    """
-    H_star, d = _check_h(H_star, name="H_star")
-    if H_star.size == 0:
-        return []
-    return _factors(H_star, *np.linalg.eigh(H_star), d, 1e-9)
-
-
 def _factors(H_star, lam, V, d, tol):
-    """The factors of :func:`sos_decompose` from eigh(H_star) = (lam, V), H_star symmetric.
+    """Skew factors A_1..A_r with sum_p A_p x x^T A_p^T = c_{H_star}(x), from
+    eigh(H_star) = (lam, V), H_star symmetric.
 
-    Largest eigenvalue first, each factor is the skew matrix of the eigenvector
-    scaled by the root of its eigenvalue, all r of them scattered into one
-    (r, d, d) stack.  An infinite eigenvalue makes H_star / 4^e be decomposed.
+    ``r`` is the number of eigenvalues above tol times the largest; largest
+    first, each factor is the skew matrix of the eigenvector scaled by the
+    root of its eigenvalue, all r of them scattered into one (r, d, d) stack.
+    Eigenvalues below -tol raise a ValueError, small negatives are clipped.
+    Where an eigenvalue of H_star overflows, H_star / 4^e is factored
+    instead, e the least integer that keeps its spectrum finite, and every
+    factor is scaled by 2^e: both are exact, the rank and the tolerances are
+    taken in those scaled units, and e = 0 for any H_star whose spectrum is
+    finite.
     """
     e = 0
     while not np.all(np.isfinite(lam)):
@@ -483,11 +468,10 @@ def _factors(H_star, lam, V, d, tol):
 
 
 def reconstruct_cmap(factors, d):
-    """Coefficient tensor of sum_p A_p x x^T A_p^T."""
-    C = np.zeros((d, d, d, d))
-    for A in factors:
-        C += 0.5 * cmap_from_pair(A, A)
-    return C
+    """Coefficient tensor of sum_p A_p x x^T A_p^T for skew A_p: :func:`cmap_from_h`
+    of F^T F, F the matrix whose rows are the factors' vectors ``skew_to_vec(A_p)``."""
+    F = np.array([skew_to_vec(A) for A in factors]).reshape(len(factors), skew_dim(d))
+    return cmap_from_h(F.T @ F, d)
 
 
 def _bottom_orthogonal(C, x):

@@ -5,15 +5,18 @@ a coefficient at a point, inverts an index, or writes a test input.
 
 - :func:`rank2_factor`: a rank-two skew matrix is x ^ y = x y^T - y x^T.
 - :func:`c_from_biquadratic`: y^T c(x) y equals the biquadratic form.
+- :func:`cmap_from_pair` and :func:`c_space_basis_by_pairs`: the tensor of
+  x -> P x x^T Q^T + Q x x^T P^T as one contraction, and the paper's spanning
+  family of the coefficient space built from it.
 - :func:`a_eval` and :func:`drift_eval`: a(x) = (1 - |x|^2) alpha + c_H(x) and
   b(x) = b + B x on the ball; a = c_H and b(x) = B x on the sphere.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from quadricdiff.cspace import c_H_eval
+from quadricdiff.cspace import _symmetric_part, c_H_eval
 from quadricdiff.generator import _exponent, _images, monomial_basis
 from quadricdiff.skew import _integer, _upper_indices, skew_basis, skew_dim
 
@@ -118,6 +121,31 @@ def c_from_biquadratic(Q):
 
     # y^T c(x) y = sum c_ab(x) y_a y_b with c_ab(x) = 6 * x^T sym[d+a, d+b] x.
     return np.ascontiguousarray(6.0 * sym[d:, d:, :d, :d])
+
+
+def cmap_from_pair(P, Q):
+    """Coefficient tensor of x -> P x x^T Q^T + Q x x^T P^T for skew P, Q."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    T = np.einsum("ua,vb->uvab", P, Q) + np.einsum("ua,vb->uvab", Q, P)
+    return _symmetric_part(T)
+
+
+def c_space_basis_by_pairs(d):
+    """The six families of ``cspace.c_space_basis``, each member by :func:`cmap_from_pair`
+    of elementary skew matrices S_ab, in the same order."""
+    S = dict(zip(combinations(range(1, d + 1), 2), skew_basis(d)))
+    out = []
+    for i, j, k, l in combinations(range(1, d + 1), 4):
+        out.append(cmap_from_pair(S[i, j], S[k, l]))
+        out.append(cmap_from_pair(S[i, k], S[j, l]))
+    for i, j, k in combinations(range(1, d + 1), 3):
+        out.append(cmap_from_pair(S[i, j], S[i, k]))
+        out.append(cmap_from_pair(S[i, j], S[j, k]))
+        out.append(cmap_from_pair(S[i, k], S[j, k]))
+    for i, j in combinations(range(1, d + 1), 2):
+        out.append(cmap_from_pair(S[i, j], S[i, j]))
+    return out
 
 
 def apply_generator(model, exponent):

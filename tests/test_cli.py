@@ -101,17 +101,15 @@ def test_sos_check_inline_matrix():
 
 
 def test_a_negative_dimension_is_a_usage_error():
-    for command in ("sos-check", "decompose"):
-        for H in ("id", "zero"):
-            j = run_json([command, "--H", H, "--d", "-3"])
-            assert j == {"error": "d must be nonnegative, got -3"}
+    for H in ("id", "zero"):
+        j = run_json(["sos-check", "--H", H, "--d", "-3"])
+        assert j == {"error": "d must be nonnegative, got -3"}
     assert run_json(["dims", "--d", "-2"]) == {"error": "d must be nonnegative, got -2"}
 
 
-def test_decompose():
-    j = run_json(["decompose", "--H", "id", "--d", "3"])
-    assert j["status"] == "Feasible" and j["rank"] == 3
-    assert np.asarray(j["factors"]).shape == (3, 3, 3)
+def test_sos_check_witness_holds_the_factors():
+    j = run_json(["sos-check", "--H", "id", "--d", "3"])
+    assert j["status"] == "Feasible" and np.asarray(j["witness"]["factors"]).shape == (3, 3, 3)
 
 
 def test_counterexample_report():
@@ -134,7 +132,7 @@ def test_validate_sphere_and_ball(model_files):
 def test_tol_is_a_positive_finite_number(model_files, monkeypatch):
     sphere = str(model_files["sphere"])
     commands = [["validate", "--model", sphere], ["sos-check", "--H", "id", "--d", "3"],
-                ["decompose", "--H", "id", "--d", "3"], ["counterexample"],
+                ["counterexample"],
                 ["simulate", "--model", sphere, "--scheme", "sphere", "--x0", "[1,0,0]",
                  "--T", "0.1", "--h", "0.01", "--seed", "0"],
                 ["density", "--model", sphere, "--x0", "[1,0,0]"]]
@@ -162,13 +160,12 @@ def test_tol_is_a_positive_finite_number(model_files, monkeypatch):
 
 def test_max_iter_is_a_positive_integer(capsys):
     # a usage error, as a bad --tol is, not an {"error": ...} document
-    for command in ("sos-check", "decompose"):
-        for budget in ("0", "-5", "2.5"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--H", "id", "--d", "3", "--max-iter", budget])
-            assert exc.value.code == 2, (command, budget)
-            assert "--max-iter" in capsys.readouterr().err
-        assert run_json([command, "--H", "id", "--d", "3", "--max-iter", "1"])
+    for budget in ("0", "-5", "2.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sos-check", "--H", "id", "--d", "3", "--max-iter", budget])
+        assert exc.value.code == 2, budget
+        assert "--max-iter" in capsys.readouterr().err
+    assert run_json(["sos-check", "--H", "id", "--d", "3", "--max-iter", "1"])
 
 
 def test_tol_defaults_are_read_from_the_library(model_files, monkeypatch, capsys):
@@ -219,7 +216,6 @@ def test_sos_defaults_are_read_from_the_library(model_files, monkeypatch, capsys
     ce.write_text(json.dumps(counterexample_d6().h.tolist()))
     for argv, given in ((["sos-check", "--H", "id", "--d", "4"], budget),
                         (["sos-check", "--H", f"@{ce}", "--d", "6"], budget),
-                        (["decompose", "--H", "id", "--d", "4"], budget),
                         (["counterexample"], tol)):
         assert run(argv) == run(argv + given), argv
 
@@ -231,7 +227,7 @@ def test_sos_defaults_are_read_from_the_library(model_files, monkeypatch, capsys
     cli._build_parser.cache_clear()
     try:
         helps = {}
-        for command in ("sos-check", "decompose", "counterexample"):
+        for command in ("sos-check", "counterexample"):
             with pytest.raises(SystemExit) as exc:
                 main([command, "--help"])
             assert exc.value.code == 0
@@ -239,7 +235,7 @@ def test_sos_defaults_are_read_from_the_library(model_files, monkeypatch, capsys
     finally:
         cli._build_parser.cache_clear()
     assert all("witnesses: default 2.5e-08" in text for text in helps.values()), helps
-    assert all("default 123" in helps[command] for command in ("sos-check", "decompose"))
+    assert "default 123" in helps["sos-check"]
 
 
 def test_moments_and_domain_error(model_files):
@@ -872,9 +868,8 @@ def test_every_readme_command_parses():
     block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
                 if line.startswith("quadricdiff ")]
-    assert {argv[1] for argv in commands} == {"dims", "sos-check", "decompose", "counterexample",
-                                              "validate", "moments", "simulate", "twin",
-                                              "density"}
+    assert {argv[1] for argv in commands} == {"dims", "sos-check", "counterexample", "validate",
+                                              "moments", "simulate", "twin", "density"}
     for argv in commands:
         assert _build_parser().parse_args(argv[1:]).func, argv
 

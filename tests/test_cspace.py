@@ -22,10 +22,10 @@ from quadricdiff.cspace import (
 )
 from quadricdiff.skew import (_pair_signs, _upper_indices, pi_index, plucker_eval, skew_basis,
                               skew_dim, vec_to_skew)
-from quadricdiff.sos import nonneg_check, sos_check, sos_decompose, verify_certificate
+from quadricdiff.sos import nonneg_check, sos_check, verify_certificate
 
 from kbasis import k_basis
-from refs import c_from_biquadratic, cmap_eval, h_to_json
+from refs import c_from_biquadratic, c_space_basis_by_pairs, cmap_eval, h_to_json
 
 rng = np.random.default_rng(77)
 
@@ -112,6 +112,14 @@ def test_c_space_basis_count_and_rank(d):
     assert len(basis) == DIM_C[d] == d * d * (d * d - 1) // 12
     M = np.array([b.ravel() for b in basis])
     assert np.linalg.matrix_rank(M, tol=1e-10 * len(basis)) == DIM_C[d]
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_c_space_basis_is_the_pair_contraction_bit_for_bit(d):
+    # each member is cmap_from_h of p q^T + q p^T, with the bits of the einsum
+    # of its elementary skew pair
+    got, want = np.array(c_space_basis(d)), np.array(c_space_basis_by_pairs(d))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -430,7 +438,6 @@ H_ENTRIES = {
     "h_from_json": ("H", lambda H: h_from_json({"d": 3, "H": np.asarray(H).tolist()}), True),
     "cli_sos_check": ("H", _cli_sos_check, True),
     "sos_check": ("H", sos_check, False),
-    "sos_decompose": ("H_star", sos_decompose, False),
     "nonneg_check": ("H", nonneg_check, False),
     "verify_certificate_H": ("H", lambda H: verify_certificate(H, np.eye(3)), False),
     "verify_certificate_B": ("B", lambda B: verify_certificate(np.eye(3), B), True),

@@ -4,16 +4,17 @@ import pytest
 from quadricdiff.cspace import _PluckerKernel, cmap_from_h, k_matrix
 from quadricdiff.skew import skew_dim, skew_to_vec, vec_to_skew
 from quadricdiff.sos import (
+    _factors,
     charpoly_reference,
     counterexample_d6,
     nonneg_check,
     reconstruct_cmap,
     sos_check,
-    sos_decompose,
     verify_certificate,
 )
 
 from kbasis import k_basis
+from refs import cmap_from_pair
 
 rng = np.random.default_rng(2718)
 
@@ -53,7 +54,7 @@ def test_feasible_witness_contract_d4():
 
 
 def test_sos_decompose_identity_d3():
-    factors = sos_decompose(np.eye(3))
+    factors = sos_check(np.eye(3)).factors
     assert len(factors) == 3
     C = reconstruct_cmap(factors, 3)
     x = rng.standard_normal(3)
@@ -64,7 +65,7 @@ def test_sos_decompose_identity_d3():
 
 def test_sos_decompose_rank_one():
     u = rng.standard_normal(6)
-    factors = sos_decompose(np.outer(u, u))
+    factors = sos_check(np.outer(u, u)).factors
     assert len(factors) == 1
     C = reconstruct_cmap(factors, 4)
     assert np.abs(C - cmap_from_h(np.outer(u, u), 4)).max() <= 1e-10
@@ -74,14 +75,9 @@ def test_sos_decompose_random_psd_reconstruction():
     for _ in range(20):
         G = rng.standard_normal((6, 6))
         H = G @ G.T
-        factors = sos_decompose(H)
+        factors = sos_check(H).factors
         C = reconstruct_cmap(factors, 4)
         assert np.abs(C - cmap_from_h(H, 4)).max() <= 1e-9 * max(1.0, np.linalg.norm(H))
-
-
-def test_sos_decompose_rejects_indefinite():
-    with pytest.raises(ValueError):
-        sos_decompose(np.diag([1.0, -1.0, 1.0]))
 
 
 def test_counterexample_construction():
@@ -620,7 +616,7 @@ def test_verify_certificate_refuses_an_asymmetric_certificate():
 
 def test_sos_decompose_factors_the_symmetric_part():
     H_star = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-    C = reconstruct_cmap(sos_decompose(H_star), 3)
+    C = reconstruct_cmap(sos_check(H_star).factors, 3)
     assert np.abs(C - cmap_from_h(H_star, 3)).max() <= 1e-12
 
 
@@ -639,13 +635,13 @@ def test_sos_decompose_prescales_a_spectrum_that_overflows():
     # a finite spectrum is factored unscaled, bit for bit
     P = np.diag([4.0, 1.0, 2.0]) + 0.5
     lam, V = np.linalg.eigh(P)
-    for p, A in zip((2, 1, 0), sos_decompose(P)):
+    for p, A in zip((2, 1, 0), sos_check(P).factors):
         assert np.array_equal(A, vec_to_skew(np.sqrt(lam[p]) * V[:, p], 3))
 
 
 def test_sos_check_factors_its_witness_as_sos_decompose_does():
     # sos_check factors its witness from the eigendecomposition that phi made of
-    # it; sos_decompose makes its own, and the bytes agree, the overflow path too
+    # it; a fresh eigh of the witness gives the same bytes, the overflow path too
     r = np.random.default_rng(31)
     cases = [np.array([[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]])]
     for d in (3, 4, 6, 8):
@@ -659,9 +655,55 @@ def test_sos_check_factors_its_witness_as_sos_decompose_does():
         v = sos_check(H)
         if v.status == "Feasible":
             feasible += 1
-            factors, again = np.array(v.factors), np.array(sos_decompose(v.h_star))
+            factors = np.array(v.factors)
+            again = np.array(_factors(v.h_star, *np.linalg.eigh(v.h_star), v.d, 1e-9))
             assert factors.shape == again.shape and factors.tobytes() == again.tobytes()
     assert feasible == len(cases)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sos_check_factors_a_psd_h_as_its_own_witness(d):
+    # phi(0) accepts a PSD H as its own witness and factors it with the bits
+    # of a fresh eigendecomposition, at scales 1 and 4^+-400.  A rank-deficient
+    # H is tried at scale 1 only: its roundoff eigenvalues fall below the
+    # witness tolerance -min(tol, 1e-10 ||H||), which is -tol at 4^400 and 0
+    # at 4^-400, where ||H|| underflows.
+    r = np.random.default_rng(d)
+    m = skew_dim(d)
+    G = r.standard_normal((m, m))
+    R = r.standard_normal((m, max(1, m // 2)))
+    cases = [(G @ G.T / m + np.eye(m), (0, 400, -400)), (R @ R.T, (0,))]
+    for H, exponents in cases:
+        for e in exponents:
+            Hs = np.ldexp(H, 2 * e)
+            v = sos_check(Hs)
+            assert v.status == "Feasible" and v.h_star.tobytes() == Hs.tobytes(), e
+            got = np.array(v.factors)
+            want = np.array(_factors(Hs, *np.linalg.eigh(Hs), d, 1e-9))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), e
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_sos_check_decides_zero_at_phi_0(d):
+    # c_H = 0 is the empty sum of squares: Z = 0 is PSD, and it has no factor
+    m = skew_dim(d)
+    v = sos_check(np.zeros((m, m)))
+    assert (v.status, v.iterations, v.factors, v.certificate) == ("Feasible", 1, [], None)
+    assert v.residuals == {"eig_min": 0.0, "membership_residual": 0.0}
+    assert {key: value for key, value in v.stats.items() if key != "seconds"} == {
+        "phase": "precheck", "iterations": {"precheck": 1}, "stop": "feasible point found"}
+    assert v.h_star.tobytes() == np.zeros((m, m)).tobytes()
+
+
+def test_reconstruct_cmap_is_the_sum_of_its_factors_tensors():
+    r = np.random.default_rng(8)
+    for d in (4, 6, 8):
+        m = skew_dim(d)
+        G = r.standard_normal((m, m))
+        factors = sos_check(G @ G.T).factors
+        want = sum(0.5 * cmap_from_pair(A, A) for A in factors)
+        err = np.abs(reconstruct_cmap(factors, d) - want).max()
+        assert err <= 1e-15 * np.abs(want).max(), (d, err)
 
 
 def test_sos_check_symmetrizes_without_overflow():

@@ -205,9 +205,8 @@ def test_non_finite_results_are_errors_in_strict_json(models, tmp_path):
         out = cli(argv)
         assert set(out) == {"error"} and "finite" in out["error"], out
     for H in ("[[NaN]]", "[[Infinity]]", "[[-1e308]]"):
-        for command in ("sos-check", "decompose"):
-            out = cli([command, "--H", H, "--d", "2"])
-            assert set(out) == {"error"} and "finite" in out["error"], out
+        out = cli(["sos-check", "--H", H, "--d", "2"])
+        assert set(out) == {"error"} and "finite" in out["error"], out
     assert cli(["sos-check", "--H", "[[1e308]]", "--d", "2"])["status"] == "Feasible"
 
 
